@@ -1,41 +1,30 @@
-"""Scaling of the sharded parallel comparison engine (repro.parallel).
+"""Scaling of the whole-pair comparison fan-out (repro.parallel).
 
-Compares one paper-scale pair (~1.05M packets, light jitter + drops —
-the Section-6.1 regime) serially and under increasing job counts, checks
-the parallel reports are *bit-identical* to serial, and emits the
-wall-time/speedup table to ``benchmarks/out/parallel_analysis.txt``.
-
-The ordering stage gets its own scaling table
-(``test_ordering_stage_scaling``): the prefix-patience sharded LIS
-(:mod:`repro.parallel.ordershard`) against the serial patience sort, plus
-the per-task granularity check behind the engine's schedule — one
-ordering block must be a *shorter* pool task than one timing shard, so
-ordering can never be the longest single task in the pair's fan-out.
+Compares a paper-scale series — one baseline and ``N_RUNS`` runs of
+~1.05M packets each, light jitter + drops (the Section-6.1 regime) —
+serially and under increasing job counts through
+:func:`repro.parallel.compare_series_parallel`, checks the parallel
+reports are *bit-identical* to serial, and emits the wall-time/speedup
+table to ``benchmarks/out/parallel_analysis.txt``.  Each pool task is one
+whole pair; a pair is never split.
 
 Honesty note: the speedup assertion (>= 2x at 4 jobs) only fires when the
-runner actually exposes >= 4 usable cores — on a 1-core container the
+runner actually exposes >= 4 usable cores — on a smaller host the
 measurement still runs and the exactness checks still bind, but physics
-caps the speedup at ~1x and asserting otherwise would only test the
-hardware.  The serial LIS extraction walk (~0.17 s at 1M rows) stays
-serial in both paths, so ordering-stage speedup saturates near 2x even
-with many cores; the point of the sharding is that the *patience loop*
-(the dominant term) parallelizes and the blocks overlap the timing
-shards.
+caps the speedup and asserting otherwise would only test the hardware.
 
 The fused timing kernel gets its own stage table
 (``test_fused_kernel_stage_table``): the single-pass
 :func:`repro.core.fusedpass.fused_timings` against the pre-fusion
 per-component passes it replaced, plus a jobs=2 steady-state parity
-measurement of the engine (batched dispatch + forkserver + segment
-reuse).  Gates: the fused path must stay within 10% of the component
-passes in every mode (regression guard), jobs=2 must reach serial parity
-when the runner actually has a second core, and in full mode the serial
-comparison must beat the recorded pre-fusion baseline by >= 1.25x.
+measurement of the whole-pair fan-out on a two-pair series.  Gates: the
+fused path must stay within 10% of the component passes in every mode
+(regression guard), jobs=2 must reach serial parity when the runner
+actually has a second core, and in full mode the serial comparison must
+beat the recorded pre-fusion baseline by >= 1.25x.
 
-``REPRO_BENCH_SMOKE=1`` (CI) shrinks the pair to ~220k packets, skips
-the full engine sweep, and turns the ordering table into a regression
-gate: the sharded in-process ordering stage must stay within 10% of the
-serial stage's wall time.
+``REPRO_BENCH_SMOKE=1`` (CI) shrinks the pairs to ~220k packets and skips
+the full scaling sweep.
 """
 
 import os
@@ -44,12 +33,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import compare_trials
-from repro.parallel import ParallelComparator
+from repro.core import compare_series, compare_trials
+from repro.parallel import compare_series_parallel
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 N = 221_000 if SMOKE else 1_055_648  # full: the paper's Section-6.1 capture size
-JOB_COUNTS = (1, 2, 4, 8)
+JOB_COUNTS = (1, 2, 4)
+#: Runs per series in the scaling sweep: one pool task each.
+N_RUNS = 4
 
 #: Serial wall time of this pair before the fused kernel and the
 #: single-argsort/patience-fast-path rewrites (benchmarks/out/
@@ -62,19 +53,25 @@ PREFUSION_SERIAL_S = 0.926
 FUSED_SPEEDUP_FLOOR = 1.25
 
 
-def _paper_scale_pair(seed=0, n=N):
-    """Baseline + one run with jitter, ~0.5% drops and occasional reorders."""
+def _paper_scale_series(seed=0, n=N, n_runs=1):
+    """Baseline + runs with jitter, ~0.5% drops and occasional reorders."""
+    from repro.core import Trial
+
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.exponential(284.0, n))
     tags = np.arange(n, dtype=np.int64)
-    from repro.core import Trial
+    trials = [Trial(tags, times, label="A")]
+    for k in range(n_runs):
+        keep = rng.random(n) > 0.005
+        bt = times[keep] + rng.normal(0.0, 40.0, int(keep.sum()))
+        order = np.argsort(bt, kind="stable")
+        trials.append(Trial(tags[keep][order], bt[order], label=chr(ord("B") + k)))
+    return trials
 
-    keep = rng.random(n) > 0.005
-    bt = times[keep] + rng.normal(0.0, 40.0, int(keep.sum()))
-    order = np.argsort(bt, kind="stable")
-    a = Trial(tags, times, label="A")
-    b = Trial(tags[keep][order], bt[order], label="B")
-    return a, b
+
+def _paper_scale_pair(seed=0, n=N):
+    """Baseline + one run (the first pair of :func:`_paper_scale_series`)."""
+    return tuple(_paper_scale_series(seed, n, n_runs=1))
 
 
 def _assert_exact(got, want):
@@ -86,32 +83,34 @@ def _assert_exact(got, want):
     assert np.array_equal(got.latency_hist.counts, want.latency_hist.counts)
 
 
-@pytest.mark.skipif(SMOKE, reason="full engine sweep is not part of smoke mode")
+def _assert_series_exact(got, want):
+    assert len(got.pairs) == len(want.pairs)
+    for g, w in zip(got.pairs, want.pairs):
+        _assert_exact(g, w)
+
+
+@pytest.mark.skipif(SMOKE, reason="full scaling sweep is not part of smoke mode")
 def test_parallel_analysis_speedup(once, emit, emit_json):
-    a, b = _paper_scale_pair()
+    trials = _paper_scale_series(n_runs=N_RUNS)
     usable_cores = len(os.sched_getaffinity(0))
 
     def sweep():
-        compare_trials(a, b)  # warm allocator/caches: every config is
-        t0 = time.perf_counter()  # measured at steady state
-        serial = compare_trials(a, b)
-        serial_s = time.perf_counter() - t0
+        # Warm allocator/caches and the pool: every config is measured at
+        # steady state, best of two.
+        serial = compare_series(trials)
+        serial_s = _best_of(2, lambda: compare_series(trials))
 
         rows = [("serial", serial_s, 1.0)]
         for jobs in JOB_COUNTS:
-            with ParallelComparator(jobs=jobs) as pc:
-                pc.compare(a, b)  # warm the pool: measure steady state
-                t0 = time.perf_counter()
-                rep = pc.compare(a, b)
-                dt = time.perf_counter() - t0
-            _assert_exact(rep, serial)
+            _assert_series_exact(compare_series_parallel(trials, jobs=jobs), serial)
+            dt = _best_of(2, lambda j=jobs: compare_series_parallel(trials, jobs=j))
             rows.append((f"jobs={jobs}", dt, serial_s / dt))
         return rows
 
     rows = once(sweep)
 
     lines = [
-        f"parallel comparison scaling, n={N} packets "
+        f"whole-pair comparison scaling, {N_RUNS} pairs of n={N} packets "
         f"({usable_cores} usable cores)",
         f"{'config':>8s}  {'seconds':>8s}  {'speedup':>7s}",
     ]
@@ -122,7 +121,13 @@ def test_parallel_analysis_speedup(once, emit, emit_json):
     emit("parallel_analysis", "\n".join(lines))
     emit_json(
         "parallel_analysis",
-        {"n_packets": N, "seed": 0, "usable_cores": usable_cores, "smoke": SMOKE},
+        {
+            "n_packets": N,
+            "n_pairs": N_RUNS,
+            "seed": 0,
+            "usable_cores": usable_cores,
+            "smoke": SMOKE,
+        },
         rows[0][1],
         {name: dt for name, dt, _ in rows},
     )
@@ -180,19 +185,21 @@ def test_fused_kernel_stage_table(once, emit, emit_json):
         fused_s = _best_of(reps, lambda: fused_timings(a, b, m, bins=bins))
         match_s = _best_of(reps, lambda: match_trials(a, b))
 
-        want = compare_trials(a, b)  # warm
+        compare_trials(a, b)  # warm
         serial_s = _best_of(reps, lambda: compare_trials(a, b))
 
-        # jobs=2 steady state: batched dispatch, forkserver workers,
-        # reused segments.  Pool startup is measured by the sim bench;
-        # here the question is whether a warm two-worker engine holds
-        # parity with the fused serial path.
-        with ParallelComparator(jobs=2) as pc:
-            _assert_exact(pc.compare(a, b), want)  # warm pool + exactness
-            jobs2_s = _best_of(reps, lambda: pc.compare(a, b))
-        return match_s, components_s, fused_s, serial_s, jobs2_s
+        # jobs=2 steady state on a two-pair series: one whole pair per
+        # forkserver worker.  Pool startup is measured by the sim bench;
+        # here the question is whether a warm two-worker fan-out holds
+        # parity with the fused serial path over the same two pairs.
+        series = [a, b, b]
+        want = compare_series(series)
+        serial2_s = _best_of(reps, lambda: compare_series(series))
+        _assert_series_exact(compare_series_parallel(series, jobs=2), want)
+        jobs2_s = _best_of(reps, lambda: compare_series_parallel(series, jobs=2))
+        return match_s, components_s, fused_s, serial_s, serial2_s, jobs2_s
 
-    match_s, components_s, fused_s, serial_s, jobs2_s = once(sweep)
+    match_s, components_s, fused_s, serial_s, serial2_s, jobs2_s = once(sweep)
 
     lines = [
         f"fused timing kernel, n={N} packets "
@@ -202,10 +209,11 @@ def test_fused_kernel_stage_table(once, emit, emit_json):
         f"{'timing (components)':>22s}  {components_s:8.3f}",
         f"{'timing (fused)':>22s}  {fused_s:8.3f}",
         f"{'serial compare_trials':>22s}  {serial_s:8.3f}",
-        f"{'jobs=2 compare':>22s}  {jobs2_s:8.3f}",
+        f"{'serial 2-pair series':>22s}  {serial2_s:8.3f}",
+        f"{'jobs=2 2-pair series':>22s}  {jobs2_s:8.3f}",
         "",
         f"fused vs components: {components_s / fused_s:.2f}x; "
-        f"jobs=2 vs serial: {serial_s / jobs2_s:.2f}x",
+        f"jobs=2 vs serial (2 pairs): {serial2_s / jobs2_s:.2f}x",
     ]
     if not SMOKE:
         lines.append(
@@ -229,7 +237,8 @@ def test_fused_kernel_stage_table(once, emit, emit_json):
             "timing_components": components_s,
             "timing_fused": fused_s,
             "serial_compare": serial_s,
-            "jobs2_compare": jobs2_s,
+            "serial_series2": serial2_s,
+            "jobs2_series2": jobs2_s,
         },
     )
 
@@ -240,14 +249,14 @@ def test_fused_kernel_stage_table(once, emit, emit_json):
         f"{components_s:.4f}s ({fused_s / components_s:.2f}x)"
     )
 
-    # Parity gate: with the fan-out fixed costs cut, two workers must not
-    # lose to one process — but only where a second core exists; on a
-    # 1-core runner the JSON records why (host.usable_cores).  5% noise
-    # allowance: parity, not speedup, is the claim.
+    # Parity gate: two workers on two whole pairs must not lose to one
+    # process — but only where a second core exists; on a 1-core runner
+    # the JSON records why (host.usable_cores).  5% noise allowance:
+    # parity, not speedup, is the claim.
     if usable_cores >= 2:
-        assert jobs2_s <= serial_s * 1.05, (
+        assert jobs2_s <= serial2_s * 1.05, (
             f"jobs=2 below serial parity on {usable_cores} cores: "
-            f"{jobs2_s:.3f}s vs serial {serial_s:.3f}s"
+            f"{jobs2_s:.3f}s vs serial {serial2_s:.3f}s"
         )
 
     if not SMOKE:
@@ -255,120 +264,4 @@ def test_fused_kernel_stage_table(once, emit, emit_json):
             f"fused serial must be >= {FUSED_SPEEDUP_FLOOR}x the pre-fusion "
             f"baseline: {serial_s:.3f}s vs {PREFUSION_SERIAL_S:.3f}s "
             f"({PREFUSION_SERIAL_S / serial_s:.2f}x)"
-        )
-
-
-def test_ordering_stage_scaling(once, emit, emit_json):
-    """The sharded ordering stage: scaling table + task-granularity gate."""
-    from repro.core.matching import match_trials
-    from repro.core.ordering import edit_script_from_matching, b_order_ranks
-    from repro.parallel import (
-        DEFAULT_ORDER_BLOCK_PACKETS,
-        edit_script_from_matching_sharded,
-        patience_block,
-    )
-    from repro.parallel.partials import compute_shard_partial
-    from repro.core import SymlogBins
-
-    a, b = _paper_scale_pair()
-    usable_cores = len(os.sched_getaffinity(0))
-    m = match_trials(a, b)
-    seq = b_order_ranks(m)
-    shard_rows = -(-m.n_common // 4)  # one jobs=4 timing shard's row count
-    reps = 3 if SMOKE else 1  # smoke gates on a ratio: beat the noise down
-
-    def sweep():
-        want = edit_script_from_matching(m)  # warm
-        serial_s = _best_of(reps, lambda: edit_script_from_matching(m))
-
-        rows = [("serial", serial_s, 1.0)]
-        sharded_walls = {}
-        for jobs in JOB_COUNTS:
-            if jobs > 1 and SMOKE:
-                continue  # smoke: in-process gate only (CI runners vary)
-            got = edit_script_from_matching_sharded(m, jobs=jobs)  # warm pool
-            assert np.array_equal(got.lcs_mask_b_order, want.lcs_mask_b_order)
-            assert np.array_equal(got.moved_distances, want.moved_distances)
-            dt = _best_of(
-                reps, lambda j=jobs: edit_script_from_matching_sharded(m, jobs=j)
-            )
-            sharded_walls[jobs] = dt
-            rows.append((f"jobs={jobs}", dt, serial_s / dt))
-
-        # Task granularity: one ordering block vs one jobs=4 timing shard.
-        block_s = _best_of(
-            3, lambda: patience_block(seq, 0, DEFAULT_ORDER_BLOCK_PACKETS)
-        )
-        bins = SymlogBins()
-        shard_s = _best_of(
-            3,
-            lambda: compute_shard_partial(
-                a.times_ns, b.times_ns, m.idx_a, m.idx_b, 0, shard_rows, bins, 10.0
-            ),
-        )
-        return rows, sharded_walls, serial_s, block_s, shard_s
-
-    rows, sharded_walls, serial_s, block_s, shard_s = once(sweep)
-
-    lines = [
-        f"ordering stage (prefix-patience sharded LIS), n_common={m.n_common} "
-        f"({usable_cores} usable cores{', smoke' if SMOKE else ''})",
-        f"{'config':>8s}  {'seconds':>8s}  {'speedup':>7s}",
-    ]
-    for name, dt, speedup in rows:
-        lines.append(f"{name:>8s}  {dt:8.3f}  {speedup:6.2f}x")
-    lines.append("")
-    lines.append(
-        f"longest-task check: ordering block "
-        f"({DEFAULT_ORDER_BLOCK_PACKETS} rows) {block_s * 1e3:.2f} ms "
-        f"vs jobs=4 timing shard ({shard_rows} rows) {shard_s * 1e3:.2f} ms"
-    )
-    lines.append("sharded ordering verified bit-identical to serial")
-    emit("ordering_scaling", "\n".join(lines))
-    per_stage = {name: dt for name, dt, _ in rows}
-    per_stage["one_ordering_block"] = block_s
-    per_stage["one_jobs4_timing_shard"] = shard_s
-    emit_json(
-        "ordering_scaling",
-        {
-            "n_common": int(m.n_common),
-            "seed": 0,
-            "block_packets": DEFAULT_ORDER_BLOCK_PACKETS,
-            "usable_cores": usable_cores,
-            "smoke": SMOKE,
-        },
-        serial_s,
-        per_stage,
-    )
-
-    # The engine's schedule rests on this: an ordering block is a shorter
-    # pool task than a timing shard, so at jobs >= 4 the ordering stage is
-    # never the longest single task of the pair's fan-out.  Single-thread
-    # measurement — holds on any core count.  The claim is about the
-    # paper-scale pair (a smoke-sized pair's timing shards shrink with n
-    # while the block size is fixed), so it binds in full mode only; smoke
-    # still emits both numbers.
-    if not SMOKE:
-        assert block_s < shard_s, (
-            f"an ordering block ({block_s * 1e3:.2f} ms) must undercut a "
-            f"jobs=4 timing shard ({shard_s * 1e3:.2f} ms)"
-        )
-
-    # Regression gate (the CI smoke check): the in-process sharded path —
-    # identical block pipeline, no pool — must stay close to serial.  The
-    # bound was 10% when the serial patience loop dominated at ~0.6 us/row;
-    # the append fast path and the pointer-doubling walk have since cut
-    # serial ~5x, so the merge's fixed milliseconds weigh proportionally
-    # more against a much faster baseline.  25% of the new serial wall is
-    # still several times less absolute overhead than the old 10% was.
-    overhead = sharded_walls[1] / serial_s
-    assert overhead <= 1.25, (
-        f"sharded ordering regressed: {overhead:.2f}x serial "
-        f"({sharded_walls[1]:.3f}s vs {serial_s:.3f}s)"
-    )
-
-    if usable_cores >= 4 and 4 in sharded_walls:
-        assert sharded_walls[4] < serial_s, (
-            f"expected ordering-stage speedup at 4 jobs on {usable_cores} "
-            f"cores, got {serial_s / sharded_walls[4]:.2f}x"
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..core.histograms import SymlogBins
-from ..core.report import RunSeriesReport, compare_series
+from ..core.report import RunSeriesReport
 from ..core.trial import Trial
 from .capture import read_capture, write_capture
 from .textplot import render_histogram, render_metric_rows
@@ -71,9 +71,7 @@ def analyze_directory(
     from ..parallel import compare_series_parallel, default_jobs
 
     jobs = default_jobs() if jobs is None else int(jobs)
-    if jobs > 1:
-        return compare_series_parallel(trials, environment=environment, bins=bins, jobs=jobs)
-    return compare_series(trials, environment=environment, bins=bins)
+    return compare_series_parallel(trials, environment=environment, bins=bins, jobs=jobs)
 
 
 def render_report(report: RunSeriesReport, *, histograms: bool = True) -> str:

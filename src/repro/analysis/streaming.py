@@ -22,9 +22,9 @@ regime* (neither capture is held in memory):
 With a **known baseline**, however, O *does* stream: when trial A is
 fully in memory (the paper's protocol — one recorded baseline, many
 repeats compared against it) each arriving B packet's matching key and
-A-position are final on arrival, and the prefix-patience merge of
-:mod:`repro.parallel.ordershard` keeps the exact serial patience-LIS
-state live at every chunk boundary.
+A-position are final on arrival, and the serial patience loop
+(:func:`repro.core.ordering.patience_fill`), resumed chunk by chunk,
+keeps the exact serial patience-LIS state live at every chunk boundary.
 :class:`repro.analysis.streamkappa.StreamKappa` implements that path —
 all four components, bit-identical to the batch metrics on misordered and
 droppy streams alike (``docs/streaming.md`` has the argument).  This

@@ -28,12 +28,12 @@ Two comparators, two memory stories:
       stream.  A-side *positions* do: the map position → rank over the
       final common set is a strictly increasing bijection, and patience
       state (pile indices, tie-breaks, predecessor links) depends only on
-      the relative order of distinct values — so running the prefix-
-      patience merge of :mod:`repro.parallel.ordershard` over the position
-      sequence, one :func:`~repro.parallel.ordershard.patience_block_values`
-      block per chunk, holds the *exact* serial patience state (indices
-      and links, element for element) the batch path would compute at
-      every prefix.
+      the relative order of distinct values.  The serial loop
+      :func:`~repro.core.ordering.patience_fill` already resumes from a
+      live pile state, so each chunk's matched positions are simply fed to
+      it where the previous chunk stopped: the state after any chunking
+      *is* the state of one serial pass over the prefix (indices and
+      links, element for element) — the serial loop, resumed.
     * **Batch-identical reductions.**  Per-packet Δl/Δg are computed with
       the identical elementwise operations, stored, reordered to A order
       at :meth:`~StreamKappa.result`, and fed to the *same* reduction
@@ -68,6 +68,7 @@ notes and the exactness argument in full.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,17 +83,13 @@ from ..core.ordering import (
     edit_script_from_matching,
     lis_indices_from_state,
     ordering_from_matching,
+    patience_fill,
 )
 from ..core.trial import Trial
 from ..core.uniqueness import uniqueness_from_matching
 from ..core.windows import WindowedDeviation, deviation_from_deltas
 from ..obs import metrics
 from ..obs.trace import span
-from ..parallel.ordershard import (
-    PatienceState,
-    merge_block_inplace,
-    patience_block_values,
-)
 from .changepoints import detect_series_steps
 
 __all__ = [
@@ -136,7 +133,8 @@ class StreamKappa:
     sizes); :meth:`result` at any chunk boundary returns the metric vector
     ``compare_trials(baseline, B_prefix).metrics`` would — bit-identical,
     including the global-LCS ordering metric O, which streams through the
-    prefix-patience merge (module docstring has the argument).
+    serial patience loop resumed chunk by chunk (module docstring has the
+    argument).
 
     State grows as O(|baseline| + common packets seen): the global LIS
     keeps predecessor links per common packet.  For bounded-memory
@@ -183,8 +181,12 @@ class StreamKappa:
         self._pos_b = _Grow(np.int64)
         self._dl = _Grow(np.float64)
         self._dg = _Grow(np.float64)
-        self._st = PatienceState(n=0)
-        self._peak_bytes = self.state_bytes
+        # Patience piles over matched A-positions in arrival order: tails
+        # as Python lists (what patience_fill mutates), predecessor links
+        # per common packet.
+        self._tails_vals: list[int] = []
+        self._tails_idx: list[int] = []
+        self._prev = _Grow(np.intp)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -234,9 +236,6 @@ class StreamKappa:
             metrics.counter("stream.chunks").add(1)
             metrics.counter("stream.packets").add(n)
             metrics.counter("stream.matched").add(matched)
-            cur = self.state_bytes
-            if cur > self._peak_bytes:
-                self._peak_bytes = cur
 
     def _match_chunk(self, tags, times, g_b) -> int:
         """Resolve one chunk's matches and fold them into all running state."""
@@ -268,11 +267,17 @@ class StreamKappa:
         dl_new = (t_new - self._first_b) - self._rel_a[pos_a_new]
         dg_new = g_b[present][keep] - self._iats_a[pos_a_new]
 
-        # Streaming O: the chunk's matched A-positions are one patience
-        # block folded into the live prefix state (ordershard docstring:
-        # "accumulated state == serial state over the processed prefix").
-        blk = patience_block_values(pos_a_new, self._pos_a._n)
-        merge_block_inplace(self._st, blk, pos_a_new)
+        # Streaming O: resume the serial patience loop on the chunk's
+        # matched A-positions, new elements indexed after the prefix.
+        lo = self._pos_a._n
+        self._prev.extend(np.full(n_new, -1, dtype=np.intp))
+        patience_fill(
+            pos_a_new.tolist(),
+            self._tails_vals,
+            self._tails_idx,
+            self._prev.view()[lo:],
+            offset=lo,
+        )
 
         self._pos_a.extend(pos_a_new)
         self._pos_b.extend(pos_b_new)
@@ -309,12 +314,7 @@ class StreamKappa:
             u = uniqueness_from_matching(m)
 
             keep = np.zeros(n_c, dtype=bool)
-            if n_c:
-                keep[
-                    lis_indices_from_state(
-                        self._st.tails_idx[: self._st.tlen], self._st.prev
-                    )
-                ] = True
+            keep[lis_indices_from_state(self._tails_idx, self._prev.view())] = True
             script = edit_script_from_keep(m, b_order_ranks(m), keep)
             o = ordering_from_matching(m, script)
 
@@ -369,23 +369,33 @@ class StreamKappa:
 
     @property
     def state_bytes(self) -> int:
-        """Bytes of live mutable state (excluding the baseline arrays)."""
-        st = self._st
+        """Bytes of live mutable state (excluding the baseline arrays).
+
+        The pile tails are Python lists: each counts its own size plus one
+        int object per entry, sized as the largest value the list can hold
+        (A-positions < |A|, pile indices < common count) — exact while
+        those fit one int size class, an upper bound otherwise.
+        """
         return int(
             self._b_occ.nbytes
             + self._pos_a.nbytes
             + self._pos_b.nbytes
             + self._dl.nbytes
             + self._dg.nbytes
-            + st.tails_vals.nbytes
-            + st.tails_idx.nbytes
-            + st.prev.nbytes
+            + self._prev.nbytes
+            + sys.getsizeof(self._tails_vals)
+            + len(self._tails_vals) * sys.getsizeof(len(self._a))
+            + sys.getsizeof(self._tails_idx)
+            + len(self._tails_idx) * sys.getsizeof(self._pos_a._n)
         )
 
     @property
     def peak_bytes(self) -> int:
-        """High-water mark of :attr:`state_bytes` over the stream so far."""
-        return self._peak_bytes
+        """High-water mark of :attr:`state_bytes` over the stream so far.
+
+        Every buffer and pile list only grows, so this is the current size.
+        """
+        return self.state_bytes
 
 
 # ----------------------------------------------------------------------

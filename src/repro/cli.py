@@ -38,10 +38,9 @@ MS`` samples engine counters into Chrome ``ph:"C"`` tracks, and
 ``--serve-metrics PORT`` exposes ``/metrics`` (Prometheus text) +
 ``/healthz`` while the command runs.  Commands that simulate or
 run the Section-3 analysis honor ``--jobs N`` (default from ``REPRO_JOBS``
-or 1), fanning both the trial simulation and the comparison across N
-processes via :mod:`repro.parallel` — every comparison stage shards,
-including the global-LCS ordering metric (prefix-patience blocks, see
-:mod:`repro.parallel.ordershard`); output is identical at any job count.
+or 1), fanning whole items — sweep units, replay runs, trial pairs —
+across N processes via :mod:`repro.parallel`; each item runs the serial
+code, so output is identical at any job count.
 Every worker draws from one process-global pool, created lazily on the
 first parallel stage and torn down when the command exits — including on
 error paths (see :mod:`repro.parallel.pool`).
@@ -55,6 +54,17 @@ import sys
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a bad value is a usage error)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for tests and docs generation)."""
     parser = argparse.ArgumentParser(
@@ -66,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_jobs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--jobs", type=int, default=None, metavar="N",
+            "--jobs", type=_positive_int, default=None, metavar="N",
             help="worker processes for simulation and analysis (default "
             "REPRO_JOBS or 1; output is identical at any N)",
         )
@@ -651,7 +661,15 @@ def main(argv: list[str] | None = None) -> int:
 
     from .parallel.pool import shutdown_pool
 
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "jobs", 0) is None:
+        from .parallel.pool import default_jobs
+
+        try:
+            args.jobs = default_jobs()
+        except ValueError as exc:
+            parser.error(str(exc))
     if getattr(args, "store", None) and args.command not in ("sweep", "stability"):
         # Scenario-driven commands (tables, figures, validate, report,
         # simulate) read and feed the persistent series store; the sweep

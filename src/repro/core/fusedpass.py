@@ -19,9 +19,8 @@ Exactness is inherited, not re-argued:
 * the delta expressions are the identical IEEE-754 elementwise operations
   of :func:`~repro.core.latency.latency_deltas_ns` and
   :func:`~repro.core.iat.iat_deltas_ns` — gaps reach back to each
-  packet's predecessor *in the full trial* by direct indexing, the exact
-  form the parallel shard kernel (:mod:`repro.parallel.partials`) already
-  uses and the differential suites already pin;
+  packet's predecessor *in the full trial* by direct indexing, the form
+  the differential suites pin;
 * the final reductions are the canonical single-reduction functions every
   other path runs (:func:`~repro.core.latency.latency_from_deltas`,
   :func:`~repro.core.iat.iat_from_deltas`,

@@ -22,9 +22,8 @@ __all__ = ["SymlogBins", "DeltaHistogram", "pct_within", "pct_within_from_counts
 def pct_within_from_counts(n_within: int, n_total: int) -> float:
     """The ``pct_within`` statistic from precomputed counts.
 
-    Counting is elementwise, so per-shard counts summed across any
-    partition equal the whole-array count; routing both the batch and the
-    parallel path through this one division keeps them bit-identical.
+    Routing every path that counts (the per-component and the fused
+    kernel) through this one division keeps them bit-identical.
     """
     if n_total == 0:
         return 0.0
@@ -124,12 +123,11 @@ class DeltaHistogram:
         label: str = "",
         meta: dict | None = None,
     ) -> "DeltaHistogram":
-        """Histogram from precomputed per-bin counts (the merge entry point).
+        """Histogram from precomputed per-bin counts.
 
-        Binning is elementwise, so integer counts from any shard partition
-        of a delta array sum to exactly the counts :meth:`from_deltas`
-        computes on the whole array; the parallel engine's reducer builds
-        its histograms through this constructor.
+        Binning is elementwise, so counts taken in one fused pass equal
+        the counts :meth:`from_deltas` computes on the whole array; the
+        fused kernel builds its histograms through this constructor.
         """
         bins = bins if bins is not None else SymlogBins()
         counts = np.asarray(counts)

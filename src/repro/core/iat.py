@@ -60,9 +60,8 @@ def iat_denominator_ns(a: Trial, b: Trial) -> float:
 def iat_from_deltas(deltas: np.ndarray, n_common: int, denom_ns: float) -> float:
     """Equation 4 from precomputed signed IAT deltas and the normalizer.
 
-    The single reduction both the batch and the parallel path run; the
-    parallel engine assembles the full delta array from its shards and
-    calls this exact function, so the two paths are bit-identical.
+    The single reduction the batch, fused and streaming paths all run on
+    the same delta array, so they are bit-identical.
     """
     if n_common == 0:
         return 0.0

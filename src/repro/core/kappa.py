@@ -90,11 +90,12 @@ class MetricVector:
     report that exact float, or refuse to produce a vector —
     partially-populated vectors do not exist.  The batch
     (:func:`repro.core.report.compare_trials`), parallel
-    (:class:`repro.parallel.ParallelComparator`) and streaming paths all
-    honor this: the known-baseline streaming comparator
+    (:func:`repro.parallel.compare_series_parallel`, which runs the batch
+    path per pair) and streaming paths all honor this: the known-baseline
+    streaming comparator
     (:class:`repro.analysis.streamkappa.StreamKappa`) computes every
-    component — including the global-LCS ordering metric, via the
-    incremental prefix-patience merge — exactly, while the aligned-only
+    component — including the global-LCS ordering metric, via the serial
+    patience loop resumed chunk by chunk — exactly, while the aligned-only
     fast path (:class:`repro.analysis.streaming.StreamingComparison`)
     *guarantees* U = O = 0 by its checked alignment precondition.
     Vectors from any path therefore mix freely in series aggregation and

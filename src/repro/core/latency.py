@@ -88,9 +88,8 @@ def latency_span_ns(a: Trial, b: Trial) -> float:
 def latency_from_deltas(deltas: np.ndarray, n_common: int, span_ns: float) -> float:
     """Equation 3 from precomputed signed latency deltas and the span.
 
-    This is the single reduction both the batch and the parallel path run:
-    the parallel engine assembles the full delta array from its shards and
-    calls this exact function, so the two paths are bit-identical.
+    The single reduction the batch, fused and streaming paths all run on
+    the same delta array, so they are bit-identical.
     """
     if n_common == 0:
         return 0.0

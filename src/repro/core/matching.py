@@ -77,9 +77,8 @@ class Matching:
     len_a: int
     len_b: int
     #: Lazily cached stable argsort of ``idx_b`` — ``b_order`` and
-    #: ``a_ranks_in_b_order`` both need it, and the parallel engine asks
-    #: for it again when deriving the ordering permutation; memoizing on
-    #: the (frozen, immutable-by-contract) matching makes it one argsort
+    #: ``a_ranks_in_b_order`` both need it; memoizing on the (frozen,
+    #: immutable-by-contract) matching makes it one argsort
     #: per pair (``match.b_order_argsorts`` counts the computes).
     _order_b_cache: np.ndarray | None = field(
         default=None, repr=False, compare=False
@@ -128,12 +127,10 @@ def match_tag_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Aligned ``(tag, occurrence)`` index pairs of two tag sequences.
 
-    The computational core of :func:`match_trials`, exposed separately so
-    the sharded matcher (:mod:`repro.parallel.matchshard`) can run the
-    *identical* operations on tag subsets: occurrence ranks are computed
-    among equal tags only, so restricting both sequences to any set of tag
-    values yields exactly the rows of the full matching whose tags fall in
-    that set.
+    The computational core of :func:`match_trials`, on bare tag arrays:
+    occurrence ranks are computed among equal tags only, so restricting
+    both sequences to any set of tag values yields exactly the rows of the
+    full matching whose tags fall in that set.
 
     One stable argsort per side is the whole cost model.  The stable sort
     groups equal tags into contiguous runs *in input order*, so the k-th

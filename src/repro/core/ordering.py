@@ -68,11 +68,11 @@ def patience_fill(
 ) -> None:
     """Run the patience loop over ``values``, mutating the pile state.
 
-    This is *the* canonical update step — the serial driver, the shard
-    workers and the prefix-patience merge's replay fallback
-    (:mod:`repro.parallel.ordershard`) all execute this exact function, so
-    "parallel equals serial" reduces to an argument about *which* elements
-    each call sees, never about arithmetic.
+    This is *the* canonical update step.  The batch driver runs it once
+    over the whole sequence; :class:`repro.analysis.streamkappa.StreamKappa`
+    resumes it on each chunk from the live pile state, which leaves the
+    state of one serial pass over the prefix — so "stream equals batch"
+    is the serial loop itself, not a merge argument.
 
     ``values`` are the elements to process (Python scalars — ``tolist()``
     beats an ndarray loop ~3x); ``tails_vals``/``tails_idx`` are the pile
@@ -273,10 +273,9 @@ def b_order_ranks(m: Matching) -> np.ndarray:
     """A-side ranks of the common packets listed in B order.
 
     The permutation whose LIS is the LCS (Schensted); the input the
-    patience sort runs on, both serially here and sharded in
-    :mod:`repro.parallel.ordershard`.  Routed through the matching's
-    cached argsort, so a pair that also sorts by B position elsewhere
-    (``b_order``, the parallel engine) pays for one argsort total.
+    patience sort runs on.  Routed through the matching's cached argsort,
+    so a pair that also sorts by B position elsewhere (``b_order``) pays
+    for one argsort total.
     """
     return m.a_ranks_in_b_order()
 
@@ -287,8 +286,8 @@ def edit_script_from_keep(
     """Assemble the edit script from the canonical LIS mask.
 
     Pure vectorized assembly — every arithmetic op downstream of the mask
-    lives here, so any path that reproduces ``keep`` exactly (the serial
-    patience sort or the sharded prefix-patience merge) gets bit-identical
+    lives here, so any path that reproduces ``keep`` exactly (the batch
+    patience sort or the streamed one) gets bit-identical
     ``signed_distances``, ``moved_distances`` and ``O``.
     """
     n = m.n_common
@@ -315,9 +314,7 @@ def edit_script_from_matching(m: Matching) -> EditScript:
     """The minimum edit script from a precomputed matching alone.
 
     The script is a pure function of the matching (positions and trial
-    lengths); trials are not needed.  This is the entry point used by the
-    parallel engine, whose ordering worker receives only the matching index
-    arrays over shared memory.
+    lengths); trials are not needed.
     """
     a_ranks_in_b = b_order_ranks(m)
     return edit_script_from_keep(m, a_ranks_in_b, lis_membership(a_ranks_in_b))

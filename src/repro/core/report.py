@@ -25,7 +25,13 @@ from .ordering import (
 from .trial import Trial
 from .uniqueness import uniqueness_from_matching
 
-__all__ = ["PairReport", "compare_trials", "RunSeriesReport", "compare_series"]
+__all__ = [
+    "PairReport",
+    "compare_trials",
+    "RunSeriesReport",
+    "compare_series",
+    "label_series",
+]
 
 
 @dataclass(frozen=True)
@@ -158,6 +164,22 @@ class RunSeriesReport:
         return [p.row() for p in self.pairs]
 
 
+def label_series(trials: list[Trial]) -> list[Trial]:
+    """The series with the paper's default labels filled in.
+
+    The first run is A, later runs B, C, D, E, ... — each only if it
+    carries no label of its own.
+    """
+    if len(trials) < 2:
+        raise ValueError("need a baseline plus at least one repeat run")
+    baseline = trials[0] if trials[0].label else trials[0].relabel("A")
+    runs = [
+        run if run.label else run.relabel(chr(ord("B") + k) if k < 25 else f"run{k + 1}")
+        for k, run in enumerate(trials[1:])
+    ]
+    return [baseline, *runs]
+
+
 def compare_series(
     trials: list[Trial],
     environment: str = "",
@@ -168,17 +190,9 @@ def compare_series(
     Mirrors the paper's protocol: the first run is A, later runs are
     labelled B, C, D, E, ... if they carry no label of their own.
     """
-    if len(trials) < 2:
-        raise ValueError("need a baseline plus at least one repeat run")
+    baseline, *runs = label_series(trials)
     bins = bins if bins is not None else SymlogBins()
-    baseline = trials[0]
-    if not baseline.label:
-        baseline = baseline.relabel("A")
-    pairs = []
-    for k, run in enumerate(trials[1:]):
-        if not run.label:
-            run = run.relabel(chr(ord("B") + k) if k < 25 else f"run{k + 1}")
-        pairs.append(compare_trials(baseline, run, bins=bins))
+    pairs = [compare_trials(baseline, run, bins=bins) for run in runs]
     return RunSeriesReport(
         environment=environment,
         baseline_label=baseline.label,

@@ -7,12 +7,11 @@ n_runs, seed) so a full benchmark session simulates each environment once.
 
 Fan-out: ``run_scenario(..., jobs=N)`` (or ``REPRO_JOBS=N`` in the
 environment) parallelizes **both** stages on the shared worker pool — the
-simulation through :class:`repro.parallel.SimFarm` and the comparison
-through :func:`repro.parallel.compare_series_parallel` (whose every
-stage shards, the global-LCS ordering metric included via the
-prefix-patience blocks of :mod:`repro.parallel.ordershard`) — and both
-are exactly equal to their serial paths, so figure and table reproductions are
-byte-stable under any job count.  The series cache is therefore keyed
+simulation through :class:`repro.parallel.SimFarm` (one replay run per
+task) and the comparison through
+:func:`repro.parallel.compare_series_parallel` (one whole trial pair per
+task) — and both run the unmodified serial code per item, so figure and
+table reproductions are byte-stable under any job count.  The series cache is therefore keyed
 *without* the job count: trials simulated at any ``jobs`` are
 interchangeable bit-for-bit.
 
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import os
 
-from ..core.report import RunSeriesReport, compare_series
+from ..core.report import RunSeriesReport
 from ..core.trial import Trial
 from ..obs import metrics
 from ..obs.trace import span
@@ -63,11 +62,7 @@ def analyze_trials(
         n_trials=len(trials),
         jobs=jobs,
     ):
-        if jobs > 1:
-            return compare_series_parallel(
-                trials, environment=environment, jobs=jobs
-            )
-        return compare_series(trials, environment=environment)
+        return compare_series_parallel(trials, environment=environment, jobs=jobs)
 
 
 def run_trials(

@@ -5,13 +5,13 @@ same for the toolkit's own runtime, which until now was a black box: no
 logging, no timers, no visibility into the process pool.  Three layers:
 
 * :mod:`~repro.obs.trace` — a zero-dependency span tracer
-  (``span("analysis.order.block", lo=0, hi=8192)`` context manager and
+  (``span("sim.run", run=3)`` context manager and
   ``traced`` decorator) recording wall/CPU time, pid and tid into a
   thread-safe buffer, with a sub-microsecond no-op path when disabled;
 * :mod:`~repro.obs.metrics` — a counter/gauge/histogram registry
   (monotonic counters, ns-resolution log2-bucket timing histograms) the
-  engine feeds: shard queue-wait, task wall time, shm bytes, pool
-  submissions and failures, simulation runs, ordering blocks merged;
+  engine feeds: task queue-wait, task wall time, shm bytes, pool
+  submissions and failures, simulation runs;
 * :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto),
   JSONL span logs, and the human ``--stats`` table;
 * :mod:`~repro.obs.worker` — worker-side collection: pool tasks ship
@@ -79,7 +79,7 @@ from .trace import (
     traced,
     uninstall_sink,
 )
-from .worker import TaskEnvelope, TaskTelemetry, absorb, run_local, run_traced
+from .worker import TaskEnvelope, TaskTelemetry, absorb, run_traced
 
 __all__ = [
     "trace",
@@ -125,6 +125,5 @@ __all__ = [
     "TaskTelemetry",
     "TaskEnvelope",
     "run_traced",
-    "run_local",
     "absorb",
 ]

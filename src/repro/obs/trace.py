@@ -2,8 +2,7 @@
 
 The paper's whole contribution is making testbed behaviour *measurable*;
 this module does the same for the toolkit's own runtime.  A *span* is one
-timed stage of an invocation — ``span("analysis.shard.timing", lo=0,
-hi=65536)`` — recorded with wall time, CPU time, process id and thread id
+timed stage of an invocation — ``span("sim.run", run=3)`` — recorded with wall time, CPU time, process id and thread id
 into a thread-safe in-memory buffer.  Exporters
 (:mod:`repro.obs.export`) turn the buffer into a Chrome ``trace_event``
 JSON (loadable in Perfetto), a flat JSONL log, or a human ``--stats``
@@ -29,8 +28,8 @@ Design constraints, in priority order:
    attribution.
 
 Span naming convention: ``package.stage.substage`` — e.g.
-``testbed.record``, ``sim.run``, ``analysis.match.bucket``,
-``analysis.order.block``.  The catalog lives in
+``testbed.record``, ``sim.run``, ``analysis.pair.whole``,
+``analysis.fused.timings``.  The catalog lives in
 ``docs/observability.md``.
 
 Clocks: span start is :func:`time.time_ns` (epoch — comparable across
@@ -261,8 +260,8 @@ def span(name: str, **attrs):
 
     With tracing disabled this returns a shared no-op object without
     allocating anything — the fast path the engine's call sites rely on.
-    ``attrs`` annotate the span (keep them small scalars: shard bounds,
-    run indices, row counts).
+    ``attrs`` annotate the span (keep them small scalars: run
+    indices, row counts).
     """
     if not _enabled:
         return _NOOP

@@ -18,9 +18,7 @@ results themselves instead of inventing a side channel:
   Perfetto timeline shows the whole fan-out — merges the counter and
   histogram deltas, and feeds the two pool-level distributions:
   ``pool.queue_wait_ns`` (submit → worker pickup) and
-  ``pool.task_wall_ns`` (task body wall time);
-* :func:`run_local` is the ``jobs=1`` twin: the identical span naming
-  for in-process execution, so serial and pooled traces line up.
+  ``pool.task_wall_ns`` (task body wall time).
 
 When tracing is disabled nothing here runs at all — ``submit_task``
 submits the bare task body and results cross the pool unwrapped, byte
@@ -40,8 +38,6 @@ __all__ = [
     "TaskTelemetry",
     "TaskEnvelope",
     "run_traced",
-    "run_traced_batch",
-    "run_local",
     "absorb",
 ]
 
@@ -99,55 +95,6 @@ def run_traced(fn, task, name: str, attrs: dict, submit_ns: int) -> TaskEnvelope
             metric_deltas=REGISTRY.drain_deltas(),
         ),
     )
-
-
-def run_traced_batch(
-    fn, tasks: list, name: str, attrs_list: list | None, submit_ns: int
-) -> TaskEnvelope:
-    """Worker-side: run a batch of tasks, one span **each**, one envelope.
-
-    The batched twin of :func:`run_traced` for
-    :func:`repro.parallel.pool.submit_batch`: telemetry setup, the
-    envelope, and the queue-wait measurement are paid once per batch, but
-    every task still records its own span under ``name`` with its entry
-    from ``attrs_list`` — so a trace of a batched run shows the identical
-    per-task span stream as an unbatched one, just with fewer envelopes.
-    The payload is the list of per-task results in task order.
-    """
-    trace.enable()
-    trace.drain()
-    REGISTRY.drain_deltas()
-    start_ns = time.time_ns()
-    t0 = time.perf_counter_ns()
-    payloads = []
-    for k, task in enumerate(tasks):
-        attrs = attrs_list[k] if attrs_list is not None else {}
-        with trace.span(name, **attrs):
-            payloads.append(fn(task))
-    wall = time.perf_counter_ns() - t0
-    return TaskEnvelope(
-        payloads,
-        TaskTelemetry(
-            pid=os.getpid(),
-            queue_wait_ns=max(0, start_ns - submit_ns),
-            task_wall_ns=wall,
-            spans=tuple(trace.drain()),
-            metric_deltas=REGISTRY.drain_deltas(),
-        ),
-    )
-
-
-def run_local(fn, task, name: str, **attrs):
-    """The ``jobs=1`` twin of :func:`run_traced`: same span, in process.
-
-    The span lands directly in the parent buffer (no envelope, no
-    drain), so serial and pooled runs of the same stage produce the same
-    span names and the no-op fast path still applies when disabled.
-    """
-    if not trace.is_enabled():
-        return fn(task)
-    with trace.span(name, **attrs):
-        return fn(task)
 
 
 def absorb(telemetry: TaskTelemetry) -> None:

@@ -1,104 +1,50 @@
-"""Parallel sharded comparison engine for the Section-3 metrics.
+"""Fan-out of whole, independent work items across one process pool.
 
-The batch drivers in :mod:`repro.core.report` analyze one trial pair per
-process; the paper's artifact notes analysis time "scales with the length
-of the packet captures", and repeated-trial methodologies multiply that
-cost across many pairs.  This package fans the work out across cores while
-staying **bit-identical** to the serial path:
+The rule this package keeps: **fan out whole items and reassemble them by
+index; never split an item and merge partials.**  Exactly three fan-outs
+exist, all on the one persistent pool (:mod:`~repro.parallel.pool`) via
+``submit_task``/``gather``:
 
-* :class:`~repro.parallel.shard.ShardPlanner` — splits a matched pair's
-  common-packet rows into aligned, contiguous shards (L/I/U parallelize
-  per row; the global-LCS ordering metric O parallelizes by prefix
-  blocks whose patience states a prefix-patience merge folds back into
-  the exact serial LIS — see :mod:`~repro.parallel.ordershard`).
-* :mod:`~repro.parallel.shm` — ``multiprocessing.shared_memory`` transport
-  of the packet arrays; workers never pickle payloads.
-* :mod:`~repro.parallel.partials` — the merge/reduce algebra: exact
-  integer partials, deferred float reductions.
-* :class:`~repro.parallel.engine.ParallelComparator` and the
-  :func:`~repro.parallel.engine.compare_series_parallel` /
-  :func:`~repro.parallel.engine.compare_trials_parallel` drop-ins.
+* sweep units — :func:`repro.sweep.coordinator.run_sweep`;
+* replay runs of a series — :class:`~repro.parallel.simfarm.SimFarm`,
+  one ``SeedSequence``-seeded replay per task;
+* whole trial pairs — :func:`~repro.parallel.engine.compare_series_parallel`,
+  one serial ``compare_trials`` per task.
 
-The *simulation* stage fans out through the same machinery:
-
-* :mod:`~repro.parallel.pool` — the persistent, process-global worker
-  pool every fan-out draws from (one pool per ``repro`` invocation);
-* :class:`~repro.parallel.simfarm.SimFarm` — per-run ``SeedSequence``
-  fan-out of ``Testbed.run_series`` replays, bit-identical to serial;
-* :func:`~repro.parallel.matchshard.match_trials_sharded` — bucket-
-  parallel packet matching, exactly equal to the serial matcher.
-
-See ``docs/parallel.md`` for the sharding model and the exactness
-argument, and ``tests/test_parallel_differential.py`` /
-``tests/test_sim_differential.py`` for the differential harnesses that
-prove parallel == serial.
+Each task runs the unmodified serial code, so output is bit-identical at
+any job count.  Packet arrays travel through
+``multiprocessing.shared_memory`` (:mod:`~repro.parallel.shm`), never
+through pickle.  See ``docs/parallel.md`` for the measured costs, and
+``tests/test_parallel_differential.py`` / ``tests/test_sim_differential.py``
+for the differential harnesses that prove parallel == serial.
 """
 
-from .engine import (
-    ParallelComparator,
-    compare_series_parallel,
-    compare_trials_parallel,
-)
-from .matchshard import DEFAULT_MIN_MATCH_PACKETS, match_trials_sharded
-from .ordershard import (
-    PatienceBlock,
-    PatienceState,
-    edit_script_from_matching_sharded,
-    lis_mask_sharded,
-    mask_from_state,
-    merge_block_inplace,
-    merge_blocks,
-    patience_block,
-    patience_block_values,
-    plan_order_blocks,
-)
-from .partials import MergedTimings, ShardPartial, compute_shard_partial, merge_partials
-from .pool import PoolStats, gather, get_pool, pool_scope, pool_stats, shutdown_pool
-from .shard import (
-    DEFAULT_MIN_ORDER_PACKETS,
-    DEFAULT_MIN_SHARD_PACKETS,
-    DEFAULT_ORDER_BLOCK_PACKETS,
-    ShardPlan,
-    ShardPlanner,
+from .engine import compare_series_parallel
+from .pool import (
+    PoolStats,
     default_jobs,
+    gather,
+    get_pool,
+    pool_scope,
+    pool_stats,
+    shutdown_pool,
+    submit_task,
 )
 from .shm import ArraySpec, ShmArena
 from .simfarm import SimFarm, run_series_parallel
 
 __all__ = [
-    "ParallelComparator",
-    "compare_trials_parallel",
     "compare_series_parallel",
     "SimFarm",
     "run_series_parallel",
-    "match_trials_sharded",
-    "edit_script_from_matching_sharded",
-    "lis_mask_sharded",
-    "patience_block",
-    "patience_block_values",
-    "merge_blocks",
-    "merge_block_inplace",
-    "mask_from_state",
-    "plan_order_blocks",
-    "PatienceBlock",
-    "PatienceState",
     "get_pool",
     "shutdown_pool",
     "pool_stats",
     "pool_scope",
+    "submit_task",
     "gather",
     "PoolStats",
-    "ShardPlanner",
-    "ShardPlan",
-    "ShardPartial",
-    "MergedTimings",
-    "compute_shard_partial",
-    "merge_partials",
     "ArraySpec",
     "ShmArena",
-    "DEFAULT_MIN_SHARD_PACKETS",
-    "DEFAULT_MIN_MATCH_PACKETS",
-    "DEFAULT_ORDER_BLOCK_PACKETS",
-    "DEFAULT_MIN_ORDER_PACKETS",
     "default_jobs",
 ]

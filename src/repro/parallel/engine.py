@@ -1,629 +1,44 @@
-"""The process-pool comparison engine: ``ParallelComparator``.
+"""Whole-pair fan-out of a run series' comparisons.
 
-Fan-out happens at two grains, chosen by the :class:`~.shard.ShardPlanner`:
-
-* **Whole pairs** — each worker runs the unmodified serial
-  :func:`repro.core.report.compare_trials` on one (baseline, run) pair
-  whose packet arrays it reads from shared memory.  Used whenever a series
-  has at least one pair per worker; bit-identical to serial by
-  construction (it *is* the serial code).
-* **Within-pair shards** — the parent computes the matching once, then
-  fans the common-packet rows out as contiguous shards; workers return
-  integer partials and write delta slices into shared output buffers.
-  The ordering metric's global LCS fans out too: patience blocks run as
-  their own pool tasks and a prefix-patience merge reconstructs the
-  exact serial LIS (see :mod:`repro.parallel.ordershard`), overlapping
-  the timing shards instead of gating them; small pairs keep the single
-  whole-pair ordering task.  The merge assembles the full delta arrays
-  and runs the identical final reductions the batch path runs (see
-  :mod:`repro.parallel.partials` for the exactness model).
-
-Either way the engine's reports are exactly equal — every float bit — to
-:func:`repro.core.report.compare_trials` / ``compare_series``; the
-differential suite (``tests/test_parallel_differential.py``) enforces this
-over randomized drops, reorders and latency noise.
-
-Workers receive only :class:`~.shm.ArraySpec` handles plus scalars; packet
-arrays travel through ``multiprocessing.shared_memory`` (see
-:mod:`repro.parallel.shm`), never through pickle.
+Each worker runs the unmodified serial
+:func:`repro.core.report.compare_trials` on one (baseline, run) pair whose
+packet arrays it reads from shared memory (:mod:`repro.parallel.shm`);
+the parent reassembles the reports by pair index.  The output is exactly
+:func:`repro.core.report.compare_series` — it *is* the serial code, run
+elsewhere — so no merge step exists to get wrong.  A pair is never split:
+within-pair sharding never beat serial on measured hardware (see
+``docs/parallel.md``).
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
-import numpy as np
-
-from ..core.histograms import DeltaHistogram, SymlogBins, pct_within_from_counts
-from ..core.iat import iat_denominator_ns, iat_from_deltas
-from ..core.kappa import MetricVector
-from ..core.latency import latency_from_deltas, latency_span_ns
-from ..core.matching import Matching, match_trials
-from ..core.ordering import (
-    MoveDistanceStats,
-    b_order_ranks,
-    edit_script_from_keep,
-    edit_script_from_matching,
-    ordering_from_matching,
-)
-from ..core.report import PairReport, RunSeriesReport, compare_trials
+from ..core.histograms import SymlogBins
+from ..core.report import RunSeriesReport, compare_series, compare_trials, label_series
 from ..core.trial import Trial
-from ..core.uniqueness import uniqueness_from_matching
 from ..obs import metrics
 from ..obs.trace import span
-from ..obs.worker import run_local
-from .matchshard import DEFAULT_MIN_MATCH_PACKETS, match_trials_sharded
-from .ordershard import (
-    _order_block_worker,
-    blocks_from_results,
-    mask_from_state,
-    merge_blocks,
-    order_block_tasks,
-)
-from .partials import compute_shard_partial, merge_partials
-from .pool import batch_chunks, gather, get_pool, submit_batch, submit_task
-from .shard import (
-    DEFAULT_MIN_ORDER_PACKETS,
-    DEFAULT_MIN_SHARD_PACKETS,
-    ShardPlanner,
-    default_jobs,
-)
+from .pool import default_jobs, gather, get_pool, submit_task
 from .shm import ShmArena, attach_view, detach_all
 
-__all__ = [
-    "ParallelComparator",
-    "compare_trials_parallel",
-    "compare_series_parallel",
-]
-
-
-# ----------------------------------------------------------------------
-# Worker task bodies (module level: picklable by the process pool).
-# Each resolves its ArraySpecs, computes, and detaches before returning;
-# return values never reference shared-memory views.
-# ----------------------------------------------------------------------
-
-def _timing_shard_worker(task: dict):
-    """Compute one shard's timing partial (counts out, deltas to buffer)."""
-    attachments: dict = {}
-    try:
-        times_a = attach_view(task["times_a"], attachments)
-        times_b = attach_view(task["times_b"], attachments)
-        idx_a = attach_view(task["idx_a"], attachments)
-        idx_b = attach_view(task["idx_b"], attachments)
-        out_dlat = attach_view(task["out_dlat"], attachments)
-        out_diat = attach_view(task["out_diat"], attachments)
-        return compute_shard_partial(
-            times_a,
-            times_b,
-            idx_a,
-            idx_b,
-            task["lo"],
-            task["hi"],
-            task["bins"],
-            task["within_ns"],
-            out_dlat=out_dlat,
-            out_diat=out_diat,
-        )
-    finally:
-        detach_all(attachments)
-
-
-def _ordering_worker(task: dict):
-    """Compute O and the Table-1 move statistics for one whole pair."""
-    attachments: dict = {}
-    try:
-        idx_a = attach_view(task["idx_a"], attachments)
-        idx_b = attach_view(task["idx_b"], attachments)
-        m = Matching(
-            idx_a.astype(np.intp, copy=False),
-            idx_b.astype(np.intp, copy=False),
-            task["len_a"],
-            task["len_b"],
-        )
-        script = edit_script_from_matching(m)
-        o_val = ordering_from_matching(m, script)
-        stats = MoveDistanceStats.from_distances(script.moved_distances)
-        return o_val, stats
-    finally:
-        detach_all(attachments)
+__all__ = ["compare_series_parallel"]
 
 
 def _whole_pair_worker(task: dict):
-    """Run the unmodified serial comparison on one (baseline, run) pair."""
+    """Run the serial comparison on one pair read from shared memory."""
     attachments: dict = {}
     try:
-        baseline = Trial(
-            attach_view(task["tags_a"], attachments),
-            attach_view(task["times_a"], attachments),
-            label=task["label_a"],
-            meta=task["meta_a"],
+        baseline, run = (
+            Trial(
+                attach_view(task[f"tags_{s}"], attachments),
+                attach_view(task[f"times_{s}"], attachments),
+                label=task[f"label_{s}"],
+                meta=task[f"meta_{s}"],
+            )
+            for s in "ab"
         )
-        run = Trial(
-            attach_view(task["tags_b"], attachments),
-            attach_view(task["times_b"], attachments),
-            label=task["label_b"],
-            meta=task["meta_b"],
-        )
-        return compare_trials(
-            baseline, run, bins=task["bins"], within_ns=task["within_ns"]
-        )
+        return compare_trials(baseline, run, bins=task["bins"])
     finally:
         detach_all(attachments)
-
-
-# ----------------------------------------------------------------------
-# The engine
-# ----------------------------------------------------------------------
-
-class ParallelComparator:
-    """Sharded, process-pooled drop-in for the Section-3 comparison drivers.
-
-    Parameters
-    ----------
-    jobs:
-        Worker processes.  ``None`` reads ``REPRO_JOBS`` (default 1).
-        With ``jobs=1`` everything runs in-process — no pool, no shared
-        memory — through the same code paths.
-    shard_packets:
-        Force within-pair shards to this many common rows (tests and
-        benchmarks; forces the sharded path even at ``jobs=1``).
-    min_shard_packets:
-        Smallest auto-sized shard worth a task dispatch.
-    order_block_packets:
-        Force ordering blocks to this many rows — the sharded-LIS path
-        (:mod:`repro.parallel.ordershard`) then runs even at ``jobs=1``
-        (tests pin exactness with it).  ``None`` auto-shards the ordering
-        metric when a pool is in use and the pair has at least
-        ``min_order_packets`` common rows; small pairs keep the single
-        whole-pair ordering task.
-    min_order_packets:
-        Smallest pair (common rows) worth sharding the ordering metric.
-    within_ns:
-        Bound for the headline ±IAT statistic (as in ``compare_trials``).
-    match_buckets:
-        Sharded-matching control.  ``None`` (default) auto-enables bucket
-        matching when a pool is in use and the pair is large enough to
-        repay the dispatch; ``0`` disables it; any value ``>= 2`` forces
-        that many buckets (tests pin exactness with it).
-
-    The comparator draws on the process-global worker pool
-    (:func:`repro.parallel.pool.get_pool`) — pool startup is paid once per
-    invocation, not per comparator.  :meth:`close` is retained for
-    API compatibility but no longer tears the shared pool down; the CLI
-    (or :func:`repro.parallel.pool.shutdown_pool`) owns that.
-    """
-
-    def __init__(
-        self,
-        jobs: int | None = None,
-        *,
-        shard_packets: int | None = None,
-        min_shard_packets: int = DEFAULT_MIN_SHARD_PACKETS,
-        order_block_packets: int | None = None,
-        min_order_packets: int = DEFAULT_MIN_ORDER_PACKETS,
-        within_ns: float = 10.0,
-        match_buckets: int | None = None,
-    ) -> None:
-        self.jobs = default_jobs() if jobs is None else int(jobs)
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if match_buckets is not None and match_buckets not in (0,) and match_buckets < 2:
-            raise ValueError("match_buckets must be None, 0, or >= 2")
-        self.shard_packets = shard_packets
-        self.min_shard_packets = min_shard_packets
-        self.order_block_packets = order_block_packets
-        self.min_order_packets = min_order_packets
-        self.within_ns = within_ns
-        self.match_buckets = match_buckets
-
-    # -- lifecycle -------------------------------------------------------
-    def close(self) -> None:
-        """No-op: the pool is process-global and outlives the comparator."""
-
-    def __enter__(self) -> "ParallelComparator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _match(self, baseline: Trial, run: Trial) -> Matching:
-        """The pair's matching — bucket-sharded across the pool when it pays.
-
-        The result is bit-identical to :func:`match_trials` in every
-        configuration (see :mod:`repro.parallel.matchshard` for why), so
-        this choice is purely a scheduling decision.
-        """
-        with span("analysis.match", n_a=len(baseline), n_b=len(run)):
-            if self.match_buckets == 0:
-                return match_trials(baseline, run)
-            if self.match_buckets is not None:
-                return match_trials_sharded(
-                    baseline, run, jobs=self.jobs, n_buckets=self.match_buckets
-                )
-            if (
-                self.jobs > 1
-                and min(len(baseline), len(run)) >= DEFAULT_MIN_MATCH_PACKETS
-            ):
-                return match_trials_sharded(baseline, run, jobs=self.jobs)
-            return match_trials(baseline, run)
-
-    def _planner(self) -> ShardPlanner:
-        return ShardPlanner(
-            self.jobs,
-            shard_packets=self.shard_packets,
-            min_shard_packets=self.min_shard_packets,
-            order_block_packets=self.order_block_packets,
-            min_order_packets=self.min_order_packets,
-        )
-
-    # -- public API ------------------------------------------------------
-    def compare(self, baseline: Trial, run: Trial, bins: SymlogBins | None = None) -> PairReport:
-        """Sharded :func:`repro.core.report.compare_trials` — exactly equal output."""
-        bins = bins if bins is not None else SymlogBins()
-        planner = self._planner()
-        metrics.counter("engine.pairs_compared").add()
-        if (
-            self.jobs == 1
-            and planner.shard_packets is None
-            and planner.order_block_packets is None
-        ):
-            with span("analysis.pair", run=run.label, mode="serial"):
-                return compare_trials(
-                    baseline, run, bins=bins, within_ns=self.within_ns
-                )
-        return self._compare_pair_sharded(baseline, run, bins, planner, slots=None)
-
-    def compare_series(
-        self,
-        trials: list[Trial],
-        environment: str = "",
-        bins: SymlogBins | None = None,
-    ) -> RunSeriesReport:
-        """Sharded :func:`repro.core.report.compare_series` — exactly equal output.
-
-        Labeling mirrors the serial driver: the first trial is the
-        baseline (relabelled ``A`` if unlabelled), repeats get ``B``,
-        ``C``, ... in run order.
-        """
-        if len(trials) < 2:
-            raise ValueError("need a baseline plus at least one repeat run")
-        bins = bins if bins is not None else SymlogBins()
-        baseline = trials[0]
-        if not baseline.label:
-            baseline = baseline.relabel("A")
-        runs = []
-        for k, run in enumerate(trials[1:]):
-            if not run.label:
-                run = run.relabel(chr(ord("B") + k) if k < 25 else f"run{k + 1}")
-            runs.append(run)
-
-        planner = self._planner()
-        metrics.counter("engine.pairs_compared").add(len(runs))
-        with span("analysis.series", n_pairs=len(runs), jobs=self.jobs):
-            if (
-                self.jobs == 1
-                and planner.shard_packets is None
-                and planner.order_block_packets is None
-            ):
-                pairs = []
-                for r in runs:
-                    with span("analysis.pair", run=r.label, mode="serial"):
-                        pairs.append(
-                            compare_trials(
-                                baseline, r, bins=bins, within_ns=self.within_ns
-                            )
-                        )
-            elif self.jobs > 1 and planner.use_whole_pairs(len(runs)):
-                pairs = self._compare_pairs_whole(baseline, runs, bins)
-            else:
-                # Sharded pairs run sequentially against one reuse arena:
-                # the baseline arrays are shared (pinned) once for the
-                # whole series, and each pair's working segments are
-                # recycled for the next pair instead of re-created —
-                # safe because every pair gathers (or drains) all its
-                # futures before returning.
-                slots = planner.pair_slots(len(runs))
-                use_pool = self.jobs > 1
-                with ShmArena(enabled=use_pool, reuse=True) as arena:
-                    times_a_spec = arena.share(baseline.times_ns, pin=True)
-                    pairs = []
-                    for r in runs:
-                        pairs.append(
-                            self._compare_pair_sharded(
-                                baseline, r, bins, planner, slots=slots,
-                                arena=arena, times_a_spec=times_a_spec,
-                            )
-                        )
-                        arena.recycle()
-        return RunSeriesReport(
-            environment=environment,
-            baseline_label=baseline.label,
-            pairs=tuple(pairs),
-        )
-
-    # -- execution strategies --------------------------------------------
-    def _compare_pairs_whole(
-        self, baseline: Trial, runs: list[Trial], bins: SymlogBins
-    ) -> list[PairReport]:
-        """Pair-level fan-out: one serial comparison per worker task."""
-        pool = get_pool(self.jobs)
-        metrics.counter("engine.whole_pair_tasks").add(len(runs))
-        with ShmArena(enabled=True) as arena:
-            tags_a = arena.share(baseline.tags)
-            times_a = arena.share(baseline.times_ns)
-            futures = []
-            for run in runs:
-                task = {
-                    "tags_a": tags_a,
-                    "times_a": times_a,
-                    "tags_b": arena.share(run.tags),
-                    "times_b": arena.share(run.times_ns),
-                    "label_a": baseline.label,
-                    "label_b": run.label,
-                    "meta_a": dict(baseline.meta),
-                    "meta_b": dict(run.meta),
-                    "bins": bins,
-                    "within_ns": self.within_ns,
-                }
-                futures.append(
-                    submit_task(
-                        pool, _whole_pair_worker, task,
-                        name="analysis.pair.whole", run=run.label,
-                    )
-                )
-            return gather(futures)
-
-    @staticmethod
-    def _merge_ordering(
-        m: Matching,
-        a_ranks_in_b: np.ndarray,
-        order_results,
-        prev_buf: np.ndarray,
-        tvals_buf: np.ndarray,
-        tidx_buf: np.ndarray,
-    ) -> tuple[float, MoveDistanceStats]:
-        """Fold block worker results into the pair's O and move stats."""
-        with span("analysis.merge.order", n_blocks=len(order_results)):
-            blocks = blocks_from_results(order_results, prev_buf, tvals_buf, tidx_buf)
-            state = merge_blocks(a_ranks_in_b, blocks)
-            keep = mask_from_state(state)
-            script = edit_script_from_keep(m, a_ranks_in_b, keep)
-            o_val = ordering_from_matching(m, script)
-            return o_val, MoveDistanceStats.from_distances(script.moved_distances)
-
-    def _compare_pair_sharded(
-        self,
-        baseline: Trial,
-        run: Trial,
-        bins: SymlogBins,
-        planner: ShardPlanner,
-        slots: int | None,
-        arena: ShmArena | None = None,
-        times_a_spec=None,
-    ) -> PairReport:
-        """Within-pair fan-out: timing shards + sharded ordering, merged."""
-        with span("analysis.pair", run=run.label, mode="sharded"):
-            return self._compare_pair_sharded_inner(
-                baseline, run, bins, planner, slots, arena, times_a_spec
-            )
-
-    def _compare_pair_sharded_inner(
-        self,
-        baseline: Trial,
-        run: Trial,
-        bins: SymlogBins,
-        planner: ShardPlanner,
-        slots: int | None,
-        series_arena: ShmArena | None = None,
-        times_a_spec=None,
-    ) -> PairReport:
-        m = self._match(baseline, run)
-        plan = planner.plan_pair(m.n_common, slots=slots)
-        order_plan = planner.plan_ordering(m.n_common)
-        use_pool = self.jobs > 1
-        metrics.counter("engine.timing_shards").add(plan.n_shards)
-        metrics.counter("engine.order_blocks").add(
-            1 if order_plan is None else order_plan.n_shards
-        )
-        # A series hands in its reuse arena (baseline pinned, segments
-        # recycled between pairs); a lone pair owns a throwaway one.
-        own_arena = series_arena is None
-        arena_ctx = (
-            ShmArena(enabled=use_pool) if own_arena else nullcontext(series_arena)
-        )
-        with arena_ctx as arena:
-            idx_a = arena.share(m.idx_a)
-            idx_b = arena.share(m.idx_b)
-            times_a = (
-                times_a_spec
-                if times_a_spec is not None
-                else arena.share(baseline.times_ns)
-            )
-            times_b = arena.share(run.times_ns)
-            out_dlat, dlat_buf = arena.allocate(m.n_common)
-            out_diat, diat_buf = arena.allocate(m.n_common)
-
-            if order_plan is None:
-                ordering_tasks = None
-                ordering_task = {
-                    "idx_a": idx_a,
-                    "idx_b": idx_b,
-                    "len_a": m.len_a,
-                    "len_b": m.len_b,
-                }
-            else:
-                # Sharded ordering: the parent derives the permutation the
-                # LIS runs on (vectorized argsort), block workers patience-
-                # sort their slices, and the prefix-patience merge below
-                # reconstructs the exact serial pile state.
-                a_ranks_in_b = b_order_ranks(m)
-                seq_spec = arena.share(a_ranks_in_b)
-                out_prev, prev_buf = arena.allocate(m.n_common, np.int64)
-                out_tvals, tvals_buf = arena.allocate(m.n_common, np.int64)
-                out_tidx, tidx_buf = arena.allocate(m.n_common, np.int64)
-                ordering_tasks = order_block_tasks(
-                    seq_spec, order_plan.bounds, out_prev, out_tvals, out_tidx
-                )
-            shard_tasks = [
-                {
-                    "times_a": times_a,
-                    "times_b": times_b,
-                    "idx_a": idx_a,
-                    "idx_b": idx_b,
-                    "lo": lo,
-                    "hi": hi,
-                    "bins": bins,
-                    "within_ns": self.within_ns,
-                    "out_dlat": out_dlat,
-                    "out_diat": out_diat,
-                }
-                for lo, hi in plan.bounds
-            ]
-            if use_pool:
-                pool = get_pool(self.jobs)
-                # Ordering work is the long pole; launch it first so it
-                # overlaps all the timing shards.  With block tasks the
-                # parent additionally merges the ordering result while
-                # the timing shards are still running.  Small tasks are
-                # coalesced into one dispatch per worker (contiguous
-                # chunks, so flattening keeps task order); the ordering
-                # merge waits on *all* blocks anyway, so coalescing
-                # forfeits no overlap.
-                if ordering_tasks is None:
-                    ordering_futures = [
-                        submit_task(
-                            pool, _ordering_worker, ordering_task,
-                            name="analysis.order.pair", run=run.label,
-                        )
-                    ]
-                else:
-                    ordering_futures = [
-                        submit_batch(
-                            pool, _order_block_worker, chunk,
-                            name="analysis.order.block",
-                            attrs_list=[
-                                {"lo": t["lo"], "hi": t["hi"]} for t in chunk
-                            ],
-                        )
-                        for chunk in batch_chunks(ordering_tasks, self.jobs)
-                    ]
-                shard_futures = [
-                    submit_batch(
-                        pool, _timing_shard_worker, chunk,
-                        name="analysis.shard.timing",
-                        attrs_list=[{"lo": t["lo"], "hi": t["hi"]} for t in chunk],
-                    )
-                    for chunk in batch_chunks(shard_tasks, self.jobs)
-                ]
-                try:
-                    if ordering_tasks is None:
-                        o_val, move_stats = gather(ordering_futures)[0]
-                    else:
-                        order_results = [
-                            r for batch in gather(ordering_futures) for r in batch
-                        ]
-                        o_val, move_stats = self._merge_ordering(
-                            m, a_ranks_in_b, order_results,
-                            prev_buf, tvals_buf, tidx_buf,
-                        )
-                except BaseException:
-                    # Drain the timing shards before the arena unlinks the
-                    # segments they are reading (gather only drains its
-                    # own batch).
-                    try:
-                        gather(shard_futures)
-                    except BaseException:
-                        pass
-                    raise
-                partials = [r for batch in gather(shard_futures) for r in batch]
-            else:
-                if ordering_tasks is None:
-                    o_val, move_stats = run_local(
-                        _ordering_worker, ordering_task,
-                        name="analysis.order.pair", run=run.label,
-                    )
-                else:
-                    order_results = [
-                        run_local(
-                            _order_block_worker, t,
-                            name="analysis.order.block", lo=t["lo"], hi=t["hi"],
-                        )
-                        for t in ordering_tasks
-                    ]
-                    o_val, move_stats = self._merge_ordering(
-                        m, a_ranks_in_b, order_results,
-                        prev_buf, tvals_buf, tidx_buf,
-                    )
-                partials = [
-                    run_local(
-                        _timing_shard_worker, t,
-                        name="analysis.shard.timing", lo=t["lo"], hi=t["hi"],
-                    )
-                    for t in shard_tasks
-                ]
-
-            with span("analysis.merge.timings", n_shards=len(partials)):
-                merged = merge_partials(
-                    partials, m.n_common, bins,
-                    dlat_buffer=dlat_buf, diat_buffer=diat_buf,
-                )
-            u_val = uniqueness_from_matching(m)
-            if m.n_common == 0:
-                # Mirror the batch path's short-circuits: the spans are
-                # never evaluated (they would need non-empty trials).
-                l_val, i_val = 0.0, 0.0
-            else:
-                l_val = latency_from_deltas(
-                    merged.dlat, m.n_common, latency_span_ns(baseline, run)
-                )
-                i_val = iat_from_deltas(
-                    merged.diat, m.n_common, iat_denominator_ns(baseline, run)
-                )
-            report = PairReport(
-                baseline_label=baseline.label,
-                run_label=run.label,
-                metrics=MetricVector(u_val, o_val, l_val, i_val),
-                n_baseline=len(baseline),
-                n_run=len(run),
-                n_common=m.n_common,
-                pct_iat_within_10ns=pct_within_from_counts(
-                    merged.iat_within, m.n_common
-                ),
-                move_stats=move_stats,
-                iat_hist=DeltaHistogram.from_counts(
-                    merged.iat_counts, m.n_common, bins, label=run.label
-                ),
-                latency_hist=DeltaHistogram.from_counts(
-                    merged.lat_counts, m.n_common, bins, label=run.label
-                ),
-                meta={"baseline": dict(baseline.meta), "run": dict(run.meta)},
-            )
-        return report
-
-
-def compare_trials_parallel(
-    baseline: Trial,
-    run: Trial,
-    bins: SymlogBins | None = None,
-    within_ns: float = 10.0,
-    *,
-    jobs: int | None = None,
-    shard_packets: int | None = None,
-    order_block_packets: int | None = None,
-) -> PairReport:
-    """One-shot parallel :func:`repro.core.report.compare_trials`.
-
-    Spins a comparator (and pool) up and down around a single pair; prefer
-    a long-lived :class:`ParallelComparator` when comparing many pairs.
-    """
-    with ParallelComparator(
-        jobs=jobs,
-        shard_packets=shard_packets,
-        order_block_packets=order_block_packets,
-        within_ns=within_ns,
-    ) as pc:
-        return pc.compare(baseline, run, bins=bins)
 
 
 def compare_series_parallel(
@@ -632,16 +47,46 @@ def compare_series_parallel(
     bins: SymlogBins | None = None,
     *,
     jobs: int | None = None,
-    shard_packets: int | None = None,
-    order_block_packets: int | None = None,
 ) -> RunSeriesReport:
-    """Drop-in for :func:`repro.core.report.compare_series` with fan-out.
+    """:func:`repro.core.report.compare_series` with one pool task per pair.
 
-    Exactly equal output (every float bit) for any ``jobs``, shard size
-    and ordering block size; ``jobs=None`` honors ``REPRO_JOBS`` and
-    defaults to serial.
+    Exactly equal output (every float bit) at any ``jobs``; ``jobs=None``
+    honors ``REPRO_JOBS``.  Runs serially, with no pool, when ``jobs=1``
+    or the series has a single pair.
     """
-    with ParallelComparator(
-        jobs=jobs, shard_packets=shard_packets, order_block_packets=order_block_packets
-    ) as pc:
-        return pc.compare_series(trials, environment=environment, bins=bins)
+    jobs = default_jobs() if jobs is None else int(jobs)
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if jobs == 1 or len(trials) <= 2:
+        return compare_series(trials, environment=environment, bins=bins)
+    baseline, *runs = label_series(trials)
+    pool = get_pool(jobs)
+    metrics.counter("engine.whole_pair_tasks").add(len(runs))
+    with span("analysis.series", n_pairs=len(runs), jobs=jobs), ShmArena() as arena:
+        shared_a = {
+            "tags_a": arena.share(baseline.tags),
+            "times_a": arena.share(baseline.times_ns),
+            "label_a": baseline.label,
+            "meta_a": dict(baseline.meta),
+            "bins": bins,
+        }
+        futures = [
+            submit_task(
+                pool,
+                _whole_pair_worker,
+                {
+                    **shared_a,
+                    "tags_b": arena.share(run.tags),
+                    "times_b": arena.share(run.times_ns),
+                    "label_b": run.label,
+                    "meta_b": dict(run.meta),
+                },
+                name="analysis.pair.whole",
+                run=run.label,
+            )
+            for run in runs
+        ]
+        pairs = gather(futures)
+    return RunSeriesReport(
+        environment=environment, baseline_label=baseline.label, pairs=tuple(pairs)
+    )

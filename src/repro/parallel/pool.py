@@ -10,10 +10,10 @@ running with no owner to shut it down.
 This module owns exactly one pool per process instead:
 
 * :func:`get_pool` creates it **lazily** on first use and hands the same
-  executor to every caller — the simulation fan-out
-  (:mod:`repro.parallel.simfarm`), the comparison engine
-  (:mod:`repro.parallel.engine`) and the sharded matching
-  (:mod:`repro.parallel.matchshard`) all draw from it;
+  executor to every caller — the three fan-outs, sweep units
+  (:mod:`repro.sweep.coordinator`), replay runs
+  (:mod:`repro.parallel.simfarm`) and whole trial pairs
+  (:mod:`repro.parallel.engine`), all draw from it;
 * :func:`shutdown_pool` tears it down; the CLI calls it in a ``finally``
   so error exits cannot leak workers, and an ``atexit`` hook covers
   library users who never call it;
@@ -38,7 +38,7 @@ re-raised exception carries the remote worker traceback string
 cause.
 
 Observability: :func:`submit_task` is the telemetry-aware front door —
-every fan-out site names its stage (``analysis.shard.timing``,
+every fan-out site names its stage (``analysis.pair.whole``,
 ``sim.run``, ...) and, when tracing is enabled
 (:mod:`repro.obs.trace`), the task runs wrapped in
 :func:`repro.obs.worker.run_traced` so its spans and metric deltas ride
@@ -56,13 +56,8 @@ copying the parent's full heap of trial arrays (``fork``).  The
 platform default.  :func:`pool_stats` reports the live method, and every
 benchmark JSON records it (:mod:`benchmarks._emit`).
 
-Dispatch cost: :func:`submit_batch` coalesces many small tasks (ordering
-blocks, timing shards) into one pool dispatch per worker — one pickle,
-one queue hop, one result envelope for the whole run of tasks, while
-per-task spans are preserved under tracing
-(:func:`repro.obs.worker.run_traced_batch`).  :func:`batch_chunks` is
-the companion splitter: contiguous, balanced runs so that flattening
-batch results preserves task order.
+:func:`default_jobs` resolves the worker count when a caller passes
+none: ``REPRO_JOBS``, or 1.
 """
 
 from __future__ import annotations
@@ -76,16 +71,15 @@ from concurrent.futures import Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 from ..obs import metrics, trace
-from ..obs.worker import TaskEnvelope, absorb, run_traced, run_traced_batch
+from ..obs.worker import TaskEnvelope, absorb, run_traced
 
 __all__ = [
+    "default_jobs",
     "get_pool",
     "shutdown_pool",
     "pool_stats",
     "pool_scope",
     "submit_task",
-    "submit_batch",
-    "batch_chunks",
     "gather",
     "PoolStats",
 ]
@@ -112,8 +106,8 @@ def _inflight_add(n: int) -> None:
 
 #: Modules the forkserver template imports once; every worker forks with
 #: them warm.  ``repro.parallel.engine`` transitively pulls in the core
-#: metric kernels, the shard workers and the shm transport — the whole
-#: import graph a comparison task touches.
+#: metric kernels and the shm transport — the whole import graph a
+#: comparison task touches.
 _FORKSERVER_PRELOAD = ["numpy", "repro.parallel.engine", "repro.parallel.simfarm"]
 
 
@@ -144,6 +138,25 @@ def _pool_context(method: str):
         # the server are ignored by multiprocessing itself.
         ctx.set_forkserver_preload(_FORKSERVER_PRELOAD)
     return ctx
+
+
+def default_jobs() -> int:
+    """The worker count used when none is given: ``REPRO_JOBS``, or 1.
+
+    Serial remains the default — parallelism is opt-in via ``--jobs`` or
+    the environment.  A ``REPRO_JOBS`` that is not an integer >= 1 raises
+    ``ValueError`` rather than silently running serial.
+    """
+    raw = os.environ.get("REPRO_JOBS", "").strip()
+    if not raw:
+        return 1
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {raw!r}")
+    return jobs
 
 
 def get_pool(jobs: int) -> ProcessPoolExecutor:
@@ -222,7 +235,7 @@ def submit_task(
     """Submit one engine task, wrapped for telemetry when tracing is on.
 
     ``name`` is the task's span name (``package.stage.substage``);
-    ``attrs`` annotate it (shard bounds, run index).  With tracing
+    ``attrs`` annotate it (run index, labels).  With tracing
     disabled — the default — this is ``pool.submit(fn, task)`` plus one
     counter increment, and results cross the pool unwrapped.
     """
@@ -233,58 +246,6 @@ def submit_task(
         fut = pool.submit(fn, task)
     _inflight_add(1)
     fut.add_done_callback(lambda _f: _inflight_add(-1))
-    return fut
-
-
-def batch_chunks(items: list, n_batches: int) -> list[list]:
-    """Split ``items`` into at most ``n_batches`` contiguous balanced runs.
-
-    Chunks are contiguous, so flattening per-chunk results in order
-    reproduces the original item order — the property the engine's merge
-    steps rely on.  Never returns an empty chunk.
-    """
-    n = len(items)
-    k = max(1, min(int(n_batches), n))
-    bounds = [round(j * n / k) for j in range(k + 1)]
-    return [items[bounds[j] : bounds[j + 1]] for j in range(k)]
-
-
-def _run_batch(fn, tasks: list) -> list:
-    """Worker-side untraced batch body: run every task, return all results."""
-    return [fn(t) for t in tasks]
-
-
-def submit_batch(
-    pool: ProcessPoolExecutor,
-    fn,
-    tasks: list,
-    *,
-    name: str | None = None,
-    attrs_list: list | None = None,
-) -> Future:
-    """Submit a run of small tasks as **one** pool dispatch.
-
-    The future resolves to the list of per-task results in task order.
-    Fixed costs — pickling, queue hops, future bookkeeping, telemetry
-    envelopes — are paid once per batch instead of once per task; with
-    ~129 ordering blocks per paper-scale pair that is the difference
-    between dispatch overhead rivaling the compute and it disappearing.
-
-    When tracing is on, every task still gets its own span (``name`` with
-    its entry from ``attrs_list``), stamped with the worker pid — batch
-    submission is invisible in the trace except for the shared envelope.
-    """
-    metrics.counter("pool.tasks_submitted").add(len(tasks))
-    metrics.counter("pool.batches_submitted").add()
-    if name is not None and trace.is_enabled():
-        fut = pool.submit(
-            run_traced_batch, fn, tasks, name, attrs_list, time.time_ns()
-        )
-    else:
-        fut = pool.submit(_run_batch, fn, tasks)
-    n = len(tasks)
-    _inflight_add(n)
-    fut.add_done_callback(lambda _f: _inflight_add(-n))
     return fut
 
 

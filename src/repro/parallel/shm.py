@@ -1,18 +1,13 @@
-"""Shared-memory transport of packet arrays between comparison processes.
+"""Shared-memory transport of packet arrays between pool processes.
 
-Workers of the parallel comparison engine never pickle packet payloads: the
-parent copies each NumPy array (timestamps, matching indices) once into a
-POSIX shared-memory segment and ships only a tiny :class:`ArraySpec` handle
-— segment name, shape, dtype — through the process pool.  Workers attach a
-zero-copy view, compute, optionally write results into a shared *output*
-buffer the parent allocated, and detach.  For a paper-scale trial (~1M
-packets, 8 MB of timestamps) this turns per-task IPC from megabytes of
-pickle into a few hundred bytes.
-
-The same :class:`ArraySpec` also has an *inline* form carrying the ndarray
-directly.  The single-process (``jobs=1``) engine path uses it so that the
-exact same worker code runs with or without a pool; inline specs are never
-pickled.
+Pool workers never pickle packet payloads: the parent copies each NumPy
+array (tags, timestamps, recordings) once into a POSIX shared-memory
+segment and ships only a tiny :class:`ArraySpec` handle — segment name,
+shape, dtype — through the process pool.  Workers attach a zero-copy
+view, compute, optionally write results into a shared *output* buffer
+the parent allocated, and detach.  For a paper-scale trial (~1M packets,
+8 MB of timestamps) this turns per-task IPC from megabytes of pickle into
+a few hundred bytes.  Serial (``jobs=1``) paths never build an arena.
 
 Ownership note: the parent's arena is the sole owner of every segment it
 creates.  CPython < 3.13 also registers *attached* segments with the
@@ -45,137 +40,67 @@ __all__ = ["ArraySpec", "ShmArena", "attach_view", "detach_all"]
 class ArraySpec:
     """A pickle-light handle to a 1-D array for worker tasks.
 
-    Either ``shm_name`` names a shared-memory segment holding the data, or
-    ``array`` carries the ndarray inline (single-process execution only;
-    an inline spec crossing a process boundary would defeat the transport,
-    so the engine never submits one to a pool).
+    ``shm_name`` names the shared-memory segment holding the data; it is
+    ``None`` only for zero-length arrays, which need no segment.
     """
 
     shape: tuple[int, ...]
     dtype: str
     shm_name: str | None = None
-    array: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the described array in bytes."""
-        return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
 
 
 class ShmArena:
-    """Parent-side owner of the shared-memory segments of one comparison.
+    """Parent-side owner of the shared-memory segments of one fan-out.
 
     ``share`` copies an existing array in; ``allocate`` creates a zeroed
-    writable buffer (for worker outputs).  With ``enabled=False`` every
-    spec is inline and no segments are created — the single-process path.
-    The arena owns its segments: :meth:`close` (or the context manager)
-    closes and unlinks them all, after which worker views are invalid.
-
-    With ``reuse=True`` the arena additionally recycles segments across
-    *phases* of work (the engine's phases are trial pairs): between
-    phases the caller invokes :meth:`recycle`, which returns every
-    non-pinned live segment to a free pool; the next ``share``/``allocate``
-    of a size that fits an idle segment reuses it (smallest sufficient
-    capacity first) instead of paying ``shm_open``+``mmap``+``ftruncate``
-    again.  A NumPy view of the requested shape over a larger buffer is
-    exact — the spec's shape bounds every access.  Arrays that stay live
-    across phases (a series' baseline) are shared with ``pin=True`` and
-    survive every recycle.  Reuses are counted (``shm.segments_reused``).
-
-    Safety invariant (caller's): :meth:`recycle` may only run when no
-    worker task of the finished phase is still in flight — the engine
-    guarantees this by gathering (or draining, on error) every future of
-    a pair before recycling.
+    writable buffer (for worker outputs).  The arena owns its segments:
+    :meth:`close` (or the context manager) closes and unlinks them all,
+    after which worker views are invalid.
     """
 
-    def __init__(self, enabled: bool = True, reuse: bool = False) -> None:
-        self.enabled = enabled
-        self.reuse = reuse
+    def __init__(self) -> None:
         self._segments: list[shared_memory.SharedMemory] = []
         self._views: dict[str, np.ndarray] = {}
-        self._free: list[shared_memory.SharedMemory] = []
-        self._live: list[tuple[shared_memory.SharedMemory, bool]] = []
 
     # -- construction ----------------------------------------------------
-    def share(self, array: np.ndarray, *, pin: bool = False) -> ArraySpec:
-        """Copy ``array`` into a (possibly recycled) segment; return its spec."""
+    def share(self, array: np.ndarray) -> ArraySpec:
+        """Copy ``array`` into a fresh segment; return its spec."""
         array = np.ascontiguousarray(array)
-        spec, view = self._new(array.shape, array.dtype, pin=pin)
+        spec, view = self._new(array.shape, array.dtype)
         if view is not None:
             view[...] = array
-            return spec
-        return ArraySpec(array.shape, array.dtype.str, array=array)
+        return spec
 
-    def allocate(
-        self, n: int, dtype=np.float64, *, pin: bool = False
-    ) -> tuple[ArraySpec, np.ndarray]:
+    def allocate(self, n: int, dtype=np.float64) -> tuple[ArraySpec, np.ndarray]:
         """A zero-initialized writable buffer of ``n`` elements.
 
         Returns the spec to ship to workers and the parent's view of the
-        same memory (workers write shard slices; the parent reads the
-        assembled whole).
+        same memory (workers write their results; the parent reads them).
         """
-        spec, view = self._new((int(n),), np.dtype(dtype), pin=pin)
+        spec, view = self._new((int(n),), np.dtype(dtype))
         if view is None:
-            inline = np.zeros(int(n), dtype=dtype)
-            return ArraySpec(inline.shape, inline.dtype.str, array=inline), inline
+            return spec, np.zeros(int(n), dtype=dtype)
         view[...] = 0
         return spec, view
 
-    def _new(self, shape, dtype, pin: bool = False) -> tuple[ArraySpec, np.ndarray | None]:
+    def _new(self, shape, dtype) -> tuple[ArraySpec, np.ndarray | None]:
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        # Zero-length arrays cannot back a segment; ship them inline (a
-        # 0-byte pickle is not a payload).
-        if not self.enabled or nbytes == 0:
+        # Zero-length arrays cannot back a segment; the spec alone
+        # describes them.
+        if nbytes == 0:
             return ArraySpec(tuple(shape), dtype.str), None
-        seg = self._take_free(nbytes)
-        if seg is None:
-            seg = shared_memory.SharedMemory(create=True, size=nbytes)
-            self._segments.append(seg)
-            metrics.counter("shm.segments").add()
-            metrics.counter("shm.bytes_shared").add(nbytes)
-        if self.reuse:
-            self._live.append((seg, pin))
+        seg = shared_memory.SharedMemory(create=True, size=nbytes)
+        self._segments.append(seg)
+        metrics.counter("shm.segments").add()
+        metrics.counter("shm.bytes_shared").add(nbytes)
         view = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-        spec = ArraySpec(tuple(shape), dtype.str, shm_name=seg.name)
         self._views[seg.name] = view
-        return spec, view
-
-    def _take_free(self, nbytes: int) -> shared_memory.SharedMemory | None:
-        """The smallest idle segment of capacity ≥ ``nbytes``, if any."""
-        best = -1
-        for k, seg in enumerate(self._free):
-            if seg.size >= nbytes and (best < 0 or seg.size < self._free[best].size):
-                best = k
-        if best < 0:
-            return None
-        metrics.counter("shm.segments_reused").add()
-        return self._free.pop(best)
-
-    def recycle(self) -> None:
-        """Return every non-pinned live segment to the free pool.
-
-        Only meaningful on a ``reuse=True`` arena; otherwise a no-op.
-        The caller must guarantee no in-flight worker still reads the
-        recycled segments (see the class docstring).
-        """
-        if not self.reuse:
-            return
-        keep = []
-        for seg, pinned in self._live:
-            if pinned:
-                keep.append((seg, pinned))
-            else:
-                self._views.pop(seg.name, None)
-                self._free.append(seg)
-        self._live = keep
+        return ArraySpec(tuple(shape), dtype.str, shm_name=seg.name), view
 
     # -- parent-side access ----------------------------------------------
     def view(self, spec: ArraySpec) -> np.ndarray:
         """The parent's view of a spec created by this arena."""
         if spec.shm_name is None:
-            if spec.array is not None:
-                return spec.array
             return np.empty(spec.shape, dtype=np.dtype(spec.dtype))
         return self._views[spec.shm_name]
 
@@ -183,8 +108,6 @@ class ShmArena:
     def close(self) -> None:
         """Close and unlink every segment this arena created."""
         self._views.clear()
-        self._free.clear()
-        self._live.clear()
         for seg in self._segments:
             try:
                 seg.close()
@@ -209,8 +132,6 @@ def attach_view(spec: ArraySpec, attachments: dict) -> np.ndarray:
     valid until then.
     """
     if spec.shm_name is None:
-        if spec.array is not None:
-            return spec.array
         return np.empty(spec.shape, dtype=np.dtype(spec.dtype))
     seg = attachments.get(spec.shm_name)
     if seg is None:

@@ -11,7 +11,7 @@ simulate_run` per worker task on the persistent pool
 the series is bit-identical to serial no matter the job count, the
 completion order, or even the submission order.
 
-Transport follows the comparison engine's rules (:mod:`~.shm`): packet
+Transport follows the package's rules (:mod:`~.shm`): packet
 arrays never pickle.  Inputs — each recording's tag/size/time arrays and
 burst metadata — travel as :class:`~.shm.ArraySpec` handles; outputs come
 back through per-run shared buffers pre-sized to the recorded packet count
@@ -34,9 +34,8 @@ from ..obs.trace import span
 from ..replay.recording import Recording
 from ..testbeds.base import RunArtifacts, Testbed, simulate_run
 from ..testbeds.profiles import EnvironmentProfile
-from .pool import gather, get_pool, submit_task
-from .shard import default_jobs
-from .shm import ArraySpec, ShmArena, attach_view, detach_all
+from .pool import default_jobs, gather, get_pool, submit_task
+from .shm import ShmArena, attach_view, detach_all
 
 __all__ = ["SimFarm", "run_series_parallel"]
 
@@ -164,7 +163,7 @@ class SimFarm:
         # packet count bounds every run's trial size.
         capacity = sum(len(rec) for rec in recordings)
         with span("sim.series", n_runs=n_runs, jobs=self.jobs), \
-                ShmArena(enabled=True) as arena:
+                ShmArena() as arena:
             rec_specs = [self._share_recording(arena, rec) for rec in recordings]
             futures: list = [None] * n_runs
             out_bufs: list = [None] * n_runs

@@ -45,7 +45,7 @@ from ..experiments.scenarios import default_duration_scale, scenario
 from ..obs import metrics
 from ..obs.export import host_context
 from ..obs.trace import span
-from ..parallel.shard import default_jobs
+from ..parallel.pool import default_jobs
 from ..testbeds.base import Testbed
 from ..testbeds.profiles import EnvironmentProfile
 from .codec import series_report_from_dict, series_report_to_dict

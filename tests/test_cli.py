@@ -52,6 +52,30 @@ class TestParser:
         assert defaults.eps == 0.005 and defaults.max_runs == 12
 
 
+class TestJobsValidation:
+    """A bad worker count is a usage error (exit 2), never a traceback
+    and never a silent fall-back to serial."""
+
+    def test_simulate_jobs_zero(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["simulate", "local-single", "--jobs", "0"])
+        assert ei.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_sweep_negative_jobs(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as ei:
+            main(["sweep", "local-single", "--jobs", "-2", "--store", str(tmp_path)])
+        assert ei.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_non_integer_repro_jobs(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "two")
+        with pytest.raises(SystemExit) as ei:
+            main(["simulate", "local-single"])
+        assert ei.value.code == 2
+        assert "REPRO_JOBS" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_scenarios_lists_all_nine(self, capsys):
         assert main(["scenarios"]) == 0

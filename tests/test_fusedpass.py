@@ -12,15 +12,15 @@ reference path of this suite.  Coverage:
 
 * a quiet/reordered/droppy grid of randomized pairs (drops, jitter,
   duplicate-heavy tags, extra run-only packets);
-* the ordershard permutation corpus
-  (:data:`tests.test_ordershard_corpus.CORPUS`) turned into trial pairs
+* the ordering permutation corpus
+  (:data:`tests.ordering_corpus.CORPUS`) turned into trial pairs
   two ways — a drop-free value-order reshuffle and a droppy jittered
-  replay — so the exact permutation shapes that stress the LIS merge
+  replay — so the exact permutation shapes that stress the LIS
   also stress the fused gather's index arithmetic;
 * the report drivers at jobs 1/2/4/8 (``REPRO_DIFF_JOBS`` restricts, as
-  in the other differential suites): the serial report is now built on
-  the fused kernel, and the sharded engine must still equal it at every
-  job count and pathological shard/block size;
+  in the other differential suites): the serial report is built on the
+  fused kernel, and the whole-pair fan-out must still equal it at every
+  job count;
 * the windowed series: ``windowed_deviation`` routes through the fused
   kernel and must equal :func:`deviation_from_deltas` fed the
   per-component delta arrays.
@@ -39,13 +39,13 @@ from repro.core.histograms import DeltaHistogram, SymlogBins, pct_within
 from repro.core.iat import iat_deltas_ns, iat_from_matching
 from repro.core.latency import latency_deltas_ns, latency_from_matching
 from repro.core.matching import match_trials
-from repro.core.report import compare_trials
+from repro.core.report import compare_series, compare_trials
 from repro.core.windows import deviation_from_deltas, windowed_deviation
-from repro.parallel import ParallelComparator
+from repro.parallel import compare_series_parallel
 
 from .conftest import make_trial, suite_rng
-from .test_ordershard_corpus import CORPUS
-from .test_parallel_differential import assert_pair_equal
+from .ordering_corpus import CORPUS
+from .test_parallel_differential import assert_series_equal
 
 
 def _job_counts() -> list[int]:
@@ -89,7 +89,7 @@ def _grid_pair(kind: str, n: int, salt: int):
 
 
 def _corpus_pairs(name: str):
-    """Two trial pairs derived from one ordershard corpus sequence.
+    """Two trial pairs derived from one ordering corpus sequence.
 
     The corpus entries are the permutation/duplicate shapes that stress
     the LIS machinery; here they become the *tag* streams of a pair.  The
@@ -201,7 +201,7 @@ class TestFusedGrid:
         assert int(wd.n_missing.sum()) == 3
 
 
-# -- the ordershard permutation corpus -------------------------------------
+# -- the ordering permutation corpus ---------------------------------------
 
 class TestFusedCorpus:
     @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -227,27 +227,22 @@ class TestFusedCorpus:
             assert report.iat_hist.n_total == iat_ref.n_total
 
 
-# -- job counts: the sharded engine still equals the fused serial ----------
+# -- job counts: the whole-pair fan-out still equals the fused serial -----
 
 class TestFusedAcrossJobs:
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
     def test_engine_equals_fused_serial(self, jobs):
-        for kind in ("quiet", "reordered", "droppy"):
-            baseline, run = _grid_pair(kind, 2500, 31)
-            want = compare_trials(baseline, run)
-            with ParallelComparator(
-                jobs=jobs, shard_packets=977, order_block_packets=503
-            ) as pc:
-                got = pc.compare(baseline, run)
-            assert_pair_equal(got, want)
+        # One baseline, one run per regime: three pairs to fan out.
+        series = [_grid_pair("quiet", 2500, 31)[0]] + [
+            _grid_pair(kind, 2500, 31)[1] for kind in ("quiet", "reordered", "droppy")
+        ]
+        got = compare_series_parallel(series, environment="grid", jobs=jobs)
+        assert_series_equal(got, compare_series(series, environment="grid"))
 
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
     def test_engine_equals_fused_serial_on_corpus(self, jobs):
         for name in ("far-moved-packet", "duplicate-heavy", "interleaved-runs"):
-            for variant, baseline, run in _corpus_pairs(name):
-                want = compare_trials(baseline, run)
-                with ParallelComparator(
-                    jobs=jobs, shard_packets=37, order_block_packets=29
-                ) as pc:
-                    got = pc.compare(baseline, run)
-                assert_pair_equal(got, want)
+            (_, baseline, permuted), (_, _, droppy) = _corpus_pairs(name)
+            series = [baseline, permuted, droppy]
+            got = compare_series_parallel(series, environment=name, jobs=jobs)
+            assert_series_equal(got, compare_series(series, environment=name))

@@ -18,7 +18,7 @@ from repro.analysis import stream_compare
 from repro.analysis.streaming import StreamingComparison
 from repro.analysis.streamkappa import KappaMonitor, StreamKappa
 from repro.core import MetricVector, Trial, compare_trials
-from repro.parallel import compare_trials_parallel
+from repro.parallel import compare_series_parallel
 
 from .conftest import comb_trial, make_trial, suite_rng
 
@@ -51,8 +51,8 @@ class TestAllPathsReturnFloats:
 
     def test_parallel_path(self):
         a, b = comb_trial(40), comb_trial(40, start=7.0)
-        vec = compare_trials_parallel(a, b, jobs=1, shard_packets=7).metrics
-        assert_contract(vec)
+        for pair in compare_series_parallel([a, b, b], jobs=2).pairs:
+            assert_contract(pair.metrics)
 
     def test_streaming_agrees_with_batch_on_aligned(self):
         """On its precondition's domain the streaming vector IS the batch one."""

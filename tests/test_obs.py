@@ -8,13 +8,14 @@ Four contracts under test, mirroring the priority order documented in
 3. the metric registry's log2 histograms bucket exactly at powers of two
    and its drain/merge delta cycle is lossless;
 4. tracing changes **nothing** — every MetricVector and κ of a traced
-   comparison is bit-identical to the untraced one, on the serial and
-   the forced-sharded paths alike.
+   comparison is bit-identical to the untraced one, on the serial path
+   and the whole-pair fan-out alike.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import numpy as np
@@ -30,8 +31,8 @@ from repro.obs.metrics import (
     bucket_index,
 )
 from repro.obs.trace import span, traced
-from repro.obs.worker import TaskEnvelope, TaskTelemetry, absorb, run_local
-from repro.parallel import ParallelComparator
+from repro.obs.worker import TaskEnvelope, TaskTelemetry, absorb
+from repro.parallel import compare_series_parallel, shutdown_pool
 
 
 @pytest.fixture(autouse=True)
@@ -223,14 +224,6 @@ class TestWorkerTelemetry:
         assert snap["counters"]["sim.runs"] == 4
         assert snap["histograms"]["pool.queue_wait_ns"]["count"] == 1
         assert snap["histograms"]["pool.task_wall_ns"]["count"] == 1
-
-    def test_run_local_matches_pool_naming(self):
-        assert run_local(lambda t: t + 1, 1, "stage.x") == 2
-        assert trace.records() == []  # disabled: straight call
-        trace.enable()
-        assert run_local(lambda t: t + 1, 1, "stage.x", lo=0) == 2
-        (rec,) = trace.records()
-        assert rec.name == "stage.x" and rec.attrs == {"lo": 0}
 
     def test_envelope_is_plain_data(self):
         env = TaskEnvelope("payload", TaskTelemetry(1, 0, 0))
@@ -480,41 +473,39 @@ class TestTracingIsInert:
         assert traced_rep.metrics == ref.metrics
         assert traced_rep.kappa == ref.kappa
 
-    def test_sharded_compare_bit_identical_and_staged(self):
+    def test_whole_pair_fanout_bit_identical_and_staged(self):
         a, b = _noisy_pair()
         ref = compare_trials(a, b)
 
-        def sharded():
-            return ParallelComparator(
-                jobs=1,
-                shard_packets=4096,
-                order_block_packets=4096,
-                match_buckets=4,
-            ).compare(a, b)
+        def fanned_out():
+            try:
+                return compare_series_parallel([a, b, b], jobs=2).pairs
+            finally:
+                shutdown_pool()
 
-        untraced = sharded()
+        untraced = fanned_out()
         trace.enable()
-        traced_rep = sharded()
+        traced = fanned_out()
 
-        for rep in (untraced, traced_rep):
+        for rep in (*untraced, *traced):
             assert rep.metrics == ref.metrics
             assert rep.kappa == ref.kappa
             assert rep.pct_iat_within_10ns == ref.pct_iat_within_10ns
 
-        names = {r.name for r in trace.records()}
-        # Every sharded stage shows up, at stage/task granularity.
+        records = trace.records()
+        names = {r.name for r in records}
+        # The fan-out and the serial stages inside each worker task.
         for required in (
-            "analysis.pair",
-            "analysis.match",
-            "analysis.match.bucket",
-            "analysis.shard.timing",
-            "analysis.order.block",
-            "analysis.merge.order",
-            "analysis.merge.timings",
+            "analysis.series",
+            "analysis.pair.whole",
+            "analysis.fused.timings",
         ):
             assert required in names, f"missing span {required}"
+        assert {r.pid for r in records if r.name == "analysis.pair.whole"} - {
+            os.getpid()
+        }
         # Stage granularity, not per-packet: far fewer spans than rows.
-        assert len(trace.records()) < 100
+        assert len(records) < 100
 
     def test_testbed_series_bit_identical(self):
         from repro.testbeds import Testbed, local_single_replayer

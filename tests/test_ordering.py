@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.analysis.streamkappa import StreamKappa
 from repro.core import (
+    compare_trials,
     edit_script,
     longest_increasing_subsequence,
     move_distance_stats,
@@ -11,7 +13,10 @@ from repro.core import (
     ordering_variation,
 )
 
-from .conftest import comb_trial, make_trial
+from repro.core.ordering import lis_membership
+
+from .conftest import comb_trial, make_trial, suite_rng
+from .ordering_corpus import CORPUS, chunk_sizes
 
 
 class TestLIS:
@@ -67,6 +72,36 @@ class TestNaiveLCS:
 
     def test_disjoint(self):
         assert naive_lcs_length(np.arange(5), np.arange(10, 15)) == 0
+
+
+class TestCorpus:
+    """The adversarial corpus against the DP oracle and the streamed O."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_lis_membership_matches_dp_length(self, name):
+        seq = CORPUS[name]
+        mask = lis_membership(seq)
+        assert np.all(np.diff(seq[mask]) > 0)
+        # For a strict LIS with duplicates, LIS(s) == LCS(unique(s), s).
+        assert int(mask.sum()) == naive_lcs_length(np.unique(seq), seq)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_stream_chunkings_match_batch(self, name):
+        """B arrives in corpus order, so the streamed patience loop runs on
+        exactly the corpus sequence; every chunking equals batch."""
+        seq = CORPUS[name]
+        n = seq.shape[0]
+        rng = suite_rng(213)
+        a = make_trial(np.cumsum(rng.exponential(200.0, size=n)), label="A")
+        b = make_trial(np.cumsum(rng.exponential(200.0, size=n)), seq, label="B")
+        want = compare_trials(a, b).metrics
+        for chunk in chunk_sizes(n):
+            sk = StreamKappa(a)
+            for lo in range(0, n, chunk):
+                sk.update(b.tags[lo : lo + chunk], b.times_ns[lo : lo + chunk])
+            got = sk.result()
+            for part in ("u", "o", "l", "i"):
+                assert getattr(got, part) == getattr(want, part), (name, chunk, part)
 
 
 class TestOrderingMetric:

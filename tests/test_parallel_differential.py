@@ -1,22 +1,14 @@
-"""Differential harness: the parallel engine must equal serial *exactly*.
+"""Differential harness: whole-pair fan-out must equal serial *exactly*.
 
 Every assertion here is bit-for-bit — ``==`` on floats and
-``np.array_equal`` on arrays, never ``approx`` — because the sharded
-engine's whole contract (see ``docs/parallel.md``) is that fan-out never
-changes a single bit of the Section-3 analysis.  Randomized trial pairs
-exercise drops, reorders and latency noise under every job count and
-pathological shard sizes; degenerate shapes (empty, single-packet,
-fully-dropped) pin the short-circuit paths.
-
-The ordering-sharded axis (``TestOrderingShardedDifferential``) drives
-the prefix-patience LIS merge (:mod:`repro.parallel.ordershard`) over
-droppy/reordered/quiet pairs at every job count and pathological block
-sizes, asserting full ``EditScript`` equality — not just ``O``.
+``np.array_equal`` on arrays, never ``approx`` — because the fan-out's
+whole contract (see ``docs/parallel.md``) is that it never changes a
+single bit of the Section-3 analysis.  Randomized trial series exercise
+drops, reorders and latency noise under every job count; degenerate
+shapes (empty, single-packet, fully-dropped) pin the short-circuit paths.
 
 ``REPRO_DIFF_JOBS`` (comma-separated, e.g. ``2,4``) restricts the job
-counts exercised — CI uses it to split the matrix across runners; the
-randomized ordering pairs seed from ``REPRO_TEST_SEED`` (printed on
-failure) so CI failures replay locally.
+counts exercised — CI uses it to split the matrix across runners.
 """
 
 from __future__ import annotations
@@ -26,13 +18,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import SymlogBins, compare_series, compare_trials
-from repro.parallel import (
-    ParallelComparator,
-    compare_series_parallel,
-    compare_trials_parallel,
-    default_jobs,
-)
+from repro.core import SymlogBins, compare_series
+from repro.parallel import compare_series_parallel, default_jobs, pool_stats
 
 from .conftest import comb_trial, make_trial
 
@@ -44,9 +31,10 @@ def _job_counts() -> list[int]:
 
 JOB_COUNTS = _job_counts()
 
-#: Randomized pairs per job count; with the default four job counts the
-#: suite proves exactness on 4 * 60 = 240 distinct randomized pairs.
-N_RANDOM_PAIRS = 60
+#: Randomized series per job count, each a baseline plus three runs; with
+#: the default four job counts the suite proves exactness on
+#: 4 * 20 * 3 = 240 distinct randomized pairs.
+N_RANDOM_SERIES = 20
 
 
 # -- exact-equality helpers ------------------------------------------------
@@ -96,8 +84,12 @@ def random_pair(rng: np.random.Generator, n_base: int):
     """
     tags = rng.integers(0, max(2, n_base // 2), size=n_base).astype(np.int64)
     times = np.cumsum(rng.exponential(100.0, size=n_base))
-    baseline = make_trial(times, tags)
+    return make_trial(times, tags), random_run(rng, tags, times)
 
+
+def random_run(rng: np.random.Generator, tags: np.ndarray, times: np.ndarray):
+    """One replay of a baseline's packets: drops, extras and jitter."""
+    n_base = tags.shape[0]
     keep = rng.random(n_base) > 0.08  # ~8% drops
     run_tags = tags[keep]
     run_times = times[keep] + rng.normal(0.0, 180.0, size=int(keep.sum()))
@@ -110,65 +102,55 @@ def random_pair(rng: np.random.Generator, n_base: int):
             [run_times, rng.uniform(0.0, times[-1], size=n_extra)]
         )
     order = np.argsort(run_times, kind="stable")
-    run = make_trial(run_times[order], run_tags[order])
-    return baseline, run
+    return make_trial(run_times[order], run_tags[order])
 
 
 # -- the differential suite ------------------------------------------------
 
+def random_series(rng: np.random.Generator, n_base: int, n_runs: int = 3):
+    """A baseline plus ``n_runs`` independent droppy/reordered/noisy runs."""
+    baseline, run = random_pair(rng, n_base)
+    runs = [run] + [
+        random_run(rng, baseline.tags, baseline.times_ns) for _ in range(n_runs - 1)
+    ]
+    return [baseline, *runs]
+
+
 class TestRandomizedDifferential:
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
     def test_randomized_pairs_exact(self, jobs):
-        """N random droppy/reordered/noisy pairs: parallel == serial, bit-for-bit."""
+        """Random droppy/reordered/noisy pairs: parallel == serial, bit-for-bit."""
         rng = np.random.default_rng(20250806 + jobs)
-        # Tiny forced shards guarantee real fan-out even on small trials;
-        # one comparator reuses its pool across all pairs.
-        with ParallelComparator(jobs=jobs, shard_packets=61) as pc:
-            for _ in range(N_RANDOM_PAIRS):
-                n = int(rng.integers(40, 400))
-                a, b = random_pair(rng, n)
-                assert_pair_equal(pc.compare(a, b), compare_trials(a, b))
+        for _ in range(N_RANDOM_SERIES):
+            trials = random_series(rng, int(rng.integers(40, 400)))
+            got = compare_series_parallel(trials, environment="diff", jobs=jobs)
+            assert_series_equal(got, compare_series(trials, environment="diff"))
 
     @pytest.mark.parametrize("jobs", [j for j in JOB_COUNTS if j > 1] or [2])
     def test_randomized_series_exact(self, jobs):
-        """Whole-pair fan-out (the many-runs strategy) equals serial."""
+        """Whole-pair fan-out of six unrelated trials equals serial."""
         rng = np.random.default_rng(77 + jobs)
         trials = [random_pair(rng, 200)[0] for _ in range(6)]
         got = compare_series_parallel(trials, environment="diff", jobs=jobs)
         want = compare_series(trials, environment="diff")
         assert_series_equal(got, want)
 
-    def test_sharded_series_exact(self):
-        """Within-pair fan-out for series (jobs > pairs) equals serial."""
+    def test_single_pair_runs_serial(self):
+        """One pair has nothing to fan out: no pool, the serial report."""
         rng = np.random.default_rng(991)
         a, b = random_pair(rng, 300)
-        got = compare_series_parallel(
-            [a, b], environment="diff", jobs=min(4, max(JOB_COUNTS)), shard_packets=37
-        )
-        want = compare_series([a, b], environment="diff")
-        assert_series_equal(got, want)
+        before = pool_stats().created_total
+        got = compare_series_parallel([a, b], environment="diff", jobs=4)
+        assert pool_stats().created_total == before
+        assert_series_equal(got, compare_series([a, b], environment="diff"))
 
-
-class TestShardSizeSweep:
-    def test_every_shard_size_exact(self):
-        """Shard sizes 1..n+1 on one pair all reproduce serial exactly."""
-        rng = np.random.default_rng(5150)
-        a, b = random_pair(rng, 9)
-        want = compare_trials(a, b)
-        n_common = want.n_common
-        for shard in range(1, n_common + 2):
-            got = compare_trials_parallel(a, b, jobs=1, shard_packets=shard)
-            assert_pair_equal(got, want)
-
-    def test_custom_bins_and_within_exact(self):
+    def test_custom_bins_exact(self):
         rng = np.random.default_rng(62)
-        a, b = random_pair(rng, 120)
+        trials = random_series(rng, 120)
         bins = SymlogBins(linthresh=5.0, max_decade=6, bins_per_decade=3)
-        want = compare_trials(a, b, bins=bins, within_ns=25.0)
-        got = compare_trials_parallel(
-            a, b, bins=bins, within_ns=25.0, jobs=2, shard_packets=17
-        )
-        assert_pair_equal(got, want)
+        want = compare_series(trials, environment="bins", bins=bins)
+        got = compare_series_parallel(trials, environment="bins", bins=bins, jobs=2)
+        assert_series_equal(got, want)
 
 
 class TestDegenerateShapes:
@@ -188,146 +170,19 @@ class TestDegenerateShapes:
     @pytest.mark.parametrize("jobs", [1, min(2, max(JOB_COUNTS))])
     def test_degenerate_exact(self, case, jobs):
         a, b = self.CASES[case]()
-        want = compare_trials(a, b)
-        got = compare_trials_parallel(a, b, jobs=jobs, shard_packets=3)
-        assert_pair_equal(got, want)
-
-
-class TestOrderingShardedDifferential:
-    """The prefix-patience ordering path (``order_block_packets``) must be
-    bit-identical to serial on every pair kind × jobs × block size — the
-    full :class:`~repro.core.ordering.EditScript`, not just ``O``."""
-
-    @staticmethod
-    def _pair(kind: str, rng: np.random.Generator, n: int):
-        """Droppy / reordered / quiet pairs isolate the ordering regimes."""
-        tags = rng.integers(0, max(2, n // 3), size=n).astype(np.int64)
-        times = np.cumsum(rng.exponential(100.0, size=n))
-        baseline = make_trial(times, tags)
-        if kind == "droppy":
-            keep = rng.random(n) > 0.3
-            bt, btags = times[keep], tags[keep]
-        elif kind == "reordered":
-            bt = times + rng.normal(0.0, 600.0, size=n)  # hard shuffles
-            btags = tags
-        else:  # quiet: same packets, jitter too small to reorder
-            bt = times + rng.uniform(0.0, 1.0, size=n)
-            btags = tags
-        order = np.argsort(bt, kind="stable")
-        return baseline, make_trial(bt[order], btags[order])
-
-    @pytest.mark.parametrize("jobs", JOB_COUNTS)
-    @pytest.mark.parametrize("kind", ["droppy", "reordered", "quiet"])
-    def test_edit_script_fields_exact(self, kind, jobs):
-        from repro.core.matching import match_trials
-        from repro.core.ordering import edit_script_from_matching
-        from repro.parallel import edit_script_from_matching_sharded
-
-        from .conftest import suite_rng
-
-        rng = suite_rng(salt=200 + jobs)
-        for _ in range(6):
-            n = int(rng.integers(60, 400))
-            a, b = self._pair(kind, rng, n)
-            m = match_trials(a, b)
-            want = edit_script_from_matching(m)
-            for bp in (1, 23, max(1, m.n_common // 2), max(1, m.n_common)):
-                got = edit_script_from_matching_sharded(m, jobs=jobs, block_packets=bp)
-                assert np.array_equal(got.lcs_mask_b_order, want.lcs_mask_b_order)
-                assert np.array_equal(got.signed_distances, want.signed_distances)
-                assert np.array_equal(got.moved_distances, want.moved_distances)
-                assert np.array_equal(got.deletions_b, want.deletions_b)
-                assert np.array_equal(got.insertions_a, want.insertions_a)
-
-    @pytest.mark.parametrize("jobs", JOB_COUNTS)
-    def test_engine_reports_exact_with_ordering_blocks(self, jobs):
-        """Full PairReports through the engine with forced ordering blocks."""
-        from .conftest import suite_rng
-
-        rng = suite_rng(salt=300 + jobs)
-        with ParallelComparator(
-            jobs=jobs, shard_packets=61, order_block_packets=41
-        ) as pc:
-            for kind in ("droppy", "reordered", "quiet"):
-                for _ in range(4):
-                    n = int(rng.integers(50, 350))
-                    a, b = self._pair(kind, rng, n)
-                    assert_pair_equal(pc.compare(a, b), compare_trials(a, b))
-
-    def test_ordering_block_size_sweep(self):
-        """Block sizes 1..n_common+1 on one pair all reproduce serial."""
-        from .conftest import suite_rng
-
-        rng = suite_rng(salt=400)
-        a, b = self._pair("reordered", rng, 40)
-        want = compare_trials(a, b)
-        for bp in range(1, want.n_common + 2):
-            got = compare_trials_parallel(a, b, jobs=1, order_block_packets=bp)
-            assert_pair_equal(got, want)
-
-    def test_series_with_ordering_blocks_exact(self):
-        from .conftest import suite_rng
-
-        rng = suite_rng(salt=500)
-        trials = [self._pair("droppy", rng, 160)[0] for _ in range(3)]
-        got = compare_series_parallel(
-            trials, environment="ord", jobs=min(2, max(JOB_COUNTS)),
-            order_block_packets=37,
-        )
-        want = compare_series(trials, environment="ord")
-        assert_series_equal(got, want)
-
-
-class TestShardedMatching:
-    """Tag-bucketed matching must reproduce the serial matcher exactly."""
-
-    @pytest.mark.parametrize("jobs", JOB_COUNTS)
-    def test_forced_match_buckets_exact(self, jobs):
-        from repro.core.matching import match_trials
-
-        rng = np.random.default_rng(4242 + jobs)
-        for buckets in (2, 3, 8):
-            a, b = random_pair(rng, 300)
-            with ParallelComparator(
-                jobs=jobs, shard_packets=53, match_buckets=buckets
-            ) as pc:
-                assert_pair_equal(pc.compare(a, b), compare_trials(a, b))
-
-    def test_match_buckets_zero_disables_but_stays_exact(self):
-        rng = np.random.default_rng(515)
-        a, b = random_pair(rng, 200)
-        with ParallelComparator(jobs=1, shard_packets=31, match_buckets=0) as pc:
-            assert_pair_equal(pc.compare(a, b), compare_trials(a, b))
-
-    @pytest.mark.parametrize("jobs", JOB_COUNTS)
-    def test_match_trials_sharded_rows_exact(self, jobs):
-        """Direct matcher comparison: same rows, same order, any buckets."""
-        from repro.core.matching import match_trials
-        from repro.parallel import match_trials_sharded
-
-        rng = np.random.default_rng(9000 + jobs)
-        for _ in range(10):
-            n = int(rng.integers(30, 500))
-            # Negative tags exercise the unsigned-view bucketing.
-            tags = rng.integers(-50, max(2, n // 3), size=n).astype(np.int64)
-            a = make_trial(np.cumsum(rng.exponential(90.0, n)), tags)
-            keep = rng.random(n) > 0.1
-            bt = np.sort(np.cumsum(rng.exponential(90.0, n))[keep])
-            b = make_trial(bt, tags[keep])
-            want = match_trials(a, b)
-            for buckets in (None, 2, 5, 16):
-                got = match_trials_sharded(a, b, jobs=jobs, n_buckets=buckets)
-                assert np.array_equal(got.idx_a, want.idx_a)
-                assert np.array_equal(got.idx_b, want.idx_b)
-                assert (got.len_a, got.len_b) == (want.len_a, want.len_b)
+        # Two pairs, so jobs=2 really fans out.
+        got = compare_series_parallel([a, b, b], jobs=jobs)
+        assert_series_equal(got, compare_series([a, b, b]))
 
 
 class TestSerialFastPath:
     def test_jobs_one_uses_serial_driver(self):
-        """jobs=1 without a forced shard size is the serial code, verbatim."""
+        """jobs=1 is the serial code, verbatim, with no pool."""
         a, b = comb_trial(50), comb_trial(50, start=3.0)
-        with ParallelComparator(jobs=1) as pc:
-            assert_pair_equal(pc.compare(a, b), compare_trials(a, b))
+        before = pool_stats().created_total
+        got = compare_series_parallel([a, b, b], jobs=1)
+        assert pool_stats().created_total == before
+        assert_series_equal(got, compare_series([a, b, b]))
 
     def test_default_jobs_reads_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -335,14 +190,18 @@ class TestSerialFastPath:
         monkeypatch.setenv("REPRO_JOBS", "6")
         assert default_jobs() == 6
 
+    @pytest.mark.parametrize("raw", ["two", "0", "-2", "1.5"])
+    def test_default_jobs_rejects_bad_env(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            default_jobs()
+
     def test_series_labeling_matches_serial(self):
         """Pre-labelled and unlabelled trials mix exactly as in serial."""
         rng = np.random.default_rng(13)
         trials = [random_pair(rng, 80)[0] for _ in range(4)]
         trials[2] = trials[2].relabel("custom")
-        got = compare_series_parallel(
-            trials, environment="lbl", jobs=2, shard_packets=29
-        )
+        got = compare_series_parallel(trials, environment="lbl", jobs=2)
         want = compare_series(trials, environment="lbl")
         assert_series_equal(got, want)
 

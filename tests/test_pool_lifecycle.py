@@ -24,7 +24,6 @@ import repro.cli as cli
 from repro.core import compare_series
 from repro.obs import metrics, trace
 from repro.parallel import (
-    ParallelComparator,
     compare_series_parallel,
     get_pool,
     pool_scope,
@@ -66,8 +65,7 @@ class TestLaziness:
         before = pool_stats().created_total
         trials = Testbed(PROFILE, seed=3).run_series(2, jobs=1)
         compare_series(trials, environment=PROFILE.name)
-        with ParallelComparator(jobs=1) as pc:
-            pc.compare_series(trials, environment=PROFILE.name)
+        compare_series_parallel(trials, environment=PROFILE.name, jobs=1)
         stats = pool_stats()
         assert stats.active is False
         assert stats.created_total == before
@@ -245,15 +243,13 @@ class TestWorkerTelemetryRoundTrip:
         Testbed(PROFILE, seed=3).run_series(2, jobs=2)
         assert trace.records() == []
 
-    def test_traced_analysis_covers_shard_stages(self):
-        """Sharded analysis at jobs=2 emits worker-pid shard spans."""
+    def test_traced_analysis_covers_whole_pair_stage(self):
+        """Whole-pair analysis at jobs=2 emits worker-pid pair spans."""
         import os
 
-        trials = Testbed(PROFILE, seed=3).run_series(2, jobs=1)
+        trials = Testbed(PROFILE, seed=3).run_series(3, jobs=1)
         trace.enable()
-        rep = ParallelComparator(
-            jobs=2, shard_packets=2048, order_block_packets=2048
-        ).compare_series(trials, environment=PROFILE.name)
+        rep = compare_series_parallel(trials, environment=PROFILE.name, jobs=2)
         names_by_pid: dict[int, set[str]] = {}
         for s in trace.records():
             names_by_pid.setdefault(s.pid, set()).add(s.name)
@@ -261,8 +257,8 @@ class TestWorkerTelemetryRoundTrip:
         for pid, names in names_by_pid.items():
             if pid != os.getpid():
                 worker_names |= names
-        assert "analysis.shard.timing" in worker_names
-        assert "analysis.order.block" in worker_names
+        assert "analysis.pair.whole" in worker_names
+        assert "analysis.fused.timings" in worker_names
         # Inert under fan-out, too.
         want = compare_series(trials, environment=PROFILE.name)
         assert_series_equal(rep, want)
@@ -285,14 +281,12 @@ class TestTrackerQuiet:
 
         script = tmp_path / "pooled_run.py"
         script.write_text(
-            "from repro.parallel import ParallelComparator, shutdown_pool\n"
+            "from repro.parallel import compare_series_parallel, shutdown_pool\n"
             "from repro.testbeds import Testbed, local_single_replayer\n"
             "if __name__ == '__main__':\n"
             "    profile = local_single_replayer().at_duration(3e6)\n"
-            "    trials = Testbed(profile, seed=11).run_series(2, jobs=2)\n"
-            "    with ParallelComparator(jobs=2, shard_packets=512,\n"
-            "                            order_block_packets=512) as pc:\n"
-            "        pc.compare_series(trials, environment=profile.name)\n"
+            "    trials = Testbed(profile, seed=11).run_series(3, jobs=2)\n"
+            "    compare_series_parallel(trials, environment=profile.name, jobs=2)\n"
             "    shutdown_pool()\n"
         )
         proc = subprocess.run(

@@ -1,327 +1,23 @@
-"""Property tests for the shard/merge algebra of :mod:`repro.parallel`.
+"""Properties of the shared-memory transport of :mod:`repro.parallel`.
 
-Seeded ``numpy`` randomness only (no hypothesis): each test draws its
-cases from a fixed-seed Generator, so failures replay deterministically.
-The properties pinned here are the ones ``partials.py`` claims in its
-exactness model: shard-partition invariance, merge order-invariance,
-adjacency-respecting associativity/commutativity of ``combine``, and the
-[0, 1] range of κ after any merge — plus the prefix-patience merge law
-``ordershard.py`` rests on: folding blocks through any reassociation
-(one pass, pairwise prefixes, random split points) yields the identical
-serial patience state.  Randomized suites seed from ``REPRO_TEST_SEED``
-via :func:`tests.conftest.suite_rng`.
+:class:`~repro.parallel.ShmArena` is the one way packet arrays reach pool
+workers (sweep units, replay runs, whole pairs).  A segment holds a copy,
+not a reference; zero-length arrays need no segment; allocated output
+buffers start zeroed and are visible through the parent's view.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core import SymlogBins, compare_trials
-from repro.core.matching import match_trials
-from repro.parallel import (
-    ParallelComparator,
-    ShardPlan,
-    ShardPlanner,
-    ShmArena,
-    compute_shard_partial,
-    merge_partials,
-)
-
-from .conftest import make_trial, suite_rng
-
-
-BINS = SymlogBins()
-WITHIN = 10.0
-
-
-def noisy_pair(rng: np.random.Generator, n: int):
-    """A droppy, jittered (baseline, run) pair with some duplicate tags."""
-    tags = rng.integers(0, max(2, n // 3), size=n).astype(np.int64)
-    times = np.cumsum(rng.exponential(50.0, size=n))
-    a = make_trial(times, tags)
-    keep = rng.random(n) > 0.1
-    bt = times[keep] + rng.normal(0.0, 120.0, size=int(keep.sum()))
-    order = np.argsort(bt, kind="stable")
-    b = make_trial(bt[order], tags[keep][order])
-    return a, b
-
-
-def shard_inputs(a, b):
-    """The (times, idx) arrays a shard worker sees, plus n_common."""
-    m = match_trials(a, b)
-    return a.times_ns, b.times_ns, m.idx_a, m.idx_b, m.n_common
-
-
-def partial_over(args, lo, hi):
-    ta, tb, ia, ib, _ = args
-    return compute_shard_partial(ta, tb, ia, ib, lo, hi, BINS, WITHIN)
-
-
-def random_partition(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
-    """Random contiguous tiling of [0, n) into 1..min(n, 6) shards."""
-    k = int(rng.integers(1, min(n, 6) + 1))
-    cuts = (
-        np.sort(rng.choice(np.arange(1, n), size=k - 1, replace=False))
-        if k > 1
-        else np.empty(0, dtype=np.int64)
-    )
-    edges = [0, *cuts.tolist(), n]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def assert_merged_equal(got, want):
-    assert got.n_common == want.n_common
-    assert got.iat_within == want.iat_within
-    assert np.array_equal(got.iat_counts, want.iat_counts)
-    assert np.array_equal(got.lat_counts, want.lat_counts)
-    assert np.array_equal(got.dlat, want.dlat)
-    assert np.array_equal(got.diat, want.diat)
-
-
-class TestPartitionInvariance:
-    def test_any_partition_merges_to_whole(self):
-        """merge(partition) == the single-shard computation, exactly."""
-        rng = np.random.default_rng(424242)
-        for _ in range(25):
-            a, b = noisy_pair(rng, int(rng.integers(20, 200)))
-            args = shard_inputs(a, b)
-            n = args[-1]
-            whole = merge_partials([partial_over(args, 0, n)], n, BINS)
-            for _ in range(4):
-                parts = [partial_over(args, lo, hi)
-                         for lo, hi in random_partition(rng, n)]
-                assert_merged_equal(merge_partials(parts, n, BINS), whole)
-
-    def test_merge_is_order_invariant(self):
-        rng = np.random.default_rng(7)
-        a, b = noisy_pair(rng, 150)
-        args = shard_inputs(a, b)
-        n = args[-1]
-        parts = [partial_over(args, lo, hi) for lo, hi in random_partition(rng, n)]
-        want = merge_partials(parts, n, BINS)
-        for _ in range(5):
-            shuffled = [parts[i] for i in rng.permutation(len(parts))]
-            assert_merged_equal(merge_partials(shuffled, n, BINS), want)
-
-
-class TestCombineAlgebra:
-    def _three(self, rng):
-        a, b = noisy_pair(rng, 90)
-        args = shard_inputs(a, b)
-        n = args[-1]
-        c1, c2 = sorted(rng.choice(np.arange(1, n), size=2, replace=False).tolist())
-        return (
-            partial_over(args, 0, c1),
-            partial_over(args, c1, c2),
-            partial_over(args, c2, n),
-            args,
-            n,
-        )
-
-    def test_combine_equals_direct_computation(self):
-        rng = np.random.default_rng(99)
-        p1, p2, p3, args, n = self._three(rng)
-        direct = partial_over(args, p1.lo, p2.hi)
-        combined = p1.combine(p2)
-        assert combined.lo == direct.lo and combined.hi == direct.hi
-        assert combined.iat_within == direct.iat_within
-        assert np.array_equal(combined.iat_counts, direct.iat_counts)
-        assert np.array_equal(combined.lat_counts, direct.lat_counts)
-        assert np.array_equal(combined.dlat, direct.dlat)
-        assert np.array_equal(combined.diat, direct.diat)
-
-    def test_combine_associative(self):
-        rng = np.random.default_rng(100)
-        p1, p2, p3, _, _ = self._three(rng)
-        left = p1.combine(p2).combine(p3)
-        right = p1.combine(p2.combine(p3))
-        assert left.lo == right.lo and left.hi == right.hi
-        assert left.iat_within == right.iat_within
-        assert np.array_equal(left.iat_counts, right.iat_counts)
-        assert np.array_equal(left.lat_counts, right.lat_counts)
-        assert np.array_equal(left.dlat, right.dlat)
-        assert np.array_equal(left.diat, right.diat)
-
-    def test_combine_commutative_on_adjacent(self):
-        """Argument order is irrelevant; ranges decide the row order."""
-        rng = np.random.default_rng(101)
-        p1, p2, _, _, _ = self._three(rng)
-        ab, ba = p1.combine(p2), p2.combine(p1)
-        assert ab.lo == ba.lo and ab.hi == ba.hi
-        assert np.array_equal(ab.dlat, ba.dlat)
-        assert np.array_equal(ab.diat, ba.diat)
-        assert np.array_equal(ab.iat_counts, ba.iat_counts)
-
-    def test_combine_rejects_nonadjacent(self):
-        rng = np.random.default_rng(102)
-        p1, _, p3, _, _ = self._three(rng)
-        with pytest.raises(ValueError, match="adjacent"):
-            p1.combine(p3)
-
-    def test_merge_rejects_bad_tilings(self):
-        rng = np.random.default_rng(103)
-        p1, p2, p3, _, n = self._three(rng)
-        with pytest.raises(ValueError, match="tile"):
-            merge_partials([p1, p3], n, BINS)  # gap
-        with pytest.raises(ValueError, match="tile"):
-            merge_partials([p1, p1.combine(p2)], n, BINS)  # overlap
-        with pytest.raises(ValueError, match="n_common"):
-            merge_partials([p1, p2], n, BINS)  # short of n
-
-
-class TestPrefixPatienceAssociativity:
-    """The merge law behind :mod:`repro.parallel.ordershard`: folding
-    block states left-to-right is invariant under reassociation.  A
-    prefix-merge is itself a mergeable state (``merge_blocks(...,
-    state=...)`` continues from it without mutating it), so merging in
-    one pass, in pairwise groups, or by resuming from any split point
-    must all land on the identical serial state — tails, predecessor
-    links, and the walked-out mask."""
-
-    @staticmethod
-    def _states_equal(x, y):
-        assert x.hi == y.hi and x.n == y.n and x.tlen == y.tlen
-        assert np.array_equal(x.tails_vals[: x.tlen], y.tails_vals[: y.tlen])
-        assert np.array_equal(x.tails_idx[: x.tlen], y.tails_idx[: y.tlen])
-        assert np.array_equal(x.prev, y.prev)
-
-    @staticmethod
-    def _random_seq(rng: np.random.Generator, n: int) -> np.ndarray:
-        if rng.random() < 0.5:
-            return rng.permutation(n).astype(np.int64)
-        # duplicate-heavy draws stress the bisect_left tie-break
-        return rng.integers(0, max(2, n // 4), size=n).astype(np.int64)
-
-    def test_random_split_points_reassociate(self):
-        from repro.core.ordering import lis_membership
-        from repro.parallel import mask_from_state, merge_blocks, patience_block
-
-        rng = suite_rng(salt=600)
-        for _ in range(30):
-            n = int(rng.integers(8, 250))
-            seq = self._random_seq(rng, n)
-            bounds = random_partition(rng, n)
-            blocks = [patience_block(seq, lo, hi) for lo, hi in bounds]
-            one_pass = merge_blocks(seq, blocks)
-            # resume from a random split: merge([:k]) then continue with [k:]
-            k = int(rng.integers(0, len(blocks) + 1))
-            prefix = merge_blocks(seq, blocks[:k])
-            resumed = merge_blocks(seq, blocks[k:], state=prefix)
-            self._states_equal(resumed, one_pass)
-            # the prefix state was not mutated by the continuation
-            assert prefix.hi == (blocks[k - 1].hi if k else 0)
-            # and the walked-out mask is the canonical serial mask
-            assert np.array_equal(mask_from_state(one_pass), lis_membership(seq))
-
-    def test_nested_reassociations_agree(self):
-        """Fold ((a·b)·c)·d against (a·b)·(c·d)-style resumptions."""
-        from repro.parallel import merge_blocks, patience_block
-
-        rng = suite_rng(salt=601)
-        for _ in range(15):
-            n = int(rng.integers(12, 200))
-            seq = self._random_seq(rng, n)
-            bounds = random_partition(rng, n)
-            blocks = [patience_block(seq, lo, hi) for lo, hi in bounds]
-            want = merge_blocks(seq, blocks)
-            state = None
-            for blk in blocks:  # fully left-nested, one block at a time
-                state = merge_blocks(seq, [blk], state=state)
-            self._states_equal(state, want)
-
-    def test_block_granularity_invariance(self):
-        """Merging fine blocks == merging coarse blocks over the same rows."""
-        from repro.parallel import merge_blocks, patience_block, plan_order_blocks
-
-        rng = suite_rng(salt=602)
-        for _ in range(10):
-            n = int(rng.integers(20, 200))
-            seq = self._random_seq(rng, n)
-            fine = [patience_block(seq, lo, hi)
-                    for lo, hi in plan_order_blocks(n, 3)]
-            coarse = [patience_block(seq, lo, hi)
-                      for lo, hi in plan_order_blocks(n, 50)]
-            self._states_equal(merge_blocks(seq, fine), merge_blocks(seq, coarse))
-
-
-class TestKappaRangeAfterMerge:
-    def test_kappa_in_unit_interval_for_any_sharding(self):
-        """κ and every metric component stay in [0, 1] under fan-out."""
-        rng = np.random.default_rng(314159)
-        with ParallelComparator(jobs=1, shard_packets=13) as pc:
-            for _ in range(20):
-                a, b = noisy_pair(rng, int(rng.integers(10, 120)))
-                rep = pc.compare(a, b)
-                assert 0.0 <= rep.kappa <= 1.0
-                for comp in (rep.metrics.u, rep.metrics.o,
-                             rep.metrics.l, rep.metrics.i):
-                    assert 0.0 <= comp <= 1.0
-                # and it is the same κ serial computes, exactly
-                assert rep.kappa == compare_trials(a, b).kappa
-
-
-class TestShardPlanner:
-    def test_plans_tile_exactly(self):
-        rng = np.random.default_rng(2718)
-        for _ in range(50):
-            jobs = int(rng.integers(1, 9))
-            n = int(rng.integers(0, 5000))
-            forced = int(rng.integers(1, 64)) if rng.random() < 0.5 else None
-            planner = ShardPlanner(jobs, shard_packets=forced,
-                                   min_shard_packets=256)
-            plan = planner.plan_pair(n)  # ShardPlan.__post_init__ validates
-            assert plan.n_common == n
-            assert sum(hi - lo for lo, hi in plan.bounds) == n
-
-    def test_forced_shard_size(self):
-        plan = ShardPlanner(2, shard_packets=10).plan_pair(25)
-        assert plan.bounds == ((0, 10), (10, 20), (20, 25))
-
-    def test_auto_sizing_respects_minimum(self):
-        planner = ShardPlanner(8, min_shard_packets=1000)
-        assert planner.plan_pair(999).n_shards == 1
-        assert planner.plan_pair(4000).n_shards == 4
-        assert planner.plan_pair(100_000).n_shards == 8  # capped by jobs
-
-    def test_whole_pair_strategy_choice(self):
-        assert ShardPlanner(4).use_whole_pairs(4)
-        assert ShardPlanner(4).use_whole_pairs(9)
-        assert not ShardPlanner(4).use_whole_pairs(3)
-        # forcing a shard size always forces the sharded path
-        assert not ShardPlanner(4, shard_packets=5).use_whole_pairs(9)
-
-    def test_plan_ordering_auto_and_forced(self):
-        from repro.parallel import DEFAULT_ORDER_BLOCK_PACKETS
-
-        # auto: a pool plus a big-enough pair shards the ordering metric
-        plan = ShardPlanner(4).plan_ordering(100_000)
-        assert plan is not None
-        assert plan.bounds[0] == (0, DEFAULT_ORDER_BLOCK_PACKETS)
-        # serial, small pairs, or empty pairs keep the whole-pair task
-        assert ShardPlanner(1).plan_ordering(100_000) is None
-        assert ShardPlanner(4).plan_ordering(1000) is None
-        assert ShardPlanner(4).plan_ordering(0) is None
-        # forcing a block size shards even at jobs=1 (tests pin with this)
-        forced = ShardPlanner(1, order_block_packets=8).plan_ordering(20)
-        assert forced.bounds == ((0, 8), (8, 16), (16, 20))
-        # and forces the within-pair strategy for series
-        assert not ShardPlanner(4, order_block_packets=8).use_whole_pairs(9)
-
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            ShardPlan(n_common=10, bounds=((0, 4), (5, 10)))  # gap
-        with pytest.raises(ValueError):
-            ShardPlan(n_common=10, bounds=((0, 6), (4, 10)))  # overlap
-        with pytest.raises(ValueError):
-            ShardPlan(n_common=10, bounds=((0, 8),))  # short
+from repro.parallel import ShmArena
 
 
 class TestShmArena:
     def test_roundtrip_and_isolation(self):
         rng = np.random.default_rng(55)
         data = rng.normal(size=257)
-        with ShmArena(enabled=True) as arena:
+        with ShmArena() as arena:
             spec = arena.share(data)
             view = arena.view(spec)
             assert np.array_equal(view, data)
@@ -329,19 +25,13 @@ class TestShmArena:
             assert view[0] != data[0]
 
     def test_zero_length_is_inline(self):
-        with ShmArena(enabled=True) as arena:
+        with ShmArena() as arena:
             spec = arena.share(np.empty(0, dtype=np.float64))
             assert spec.shm_name is None
             assert arena.view(spec).size == 0
 
-    def test_disabled_arena_ships_inline(self):
-        with ShmArena(enabled=False) as arena:
-            spec = arena.share(np.arange(5, dtype=np.float64))
-            assert spec.shm_name is None
-            assert np.array_equal(arena.view(spec), np.arange(5.0))
-
     def test_allocate_zeroed_buffer(self):
-        with ShmArena(enabled=True) as arena:
+        with ShmArena() as arena:
             spec, buf = arena.allocate(64)
             assert buf.shape == (64,) and not buf.any()
             buf[:] = 3.5

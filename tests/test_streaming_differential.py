@@ -7,9 +7,9 @@ on κ itself, no tolerance.  The grid crosses:
 * **profiles**: quiet (aligned, light jitter), reordered (jitter large
   enough to permute arrivals), droppy (drops plus non-baseline extras) —
   the three regimes of the paper's Section-3 comparisons;
-* **adversarial permutations**: the :data:`~tests.test_ordershard_corpus.CORPUS`
-  sequences re-expressed as trial pairs, so the splice/replay worst cases
-  of the prefix-patience merge flow through the full metric stack;
+* **adversarial permutations**: the :data:`~tests.ordering_corpus.CORPUS`
+  sequences re-expressed as trial pairs, so the patience loop's worst
+  cases flow through the full metric stack;
 * **chunk sizes**: 1 and 13 always, 4096/65536 when the stream is long
   enough (the CI matrix feeds those via ``REPRO_STREAM_CHUNK``).
 
@@ -29,7 +29,7 @@ from repro.analysis.streamkappa import StreamKappa
 from repro.core import Trial, compare_trials
 
 from .conftest import make_trial, suite_rng
-from .test_ordershard_corpus import CORPUS
+from .ordering_corpus import CORPUS
 
 
 def _chunk_sizes(n: int) -> list[int]:
@@ -103,9 +103,10 @@ class TestProfileGrid:
 
 
 class TestAdversarialPermutations:
-    """The ordershard corpus as trial pairs: B arrives in the permutation's
+    """The ordering corpus as trial pairs: B arrives in the permutation's
     order, so the matched A-positions in B order *are* the corpus sequence
-    and the streaming O exercises exactly its splice/replay worst cases."""
+    and the streaming O resumes the patience loop on exactly its worst
+    cases."""
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_corpus_sequence_end_to_end(self, name):

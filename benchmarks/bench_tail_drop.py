@@ -1,0 +1,163 @@
+"""Exact tail drop: the vectorized queue against the packet-at-a-time oracle.
+
+The shared SR-IOV port of ``fabric-shared-40g-noisy`` (Section 7.1) serves
+the merged foreground + co-tenant stream through a finite VF ring, via
+:func:`repro.net.queueing.fifo_tail_drop`.  This benchmark captures those
+merged streams from a real series at two duration scales, then times the
+production function against ``reference_tail_drop`` (the packet-at-a-time
+loop in ``tests/test_queueing.py``) on every captured call, asserting that
+the accepted masks and the departure-time bytes are identical.
+
+Reported per scale: ns per packet for both, the drop-free busy periods,
+the drops, and the share of packets served by the scalar steps between an
+at-risk arrival and the next regeneration point.  The table goes to
+``benchmarks/out/tail_drop.txt``, the structured twin to ``tail_drop.json``.
+
+``REPRO_BENCH_SMOKE=1`` (CI) measures the small scale only and gates the
+production path at >= 2x faster than the oracle.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+import repro.net.sriov as sriov
+from repro.experiments.scenarios import scenario
+from repro.net import queueing
+from repro.testbeds import Testbed
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.test_queueing import reference_tail_drop  # noqa: E402
+
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+SCENARIO = "fabric-shared-40g-noisy"
+SCALES = (0.01,) if SMOKE else (0.01, 0.2)
+N_RUNS = 3
+#: Each call is timed this many times per implementation; the best counts.
+REPEATS = 3
+MIN_SPEEDUP = 2.0
+
+
+def _captured_calls(scale: float) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """The (ready, service, capacity) of every shared-port tail-drop call."""
+    calls = []
+    production = sriov.fifo_tail_drop
+
+    def capture(ready, service, capacity):
+        calls.append((np.array(ready), np.array(service), capacity))
+        return production(ready, service, capacity)
+
+    sc = scenario(SCENARIO)
+    sriov.fifo_tail_drop = capture
+    try:
+        Testbed(sc.profile(scale), seed=sc.seed).run_series(N_RUNS)
+    finally:
+        sriov.fifo_tail_drop = production
+    return calls
+
+
+def _best_of(fn, *args) -> tuple[float, object]:
+    best = np.inf
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        result = fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
+def _scalar_packets(ready, service, capacity) -> int:
+    """Packets the production call serves in its scalar steps."""
+    spans = []
+    steps = queueing._scalar_steps
+
+    def counted(ready, service, done, accepted, a, f, end, cap):
+        stop = steps(ready, service, done, accepted, a, f, end, cap)
+        spans.append(stop - f)
+        return stop
+
+    queueing._scalar_steps = counted
+    try:
+        queueing.fifo_tail_drop(ready, service, capacity)
+    finally:
+        queueing._scalar_steps = steps
+    return sum(spans)
+
+
+def _measure(scale: float) -> dict:
+    calls = _captured_calls(scale)
+    row = dict(calls=len(calls), packets=0, busy_periods=0, drops=0,
+               scalar_packets=0, oracle_s=0.0, production_s=0.0)
+    for ready, service, capacity in calls:
+        oracle_s, want = _best_of(reference_tail_drop, ready, service, capacity)
+        production_s, got = _best_of(queueing.fifo_tail_drop, ready, service, capacity)
+        assert np.array_equal(got.accepted, want.accepted)
+        assert got.done_ns.tobytes() == want.done_ns.tobytes()
+        row["packets"] += ready.size
+        row["busy_periods"] += int(queueing._drop_free_departures(ready, service)[1].sum())
+        row["drops"] += got.n_dropped
+        row["scalar_packets"] += _scalar_packets(ready, service, capacity)
+        row["oracle_s"] += oracle_s
+        row["production_s"] += production_s
+    return row
+
+
+def test_tail_drop_speedup(once, emit, emit_json):
+    rows = once(lambda: {scale: _measure(scale) for scale in SCALES})
+
+    lines = [
+        f"{SCENARIO} shared-port tail drop, {N_RUNS} runs per scale, best of "
+        f"{REPEATS} per call{' (smoke)' if SMOKE else ''}",
+        f"{'scale':>5s}  {'calls':>5s}  {'packets':>9s}  {'periods':>7s}  "
+        f"{'drops':>5s}  {'scalar':>6s}  {'oracle':>10s}  {'production':>10s}  "
+        f"{'speedup':>7s}",
+    ]
+    for scale, r in rows.items():
+        lines.append(
+            f"{scale:5.2f}  {r['calls']:5d}  {r['packets']:9d}  "
+            f"{r['busy_periods']:7d}  {r['drops']:5d}  "
+            f"{r['scalar_packets'] / r['packets']:6.1%}  "
+            f"{r['oracle_s'] / r['packets'] * 1e9:7.1f} ns  "
+            f"{r['production_s'] / r['packets'] * 1e9:7.1f} ns  "
+            f"{r['oracle_s'] / r['production_s']:6.2f}x"
+        )
+    lines.append("")
+    lines.append(
+        "ns per packet; 'scalar' is the share of packets served one at a "
+        "time; accepted masks and departure bytes identical on every call"
+    )
+    emit("tail_drop", "\n".join(lines))
+    emit_json(
+        "tail_drop",
+        {
+            "scenario": SCENARIO,
+            "scales": list(SCALES),
+            "n_runs": N_RUNS,
+            "seed": scenario(SCENARIO).seed,
+            "repeats": REPEATS,
+            "smoke": SMOKE,
+            "streams": {
+                str(scale): {k: r[k] for k in ("calls", "packets", "busy_periods",
+                                               "drops", "scalar_packets")}
+                for scale, r in rows.items()
+            },
+        },
+        sum(r["oracle_s"] for r in rows.values()),
+        {
+            f"{impl}@{scale}": r[f"{impl}_s"]
+            for scale, r in rows.items()
+            for impl in ("oracle", "production")
+        },
+    )
+
+    if SMOKE:
+        for scale, r in rows.items():
+            speedup = r["oracle_s"] / r["production_s"]
+            assert speedup >= MIN_SPEEDUP, (
+                f"tail drop at scale {scale}: production only {speedup:.2f}x "
+                f"faster than the oracle (gate {MIN_SPEEDUP}x)"
+            )

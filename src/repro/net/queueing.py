@@ -23,13 +23,18 @@ because unrolling the recurrence shows every prefix maximum candidate is
 back-to-back".  The inner maximum is a single ``np.maximum.accumulate``.
 
 Finite buffers (tail drop) break the closed form — whether packet *i* is
-dropped feeds back into every later departure — so :func:`fifo_tail_drop`
-falls back to an exact O(n) scalar loop.  Only contended shared-NIC
-scenarios take that path, and only for the queue in contention.
+dropped feeds back into every later departure.  :func:`fifo_tail_drop`
+stays exact by solving the drop-free departures exactly (left-to-right
+sums per busy period, checked to a fixed point), screening them for the
+arrivals that could find the queue full, and stepping packet by packet
+only from such an arrival to the next point where the queue has drained.
+Only contended shared-NIC scenarios take that path, and only for the
+queue in contention.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,9 +99,34 @@ def fifo_tail_drop(
 
     A packet arriving while ``queue_capacity`` packets are already waiting
     or in service is discarded (tail drop), as a NIC RX/TX ring or switch
-    egress queue does.  Exact sequential semantics; O(n) Python loop kept
-    deliberately lean (scalar locals only) since it is only used for
-    contended queues.
+    egress queue does.  The result is bit-identical to serving the packets
+    one at a time in arrival order, but only the stretches where the queue
+    can overflow are stepped packet by packet:
+
+    1. the drop-free departures are solved exactly per busy period
+       (:func:`_drop_free_departures`);
+    2. departures are non-decreasing, so arrival *i* finds the queue full
+       iff ``done[i - queue_capacity] > ready[i]`` — one vector compare,
+       and every packet before the first such arrival is accepted;
+    3. from that arrival the queue is stepped packet by packet up to the
+       next *regeneration point* (an arrival at or after the last
+       departure, when the queue is empty and carries no history), and
+       the search resumes from there.
+
+    Parameters
+    ----------
+    ready_ns:
+        Arrival times, **non-decreasing** and finite.
+    service_ns:
+        Per-packet service durations, finite and non-negative.
+    queue_capacity:
+        Packets the queue holds, the one in service included (>= 1).
+
+    Raises
+    ------
+    ValueError
+        On unequal shapes, ``queue_capacity < 1``, decreasing or
+        non-finite ``ready_ns``, or negative or non-finite ``service_ns``.
     """
     ready = np.asarray(ready_ns, dtype=np.float64)
     service = np.asarray(service_ns, dtype=np.float64)
@@ -104,27 +134,148 @@ def fifo_tail_drop(
         raise ValueError("ready_ns and service_ns must have equal shape")
     if queue_capacity < 1:
         raise ValueError("queue_capacity must be >= 1")
+    if not np.isfinite(ready).all():
+        raise ValueError("ready_ns must be finite")
+    if (ready[1:] < ready[:-1]).any():
+        raise ValueError("ready_ns must be non-decreasing")
+    if not np.isfinite(service).all() or (service < 0).any():
+        raise ValueError("service_ns must be finite and non-negative")
     n = ready.size
-    accepted = np.zeros(n, dtype=bool)
-    done = []
-    done_append = done.append
+    accepted = np.ones(n, dtype=bool)
+    if n == 0:
+        return TailDropResult(np.empty(0, dtype=np.float64), accepted)
+
+    cap = int(queue_capacity)
+    done, is_start = _drop_free_departures(ready, service)
+    starts = np.flatnonzero(is_start)
+    # Drop-free busy periods start in every drop pattern too (drops only
+    # lower departures), so no overflow stretch crosses one.
+    at_risk = np.flatnonzero(done[:-cap] > ready[cap:]) + cap
+    # ``a`` is the last regeneration point; ``done[a:e]`` was re-solved
+    # drop-free from it, and ``done[e:]`` is still the initial solution.
+    a = e = 0
+    while True:
+        local = np.flatnonzero(done[a:e - cap] > ready[a + cap:e]) if e - a > cap else ()
+        if len(local):
+            f = a + cap + int(local[0])
+        else:
+            k = int(np.searchsorted(at_risk, e))
+            if k == at_risk.size:
+                break
+            f = int(at_risk[k])
+        k = int(np.searchsorted(starts, f, side="right"))
+        a = _scalar_steps(
+            ready, service, done, accepted, a, f,
+            int(starts[k]) if k < starts.size else n, cap,
+        )
+        if a == n:
+            break
+        k = int(np.searchsorted(starts, a))
+        e = int(starts[k]) if k < starts.size else n
+        if e > a:
+            done[a:e] = _drop_free_departures(ready[a:e], service[a:e])[0]
+    if accepted.all():
+        return TailDropResult(done, accepted)
+    return TailDropResult(done[accepted], accepted)
+
+
+def _drop_free_departures(
+    ready: np.ndarray, service: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact infinite-buffer departures and busy-period starts.
+
+    The closed form :func:`fifo_departures` rounds differently from the
+    recurrence, so it only proposes the busy-period starts (``ready[i] >
+    done[i - 1]``; packet 0 always starts one).  Each period is then summed
+    left to right, ``ready[start] + service[start] + service[start+1] +
+    ...``, which are the recurrence's own additions in its own order, and
+    the starts are re-derived from those sums until they stop changing.
+    At that fixed point every step of the recurrence holds, so the result
+    is exact.  Each round fixes at least the first wrong start, so the
+    loop ends; in practice the closed form's guess is already the fixed
+    point.
+    """
+    guess = fifo_departures(ready, service)
+    is_start = np.empty(ready.size, dtype=bool)
+    is_start[0] = True
+    np.greater(ready[1:], guess[:-1], out=is_start[1:])
+    while True:
+        done = _busy_period_sums(ready, service, np.flatnonzero(is_start))
+        rederived = ready[1:] > done[:-1]
+        if np.array_equal(rederived, is_start[1:]):
+            return done, is_start
+        is_start[1:] = rederived
+
+
+def _busy_period_sums(
+    ready: np.ndarray, service: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Left-to-right sums ``ready[start] + service[start] + ... + service[i]``.
+
+    Periods are grouped by length into power-of-two buckets; each bucket
+    becomes one zero-padded matrix whose rows are
+    ``[ready[start], service[start], service[start+1], ...]``, and one
+    ``np.cumsum`` along the rows adds them in order.
+    """
+    n = ready.size
+    lengths = np.diff(starts, append=n)
+    # Bucket k holds the periods of length in (2**(k-1), 2**k].
+    buckets = np.frexp(lengths - 1)[1]
+    done = np.empty(n, dtype=np.float64)
+    for k in np.unique(buckets).tolist():
+        sel = buckets == k
+        first = starts[sel]
+        cols = np.arange(1 << k)
+        pos = first[:, None] + cols
+        inside = cols < lengths[sel][:, None]
+        rows = np.empty((first.size, cols.size + 1), dtype=np.float64)
+        rows[:, 0] = ready[first]
+        rows[:, 1:] = np.where(inside, service[np.minimum(pos, n - 1)], 0.0)
+        np.cumsum(rows, axis=1, out=rows)
+        done[pos[inside]] = rows[:, 1:][inside]
+    return done
+
+
+def _scalar_steps(
+    ready: np.ndarray,
+    service: np.ndarray,
+    done: np.ndarray,
+    accepted: np.ndarray,
+    a: int,
+    f: int,
+    end: int,
+    cap: int,
+) -> int:
+    """Serve packets ``f, f+1, ...`` one at a time, in place.
+
+    ``done[a:f]`` are the exact departures of the accepted packets since
+    regeneration point ``a``.  Packets are served until the next
+    regeneration point or ``end`` (a drop-free busy-period start, itself
+    one), whose index is returned; ``done`` and ``accepted`` are filled
+    for the packets served.
+    """
+    live = done[a + int(np.searchsorted(done[a:f], ready[f], side="right")):f]
     # Completion times of packets still "in the system" relative to a
     # candidate arrival form a sliding window; track them in a ring buffer.
-    from collections import deque
-
-    in_system: deque[float] = deque()
-    last_done = -np.inf
-    r_list = ready.tolist()
-    s_list = service.tolist()
-    for i in range(n):
-        t = r_list[i]
-        while in_system and in_system[0] <= t:
+    in_system = deque(live.tolist())
+    last_done = in_system[-1]
+    served = []
+    dropped = []
+    stop = end
+    s_list = service[f:end].tolist()
+    for j, t in enumerate(ready[f:end].tolist()):
+        if t >= last_done:
+            stop = f + j  # the queue has drained: regeneration point
+            break
+        # t < last_done, so the newest entry is never popped.
+        while in_system[0] <= t:
             in_system.popleft()
-        if len(in_system) >= queue_capacity:
+        if len(in_system) >= cap:
+            dropped.append(j)
             continue  # tail drop
-        start = t if t > last_done else last_done
-        last_done = start + s_list[i]
+        last_done += s_list[j]  # start = last_done since t < last_done
         in_system.append(last_done)
-        accepted[i] = True
-        done_append(last_done)
-    return TailDropResult(np.asarray(done, dtype=np.float64), accepted)
+        served.append(last_done)
+    accepted[f + np.asarray(dropped, dtype=np.intp)] = False
+    done[f:stop][accepted[f:stop]] = served
+    return stop

@@ -1,12 +1,16 @@
 """Unit and property tests for the FIFO service primitives."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.net import fifo_departures, fifo_tail_drop
+from repro.net import TailDropResult, fifo_departures, fifo_tail_drop
+
+from .conftest import suite_rng
 
 
 def reference_fifo(ready, service):
@@ -18,6 +22,48 @@ def reference_fifo(ready, service):
         last = start + service[i]
         done[i] = last
     return done
+
+
+def reference_tail_drop(ready_ns, service_ns, queue_capacity):
+    """Tail drop served one packet at a time: the oracle for fifo_tail_drop."""
+    ready = np.asarray(ready_ns, dtype=np.float64)
+    service = np.asarray(service_ns, dtype=np.float64)
+    if ready.shape != service.shape:
+        raise ValueError("ready_ns and service_ns must have equal shape")
+    if queue_capacity < 1:
+        raise ValueError("queue_capacity must be >= 1")
+    n = ready.size
+    accepted = np.zeros(n, dtype=bool)
+    done = []
+    done_append = done.append
+    # Completion times of packets still "in the system" relative to a
+    # candidate arrival form a sliding window; track them in a ring buffer.
+    in_system: deque[float] = deque()
+    last_done = -np.inf
+    r_list = ready.tolist()
+    s_list = service.tolist()
+    for i in range(n):
+        t = r_list[i]
+        while in_system and in_system[0] <= t:
+            in_system.popleft()
+        if len(in_system) >= queue_capacity:
+            continue  # tail drop
+        start = t if t > last_done else last_done
+        last_done = start + s_list[i]
+        in_system.append(last_done)
+        accepted[i] = True
+        done_append(last_done)
+    return TailDropResult(np.asarray(done, dtype=np.float64), accepted)
+
+
+def assert_same_as_reference(ready, service, cap):
+    """fifo_tail_drop equals the oracle bit for bit; returns the result."""
+    got = fifo_tail_drop(ready, service, cap)
+    want = reference_tail_drop(ready, service, cap)
+    assert np.array_equal(got.accepted, want.accepted)
+    assert got.done_ns.dtype == np.float64
+    assert got.done_ns.tobytes() == want.done_ns.tobytes()
+    return got
 
 
 class TestFifoDepartures:
@@ -113,3 +159,95 @@ class TestTailDrop:
         np.testing.assert_allclose(
             r.done_ns, fifo_departures(kept_ready, kept_svc), rtol=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "ready, service",
+        [
+            ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0]),
+            ([0.0, np.nan, 2.0], [1.0, 1.0, 1.0]),
+            ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0]),
+            ([-np.inf, 0.0, 1.0], [1.0, 1.0, 1.0]),
+            ([0.0, 1.0, 2.0], [1.0, -1.0, 1.0]),
+            ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0]),
+            ([0.0, 1.0, 2.0], [1.0, 1.0, np.inf]),
+        ],
+        ids=[
+            "decreasing-ready", "nan-ready", "inf-ready", "neg-inf-ready",
+            "negative-service", "nan-service", "inf-service",
+        ],
+    )
+    def test_rejects_bad_input(self, ready, service):
+        with pytest.raises(ValueError):
+            fifo_tail_drop(np.array(ready), np.array(service), queue_capacity=2)
+
+    def test_empty(self):
+        r = fifo_tail_drop(np.array([]), np.array([]), queue_capacity=3)
+        assert r.done_ns.shape == (0,) and r.accepted.shape == (0,)
+
+
+@st.composite
+def tail_drop_cases(draw):
+    """Integer-valued arrivals (zero gaps make ties) and mixed service."""
+    n = draw(st.integers(1, 150))
+    gaps = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 60)))
+    ready = np.cumsum(gaps).astype(np.float64)
+    if draw(st.booleans()):
+        service = np.zeros(n)
+    else:
+        service = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+            st.sampled_from([0.0, 16.8, 25.0]),
+            st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False),
+        )))
+    return ready, service, draw(st.integers(1, 20))
+
+
+class TestTailDropDifferential:
+    """fifo_tail_drop against the packet-at-a-time oracle, with exact ==."""
+
+    @given(tail_drop_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_property_matches_reference(self, case):
+        assert_same_as_reference(*case)
+
+    def test_random_long_streams(self):
+        # Long busy periods (many bucket sizes) near and above saturation.
+        rng = suite_rng(15)
+        for _ in range(60):
+            n = int(rng.integers(100, 4000))
+            ready = np.cumsum(rng.integers(0, 50, n)).astype(np.float64)
+            ready += rng.choice([0.0, 0.3, 1e9 + 0.1])
+            service = rng.choice([16.8, 25.0, 33.3], n) * rng.uniform(0.5, 1.5)
+            assert_same_as_reference(ready, service, int(rng.integers(1, 21)))
+
+    def test_drop_episodes_inside_one_busy_period(self):
+        # Bursts of 10 into a 4-deep queue every 50 ns.  The finite queue
+        # drains between bursts (each burst is a regeneration point), but
+        # the drop-free queue never does: one busy period, many episodes.
+        bursts, size, cap = 6, 10, 4
+        ready = np.repeat(np.arange(bursts) * 50.0, size)
+        service = np.full(ready.size, 10.0)
+        free = fifo_departures(ready, service)
+        assert np.all(ready[1:] <= free[:-1])  # a single drop-free period
+        got = assert_same_as_reference(ready, service, cap)
+        want = np.tile(np.arange(size) < cap, bursts)
+        np.testing.assert_array_equal(got.accepted, want)
+
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    @pytest.mark.parametrize("length", [3, 7, 40])
+    def test_arrival_on_a_departure(self, length, nudge):
+        # A chain in a 1-deep queue: each packet arrives exactly when the
+        # one before departs (so is accepted), except that the last
+        # arrival is moved one ulp early (dropped) or late (a new busy
+        # period).  The closed form rounds these departures up by an ulp
+        # or more, so only the exact sums decide the ties correctly, and
+        # the late arrival is a busy-period start the closed form misses.
+        service = np.full(length, 16.8)
+        chain = [1e9 + 0.1]
+        for s in service[:-1]:
+            chain.append(chain[-1] + s)
+        ready = np.array(chain)
+        assert np.any(fifo_departures(ready, service)[:-1] != ready[1:])
+        if nudge:
+            ready[-1] = np.nextafter(ready[-1], nudge * np.inf)
+        got = assert_same_as_reference(ready, service, 1)
+        np.testing.assert_array_equal(got.accepted, np.arange(length) < length - (nudge < 0))

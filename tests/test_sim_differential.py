@@ -30,6 +30,7 @@ from repro.testbeds import (
 )
 
 from .test_parallel_differential import assert_series_equal
+from .test_queueing import reference_tail_drop
 
 
 def _job_counts() -> list[int]:
@@ -126,6 +127,19 @@ class TestSimulationDifferential:
         """The grid is honest: the noisy scenario exercises the drop path."""
         _, arts = _reference("droppy-noisy")
         assert sum(a.n_dropped for a in arts) > 0
+
+    def test_droppy_scenario_matches_reference_tail_drop(self, monkeypatch):
+        """The shared port's tail drop equals the packet-at-a-time oracle."""
+        want_trials, want_arts = _reference("droppy-noisy")
+        monkeypatch.setattr("repro.net.sriov.fifo_tail_drop", reference_tail_drop)
+        got_trials, got_arts = Testbed(
+            SCENARIOS["droppy-noisy"](), seed=SEED
+        ).run_series(N_RUNS, collect_artifacts=True, jobs=1)
+        assert sum(a.n_dropped for a in got_arts) > 0
+        for g, w in zip(got_arts, want_arts, strict=True):
+            assert_artifacts_equal(g, w)
+            assert g.trial.tags.tobytes() == w.trial.tags.tobytes()
+            assert g.trial.times_ns.tobytes() == w.trial.times_ns.tobytes()
 
     def test_reordered_scenario_uses_two_replayers(self):
         assert SCENARIOS["reordered-dual"]().n_replayers == 2

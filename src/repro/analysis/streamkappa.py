@@ -28,12 +28,13 @@ Two comparators, two memory stories:
       stream.  A-side *positions* do: the map position → rank over the
       final common set is a strictly increasing bijection, and patience
       state (pile indices, tie-breaks, predecessor links) depends only on
-      the relative order of distinct values.  The serial loop
-      :func:`~repro.core.ordering.patience_fill` already resumes from a
-      live pile state, so each chunk's matched positions are simply fed to
-      it where the previous chunk stopped: the state after any chunking
-      *is* the state of one serial pass over the prefix (indices and
-      links, element for element) — the serial loop, resumed.
+      the relative order of distinct values.  The patience kernel
+      :func:`~repro.core.ordering.patience_fill` resumes from a live
+      :class:`~repro.core.ordering.PileState` and leaves exactly the state
+      of the element-at-a-time loop, so each chunk's matched positions are
+      simply fed to it where the previous chunk stopped: the state after
+      any chunking *is* the state of one serial pass over the prefix
+      (indices and links, element for element) — the serial loop, resumed.
     * **Batch-identical reductions.**  Per-packet Δl/Δg are computed with
       the identical elementwise operations, stored, reordered to A order
       at :meth:`~StreamKappa.result`, and fed to the *same* reduction
@@ -68,7 +69,6 @@ notes and the exactness argument in full.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +78,7 @@ from ..core.matching import Matching, match_trials, occurrence_ranks
 from ..core.iat import iat_from_deltas, iat_from_matching
 from ..core.latency import latency_from_deltas, latency_from_matching
 from ..core.ordering import (
+    PileState,
     b_order_ranks,
     edit_script_from_keep,
     edit_script_from_matching,
@@ -181,12 +182,9 @@ class StreamKappa:
         self._pos_b = _Grow(np.int64)
         self._dl = _Grow(np.float64)
         self._dg = _Grow(np.float64)
-        # Patience piles over matched A-positions in arrival order: tails
-        # as Python lists (what patience_fill mutates), predecessor links
-        # per common packet.
-        self._tails_vals: list[int] = []
-        self._tails_idx: list[int] = []
-        self._prev = _Grow(np.intp)
+        # Patience piles over matched A-positions in arrival order, with a
+        # predecessor link per common packet.
+        self._piles = PileState(np.int64)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -267,17 +265,9 @@ class StreamKappa:
         dl_new = (t_new - self._first_b) - self._rel_a[pos_a_new]
         dg_new = g_b[present][keep] - self._iats_a[pos_a_new]
 
-        # Streaming O: resume the serial patience loop on the chunk's
-        # matched A-positions, new elements indexed after the prefix.
-        lo = self._pos_a._n
-        self._prev.extend(np.full(n_new, -1, dtype=np.intp))
-        patience_fill(
-            pos_a_new.tolist(),
-            self._tails_vals,
-            self._tails_idx,
-            self._prev.view()[lo:],
-            offset=lo,
-        )
+        # Streaming O: resume the patience sort on the chunk's matched
+        # A-positions, new elements indexed after the prefix.
+        patience_fill(pos_a_new, self._piles)
 
         self._pos_a.extend(pos_a_new)
         self._pos_b.extend(pos_b_new)
@@ -314,7 +304,7 @@ class StreamKappa:
             u = uniqueness_from_matching(m)
 
             keep = np.zeros(n_c, dtype=bool)
-            keep[lis_indices_from_state(self._tails_idx, self._prev.view())] = True
+            keep[lis_indices_from_state(self._piles)] = True
             script = edit_script_from_keep(m, b_order_ranks(m), keep)
             o = ordering_from_matching(m, script)
 
@@ -371,10 +361,8 @@ class StreamKappa:
     def state_bytes(self) -> int:
         """Bytes of live mutable state (excluding the baseline arrays).
 
-        The pile tails are Python lists: each counts its own size plus one
-        int object per entry, sized as the largest value the list can hold
-        (A-positions < |A|, pile indices < common count) — exact while
-        those fit one int size class, an upper bound otherwise.
+        Every buffer counts its allocated capacity, the pile state's tails
+        and predecessor links included.
         """
         return int(
             self._b_occ.nbytes
@@ -382,18 +370,14 @@ class StreamKappa:
             + self._pos_b.nbytes
             + self._dl.nbytes
             + self._dg.nbytes
-            + self._prev.nbytes
-            + sys.getsizeof(self._tails_vals)
-            + len(self._tails_vals) * sys.getsizeof(len(self._a))
-            + sys.getsizeof(self._tails_idx)
-            + len(self._tails_idx) * sys.getsizeof(self._pos_a._n)
+            + self._piles.nbytes
         )
 
     @property
     def peak_bytes(self) -> int:
         """High-water mark of :attr:`state_bytes` over the stream so far.
 
-        Every buffer and pile list only grows, so this is the current size.
+        Every buffer only grows, so this is the current size.
         """
         return self.state_bytes
 

@@ -8,7 +8,8 @@ The entries stress the patience loop from every side: fully sorted (every
 element appends), reversed and valley shapes (every element lands on pile
 0), rotations and block swaps (long runs interrupted once), organ-pipe and
 interleaved runs (values straddling earlier ones), a single far-moved
-packet, and duplicate-heavy streams that stress the ``bisect_left``
+packet, two streams merged in bursts with a block swap (short runs and
+long runs in one input), and duplicate-heavy streams that stress the ``bisect_left``
 tie-break the canonical mask is defined by.  Sizes are small enough for
 the ``O(n·m)`` DP cross-check.  ``REPRO_TEST_SEED`` drives the randomized
 duplicate streams.
@@ -38,6 +39,25 @@ def _interleaved_runs(n: int) -> np.ndarray:
     return out
 
 
+def _burst_shuffle(per_stream: int = 160, block: int = 60) -> np.ndarray:
+    """Two increasing streams merged in bursts, then one block swap.
+
+    The shape of ``local-dual``'s A-ranks in B order (two replayers merged
+    at the switch): A interleaves the streams in bursts of 16, B in bursts
+    of 17, so short ascending runs alternate between the streams.  The
+    last ``block`` packets of stream 1 then arrive before those of stream
+    0: two long runs, the second bisecting into the tails the first left.
+    """
+    a_ranks = np.arange(2 * per_stream).reshape(-1, 16)
+    streams = [a_ranks[0::2].ravel(), a_ranks[1::2].ravel()]
+    head = per_stream - block
+    bursts = [
+        s[lo : min(lo + 17, head)] for lo in range(0, head, 17) for s in streams
+    ]
+    tail = [streams[1][head:], streams[0][head:]]
+    return np.concatenate(bursts + tail).astype(np.int64)
+
+
 def _dup_stream(n: int, alphabet: int, salt: int) -> np.ndarray:
     return suite_rng(salt).integers(0, alphabet, size=n).astype(np.int64)
 
@@ -59,6 +79,7 @@ CORPUS: dict[str, np.ndarray] = {
     "duplicate-heavy": _dup_stream(140, 7, salt=101),
     "binary-tags": _dup_stream(150, 2, salt=102),
     "all-equal": np.zeros(130, dtype=np.int64),
+    "burst_shuffle": _burst_shuffle(),
 }
 
 

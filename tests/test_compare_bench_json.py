@@ -122,3 +122,97 @@ class TestCompareBenchCli:
         other = self._write(tmp_path, "other.json", _doc(bench="other"))
         assert cbj.main([good, other]) == 2
         capsys.readouterr()
+
+
+def _trajectory(workload="contended", *, pps=(1.0e6, 1.2e6), patience=(9.3, 1.0),
+                covered=(0.95, 0.96)):
+    def stats(median):
+        return {"median": median, "q1": median * 0.98, "q3": median * 1.02,
+                "runs": [median]}
+
+    return {
+        "workload": workload,
+        "command": f"python3 perfbench/run.py --workload {workload} --seconds 20 --trace 0",
+        "commit": "0" * 40,
+        "change": "test",
+        "seeds": [1, 2],
+        "end_to_end": {
+            "pkts_per_s": {"unit": "1/s", "better": "higher",
+                           "parent": stats(pps[0]), "change": stats(pps[1])},
+            "op_mean_ms": {"unit": "ms", "better": "lower",
+                           "parent": stats(40.0), "change": stats(40.0)},
+        },
+        "traced": {"seed": 1, "seconds": 8, "layers": {
+            "core.patience_ms": {"unit": "ms", "better": "lower",
+                                 "parent": patience[0], "change": patience[1]},
+            "op.covered_frac": {"unit": "ratio", "better": "higher",
+                                "parent": covered[0], "change": covered[1]},
+        }},
+    }
+
+
+class TestCompareTrajectory:
+    """Root-level BENCH_<workload>.json documents (the perfbench trajectory)."""
+
+    def test_one_document_parent_against_change(self):
+        doc = _trajectory()
+        rows = {r["name"]: r for r in cbj.compare_trajectory(
+            doc, doc, base_side="parent")["rows"]}
+        assert rows["end_to_end.pkts_per_s"]["flag"] == "improved"
+        assert rows["end_to_end.pkts_per_s"]["base"] == 1.0e6
+        assert rows["end_to_end.pkts_per_s"]["delta_pct"] == pytest.approx(20.0)
+        assert rows["end_to_end.op_mean_ms"]["flag"] == ""
+        assert rows["layers.core.patience_ms"]["flag"] == "improved"
+
+    def test_direction_decides_regressions(self):
+        """Higher-is-better metrics regress when they fall, and vice versa."""
+        doc = _trajectory(pps=(1.2e6, 1.0e6), patience=(1.0, 9.3), covered=(0.96, 0.5))
+        result = cbj.compare_trajectory(doc, doc, base_side="parent")
+        assert set(result["regressions"]) == {
+            "end_to_end.pkts_per_s", "layers.core.patience_ms", "layers.op.covered_frac"}
+
+    def test_two_documents_compare_their_change_sides(self):
+        old = _trajectory(pps=(0.5e6, 1.0e6))
+        new = _trajectory(pps=(1.0e6, 1.5e6))
+        rows = {r["name"]: r for r in cbj.compare_trajectory(old, new)["rows"]}
+        assert rows["end_to_end.pkts_per_s"]["base"] == 1.0e6
+        assert rows["end_to_end.pkts_per_s"]["cand"] == 1.5e6
+
+    def test_added_layer_and_different_workloads(self):
+        old = _trajectory()
+        new = _trajectory()
+        new["traced"]["layers"]["core.match_ms"] = {
+            "unit": "ms", "better": "lower", "parent": 1.0, "change": 1.0}
+        rows = {r["name"]: r for r in cbj.compare_trajectory(old, new)["rows"]}
+        assert rows["layers.core.match_ms"]["flag"] == "added"
+        with pytest.raises(ValueError, match="different workloads"):
+            cbj.compare_trajectory(old, _trajectory("reorder"))
+
+    def test_cli(self, tmp_path, capsys):
+        path = tmp_path / "BENCH_contended.json"
+        path.write_text(json.dumps(_trajectory()))
+        assert cbj.main([str(path)]) == 0
+        assert "improved" in capsys.readouterr().out
+        worse = tmp_path / "worse.json"
+        worse.write_text(json.dumps(_trajectory(pps=(1.0e6, 0.5e6))))
+        assert cbj.main([str(path), str(worse), "--fail-on-regression"]) == 1
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps(_doc()))
+        assert cbj.main([str(bench)]) == 2
+        assert cbj.main([str(bench), str(path)]) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("path", sorted(REPO_ROOT.glob("BENCH_*.json")),
+                             ids=lambda p: p.name)
+    def test_committed_trajectory_files_diff(self, path):
+        doc = cbj.load_doc(path)
+        assert path.name == f"BENCH_{doc['workload']}.json"
+        assert set(doc["end_to_end"]) == {
+            "pkts_per_s", "op_mean_ms", "peak_rss_mb", "setup_s"}
+        for metric in doc["end_to_end"].values():
+            for side in ("parent", "change"):
+                stats = metric[side]
+                assert stats["q1"] <= stats["median"] <= stats["q3"]
+                assert len(stats["runs"]) == len(doc["seeds"])
+        result = cbj.compare_trajectory(doc, doc, base_side="parent")
+        assert len(result["rows"]) == 4 + len(doc["traced"]["layers"])

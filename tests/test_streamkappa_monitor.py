@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.changepoints import detect_series_steps
-from repro.analysis.streamkappa import DegradationEvent, KappaMonitor
+from repro.analysis.streamkappa import DegradationEvent, KappaMonitor, StreamKappa
 
-from .conftest import suite_rng
+from .conftest import make_trial, suite_rng
 
 GAP_NS = 10_000.0
 WINDOW_NS = 1e6  # 100 packets per window at GAP_NS
@@ -116,6 +116,21 @@ class TestBoundedMemory:
             assert mon.window_count("s") >= n // 100 - 1
             peaks[n] = mon.peak_bytes("s")
         assert peaks[20_000] <= 1.5 * peaks[2000] + 4096, peaks
+
+    def test_stream_kappa_state_bytes_count_the_pile_buffers(self):
+        """StreamKappa's exact state is honest: every buffer's nbytes,
+        the pile state's tails and predecessor links included."""
+        tags_a, times_a, tags_b, times_b = _session_streams(4000, 313, sigma_late=0.005)
+        sk = StreamKappa(make_trial(times_a, tags_a, label="A"))
+        sizes = []
+        for lo in range(0, 4000, 500):
+            sk.update(tags_b[lo : lo + 500], times_b[lo : lo + 500])
+            sizes.append(sk.state_bytes)
+        piles = sk._piles
+        assert piles.prev.shape[0] == sk.n_common == 4000
+        in_use = piles.tails_vals.nbytes + piles.tails_idx.nbytes + piles.prev.nbytes
+        assert in_use <= piles.nbytes < sk.state_bytes
+        assert sizes == sorted(sizes) and sk.peak_bytes == sizes[-1]
 
     def test_laggard_stream_trips_the_open_window_guard(self):
         """Unbounded buffering is refused, not silently accumulated."""

@@ -26,17 +26,17 @@ Mirrors the artifact's workflow from a shell:
 
 All commands honor ``--scale`` (capture duration relative to the paper's
 0.3 s; default from ``REPRO_SCALE`` or 0.25) and print plain text so
-output can be redirected into experiment logs.  ``--trace FILE.json``
-(or ``REPRO_TRACE=FILE.json``) records a Chrome ``trace_event`` timeline
-of every pipeline stage — parent and worker processes alike — loadable in
-Perfetto / ``chrome://tracing``; ``--stats`` prints the stage/counter
-summary to stderr after the command (see :mod:`repro.obs` and
-``docs/observability.md``).  Long-running invocations stream instead of
-buffering: ``--stream-trace FILE`` flushes spans incrementally through a
-bounded ring (O(buffer) memory at any trace length), ``--counter-tick
-MS`` samples engine counters into Chrome ``ph:"C"`` tracks, and
+output can be redirected into experiment logs.  ``--trace FILE`` (or
+``REPRO_TRACE=FILE``) streams every pipeline stage — parent and worker
+processes alike — to a trace file through a bounded ring (O(buffer)
+memory at any trace length): ``FILE.json`` is a Chrome ``trace_event``
+array loadable in Perfetto / ``chrome://tracing``, ``FILE.jsonl`` one
+JSON object per line.  ``--counter-tick MS`` samples engine counters
+into the trace as Chrome ``ph:"C"`` tracks, ``--stats`` prints the
+stage/counter summary to stderr after the command, and
 ``--serve-metrics PORT`` exposes ``/metrics`` (Prometheus text) +
-``/healthz`` while the command runs.  Commands that simulate or
+``/healthz`` while the command runs (see :mod:`repro.obs` and
+``docs/observability.md``).  Commands that simulate or
 run the Section-3 analysis honor ``--jobs N`` (default from ``REPRO_JOBS``
 or 1), fanning whole items — sweep units, replay runs, trial pairs —
 across N processes via :mod:`repro.parallel`; each item runs the serial
@@ -49,6 +49,8 @@ error paths (see :mod:`repro.parallel.pool`).
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 
 __all__ = ["main", "build_parser"]
@@ -63,6 +65,47 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
+
+
+def _port(text: str) -> int:
+    """argparse type: a TCP port, 0 (pick a free one) through 65535."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a port number 0-65535, got {text!r}"
+        )
+    return value
+
+
+def _tick_ms(text: str) -> float:
+    """argparse type: a sampling period in ms, finite and >= 0 (0 = off)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a number of milliseconds >= 0, got {text!r}"
+        )
+    return value
+
+
+def _flag_or_env(parser, value, env: str, kind):
+    """``value`` if the flag was given, else ``kind(os.environ[env])``.
+
+    A malformed environment value is a usage error (exit 2), exactly
+    like the same text passed as the flag.
+    """
+    raw = os.environ.get(env, "").strip()
+    if value is not None or not raw:
+        return value
+    try:
+        return kind(raw)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"{env} {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,28 +132,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_obs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--trace", default=None, metavar="FILE.json",
-            help="write a Chrome trace_event timeline of every stage "
-            "(Perfetto-loadable; default REPRO_TRACE if set)",
+            "--trace", default=None, metavar="FILE",
+            help="stream a timeline of every stage to FILE through a "
+            "bounded ring: FILE.json is a Perfetto-loadable Chrome "
+            "trace_event array, FILE.jsonl one JSON object per line "
+            "(default REPRO_TRACE if set)",
         )
         p.add_argument(
-            "--stream-trace", default=None, metavar="FILE",
-            help="stream spans incrementally to FILE (.json Chrome array "
-            "or .jsonl) through a bounded ring — O(buffer) memory for "
-            "runs of any length (default REPRO_STREAM_TRACE if set; "
-            "mutually exclusive with --trace)",
-        )
-        p.add_argument(
-            "--serve-metrics", type=int, default=None, metavar="PORT",
+            "--serve-metrics", type=_port, default=None, metavar="PORT",
             help="serve /metrics (Prometheus text) and /healthz on "
             "127.0.0.1:PORT while the command runs (0 picks a free "
             "port; default REPRO_METRICS_PORT if set)",
         )
         p.add_argument(
-            "--counter-tick", type=float, default=None, metavar="MS",
-            help="sample engine counters/gauges into Chrome counter "
+            "--counter-tick", type=_tick_ms, default=None, metavar="MS",
+            help="sample engine counters/gauges into the trace's counter "
             "tracks every MS milliseconds (default "
-            "REPRO_COUNTER_TICK_MS, else 250 when tracing; 0 disables)",
+            "REPRO_COUNTER_TICK_MS, else 250 with --trace; 0 disables)",
         )
         p.add_argument(
             "--stats", action="store_true",
@@ -378,8 +416,6 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    import os
-
     from .experiments.scenarios import default_duration_scale
     from .sweep import (
         ArtifactStore,
@@ -453,7 +489,6 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    import os
     import time
 
     from .analysis.stability import (
@@ -653,12 +688,10 @@ def main(argv: list[str] | None = None) -> int:
     CLI invocation can never leak worker processes.  Observability
     teardown is ordered after it so every artifact includes worker
     telemetry from every stage: pool drains, then the counter sampler
-    takes its final sample, then the streaming sink flushes and closes,
-    then the one-shot trace/stats are emitted, and the metrics server
-    (which only ever reads snapshots) goes down last.
+    takes its final sample, then the trace sink flushes and closes, then
+    the stats are printed, and the metrics server (which only ever reads
+    snapshots) goes down last.
     """
-    import os
-
     from .parallel.pool import shutdown_pool
 
     parser = build_parser()
@@ -677,48 +710,34 @@ def main(argv: list[str] | None = None) -> int:
         from .experiments.runner import configure_store
 
         configure_store(args.store)
-    trace_path = getattr(args, "trace", None) or os.environ.get("REPRO_TRACE")
-    stream_path = (
-        getattr(args, "stream_trace", None)
-        or os.environ.get("REPRO_STREAM_TRACE")
+    trace_path = args.trace or os.environ.get("REPRO_TRACE")
+    serve_port = _flag_or_env(
+        parser, args.serve_metrics, "REPRO_METRICS_PORT", _port
     )
-    if trace_path and stream_path:
-        print(
-            "repro: --trace and --stream-trace are mutually exclusive "
-            "(one-shot export vs incremental streaming)",
-            file=sys.stderr,
-        )
-        return 2
-    want_stats = bool(getattr(args, "stats", False))
-    serve_port = getattr(args, "serve_metrics", None)
-    if serve_port is None and os.environ.get("REPRO_METRICS_PORT"):
-        serve_port = int(os.environ["REPRO_METRICS_PORT"])
-    tick_ms = getattr(args, "counter_tick", None)
-    if tick_ms is None and os.environ.get("REPRO_COUNTER_TICK_MS"):
-        tick_ms = float(os.environ["REPRO_COUNTER_TICK_MS"])
+    tick_ms = _flag_or_env(
+        parser, args.counter_tick, "REPRO_COUNTER_TICK_MS", _tick_ms
+    )
     if tick_ms is None:
-        tick_ms = 250.0 if (trace_path or stream_path) else 0.0
+        tick_ms = 250.0 if trace_path else 0.0
 
-    tracing = bool(trace_path or stream_path or want_stats)
+    tracing = bool(trace_path or args.stats)
     sink = sampler = server = None
+    if trace_path:
+        from .obs.sink import SpanSink
+
+        try:
+            sink = SpanSink(trace_path)
+        except OSError as exc:
+            parser.error(f"cannot write trace file {trace_path!r}: {exc}")
     if tracing:
         from .obs import trace
 
-        trace.enable()
+        trace.enable(sink)
         trace.set_meta("command", args.command)
-    if stream_path:
-        from .obs import trace
-        from .obs.sink import SpanSink
+    if sink is not None and tick_ms > 0:
+        from .obs.live import CounterSampler
 
-        sink = SpanSink(stream_path)
-        trace.install_sink(sink)
-    if tick_ms > 0 and (sink is not None or trace_path):
-        from .obs.live import COUNTER_EVENTS, CounterSampler
-
-        sampler = CounterSampler(
-            sink if sink is not None else COUNTER_EVENTS,
-            interval_s=tick_ms / 1e3,
-        )
+        sampler = CounterSampler(sink, interval_s=tick_ms / 1e3)
     if serve_port is not None:
         from .obs.live import MetricsServer
 
@@ -740,14 +759,18 @@ def main(argv: list[str] | None = None) -> int:
         shutdown_pool()
         if sampler is not None:
             sampler.close()
+        if tracing:
+            trace.disable()
         if sink is not None:
-            from .obs import trace
-
-            trace.uninstall_sink()
             sink.close()
-            print(f"streaming trace written to {stream_path}", file=sys.stderr)
-        if trace_path or want_stats:
-            _emit_observability(trace_path, want_stats)
+            print(f"trace written to {trace_path}", file=sys.stderr)
+        if args.stats:
+            from .obs.export import stats_table
+
+            try:
+                print(stats_table(), file=sys.stderr)
+            except BrokenPipeError:  # pragma: no cover - stderr piped and closed
+                pass
         if server is not None:
             # Flush before the optional hold: the scrape-then-kill CI
             # pattern SIGTERMs us mid-hold, and block-buffered stdout
@@ -763,19 +786,3 @@ def main(argv: list[str] | None = None) -> int:
 
                 time.sleep(float(hold_s))
             server.close()
-
-
-def _emit_observability(trace_path: str | None, want_stats: bool) -> None:
-    """Write the trace file and/or print the stats table (best effort)."""
-    try:
-        if trace_path:
-            from .obs.export import write_chrome_trace
-
-            write_chrome_trace(trace_path)
-            print(f"trace written to {trace_path}", file=sys.stderr)
-        if want_stats:
-            from .obs.export import stats_table
-
-            print(stats_table(), file=sys.stderr)
-    except BrokenPipeError:  # pragma: no cover - stderr piped and closed
-        pass

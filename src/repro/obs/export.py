@@ -1,25 +1,15 @@
-"""Exporters: Chrome ``trace_event`` JSON, JSONL span logs, stats tables.
+"""The ``--stats`` table, trace validation and the host context block.
 
-Three consumers, three formats:
-
-* :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
-  ``trace_event`` format (JSON Object Format, complete ``"X"`` events),
-  loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
-  Parent and worker spans share one timeline; a metadata event names
-  each process so the fan-out reads as "repro (parent)" plus its
-  workers.
-* :func:`spans_jsonl` / :func:`write_spans_jsonl` — one JSON object per
-  span, flat, for ad-hoc ``jq``/pandas digestion.
 * :func:`stats_table` — the human ``--stats`` rendering: per-stage wall
-  aggregates, counters, gauges and log2 histograms.
-
-Every export embeds the run metadata accumulated via
-:func:`repro.obs.trace.set_meta` (seed, command, scale), so artifacts
-are self-describing — a CI trace names the seed that produced it.
-
-:func:`validate_chrome_trace` is the schema check the CI ``trace-smoke``
-job runs; ``python -m repro.obs.export --validate FILE`` exposes it from
-a shell.
+  aggregates (from :func:`repro.obs.trace.stage_totals`), counters,
+  gauges and log2 histograms, headed by the run metadata accumulated via
+  :func:`repro.obs.trace.set_meta` (seed, command, scale).
+* :func:`validate_chrome_trace` — the schema check for a ``--trace``
+  Chrome file (the CI ``obs-live-smoke`` job runs it);
+  ``python -m repro.obs FILE --validate`` exposes it from a shell.  The
+  trace files themselves are written by :class:`repro.obs.sink.SpanSink`.
+* :func:`host_context` — the measurement-context block every
+  performance artifact records.
 """
 
 from __future__ import annotations
@@ -32,10 +22,6 @@ from . import trace
 from .metrics import REGISTRY, bucket_bounds, histogram_quantile
 
 __all__ = [
-    "chrome_trace",
-    "write_chrome_trace",
-    "spans_jsonl",
-    "write_spans_jsonl",
     "stats_table",
     "validate_chrome_trace",
     "host_context",
@@ -80,135 +66,9 @@ def host_context() -> dict:
     }
 
 
-def _spans_or_buffer(spans) -> list[trace.SpanRecord]:
-    return trace.records() if spans is None else list(spans)
-
-
-def chrome_trace(spans=None, *, meta: dict | None = None) -> dict:
-    """The buffered spans as a Chrome ``trace_event`` JSON object.
-
-    Timestamps are microseconds relative to the earliest event, so the
-    timeline starts at zero regardless of wall-clock epoch.  ``spans``
-    defaults to the process buffer; ``meta`` extends the accumulated
-    run metadata.  Counter samples accumulated in
-    :data:`repro.obs.live.COUNTER_EVENTS` (the ``--counter-tick`` path
-    for one-shot ``--trace`` runs) merge in as ``ph:"C"`` events — one
-    Perfetto counter track per metric name.
-    """
-    from .live import COUNTER_EVENTS
-
-    spans = _spans_or_buffer(spans)
-    counters = COUNTER_EVENTS.events()
-    parent_pid = os.getpid()
-    starts = [s.start_ns for s in spans] + [ts for _, ts, _, _ in counters]
-    origin_ns = min(starts, default=0)
-    events = []
-    seen_pids: set[int] = set()
-    for s in spans:
-        if s.pid not in seen_pids:
-            seen_pids.add(s.pid)
-            label = "repro (parent)" if s.pid == parent_pid else f"worker {s.pid}"
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": s.pid,
-                    "tid": 0,
-                    "args": {"name": label},
-                }
-            )
-        args = {k: v for k, v in s.attrs.items()}
-        args["cpu_ms"] = s.cpu_ns / 1e6
-        events.append(
-            {
-                "name": s.name,
-                "cat": "repro",
-                "ph": "X",
-                "ts": (s.start_ns - origin_ns) / 1e3,
-                "dur": s.dur_ns / 1e3,
-                "pid": s.pid,
-                "tid": s.tid,
-                "args": args,
-            }
-        )
-    for name, ts_ns, value, pid in counters:
-        if pid not in seen_pids:
-            seen_pids.add(pid)
-            label = "repro (parent)" if pid == parent_pid else f"worker {pid}"
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": label},
-                }
-            )
-        events.append(
-            {
-                "name": name,
-                "cat": "repro",
-                "ph": "C",
-                "ts": (ts_ns - origin_ns) / 1e3,
-                "pid": pid,
-                "tid": 0,
-                "args": {"value": value},
-            }
-        )
-    other = dict(trace.get_meta())
-    if meta:
-        other.update(meta)
-    other.setdefault("parent_pid", parent_pid)
-    other["n_spans"] = len(spans)
-    other["dropped_spans"] = trace.BUFFER.dropped
-    other["buffer_high_water"] = trace.BUFFER.high_water
-    other["n_counter_events"] = len(counters)
-    other["dropped_counter_events"] = COUNTER_EVENTS.dropped
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": other,
-    }
-
-
-def write_chrome_trace(path, spans=None, *, meta: dict | None = None) -> Path:
-    """Write :func:`chrome_trace` to ``path``; returns the path."""
-    path = Path(path)
-    path.write_text(json.dumps(chrome_trace(spans, meta=meta), indent=1))
-    return path
-
-
-def spans_jsonl(spans=None) -> str:
-    """The spans as newline-delimited JSON objects (one per span)."""
-    spans = _spans_or_buffer(spans)
-    lines = []
-    for s in spans:
-        lines.append(
-            json.dumps(
-                {
-                    "name": s.name,
-                    "start_ns": s.start_ns,
-                    "dur_ns": s.dur_ns,
-                    "cpu_ns": s.cpu_ns,
-                    "pid": s.pid,
-                    "tid": s.tid,
-                    **({"attrs": s.attrs} if s.attrs else {}),
-                }
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_spans_jsonl(path, spans=None) -> Path:
-    """Write :func:`spans_jsonl` to ``path``; returns the path."""
-    path = Path(path)
-    path.write_text(spans_jsonl(spans))
-    return path
-
-
-def stats_table(spans=None, registry=None, *, meta: dict | None = None) -> str:
+def stats_table(registry=None, *, meta: dict | None = None) -> str:
     """The human ``--stats`` rendering: stages, counters, histograms."""
-    spans = _spans_or_buffer(spans)
+    stages, n_pids = trace.stage_totals()
     registry = REGISTRY if registry is None else registry
     snap = registry.snapshot()
     run_meta = dict(trace.get_meta())
@@ -221,23 +81,15 @@ def stats_table(spans=None, registry=None, *, meta: dict | None = None) -> str:
             "meta: " + " ".join(f"{k}={v}" for k, v in sorted(run_meta.items()))
         )
 
-    if spans:
-        agg: dict[str, list[int]] = {}
-        pids: set[int] = set()
-        for s in spans:
-            row = agg.setdefault(s.name, [0, 0, 0, 0])  # count, wall, cpu, max
-            row[0] += 1
-            row[1] += s.dur_ns
-            row[2] += s.cpu_ns
-            row[3] = max(row[3], s.dur_ns)
-            pids.add(s.pid)
-        lines.append(f"\nspans ({len(spans)} across {len(pids)} processes):")
+    if stages:
+        n_spans = sum(row[0] for row in stages.values())
+        lines.append(f"\nspans ({n_spans} across {n_pids} processes):")
         lines.append(
             f"  {'stage':<28s} {'count':>6s} {'wall ms':>10s} "
             f"{'mean ms':>9s} {'max ms':>9s} {'cpu ms':>10s}"
         )
-        for name in sorted(agg, key=lambda n: -agg[n][1]):
-            count, wall, cpu, mx = agg[name]
+        for name in sorted(stages, key=lambda n: -stages[n][1]):
+            count, wall, cpu, mx = stages[name]
             lines.append(
                 f"  {name:<28s} {count:>6d} {wall / 1e6:>10.3f} "
                 f"{wall / count / 1e6:>9.3f} {mx / 1e6:>9.3f} {cpu / 1e6:>10.3f}"
@@ -286,8 +138,13 @@ def stats_table(spans=None, registry=None, *, meta: dict | None = None) -> str:
 
 
 # ----------------------------------------------------------------------
-# Validation (the CI trace-smoke check).
+# Validation (the CI obs-live-smoke check).
 # ----------------------------------------------------------------------
+
+def _is_number(value) -> bool:
+    """JSON numbers only: ``true``/``false`` are not timestamps or values."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 
 def validate_chrome_trace(
     source,
@@ -297,14 +154,11 @@ def validate_chrome_trace(
     require_counters: tuple[str, ...] = (),
     min_counter_events: int = 0,
 ) -> dict:
-    """Check a trace file (or dict) against the ``trace_event`` schema.
+    """Check a ``--trace`` Chrome file (or its parsed events) for schema.
 
-    Accepts both trace shapes the toolkit writes: the **Object Format**
-    (``{"traceEvents": [...], "otherData": {...}}`` from ``--trace``)
-    and the **JSON Array Format** a streaming
-    :class:`~repro.obs.sink.SpanSink` produces (``--stream-trace`` —
-    a bare event array whose run metadata rides in the trailing
-    ``trace_meta`` instant event).
+    The file is the ``trace_event`` **JSON Array Format** a
+    :class:`~repro.obs.sink.SpanSink` writes: a bare event array whose
+    run metadata rides in the trailing ``trace_meta`` instant event.
 
     Raises :class:`ValueError` on any violation; returns a summary dict
     on success.  Checks, beyond per-event schema:
@@ -318,32 +172,26 @@ def validate_chrome_trace(
     * ``require_counters`` / ``min_counter_events`` — counter-track
       coverage for live-telemetry smoke checks.
 
-    The summary surfaces the trace's own drop accounting
-    (``dropped_spans``, ``buffer_high_water`` — from ``otherData`` or
-    the sink's ``sink_dropped``/``sink_high_water`` meta), so a
-    truncated trace is detected, never silently partial.
+    The summary surfaces the sink's own drop accounting
+    (``dropped_spans``, ``buffer_high_water`` — from its
+    ``sink_dropped``/``sink_high_water`` meta), so a truncated trace is
+    detected, never silently partial.
     """
     if isinstance(source, (str, Path)):
         doc = json.loads(Path(source).read_text())
     else:
         doc = source
-    if isinstance(doc, list):
-        events = doc
-        meta = {}
-        for ev in reversed(events):
-            if isinstance(ev, dict) and ev.get("name") == "trace_meta":
-                meta = dict(ev.get("args") or {})
-                break
-    elif isinstance(doc, dict) and "traceEvents" in doc:
-        events = doc["traceEvents"]
-        meta = dict(doc.get("otherData") or {})
-    else:
+    if not isinstance(doc, list):
         raise ValueError(
-            "not a trace_event document (expected an event array or an "
-            "object with traceEvents)"
+            "not a trace_event JSON array (an object with traceEvents is "
+            "the Object Format, which repro does not write)"
         )
-    if not isinstance(events, list):
-        raise ValueError("traceEvents must be a list")
+    events = doc
+    meta = {}
+    for ev in reversed(events):
+        if isinstance(ev, dict) and ev.get("name") == "trace_meta":
+            meta = dict(ev.get("args") or {})
+            break
     names: set[str] = set()
     counter_names: set[str] = set()
     pids: set[int] = set()
@@ -358,7 +206,7 @@ def validate_chrome_trace(
                 raise ValueError(f"event {i} missing required key {key!r}")
         if ev["ph"] == "X":
             for key in ("ts", "dur"):
-                if key not in ev or not isinstance(ev[key], (int, float)):
+                if key not in ev or not _is_number(ev[key]):
                     raise ValueError(f"complete event {i} missing numeric {key!r}")
             if ev["dur"] < 0 or ev["ts"] < 0:
                 raise ValueError(f"complete event {i} has negative ts/dur")
@@ -366,7 +214,7 @@ def validate_chrome_trace(
             names.add(ev["name"])
             pids.add(ev["pid"])
         elif ev["ph"] == "C":
-            if "ts" not in ev or not isinstance(ev["ts"], (int, float)):
+            if "ts" not in ev or not _is_number(ev["ts"]):
                 raise ValueError(f"counter event {i} missing numeric 'ts'")
             if ev["ts"] < 0:
                 raise ValueError(f"counter event {i} has negative ts")
@@ -374,7 +222,7 @@ def validate_chrome_trace(
             if not isinstance(args, dict) or not args:
                 raise ValueError(f"counter event {i} needs a non-empty args object")
             for k, v in args.items():
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
+                if not _is_number(v):
                     raise ValueError(
                         f"counter event {i} arg {k!r} is not numeric"
                     )
@@ -410,8 +258,6 @@ def validate_chrome_trace(
             f"trace covers {len(worker_pids)} worker pids, "
             f"expected >= {min_worker_pids}"
         )
-    dropped = meta.get("dropped_spans", meta.get("sink_dropped"))
-    high_water = meta.get("buffer_high_water", meta.get("sink_high_water"))
     return {
         "n_events": len(events),
         "n_spans": n_complete,
@@ -420,8 +266,8 @@ def validate_chrome_trace(
         "counter_names": sorted(counter_names),
         "parent_pid": parent_pid,
         "worker_pids": sorted(worker_pids),
-        "dropped_spans": dropped,
-        "buffer_high_water": high_water,
+        "dropped_spans": meta.get("sink_dropped"),
+        "buffer_high_water": meta.get("sink_high_water"),
         "meta": meta,
     }
 

@@ -10,12 +10,10 @@ zero-dependency:
 * :class:`CounterSampler` — a background thread sampling the registry's
   counters and gauges (plus the labeled :data:`LIVE_GAUGES`) on a
   configurable tick and emitting one sample per *changed* metric.
-  Pointed at a :class:`~repro.obs.sink.SpanSink` it produces Chrome
-  ``ph:"C"`` counter events, so Perfetto shows ``pool.tasks_inflight``,
-  ``sweep.units_done`` or per-session windowed κ as live tracks
-  alongside the spans; pointed at :data:`COUNTER_EVENTS` (the bounded
-  in-memory buffer) the samples ride into the one-shot ``--trace``
-  export instead.
+  Pointed at the ``--trace`` :class:`~repro.obs.sink.SpanSink` it
+  produces Chrome ``ph:"C"`` counter events, so Perfetto shows
+  ``pool.tasks_inflight``, ``sweep.units_done`` or per-session windowed
+  κ as live tracks alongside the spans.
 * :class:`LabeledGauges` — last-write-wins gauges with labels, for the
   metrics the flat registry can't name: ``monitor.window_kappa`` keyed
   by session.  :class:`~repro.analysis.streamkappa.KappaMonitor`
@@ -46,8 +44,6 @@ from .metrics import REGISTRY, Registry, bucket_bounds
 __all__ = [
     "LabeledGauges",
     "LIVE_GAUGES",
-    "CounterEventBuffer",
-    "COUNTER_EVENTS",
     "CounterSampler",
     "MetricsServer",
     "prometheus_text",
@@ -99,60 +95,6 @@ LIVE_GAUGES = LabeledGauges()
 
 
 # ----------------------------------------------------------------------
-# Counter samples for the one-shot (in-memory) trace export
-# ----------------------------------------------------------------------
-
-class CounterEventBuffer:
-    """Bounded in-memory counter-sample store with counted drops.
-
-    The ``--trace`` twin of streaming into a sink: samples accumulate
-    here and :func:`repro.obs.export.chrome_trace` merges them into the
-    exported timeline as ``ph:"C"`` events.
-    """
-
-    def __init__(self, max_events: int = 200_000) -> None:
-        self._lock = threading.Lock()
-        self._events: list[tuple[str, int, float, int]] = []
-        self._dropped = 0
-        self.max_events = int(max_events)
-
-    def offer_counter(
-        self, name: str, ts_ns: int, value: float, pid: int | None = None
-    ) -> bool:
-        if pid is None:
-            pid = os.getpid()
-        with self._lock:
-            if len(self._events) >= self.max_events:
-                self._dropped += 1
-                return False
-            self._events.append((name, int(ts_ns), float(value), pid))
-        return True
-
-    def events(self) -> list[tuple[str, int, float, int]]:
-        """A snapshot of ``(name, ts_ns, value, pid)`` samples."""
-        with self._lock:
-            return list(self._events)
-
-    @property
-    def dropped(self) -> int:
-        with self._lock:
-            return self._dropped
-
-    def reset(self) -> None:
-        with self._lock:
-            self._events.clear()
-            self._dropped = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-
-#: Samples destined for the one-shot ``--trace`` export.
-COUNTER_EVENTS = CounterEventBuffer()
-
-
-# ----------------------------------------------------------------------
 # The sampler
 # ----------------------------------------------------------------------
 
@@ -160,8 +102,8 @@ class CounterSampler:
     """Sample the registry into counter-track events on a fixed tick.
 
     ``target`` is anything with an ``offer_counter(name, ts_ns, value,
-    pid)`` method — a :class:`~repro.obs.sink.SpanSink` (streaming) or a
-    :class:`CounterEventBuffer` (one-shot export).  Each tick snapshots
+    pid)`` method — in practice the :class:`~repro.obs.sink.SpanSink`
+    writing the ``--trace`` file.  Each tick snapshots
     the registry's counters and gauges plus the labeled live gauges and
     emits one sample per metric **whose value changed** since its last
     emission (every metric is emitted on its first sighting, and

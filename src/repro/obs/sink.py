@@ -1,17 +1,12 @@
-"""Streaming span sink: bounded-memory, incremental trace files.
+"""Streaming span sink: the one writer of ``--trace`` files.
 
-The in-memory tracer (:mod:`repro.obs.trace`) buffers spans until the
-process exits and exports them in one shot — the right shape for a
-table regeneration, the wrong one for the ROADMAP's long-running
-monitors and sweeps: a ``repro monitor`` watching sessions for hours
-would hold every span forever (or, past ``MAX_BUFFERED_SPANS``, drop
-them) and export nothing until it died.
-
-:class:`SpanSink` inverts that: spans and counter samples are *offered*
-into a **bounded ring** and a background **flusher thread** writes them
-incrementally to disk, so a trace of arbitrary length holds O(capacity)
-memory and the file is useful the moment it is written.  Contracts, in
-priority order:
+Every trace file — a table regeneration or a ``repro monitor`` watching
+sessions for hours — is written the same way: spans (routed here by
+:func:`repro.obs.trace.emit`) and counter samples (from
+:class:`repro.obs.live.CounterSampler`) are *offered* into a **bounded
+ring** and a background **flusher thread** writes them incrementally to
+disk, so a trace of arbitrary length holds O(capacity) memory and the
+file is useful the moment it is written.  Contracts, in priority order:
 
 1. **Never block the engine.**  :meth:`SpanSink.offer_span` /
    :meth:`SpanSink.offer_counter` are lock-append-notify; when the ring
@@ -37,12 +32,13 @@ Formats (chosen from the path suffix, or forced with ``fmt=``):
   sampled metrics (one Perfetto counter track per metric name),
   ``ph:"M"`` ``process_name`` metadata on first sight of each pid, and
   one final ``ph:"i"`` ``trace_meta`` instant event.
-* ``jsonl`` (``*.jsonl``) — one JSON object per line: spans in the
-  :func:`repro.obs.export.spans_jsonl` schema plus ``type`` markers
-  (``span`` / ``counter`` / ``meta``) for ``jq``/pandas digestion.
+* ``jsonl`` (``*.jsonl``) — one JSON object per line with a ``type``
+  marker (``span`` / ``counter`` / ``meta``) for ``jq``/pandas
+  digestion; span lines carry ``name``, ``start_ns``, ``dur_ns``,
+  ``cpu_ns``, ``pid``, ``tid`` and (when set) ``attrs``.
 
-Install with :func:`repro.obs.trace.install_sink`; from a shell, every
-CLI command takes ``--stream-trace FILE`` (see ``docs/observability.md``).
+Install with :func:`repro.obs.trace.enable`; from a shell, every CLI
+command takes ``--trace FILE`` (see ``docs/observability.md``).
 """
 
 from __future__ import annotations

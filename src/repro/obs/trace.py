@@ -2,11 +2,14 @@
 
 The paper's whole contribution is making testbed behaviour *measurable*;
 this module does the same for the toolkit's own runtime.  A *span* is one
-timed stage of an invocation — ``span("sim.run", run=3)`` — recorded with wall time, CPU time, process id and thread id
-into a thread-safe in-memory buffer.  Exporters
-(:mod:`repro.obs.export`) turn the buffer into a Chrome ``trace_event``
-JSON (loadable in Perfetto), a flat JSONL log, or a human ``--stats``
-table.
+timed stage of an invocation — ``span("sim.run", run=3)`` — recorded with
+wall time, CPU time, process id and thread id.  Every finished span goes
+through one routing point, :func:`emit`, which folds it into per-stage
+totals (count, wall, CPU, max per span name — what ``--stats`` reads,
+bounded by the number of stage names) and offers it to the one installed
+sink: a streaming :class:`~repro.obs.sink.SpanSink` writing the
+``--trace`` file, or a :class:`ListSink` collecting one worker task's
+spans (and a test's).  Nothing here holds spans itself.
 
 Design constraints, in priority order:
 
@@ -22,9 +25,10 @@ Design constraints, in priority order:
    (``tests/test_obs.py::TestTracingIsInert``) proves κ and every
    :class:`~repro.core.kappa.MetricVector` are bit-identical with
    tracing on and off.
-3. **Workers participate.**  Pool workers run their own buffer and ship
-   it back piggybacked on task results (see :mod:`repro.obs.worker`), so
-   a single exported timeline shows the whole fan-out with correct pid
+3. **Workers participate.**  Pool workers collect each task's spans in a
+   :class:`ListSink` and ship them back piggybacked on the task result
+   (see :mod:`repro.obs.worker`); the parent routes them through
+   :func:`emit`, so one timeline shows the whole fan-out with correct pid
    attribution.
 
 Span naming convention: ``package.stage.substage`` — e.g.
@@ -48,30 +52,31 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "SpanRecord",
-    "TraceBuffer",
+    "ListSink",
     "enable",
     "disable",
     "is_enabled",
     "span",
     "traced",
-    "records",
-    "drain",
+    "emit",
+    "stage_totals",
     "set_meta",
     "get_meta",
     "reset",
-    "BUFFER",
-    "install_sink",
-    "active_sink",
-    "uninstall_sink",
 ]
 
 #: Module-level enable flag — the no-op fast path's only check.
 _enabled: bool = False
 
-#: Hard cap on buffered spans: tracing is stage-granular, so a real
-#: invocation emits a few thousand spans at most; the cap only guards
-#: against a runaway caller, and drops are counted, never silent.
-MAX_BUFFERED_SPANS = 200_000
+#: Where :func:`emit` offers finished spans (anything with
+#: ``offer_span(record)``); None keeps the per-stage totals only.
+_sink = None
+
+#: Per-stage totals ``name -> [count, wall_ns, cpu_ns, max_ns]`` and the
+#: pids that emitted them: memory bounded by stage names and processes.
+_totals: dict[str, list[int]] = {}
+_pids: set[int] = set()
+_totals_lock = threading.Lock()
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,110 +98,47 @@ class SpanRecord:
     attrs: dict = field(default_factory=dict)
 
 
-class TraceBuffer:
-    """Thread-safe append-only span store with a drop-counting cap.
+class ListSink:
+    """A sink that keeps every offered span in :attr:`spans`.
 
-    When a *sink* is attached (:meth:`set_sink`) finished spans stream
-    into it instead of accumulating here — the buffer stays empty and a
-    trace of arbitrary length holds O(sink capacity) memory.  The sink
-    counts its own drops; the buffer's ``dropped`` stays the in-memory
-    story.
+    Unbounded by design, so it is only for short collections: one worker
+    task's spans (:func:`repro.obs.worker.run_traced`) or a test's.
     """
 
-    def __init__(self, max_spans: int = MAX_BUFFERED_SPANS) -> None:
-        self._lock = threading.Lock()
-        self._spans: list[SpanRecord] = []
-        self._dropped = 0
-        self._high_water = 0
-        self.max_spans = max_spans
-        #: Streaming destination; anything with ``offer_span(record)``.
-        self._sink = None
+    def __init__(self) -> None:
+        self.spans: list[SpanRecord] = []
 
-    def set_sink(self, sink) -> None:
-        """Route future spans into ``sink`` (None restores buffering)."""
-        self._sink = sink
-
-    @property
-    def sink(self):
-        return self._sink
-
-    def append(self, record: SpanRecord) -> None:
-        sink = self._sink
-        if sink is not None:
-            sink.offer_span(record)
-            return
-        with self._lock:
-            if len(self._spans) >= self.max_spans:
-                self._dropped += 1
-                return
-            self._spans.append(record)
-            if len(self._spans) > self._high_water:
-                self._high_water = len(self._spans)
-
-    def extend(self, spans) -> None:
-        sink = self._sink
-        if sink is not None:
-            for record in spans:
-                sink.offer_span(record)
-            return
-        with self._lock:
-            room = self.max_spans - len(self._spans)
-            spans = list(spans)
-            if len(spans) > room:
-                self._dropped += len(spans) - room
-                spans = spans[:room]
-            self._spans.extend(spans)
-            if len(self._spans) > self._high_water:
-                self._high_water = len(self._spans)
-
-    def records(self) -> list[SpanRecord]:
-        """A snapshot of the buffered spans (buffer unchanged)."""
-        with self._lock:
-            return list(self._spans)
-
-    def drain(self) -> list[SpanRecord]:
-        """Return and clear the buffered spans."""
-        with self._lock:
-            out = self._spans
-            self._spans = []
-            return out
-
-    @property
-    def dropped(self) -> int:
-        with self._lock:
-            return self._dropped
-
-    @property
-    def high_water(self) -> int:
-        """Most spans ever resident in memory at once (export meta)."""
-        with self._lock:
-            return self._high_water
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
+    def offer_span(self, record: SpanRecord) -> bool:
+        self.spans.append(record)
+        return True
 
 
-#: The process-global buffer every span lands in.  Workers get their own
-#: copy at fork/spawn; :mod:`repro.obs.worker` ships theirs back.
-BUFFER = TraceBuffer()
-
-#: Free-form run metadata embedded into every export (seeds, command,
-#: scale) so artifacts are self-describing.
+#: Free-form run metadata (seeds, command, scale) written into the trace
+#: file's trailing metadata and the ``--stats`` header, so artifacts are
+#: self-describing.
 _meta: dict = {}
 _meta_lock = threading.Lock()
 
 
-def enable() -> None:
-    """Turn span collection on (idempotent)."""
-    global _enabled
+def enable(sink=None) -> None:
+    """Turn span collection on, routing finished spans at ``sink``.
+
+    ``sink`` is anything with ``offer_span(record)`` — a
+    :class:`~repro.obs.sink.SpanSink` or a :class:`ListSink` — and
+    replaces any sink installed before; None keeps only the per-stage
+    totals (``--stats`` without ``--trace``).  The caller keeps
+    ownership: this never closes a sink, it only routes spans at it.
+    """
+    global _enabled, _sink
+    _sink = sink
     _enabled = True
 
 
 def disable() -> None:
-    """Turn span collection off; buffered spans are kept until drained."""
-    global _enabled
+    """Turn span collection off and detach the sink (which stays open)."""
+    global _enabled, _sink
     _enabled = False
+    _sink = None
 
 
 def is_enabled() -> bool:
@@ -241,7 +183,7 @@ class _Span:
             # Annotate rather than suppress: the span shows *where* the
             # failure spent its time, the exception still propagates.
             self.attrs["error"] = exc_type.__name__
-        BUFFER.append(
+        emit(
             SpanRecord(
                 name=self.name,
                 start_ns=self._start_ns,
@@ -290,18 +232,34 @@ def traced(name: str | None = None, **attrs):
     return deco
 
 
-def records() -> list[SpanRecord]:
-    """Snapshot of the process-global buffer."""
-    return BUFFER.records()
+def emit(record: SpanRecord) -> None:
+    """Route one finished span: per-stage totals, then the installed sink.
+
+    The one place spans go — live spans on exit, and worker spans the
+    parent absorbs from task results.
+    """
+    with _totals_lock:
+        row = _totals.get(record.name)
+        if row is None:
+            row = _totals[record.name] = [0, 0, 0, 0]
+        row[0] += 1
+        row[1] += record.dur_ns
+        row[2] += record.cpu_ns
+        row[3] = max(row[3], record.dur_ns)
+        _pids.add(record.pid)
+    sink = _sink
+    if sink is not None:
+        sink.offer_span(record)
 
 
-def drain() -> list[SpanRecord]:
-    """Return and clear the process-global buffer."""
-    return BUFFER.drain()
+def stage_totals() -> tuple[dict[str, tuple[int, int, int, int]], int]:
+    """``({name: (count, wall_ns, cpu_ns, max_ns)}, n_processes)`` so far."""
+    with _totals_lock:
+        return {name: tuple(row) for name, row in _totals.items()}, len(_pids)
 
 
 def set_meta(key: str, value) -> None:
-    """Attach run metadata (seed, command, scale) to future exports."""
+    """Attach run metadata (seed, command, scale) to the trace and stats."""
     with _meta_lock:
         _meta[key] = value
 
@@ -312,39 +270,15 @@ def get_meta() -> dict:
         return dict(_meta)
 
 
-def install_sink(sink) -> None:
-    """Stream future spans into ``sink`` instead of buffering them.
-
-    ``sink`` is anything with ``offer_span(record)`` — in practice a
-    :class:`repro.obs.sink.SpanSink`.  The caller keeps ownership: this
-    never closes a sink, it only routes spans at it.
-    """
-    BUFFER.set_sink(sink)
-
-
-def active_sink():
-    """The currently installed streaming sink, or None."""
-    return BUFFER.sink
-
-
-def uninstall_sink():
-    """Detach and return the streaming sink (not closed), or None."""
-    sink = BUFFER.sink
-    BUFFER.set_sink(None)
-    return sink
-
-
 def reset() -> None:
-    """Disable tracing, detach any sink, clear buffer and metadata (tests).
+    """Disable tracing, detach any sink, clear totals and metadata (tests).
 
     A detached sink is *not* closed — the owner that installed it still
     holds the handle and the file.
     """
     disable()
-    BUFFER.set_sink(None)
-    BUFFER.drain()
+    with _totals_lock:
+        _totals.clear()
+        _pids.clear()
     with _meta_lock:
         _meta.clear()
-    with BUFFER._lock:
-        BUFFER._dropped = 0
-        BUFFER._high_water = 0

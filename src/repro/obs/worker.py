@@ -1,21 +1,24 @@
 """Worker-side telemetry collection and the parent-side merge.
 
-Pool workers are separate processes: their spans land in *their* copy of
-the trace buffer and their counters in *their* registry, invisible to
-the parent.  IoTreeplay's lesson (PAPERS.md) is that distributed replay
-tooling needs synchronization/timing telemetry built into the transport
-to be debuggable — so this module piggybacks telemetry on the task
-results themselves instead of inventing a side channel:
+Pool workers are separate processes: their spans and their counters
+live in *their* copy of :mod:`repro.obs.trace` and the registry,
+invisible to the parent.  IoTreeplay's lesson (PAPERS.md) is that
+distributed replay tooling needs synchronization/timing telemetry built
+into the transport to be debuggable — so this module piggybacks
+telemetry on the task results themselves instead of inventing a side
+channel:
 
 * :func:`run_traced` is the worker-side wrapper the pool's
   :func:`~repro.parallel.pool.submit_task` dispatches when tracing is
-  on.  It enables collection locally, wraps the real task body in a span
+  on.  It enables collection locally into a fresh
+  :class:`~repro.obs.trace.ListSink`, wraps the real task body in a span
   named after the stage, and returns the payload inside a
   :class:`TaskEnvelope` carrying a :class:`TaskTelemetry`;
 * :func:`absorb` (called by :func:`~repro.parallel.pool.gather` on every
-  envelope it unwraps) extends the parent's buffer with the worker's
-  spans — each already stamped with the worker's pid, so a single
-  Perfetto timeline shows the whole fan-out — merges the counter and
+  envelope it unwraps) routes the worker's spans through the parent's
+  :func:`~repro.obs.trace.emit` — each already stamped with the worker's
+  pid, so a single Perfetto timeline shows the whole fan-out and
+  ``--stats`` counts the worker stages — merges the counter and
   histogram deltas, and feeds the two pool-level distributions:
   ``pool.queue_wait_ns`` (submit → worker pickup) and
   ``pool.task_wall_ns`` (task body wall time).
@@ -49,8 +52,8 @@ class TaskTelemetry:
     ``queue_wait_ns`` is the submit-to-pickup latency measured across
     processes with epoch clocks (same machine, so comparable — clamped
     at zero against sub-resolution skew); ``task_wall_ns`` is the task
-    body's wall time; ``spans`` and ``metric_deltas`` are the worker's
-    drained trace buffer and registry.
+    body's wall time; ``spans`` are the task's collected spans and
+    ``metric_deltas`` the worker's drained registry.
     """
 
     pid: int
@@ -73,12 +76,11 @@ def run_traced(fn, task, name: str, attrs: dict, submit_ns: int) -> TaskEnvelope
 
     Runs in the worker process.  Collection is enabled locally (the
     worker may have been forked before the parent enabled tracing, or be
-    a spawn-start process that inherited nothing), and the buffer is
-    cleared first so a previous untraced task's stray spans cannot be
-    misattributed to this one.
+    a spawn-start process that inherited nothing) into a fresh list sink,
+    so only this task's spans ship back.
     """
-    trace.enable()
-    trace.drain()
+    collected = trace.ListSink()
+    trace.enable(collected)
     REGISTRY.drain_deltas()
     start_ns = time.time_ns()
     t0 = time.perf_counter_ns()
@@ -91,7 +93,7 @@ def run_traced(fn, task, name: str, attrs: dict, submit_ns: int) -> TaskEnvelope
             pid=os.getpid(),
             queue_wait_ns=max(0, start_ns - submit_ns),
             task_wall_ns=wall,
-            spans=tuple(trace.drain()),
+            spans=tuple(collected.spans),
             metric_deltas=REGISTRY.drain_deltas(),
         ),
     )
@@ -99,7 +101,8 @@ def run_traced(fn, task, name: str, attrs: dict, submit_ns: int) -> TaskEnvelope
 
 def absorb(telemetry: TaskTelemetry) -> None:
     """Parent-side: fold one worker task's telemetry into this process."""
-    trace.BUFFER.extend(telemetry.spans)
+    for record in telemetry.spans:
+        trace.emit(record)
     REGISTRY.merge_deltas(telemetry.metric_deltas)
     REGISTRY.histogram("pool.queue_wait_ns").observe(telemetry.queue_wait_ns)
     REGISTRY.histogram("pool.task_wall_ns").observe(telemetry.task_wall_ns)

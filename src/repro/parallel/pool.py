@@ -42,8 +42,9 @@ every fan-out site names its stage (``analysis.pair.whole``,
 ``sim.run``, ...) and, when tracing is enabled
 (:mod:`repro.obs.trace`), the task runs wrapped in
 :func:`repro.obs.worker.run_traced` so its spans and metric deltas ride
-back on the result; :func:`gather` unwraps those envelopes and merges
-them parent-side.  With tracing off, ``submit_task`` degenerates to a
+back on the result; :func:`gather` unwraps those envelopes and absorbs
+them parent-side (worker spans go through :func:`repro.obs.trace.emit`
+like the parent's own).  With tracing off, ``submit_task`` degenerates to a
 bare ``pool.submit`` plus one counter increment.
 
 Start method: workers start via **forkserver** by default — the server

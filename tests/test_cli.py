@@ -1,8 +1,12 @@
 """Unit tests for the command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.export import validate_chrome_trace
 
 
 class TestParser:
@@ -74,6 +78,69 @@ class TestJobsValidation:
             main(["simulate", "local-single"])
         assert ei.value.code == 2
         assert "REPRO_JOBS" in capsys.readouterr().err
+
+
+class TestObservabilityOptions:
+    """``--trace`` streams through the sink; bad settings are usage errors."""
+
+    SIMULATE = [
+        "simulate", "local-single", "--runs", "2", "--scale", "0.02",
+        "--jobs", "2",
+    ]
+
+    @pytest.fixture(autouse=True)
+    def _clean_obs(self, monkeypatch):
+        from repro.obs import metrics, trace
+
+        for var in (
+            "REPRO_TRACE", "REPRO_METRICS_PORT", "REPRO_COUNTER_TICK_MS",
+            "REPRO_METRICS_HOLD_S",
+        ):
+            monkeypatch.delenv(var, raising=False)
+        trace.reset()
+        metrics.REGISTRY.reset()
+        yield
+        trace.reset()
+        metrics.REGISTRY.reset()
+
+    def test_jsonl_suffix_streams_jsonl_with_worker_spans(self, capsys, tmp_path):
+        path = tmp_path / "t.jsonl"
+        assert main(self.SIMULATE + ["--trace", str(path), "--stats"]) == 0
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert {d["type"] for d in lines} <= {"span", "counter", "meta"}
+        meta = lines[-1]
+        assert meta["type"] == "meta" and meta["sink_dropped"] == 0
+        span_pids = {d["pid"] for d in lines if d["type"] == "span"}
+        assert len(span_pids - {meta["parent_pid"]}) >= 2
+        # --stats counts the worker-side replay runs too.
+        assert re.search(r"^ +sim\.run +2 ", capsys.readouterr().err, re.M)
+
+    def test_json_suffix_writes_a_valid_chrome_trace(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        assert main(self.SIMULATE + ["--trace", str(path)]) == 0
+        summary = validate_chrome_trace(
+            path, min_worker_pids=2,
+            require_spans=("cli.simulate", "testbed.record", "sim.run"),
+        )
+        assert summary["dropped_spans"] == 0
+
+    @pytest.mark.parametrize(
+        "env, flags, msg",
+        [
+            ({"REPRO_METRICS_PORT": "abc"}, [], "REPRO_METRICS_PORT"),
+            ({"REPRO_COUNTER_TICK_MS": "fast"}, [], "REPRO_COUNTER_TICK_MS"),
+            ({}, ["--counter-tick", "-5"], "--counter-tick"),
+        ],
+    )
+    def test_malformed_settings_are_usage_errors(
+        self, capsys, monkeypatch, env, flags, msg
+    ):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios"] + flags)
+        assert exc.value.code == 2
+        assert msg in capsys.readouterr().err
 
 
 class TestCommands:

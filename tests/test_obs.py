@@ -1,4 +1,4 @@
-"""The observability subsystem: spans, metrics, exporters, inertness.
+"""The observability subsystem: spans, metrics, trace files, inertness.
 
 Four contracts under test, mirroring the priority order documented in
 :mod:`repro.obs.trace`:
@@ -30,25 +30,31 @@ from repro.obs.metrics import (
     bucket_bounds,
     bucket_index,
 )
+from repro.obs.sink import SpanSink
 from repro.obs.trace import span, traced
-from repro.obs.worker import TaskEnvelope, TaskTelemetry, absorb
+from repro.obs.worker import TaskEnvelope, TaskTelemetry, absorb, run_traced
 from repro.parallel import compare_series_parallel, shutdown_pool
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
     """Every test starts and ends with tracing off and stores empty."""
-    from repro.obs.live import COUNTER_EVENTS, LIVE_GAUGES
+    from repro.obs.live import LIVE_GAUGES
 
     trace.reset()
     metrics.REGISTRY.reset()
-    COUNTER_EVENTS.reset()
     LIVE_GAUGES.reset()
     yield
     trace.reset()
     metrics.REGISTRY.reset()
-    COUNTER_EVENTS.reset()
     LIVE_GAUGES.reset()
+
+
+def _collect() -> list:
+    """Turn tracing on into a list sink; returns the list spans land in."""
+    sink = trace.ListSink()
+    trace.enable(sink)
+    return sink.spans
 
 
 # ----------------------------------------------------------------------
@@ -59,7 +65,7 @@ class TestSpans:
     def test_disabled_records_nothing(self):
         with span("analysis.pair", run="B"):
             pass
-        assert trace.records() == []
+        assert trace.stage_totals() == ({}, 0)
 
     def test_disabled_returns_shared_noop(self):
         assert span("a") is span("b")
@@ -68,10 +74,10 @@ class TestSpans:
         import os
         import threading
 
-        trace.enable()
+        spans = _collect()
         with span("analysis.shard.timing", lo=0, hi=65536):
             pass
-        (rec,) = trace.records()
+        (rec,) = spans
         assert rec.name == "analysis.shard.timing"
         assert rec.attrs == {"lo": 0, "hi": 65536}
         assert rec.pid == os.getpid()
@@ -79,21 +85,21 @@ class TestSpans:
         assert rec.dur_ns >= 0 and rec.start_ns > 0
 
     def test_nesting_inner_closes_first_and_is_contained(self):
-        trace.enable()
+        spans = _collect()
         with span("outer"):
             with span("inner"):
                 time.sleep(0.001)
-        inner, outer = trace.records()
+        inner, outer = spans
         assert (inner.name, outer.name) == ("inner", "outer")
         assert outer.start_ns <= inner.start_ns
         assert outer.dur_ns >= inner.dur_ns
 
     def test_exception_annotates_and_propagates(self):
-        trace.enable()
+        spans = _collect()
         with pytest.raises(ValueError, match="boom"):
             with span("analysis.match"):
                 raise ValueError("boom")
-        (rec,) = trace.records()
+        (rec,) = spans
         assert rec.attrs["error"] == "ValueError"
 
     def test_decorator_respects_flag_per_call(self):
@@ -102,29 +108,28 @@ class TestSpans:
             return x * 2
 
         assert fn(2) == 4
-        assert trace.records() == []
-        trace.enable()
+        assert trace.stage_totals() == ({}, 0)
+        spans = _collect()
         assert fn(3) == 6
-        (rec,) = trace.records()
+        (rec,) = spans
         assert rec.name == "stage.decorated"
 
-    def test_drain_empties_buffer(self):
-        trace.enable()
-        with span("s"):
+    def test_emit_routes_to_totals_and_the_one_sink(self):
+        first = _collect()
+        with span("analysis.pair"):
             pass
-        assert len(trace.drain()) == 1
-        assert trace.records() == []
-
-    def test_buffer_cap_counts_drops(self):
-        buf = trace.TraceBuffer(max_spans=2)
-        rec = trace.SpanRecord("s", 1, 1, 1, 1, 1)
-        for _ in range(4):
-            buf.append(rec)
-        assert len(buf) == 2
-        assert buf.dropped == 2
-        buf2 = trace.TraceBuffer(max_spans=3)
-        buf2.extend([rec] * 5)
-        assert len(buf2) == 3 and buf2.dropped == 2
+        second = _collect()  # enabling again replaces the sink
+        trace.emit(trace.SpanRecord("analysis.pair", 5, 7, 3, pid=999, tid=1))
+        trace.emit(trace.SpanRecord("sim.run", 5, 2, 1, pid=999, tid=1))
+        assert [s.name for s in first] == ["analysis.pair"]
+        assert [s.name for s in second] == ["analysis.pair", "sim.run"]
+        stages, n_pids = trace.stage_totals()
+        assert n_pids == 2
+        count, wall, cpu, mx = stages["analysis.pair"]
+        assert count == 2
+        assert wall == first[0].dur_ns + 7 and cpu == first[0].cpu_ns + 3
+        assert mx == max(first[0].dur_ns, 7)
+        assert stages["sim.run"] == (1, 2, 1, 2)
 
     def test_disabled_overhead_is_negligible(self):
         # Stage-granular call sites rely on the no-op fast path; budget
@@ -218,12 +223,28 @@ class TestWorkerTelemetry:
             spans=(rec,),
             metric_deltas={"counters": {"sim.runs": 4}},
         )
+        spans = _collect()
         absorb(tel)
-        assert [s.pid for s in trace.records()] == [999]
+        assert [s.pid for s in spans] == [999]
+        assert trace.stage_totals()[0]["sim.run"][0] == 1
         snap = metrics.REGISTRY.snapshot()
         assert snap["counters"]["sim.runs"] == 4
         assert snap["histograms"]["pool.queue_wait_ns"]["count"] == 1
         assert snap["histograms"]["pool.task_wall_ns"]["count"] == 1
+
+    def test_run_traced_ships_only_its_own_spans(self):
+        def task(i):
+            with span("sim.inner", i=i):
+                return i * 10
+
+        first = run_traced(task, 1, "sim.task", {"run": 1}, time.time_ns())
+        second = run_traced(task, 2, "sim.task", {"run": 2}, time.time_ns())
+        assert (first.payload, second.payload) == (10, 20)
+        for env, i in ((first, 1), (second, 2)):
+            inner, outer = env.telemetry.spans
+            assert (inner.name, inner.attrs) == ("sim.inner", {"i": i})
+            assert (outer.name, outer.attrs) == ("sim.task", {"run": i})
+            assert env.telemetry.pid == os.getpid()
 
     def test_envelope_is_plain_data(self):
         env = TaskEnvelope("payload", TaskTelemetry(1, 0, 0))
@@ -232,97 +253,30 @@ class TestWorkerTelemetry:
 
 
 # ----------------------------------------------------------------------
-# Exporters
+# Trace files (written by the sink) and the stats table
 # ----------------------------------------------------------------------
 
-def _sample_spans():
-    import os
-
+def _sample_spans(origin_ns=0):
     parent = os.getpid()
     return [
-        trace.SpanRecord("testbed.record", 1_000, 500, 400, parent, 1),
-        trace.SpanRecord("sim.run", 1_200, 200, 150, parent + 1, 1, {"run": 0}),
-        trace.SpanRecord("sim.run", 1_300, 210, 160, parent + 2, 1, {"run": 1}),
+        trace.SpanRecord("testbed.record", origin_ns + 1_000, 500, 400, parent, 1),
+        trace.SpanRecord(
+            "sim.run", origin_ns + 1_200, 200, 150, parent + 1, 1, {"run": 0}
+        ),
+        trace.SpanRecord(
+            "sim.run", origin_ns + 1_300, 210, 160, parent + 2, 1, {"run": 1}
+        ),
     ]
 
 
-class TestExport:
-    def test_chrome_trace_is_valid_and_relative(self):
-        doc = export.chrome_trace(_sample_spans(), meta={"seed": 7})
-        summary = export.validate_chrome_trace(
-            doc, min_worker_pids=2, require_spans=("testbed.record", "sim.run")
-        )
-        assert summary["n_spans"] == 3
-        assert len(summary["worker_pids"]) == 2
-        assert doc["otherData"]["seed"] == 7
-        # Timeline starts at zero: earliest ts is 0 us.
-        xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert min(e["ts"] for e in xs) == 0.0
+def _trace_file(path, *, meta=None, capacity=8192):
+    """The sample spans written through a SpanSink (flusher off)."""
+    sink = SpanSink(path, capacity=capacity, autostart=False)
+    for s in _sample_spans(sink.origin_ns):
+        sink.offer_span(s)
+    sink.close(meta=meta)
+    return path
 
-    def test_chrome_trace_names_processes(self):
-        doc = export.chrome_trace(_sample_spans())
-        names = {
-            e["pid"]: e["args"]["name"]
-            for e in doc["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "process_name"
-        }
-        import os
-
-        assert names[os.getpid()] == "repro (parent)"
-        assert sum(1 for v in names.values() if v.startswith("worker ")) == 2
-
-    def test_write_and_validate_file(self, tmp_path):
-        trace.enable()
-        trace.set_meta("seed", 42)
-        with span("cli.test"):
-            pass
-        path = export.write_chrome_trace(tmp_path / "t.json")
-        summary = export.validate_chrome_trace(path, require_spans=("cli.test",))
-        assert summary["meta"]["seed"] == 42
-
-    def test_jsonl_round_trips(self):
-        lines = export.spans_jsonl(_sample_spans()).splitlines()
-        assert len(lines) == 3
-        objs = [json.loads(line) for line in lines]
-        assert objs[0]["name"] == "testbed.record"
-        assert objs[1]["attrs"] == {"run": 0}
-
-    def test_stats_table_mentions_stages_and_counters(self):
-        metrics.counter("engine.pairs_compared").add(3)
-        table = export.stats_table(_sample_spans())
-        assert "testbed.record" in table
-        assert "sim.run" in table
-        assert "engine.pairs_compared" in table
-
-    @pytest.mark.parametrize(
-        "doc, msg",
-        [
-            ({"events": []}, "traceEvents"),
-            ({"traceEvents": [{"ph": "X"}]}, "missing required key"),
-            (
-                {"traceEvents": [
-                    {"name": "s", "ph": "X", "pid": 1, "tid": 1, "ts": 0}
-                ]},
-                "numeric 'dur'",
-            ),
-            ({"traceEvents": []}, "no complete"),
-        ],
-    )
-    def test_validator_rejects_malformed(self, doc, msg):
-        with pytest.raises(ValueError, match=msg):
-            export.validate_chrome_trace(doc)
-
-    def test_validator_enforces_required_spans_and_pids(self):
-        doc = export.chrome_trace(_sample_spans())
-        with pytest.raises(ValueError, match="missing required span"):
-            export.validate_chrome_trace(doc, require_spans=("analysis.match",))
-        with pytest.raises(ValueError, match="worker pids"):
-            export.validate_chrome_trace(doc, min_worker_pids=5)
-
-
-# ----------------------------------------------------------------------
-# Counter (ph:"C") events through export and validation
-# ----------------------------------------------------------------------
 
 def _counter_event(name="pool.tasks_inflight", ts=5.0, value=3.0, pid=1):
     return {
@@ -338,14 +292,96 @@ def _span_event(ts=0.0):
     }
 
 
+class TestExport:
+    def test_chrome_trace_is_valid_and_relative(self, tmp_path):
+        path = _trace_file(tmp_path / "t.json", meta={"seed": 7})
+        summary = export.validate_chrome_trace(
+            path, min_worker_pids=2, require_spans=("testbed.record", "sim.run")
+        )
+        assert summary["n_spans"] == 3
+        assert len(summary["worker_pids"]) == 2
+        assert summary["meta"]["seed"] == 7
+        # Timestamps are microseconds from the sink's origin.
+        xs = [e for e in json.loads(path.read_text()) if e["ph"] == "X"]
+        assert [e["ts"] for e in xs] == [1.0, 1.2, 1.3]
+
+    def test_chrome_trace_names_processes(self, tmp_path):
+        events = json.loads(_trace_file(tmp_path / "t.json").read_text())
+        names = {
+            e["pid"]: e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        assert names[os.getpid()] == "repro (parent)"
+        assert sum(1 for v in names.values() if v.startswith("worker ")) == 2
+
+    def test_write_and_validate_file(self, tmp_path):
+        sink = SpanSink(tmp_path / "t.json")
+        trace.enable(sink)
+        trace.set_meta("seed", 42)
+        with span("cli.test"):
+            pass
+        trace.disable()
+        sink.close()
+        summary = export.validate_chrome_trace(
+            sink.path, require_spans=("cli.test",)
+        )
+        assert summary["meta"]["seed"] == 42
+
+    def test_jsonl_round_trips(self, tmp_path):
+        path = _trace_file(tmp_path / "t.jsonl")
+        objs = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [o["type"] for o in objs] == ["span"] * 3 + ["meta"]
+        assert objs[0]["name"] == "testbed.record"
+        assert objs[1]["attrs"] == {"run": 0}
+
+    def test_stats_table_mentions_stages_and_counters(self):
+        metrics.counter("engine.pairs_compared").add(3)
+        for s in _sample_spans():
+            trace.emit(s)
+        table = export.stats_table()
+        assert "testbed.record" in table
+        assert "sim.run" in table
+        assert "spans (3 across 3 processes)" in table
+        assert "engine.pairs_compared" in table
+
+    @pytest.mark.parametrize(
+        "doc, msg",
+        [
+            ({"traceEvents": [_span_event()]}, "traceEvents"),
+            ([{"ph": "X"}], "missing required key"),
+            (
+                [{"name": "s", "ph": "X", "pid": 1, "tid": 1, "ts": 0}],
+                "numeric 'dur'",
+            ),
+            ([], "no complete"),
+            ([{**_span_event(), "ts": True, "dur": True}], "numeric 'ts'"),
+        ],
+    )
+    def test_validator_rejects_malformed(self, doc, msg):
+        with pytest.raises(ValueError, match=msg):
+            export.validate_chrome_trace(doc)
+
+    def test_validator_enforces_required_spans_and_pids(self, tmp_path):
+        path = _trace_file(tmp_path / "t.json")
+        with pytest.raises(ValueError, match="missing required span"):
+            export.validate_chrome_trace(path, require_spans=("analysis.match",))
+        with pytest.raises(ValueError, match="worker pids"):
+            export.validate_chrome_trace(path, min_worker_pids=5)
+
+
+# ----------------------------------------------------------------------
+# Counter (ph:"C") events through validation
+# ----------------------------------------------------------------------
+
 class TestCounterEventValidation:
     def test_mixed_span_and_counter_stream_validates(self):
-        doc = {"traceEvents": [
+        doc = [
             _span_event(),
             _counter_event(ts=1.0, value=1),
             _counter_event(ts=2.0, value=2),
             _counter_event(name="sweep.units_done", ts=1.5, value=4),
-        ]}
+        ]
         summary = export.validate_chrome_trace(
             doc,
             require_counters=("pool.tasks_inflight", "sweep.units_done"),
@@ -387,64 +423,39 @@ class TestCounterEventValidation:
     )
     def test_validator_rejects_malformed_counters(self, ev, msg):
         with pytest.raises(ValueError, match=msg):
-            export.validate_chrome_trace({"traceEvents": [_span_event(), ev]})
+            export.validate_chrome_trace([_span_event(), ev])
 
     def test_counter_track_ts_must_be_monotonic_per_pid_and_name(self):
-        doc = {"traceEvents": [
+        doc = [
             _span_event(),
             _counter_event(ts=5.0),
             _counter_event(ts=4.0),
-        ]}
+        ]
         with pytest.raises(ValueError, match="goes backwards"):
             export.validate_chrome_trace(doc)
         # Distinct tracks (other pid, other name) are independent.
-        ok = {"traceEvents": [
+        ok = [
             _span_event(),
             _counter_event(ts=5.0),
             _counter_event(ts=4.0, pid=2),
             _counter_event(name="other", ts=1.0),
-        ]}
+        ]
         export.validate_chrome_trace(ok)
 
     def test_counter_coverage_requirements(self):
-        doc = {"traceEvents": [_span_event(), _counter_event()]}
+        doc = [_span_event(), _counter_event()]
         with pytest.raises(ValueError, match="missing required counter"):
             export.validate_chrome_trace(doc, require_counters=("nope",))
         with pytest.raises(ValueError, match="counter events"):
             export.validate_chrome_trace(doc, min_counter_events=5)
 
-    def test_chrome_trace_merges_counter_buffer(self):
-        from repro.obs.live import COUNTER_EVENTS
-
-        spans = _sample_spans()
-        # Sample timestamps interleaved with the span epoch (ns).
-        COUNTER_EVENTS.offer_counter("pool.tasks_inflight", 900, 1.0, pid=7)
-        COUNTER_EVENTS.offer_counter("pool.tasks_inflight", 1_400, 2.0, pid=7)
-        doc = export.chrome_trace(spans)
-        cs = [e for e in doc["traceEvents"] if e["ph"] == "C"]
-        assert [c["args"]["value"] for c in cs] == [1.0, 2.0]
-        # The origin includes counter samples: earliest event is ts 0.
-        assert min(e["ts"] for e in doc["traceEvents"] if "ts" in e) == 0.0
-        assert doc["otherData"]["n_counter_events"] == 2
-        assert doc["otherData"]["dropped_counter_events"] == 0
-        summary = export.validate_chrome_trace(
-            doc, require_counters=("pool.tasks_inflight",)
-        )
-        assert summary["n_counter_events"] == 2
-
-    def test_trace_meta_carries_drop_count_and_high_water(self):
-        trace.enable()
-        small = trace.TraceBuffer(max_spans=2)
-        for s in _sample_spans():
-            small.append(s)
-        assert small.dropped == 1
-        assert small.high_water == 2
-        # The export surfaces the global buffer's accounting the same way.
-        doc = export.chrome_trace(_sample_spans())
-        assert doc["otherData"]["dropped_spans"] == 0
-        assert "buffer_high_water" in doc["otherData"]
-        summary = export.validate_chrome_trace(doc)
-        assert summary["dropped_spans"] == 0
+    def test_trace_meta_carries_drop_count_and_high_water(self, tmp_path):
+        # A 2-slot ring with the flusher off keeps two spans, drops one.
+        path = _trace_file(tmp_path / "t.json", capacity=2)
+        summary = export.validate_chrome_trace(path)
+        assert summary["n_spans"] == 2
+        assert summary["dropped_spans"] == 1
+        assert summary["buffer_high_water"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +479,7 @@ class TestTracingIsInert:
     def test_serial_compare_bit_identical(self):
         a, b = _noisy_pair()
         ref = compare_trials(a, b)
-        trace.enable()
+        _collect()
         traced_rep = compare_trials(a, b)
         assert traced_rep.metrics == ref.metrics
         assert traced_rep.kappa == ref.kappa
@@ -484,7 +495,7 @@ class TestTracingIsInert:
                 shutdown_pool()
 
         untraced = fanned_out()
-        trace.enable()
+        records = _collect()
         traced = fanned_out()
 
         for rep in (*untraced, *traced):
@@ -492,7 +503,6 @@ class TestTracingIsInert:
             assert rep.kappa == ref.kappa
             assert rep.pct_iat_within_10ns == ref.pct_iat_within_10ns
 
-        records = trace.records()
         names = {r.name for r in records}
         # The fan-out and the serial stages inside each worker task.
         for required in (
@@ -512,9 +522,9 @@ class TestTracingIsInert:
 
         profile = local_single_replayer().at_duration(2e6)
         ref = [t.times_ns for t in Testbed(profile, seed=3).run_series(2)]
-        trace.enable()
+        records = _collect()
         got = [t.times_ns for t in Testbed(profile, seed=3).run_series(2)]
         for r, g in zip(ref, got):
             np.testing.assert_array_equal(r, g)
-        names = {r.name for r in trace.records()}
+        names = {r.name for r in records}
         assert {"testbed.record", "sim.series", "sim.run"} <= names

@@ -38,9 +38,7 @@ import pytest
 from .conftest import make_trial, suite_rng
 from repro.obs import export, metrics, trace
 from repro.obs.live import (
-    COUNTER_EVENTS,
     LIVE_GAUGES,
-    CounterEventBuffer,
     CounterSampler,
     LabeledGauges,
     MetricsServer,
@@ -64,12 +62,10 @@ def _clean_obs():
     """Every test starts and ends with tracing off and stores empty."""
     trace.reset()
     metrics.REGISTRY.reset()
-    COUNTER_EVENTS.reset()
     LIVE_GAUGES.reset()
     yield
     trace.reset()
     metrics.REGISTRY.reset()
-    COUNTER_EVENTS.reset()
     LIVE_GAUGES.reset()
 
 
@@ -176,18 +172,17 @@ class TestSpanSink:
     def test_installed_sink_keeps_buffer_empty(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         sink = SpanSink(path, flush_interval_s=0.001)
-        trace.enable()
-        trace.install_sink(sink)
+        trace.enable(sink)
         try:
-            assert trace.active_sink() is sink
             for i in range(50):
                 with trace.span("analysis.pair", i=i):
                     pass
-            # Spans streamed out; nothing accumulated in process memory.
-            assert len(trace.records()) == 0
-            assert len(trace.BUFFER) == 0
+            # Spans streamed out; the process keeps one stage-total row.
+            stages, _ = trace.stage_totals()
+            assert list(stages) == ["analysis.pair"]
+            assert stages["analysis.pair"][0] == 50
         finally:
-            assert trace.uninstall_sink() is sink
+            trace.disable()
         sink.close()
         spans = [
             json.loads(line)
@@ -198,9 +193,12 @@ class TestSpanSink:
 
     def test_reset_detaches_but_does_not_close(self, tmp_path):
         sink = SpanSink(tmp_path / "t.jsonl", autostart=False)
-        trace.install_sink(sink)
+        trace.enable(sink)
         trace.reset()
-        assert trace.active_sink() is None
+        trace.enable()
+        with trace.span("analysis.pair"):
+            pass
+        assert sink.queued == 0  # detached: the span went elsewhere
         assert not sink.closed
         sink.close()
 
@@ -234,24 +232,24 @@ class TestSpanSink:
         assert metrics.counter("obs.sink.io_errors").value >= 1
 
 
-class TestCounterEventBuffer:
-    def test_cap_drops_counted(self):
-        buf = CounterEventBuffer(max_events=3)
-        for i in range(5):
-            buf.offer_counter("x", i, float(i))
-        assert len(buf) == 3
-        assert buf.dropped == 2
-        buf.reset()
-        assert len(buf) == 0 and buf.dropped == 0
-
-
 # ----------------------------------------------------------------------
 # The counter sampler
 # ----------------------------------------------------------------------
 
+class _Samples:
+    """A sampler target keeping every ``(name, ts_ns, value, pid)``."""
+
+    def __init__(self):
+        self.events = []
+
+    def offer_counter(self, name, ts_ns, value, pid=None):
+        self.events.append((name, ts_ns, value, pid))
+        return True
+
+
 class TestCounterSampler:
     def test_emits_only_changed_values(self):
-        buf = CounterEventBuffer()
+        buf = _Samples()
         sampler = CounterSampler(buf, interval_s=60, autostart=False)
         metrics.counter("pool.tasks_submitted").add(3)
         metrics.gauge("pool.tasks_inflight").set(2)
@@ -259,53 +257,53 @@ class TestCounterSampler:
         assert sampler.sample() == 0  # nothing changed
         metrics.counter("pool.tasks_submitted").add()
         assert sampler.sample() == 1
-        names = [name for name, *_ in buf.events()]
+        names = [name for name, *_ in buf.events]
         assert names.count("pool.tasks_submitted") == 2
         assert names.count("pool.tasks_inflight") == 1
 
     def test_labeled_gauges_become_labeled_tracks(self):
-        buf = CounterEventBuffer()
+        buf = _Samples()
         sampler = CounterSampler(buf, interval_s=60, autostart=False)
         LIVE_GAUGES.set("monitor.window_kappa", {"session": "run1"}, 0.93)
         LIVE_GAUGES.set("monitor.window_kappa", {"session": "run2"}, 0.88)
         sampler.sample()
-        names = sorted(name for name, *_ in buf.events())
+        names = sorted(name for name, *_ in buf.events)
         assert names == [
             "monitor.window_kappa{session=run1}",
             "monitor.window_kappa{session=run2}",
         ]
 
     def test_close_takes_a_final_sample(self):
-        buf = CounterEventBuffer()
+        buf = _Samples()
         sampler = CounterSampler(buf, interval_s=3600, autostart=False)
         metrics.counter("monitor.windows").add(5)
         sampler.close()
-        assert [e[0] for e in buf.events()] == ["monitor.windows"]
-        assert buf.events()[0][2] == 5.0
+        assert [e[0] for e in buf.events] == ["monitor.windows"]
+        assert buf.events[0][2] == 5.0
         sampler.close()  # idempotent
-        assert len(buf.events()) == 1
+        assert len(buf.events) == 1
 
     def test_background_tick_samples_into_target(self):
-        buf = CounterEventBuffer()
+        buf = _Samples()
         metrics.counter("monitor.packets").add(1)
         with CounterSampler(buf, interval_s=0.005) as sampler:
             deadline = time.monotonic() + 2.0
-            while not buf.events() and time.monotonic() < deadline:
+            while not buf.events and time.monotonic() < deadline:
                 time.sleep(0.01)
         assert sampler.samples_emitted >= 1
-        assert any(name == "monitor.packets" for name, *_ in buf.events())
+        assert any(name == "monitor.packets" for name, *_ in buf.events)
 
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError, match="interval"):
-            CounterSampler(CounterEventBuffer(), interval_s=0)
+            CounterSampler(_Samples(), interval_s=0)
 
     def test_sampler_timestamps_are_monotonic_per_track(self):
-        buf = CounterEventBuffer()
+        buf = _Samples()
         sampler = CounterSampler(buf, interval_s=60, autostart=False)
         for k in range(4):
             metrics.counter("pool.tasks_submitted").add()
             sampler.sample()
-        track = [e for e in buf.events() if e[0] == "pool.tasks_submitted"]
+        track = [e for e in buf.events if e[0] == "pool.tasks_submitted"]
         ts = [e[1] for e in track]
         assert ts == sorted(ts)
 
@@ -468,7 +466,7 @@ class TestHistogramQuantile:
         h = metrics.histogram("pool.queue_wait_ns")
         for v in (1_000, 2_000, 400_000):
             h.observe(v)
-        table = export.stats_table([])
+        table = export.stats_table()
         assert "p50=" in table and "p95=" in table and "p99=" in table
 
 
@@ -582,7 +580,7 @@ class TestLiveObservabilityIsInert:
         from repro import cli
 
         for var in (
-            "REPRO_TRACE", "REPRO_STREAM_TRACE", "REPRO_METRICS_PORT",
+            "REPRO_TRACE", "REPRO_METRICS_PORT",
             "REPRO_COUNTER_TICK_MS", "REPRO_METRICS_HOLD_S",
         ):
             monkeypatch.delenv(var, raising=False)
@@ -598,14 +596,13 @@ class TestLiveObservabilityIsInert:
         assert rc_plain == 0
         trace.reset()
         metrics.REGISTRY.reset()
-        COUNTER_EVENTS.reset()
         LIVE_GAUGES.reset()
 
         stream = tmp_path / "live.json"
         rc_live, out_live = self._run_monitor(
             capsys, monkeypatch, captures,
             extra=[
-                "--stream-trace", str(stream),
+                "--trace", str(stream),
                 "--serve-metrics", "0",
                 "--counter-tick", "10",
             ],
@@ -624,18 +621,6 @@ class TestLiveObservabilityIsInert:
         assert summary["dropped_spans"] == 0
         assert "monitor.window_kappa{session=run1}" in summary["counter_names"]
 
-    def test_trace_and_stream_trace_are_mutually_exclusive(
-        self, capsys, monkeypatch, captures, tmp_path
-    ):
-        rc, _ = self._run_monitor(
-            capsys, monkeypatch, captures,
-            extra=[
-                "--trace", str(tmp_path / "a.json"),
-                "--stream-trace", str(tmp_path / "b.json"),
-            ],
-        )
-        assert rc == 2
-
     def test_one_shot_trace_gains_counter_tracks(
         self, capsys, monkeypatch, captures, tmp_path
     ):
@@ -651,4 +636,4 @@ class TestLiveObservabilityIsInert:
             require_counters=("monitor.windows",),
             min_counter_events=1,
         )
-        assert summary["meta"]["n_counter_events"] >= 1
+        assert summary["n_counter_events"] >= 1

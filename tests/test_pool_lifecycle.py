@@ -218,14 +218,15 @@ class TestWorkerTelemetryRoundTrip:
         """A traced fan-out ships worker spans back, pid-attributed."""
         import os
 
-        trace.enable()
+        sink = trace.ListSink()
+        trace.enable(sink)
         trials = Testbed(PROFILE, seed=3).run_series(3, jobs=2)
-        spans = trace.records()
+        spans = sink.spans
         run_spans = [s for s in spans if s.name == "sim.run"]
         assert len(run_spans) == 3
         worker_pids = {s.pid for s in run_spans}
         assert os.getpid() not in worker_pids
-        # The parent-side series span is in the same buffer.
+        # The parent-side series span reached the same sink.
         assert any(
             s.name == "sim.series" and s.pid == os.getpid() for s in spans
         )
@@ -241,17 +242,18 @@ class TestWorkerTelemetryRoundTrip:
     def test_untraced_pool_results_stay_bare(self):
         """With tracing off the wrapper never runs — no envelopes, no spans."""
         Testbed(PROFILE, seed=3).run_series(2, jobs=2)
-        assert trace.records() == []
+        assert trace.stage_totals() == ({}, 0)
 
     def test_traced_analysis_covers_whole_pair_stage(self):
         """Whole-pair analysis at jobs=2 emits worker-pid pair spans."""
         import os
 
         trials = Testbed(PROFILE, seed=3).run_series(3, jobs=1)
-        trace.enable()
+        sink = trace.ListSink()
+        trace.enable(sink)
         rep = compare_series_parallel(trials, environment=PROFILE.name, jobs=2)
         names_by_pid: dict[int, set[str]] = {}
-        for s in trace.records():
+        for s in sink.spans:
             names_by_pid.setdefault(s.pid, set()).add(s.name)
         worker_names: set[str] = set()
         for pid, names in names_by_pid.items():

@@ -67,7 +67,7 @@ from .trace import (
     stage_totals,
     traced,
 )
-from .worker import TaskEnvelope, TaskTelemetry, absorb, run_traced
+from .worker import TaskEnvelope, TaskTelemetry, absorb, run_task
 
 __all__ = [
     "trace",
@@ -103,6 +103,6 @@ __all__ = [
     "validate_chrome_trace",
     "TaskTelemetry",
     "TaskEnvelope",
-    "run_traced",
+    "run_task",
     "absorb",
 ]

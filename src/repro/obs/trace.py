@@ -102,7 +102,7 @@ class ListSink:
     """A sink that keeps every offered span in :attr:`spans`.
 
     Unbounded by design, so it is only for short collections: one worker
-    task's spans (:func:`repro.obs.worker.run_traced`) or a test's.
+    task's spans (:func:`repro.obs.worker.run_task`) or a test's.
     """
 
     def __init__(self) -> None:

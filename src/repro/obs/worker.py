@@ -8,24 +8,24 @@ into the transport to be debuggable — so this module piggybacks
 telemetry on the task results themselves instead of inventing a side
 channel:
 
-* :func:`run_traced` is the worker-side wrapper the pool's
-  :func:`~repro.parallel.pool.submit_task` dispatches when tracing is
-  on.  It enables collection locally into a fresh
-  :class:`~repro.obs.trace.ListSink`, wraps the real task body in a span
-  named after the stage, and returns the payload inside a
-  :class:`TaskEnvelope` carrying a :class:`TaskTelemetry`;
-* :func:`absorb` (called by :func:`~repro.parallel.pool.gather` on every
-  envelope it unwraps) routes the worker's spans through the parent's
-  :func:`~repro.obs.trace.emit` — each already stamped with the worker's
-  pid, so a single Perfetto timeline shows the whole fan-out and
-  ``--stats`` counts the worker stages — merges the counter and
-  histogram deltas, and feeds the two pool-level distributions:
-  ``pool.queue_wait_ns`` (submit → worker pickup) and
-  ``pool.task_wall_ns`` (task body wall time).
+* :func:`run_task` is the worker-side wrapper that
+  :func:`~repro.parallel.pool.fan_out` submits every task in.  It wraps
+  the real task body in a span named after the stage and returns the
+  payload inside a :class:`TaskEnvelope` carrying a
+  :class:`TaskTelemetry`: always the worker's metric deltas and its
+  queue-wait and wall times, and the task's spans (collected into a
+  fresh :class:`~repro.obs.trace.ListSink`) when tracing is on;
+* :func:`absorb` (called by ``fan_out`` on every envelope) routes the
+  worker's spans through the parent's :func:`~repro.obs.trace.emit` —
+  each already stamped with the worker's pid, so a single Perfetto
+  timeline shows the whole fan-out and ``--stats`` counts the worker
+  stages — merges the counter and histogram deltas, and feeds the two
+  pool-level distributions: ``pool.queue_wait_ns`` (submit → worker
+  pickup) and ``pool.task_wall_ns`` (task body wall time).
 
-When tracing is disabled nothing here runs at all — ``submit_task``
-submits the bare task body and results cross the pool unwrapped, byte
-for byte as before.
+With tracing off no span is collected, so envelopes carry no spans;
+counters and the two pool histograms still cross, so an untraced pooled
+run reports the same worker counters as its serial run.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .metrics import REGISTRY
 __all__ = [
     "TaskTelemetry",
     "TaskEnvelope",
-    "run_traced",
+    "run_task",
     "absorb",
 ]
 
@@ -71,16 +71,24 @@ class TaskEnvelope:
     telemetry: TaskTelemetry
 
 
-def run_traced(fn, task, name: str, attrs: dict, submit_ns: int) -> TaskEnvelope:
+def run_task(
+    fn, task, name: str, attrs: dict, submit_ns: int, traced: bool
+) -> TaskEnvelope:
     """Worker-side: run ``fn(task)`` under a span, ship telemetry back.
 
-    Runs in the worker process.  Collection is enabled locally (the
-    worker may have been forked before the parent enabled tracing, or be
-    a spawn-start process that inherited nothing) into a fresh list sink,
-    so only this task's spans ship back.
+    Runs in the worker process.  The registry is drained before the task,
+    so the shipped deltas are this task's alone.  With ``traced``,
+    collection is enabled locally (the worker may have been forked before
+    the parent enabled tracing, or be a spawn-start process that
+    inherited nothing) into a fresh list sink, so only this task's spans
+    ship back; otherwise it is switched off, so a worker that served a
+    traced batch earlier collects nothing now.
     """
     collected = trace.ListSink()
-    trace.enable(collected)
+    if traced:
+        trace.enable(collected)
+    else:
+        trace.disable()
     REGISTRY.drain_deltas()
     start_ns = time.time_ns()
     t0 = time.perf_counter_ns()

@@ -2,8 +2,8 @@
 
 The rule this package keeps: **fan out whole items and reassemble them by
 index; never split an item and merge partials.**  Exactly three fan-outs
-exist, all on the one persistent pool (:mod:`~repro.parallel.pool`) via
-``submit_task``/``gather``:
+exist, all dispatched through :func:`~repro.parallel.pool.fan_out` on
+the one persistent pool (:mod:`~repro.parallel.pool`):
 
 * sweep units — :func:`repro.sweep.coordinator.run_sweep`;
 * replay runs of a series — :class:`~repro.parallel.simfarm.SimFarm`,
@@ -12,39 +12,34 @@ exist, all on the one persistent pool (:mod:`~repro.parallel.pool`) via
   one serial ``compare_trials`` per task.
 
 Each task runs the unmodified serial code, so output is bit-identical at
-any job count.  Packet arrays travel through
-``multiprocessing.shared_memory`` (:mod:`~repro.parallel.shm`), never
-through pickle.  See ``docs/parallel.md`` for the measured costs, and
-``tests/test_parallel_differential.py`` / ``tests/test_sim_differential.py``
-for the differential harnesses that prove parallel == serial.
+any job count.  Whole pairs read their packet arrays from
+``multiprocessing.shared_memory`` (:mod:`~repro.parallel.shm`); sweep
+units and replay runs cross the pool by pickle.  See ``docs/parallel.md``
+for the measured costs, and ``tests/test_parallel_differential.py`` /
+``tests/test_sim_differential.py`` for the differential harnesses that
+prove parallel == serial.
 """
 
 from .engine import compare_series_parallel
 from .pool import (
     PoolStats,
     default_jobs,
-    gather,
+    fan_out,
     get_pool,
     pool_scope,
     pool_stats,
     shutdown_pool,
-    submit_task,
 )
-from .shm import ArraySpec, ShmArena
-from .simfarm import SimFarm, run_series_parallel
+from .simfarm import SimFarm
 
 __all__ = [
     "compare_series_parallel",
     "SimFarm",
-    "run_series_parallel",
+    "fan_out",
     "get_pool",
     "shutdown_pool",
     "pool_stats",
     "pool_scope",
-    "submit_task",
-    "gather",
     "PoolStats",
-    "ArraySpec",
-    "ShmArena",
     "default_jobs",
 ]

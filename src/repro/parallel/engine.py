@@ -3,7 +3,11 @@
 Each worker runs the unmodified serial
 :func:`repro.core.report.compare_trials` on one (baseline, run) pair whose
 packet arrays it reads from shared memory (:mod:`repro.parallel.shm`);
-the parent reassembles the reports by pair index.  The output is exactly
+the tasks go through :func:`repro.parallel.pool.fan_out`, and the parent
+places the reports by pair index.  This is the one fan-out whose inputs
+travel through shared memory: the baseline's arrays are shared once for
+every pair, and measured on a 2-core host that beats pickling them
+(``docs/parallel.md``).  The output is exactly
 :func:`repro.core.report.compare_series` — it *is* the serial code, run
 elsewhere — so no merge step exists to get wrong.  A pair is never split:
 within-pair sharding never beat serial on measured hardware (see
@@ -17,7 +21,7 @@ from ..core.report import RunSeriesReport, compare_series, compare_trials, label
 from ..core.trial import Trial
 from ..obs import metrics
 from ..obs.trace import span
-from .pool import default_jobs, gather, get_pool, submit_task
+from .pool import default_jobs, fan_out
 from .shm import ShmArena, attach_view, detach_all
 
 __all__ = ["compare_series_parallel"]
@@ -60,8 +64,8 @@ def compare_series_parallel(
     if jobs == 1 or len(trials) <= 2:
         return compare_series(trials, environment=environment, bins=bins)
     baseline, *runs = label_series(trials)
-    pool = get_pool(jobs)
     metrics.counter("engine.whole_pair_tasks").add(len(runs))
+    pairs = [None] * len(runs)
     with span("analysis.series", n_pairs=len(runs), jobs=jobs), ShmArena() as arena:
         shared_a = {
             "tags_a": arena.share(baseline.tags),
@@ -70,23 +74,23 @@ def compare_series_parallel(
             "meta_a": dict(baseline.meta),
             "bins": bins,
         }
-        futures = [
-            submit_task(
-                pool,
-                _whole_pair_worker,
-                {
-                    **shared_a,
-                    "tags_b": arena.share(run.tags),
-                    "times_b": arena.share(run.times_ns),
-                    "label_b": run.label,
-                    "meta_b": dict(run.meta),
-                },
-                name="analysis.pair.whole",
-                run=run.label,
-            )
+        # A generator: each pair is shared just before it is submitted,
+        # so the first workers start while later pairs are still copied.
+        tasks = (
+            {
+                **shared_a,
+                "tags_b": arena.share(run.tags),
+                "times_b": arena.share(run.times_ns),
+                "label_b": run.label,
+                "meta_b": dict(run.meta),
+            }
             for run in runs
-        ]
-        pairs = gather(futures)
+        )
+        for i, pair in fan_out(
+            jobs, _whole_pair_worker, tasks, name="analysis.pair.whole",
+            attrs=[{"run": run.label} for run in runs],
+        ):
+            pairs[i] = pair
     return RunSeriesReport(
         environment=environment, baseline_label=baseline.label, pairs=tuple(pairs)
     )

@@ -13,7 +13,8 @@ This module owns exactly one pool per process instead:
   executor to every caller — the three fan-outs, sweep units
   (:mod:`repro.sweep.coordinator`), replay runs
   (:mod:`repro.parallel.simfarm`) and whole trial pairs
-  (:mod:`repro.parallel.engine`), all draw from it;
+  (:mod:`repro.parallel.engine`), all draw from it through
+  :func:`fan_out`;
 * :func:`shutdown_pool` tears it down; the CLI calls it in a ``finally``
   so error exits cannot leak workers, and an ``atexit`` hook covers
   library users who never call it;
@@ -26,26 +27,19 @@ never change mid-invocation in real use; tests sweep them).  Exactness is
 never at stake — every consumer of the pool is bit-identical to its
 serial path at any worker count — only startup cost is.
 
-:func:`gather` is the companion error-path helper: it waits on a batch of
-futures *in submission order* and, when one fails, cancels the rest and
-drains the pool before re-raising.  Without the drain, sibling tasks of a
-failed batch would still be running when the caller's ``ShmArena``
-unlinks their input segments — under the old pool-per-series design that
-stalled the pool's own teardown; under a shared pool it would poison the
-*next* batch.  Failures are counted (``pool.task_failures``) and the
-re-raised exception carries the remote worker traceback string
-(``remote_traceback``) so a drained batch never swallows the original
-cause.
-
-Observability: :func:`submit_task` is the telemetry-aware front door —
-every fan-out site names its stage (``analysis.pair.whole``,
-``sim.run``, ...) and, when tracing is enabled
-(:mod:`repro.obs.trace`), the task runs wrapped in
-:func:`repro.obs.worker.run_traced` so its spans and metric deltas ride
-back on the result; :func:`gather` unwraps those envelopes and absorbs
-them parent-side (worker spans go through :func:`repro.obs.trace.emit`
-like the parent's own).  With tracing off, ``submit_task`` degenerates to a
-bare ``pool.submit`` plus one counter increment.
+:func:`fan_out` is the one way work reaches the pool.  It submits each
+task wrapped in :func:`repro.obs.worker.run_task`, which names the stage
+(``analysis.pair.whole``, ``sim.run``, ``sweep.unit.remote``) and ships
+the worker's metric deltas back on the result, plus its spans when
+tracing (:mod:`repro.obs.trace`) is on.  It absorbs that telemetry
+parent-side and yields ``(index, result)`` in completion order.  When a
+task fails it cancels the rest of the batch and drains the running
+tasks before re-raising.  Without the drain, sibling tasks would still
+be running when the caller's ``ShmArena`` unlinks their input segments,
+and under a shared pool they would poison the *next* batch.  Failures
+are counted (``pool.task_failures``), and the re-raised exception
+carries the remote worker traceback string (``remote_traceback``), so a
+drained batch never swallows the original cause.
 
 Start method: workers start via **forkserver** by default — the server
 process pre-imports NumPy and the engine modules once
@@ -68,11 +62,11 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed, wait
 from dataclasses import dataclass
 
 from ..obs import metrics, trace
-from ..obs.worker import TaskEnvelope, absorb, run_traced
+from ..obs.worker import absorb, run_task
 
 __all__ = [
     "default_jobs",
@@ -80,8 +74,7 @@ __all__ = [
     "shutdown_pool",
     "pool_stats",
     "pool_scope",
-    "submit_task",
-    "gather",
+    "fan_out",
     "PoolStats",
 ]
 
@@ -230,61 +223,48 @@ class pool_scope:
         shutdown_pool()
 
 
-def submit_task(
-    pool: ProcessPoolExecutor, fn, task, *, name: str | None = None, **attrs
-) -> Future:
-    """Submit one engine task, wrapped for telemetry when tracing is on.
+def fan_out(jobs: int, fn, tasks, *, name: str, attrs):
+    """Run ``fn(task)`` for every task on the pool; yield ``(index, result)``.
 
-    ``name`` is the task's span name (``package.stage.substage``);
-    ``attrs`` annotate it (run index, labels).  With tracing
-    disabled — the default — this is ``pool.submit(fn, task)`` plus one
-    counter increment, and results cross the pool unwrapped.
+    The one dispatch path of the package.  Every task runs inside
+    :func:`repro.obs.worker.run_task`, named ``name`` and annotated with
+    ``attrs[index]`` (a sequence of dicts parallel to ``tasks``).  Each
+    result's telemetry is absorbed before it is yielded: the worker's
+    metric deltas always, its spans when tracing is on.  Results come in
+    completion order; callers that need task order place them by index.
+
+    On failure — a task raising, or the consumer abandoning the
+    iteration — every pending task is cancelled and the running ones are
+    waited for, so no worker is still reading a shared-memory segment
+    the caller is about to unlink.  Failed tasks are counted in
+    ``pool.task_failures``, and a re-raised worker exception carries the
+    remote traceback string as ``remote_traceback`` (and as an exception
+    note on Python >= 3.11), so the drain never swallows the cause.
     """
-    metrics.counter("pool.tasks_submitted").add()
-    if name is not None and trace.is_enabled():
-        fut = pool.submit(run_traced, fn, task, name, attrs, time.time_ns())
-    else:
-        fut = pool.submit(fn, task)
-    _inflight_add(1)
-    fut.add_done_callback(lambda _f: _inflight_add(-1))
-    return fut
-
-
-def _unwrap(result):
-    """Absorb a traced task's telemetry; hand back the bare payload."""
-    if type(result) is TaskEnvelope:
-        absorb(result.telemetry)
-        return result.payload
-    return result
-
-
-def gather(futures: list[Future]) -> list:
-    """Results of ``futures`` in list order; on error, drain before raising.
-
-    Cancels everything still pending, then waits for the already-running
-    tasks to finish, so no worker is still reading a shared-memory segment
-    the caller is about to unlink — the failure mode that used to leave a
-    doomed pool (and its segments) behind when one task of a series
-    raised.
-
-    Telemetry envelopes from traced tasks (see :func:`submit_task`) are
-    unwrapped here, so every call site keeps receiving the bare payloads.
-    On failure, every failed future of the batch is counted in
-    ``pool.task_failures`` and the first failure is re-raised with the
-    remote worker traceback string attached as ``remote_traceback`` (and
-    as an exception note on Python >= 3.11) — the drain must never
-    swallow the original cause.
-    """
+    pool = get_pool(jobs)
+    traced = trace.is_enabled()
+    futures: dict[Future, int] = {}
+    for i, task in enumerate(tasks):
+        fut = pool.submit(
+            run_task, fn, task, name, attrs[i], time.time_ns(), traced
+        )
+        futures[fut] = i
+        metrics.counter("pool.tasks_submitted").add()
+        _inflight_add(1)
+        fut.add_done_callback(lambda _f: _inflight_add(-1))
     try:
-        return [_unwrap(f.result()) for f in futures]
+        for fut in as_completed(futures):
+            envelope = fut.result()
+            absorb(envelope.telemetry)
+            yield futures[fut], envelope.payload
     except BaseException as exc:
-        for f in futures:
-            f.cancel()
+        for fut in futures:
+            fut.cancel()
         wait(futures)
-        n_failed = 0
-        for f in futures:
-            if not f.cancelled() and f.done() and f.exception() is not None:
-                n_failed += 1
+        n_failed = sum(
+            1 for fut in futures
+            if not fut.cancelled() and fut.exception() is not None
+        )
         if n_failed:
             metrics.counter("pool.task_failures").add(n_failed)
         # ProcessPoolExecutor chains the worker traceback as a

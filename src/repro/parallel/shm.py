@@ -1,13 +1,15 @@
-"""Shared-memory transport of packet arrays between pool processes.
+"""Shared-memory transport of the whole-pair fan-out's packet arrays.
 
-Pool workers never pickle packet payloads: the parent copies each NumPy
-array (tags, timestamps, recordings) once into a POSIX shared-memory
-segment and ships only a tiny :class:`ArraySpec` handle — segment name,
-shape, dtype — through the process pool.  Workers attach a zero-copy
-view, compute, optionally write results into a shared *output* buffer
-the parent allocated, and detach.  For a paper-scale trial (~1M packets,
-8 MB of timestamps) this turns per-task IPC from megabytes of pickle into
-a few hundred bytes.  Serial (``jobs=1``) paths never build an arena.
+The whole-pair fan-out (:mod:`repro.parallel.engine`) is the one user:
+the parent copies each trial's tag and timestamp arrays once into a
+POSIX shared-memory segment and ships only a tiny :class:`ArraySpec`
+handle — segment name, shape, dtype — through the process pool.  Workers
+attach a zero-copy view, compute, and detach.  The baseline trial is
+shared once for every pair, so for a paper-scale series (~1M packets,
+8 MB of timestamps per trial) this saves one baseline pickle per task.
+Replay runs and sweep units pickle instead, which measured as fast or
+faster (``docs/parallel.md``).  Serial (``jobs=1``) paths never build an
+arena.
 
 Ownership note: the parent's arena is the sole owner of every segment it
 creates.  CPython < 3.13 also registers *attached* segments with the
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import inspect
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
@@ -52,62 +54,30 @@ class ArraySpec:
 class ShmArena:
     """Parent-side owner of the shared-memory segments of one fan-out.
 
-    ``share`` copies an existing array in; ``allocate`` creates a zeroed
-    writable buffer (for worker outputs).  The arena owns its segments:
+    ``share`` copies an array in.  The arena owns its segments:
     :meth:`close` (or the context manager) closes and unlinks them all,
     after which worker views are invalid.
     """
 
     def __init__(self) -> None:
         self._segments: list[shared_memory.SharedMemory] = []
-        self._views: dict[str, np.ndarray] = {}
 
-    # -- construction ----------------------------------------------------
     def share(self, array: np.ndarray) -> ArraySpec:
         """Copy ``array`` into a fresh segment; return its spec."""
         array = np.ascontiguousarray(array)
-        spec, view = self._new(array.shape, array.dtype)
-        if view is not None:
-            view[...] = array
-        return spec
-
-    def allocate(self, n: int, dtype=np.float64) -> tuple[ArraySpec, np.ndarray]:
-        """A zero-initialized writable buffer of ``n`` elements.
-
-        Returns the spec to ship to workers and the parent's view of the
-        same memory (workers write their results; the parent reads them).
-        """
-        spec, view = self._new((int(n),), np.dtype(dtype))
-        if view is None:
-            return spec, np.zeros(int(n), dtype=dtype)
-        view[...] = 0
-        return spec, view
-
-    def _new(self, shape, dtype) -> tuple[ArraySpec, np.ndarray | None]:
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         # Zero-length arrays cannot back a segment; the spec alone
         # describes them.
-        if nbytes == 0:
-            return ArraySpec(tuple(shape), dtype.str), None
-        seg = shared_memory.SharedMemory(create=True, size=nbytes)
+        if array.nbytes == 0:
+            return ArraySpec(array.shape, array.dtype.str)
+        seg = shared_memory.SharedMemory(create=True, size=array.nbytes)
         self._segments.append(seg)
         metrics.counter("shm.segments").add()
-        metrics.counter("shm.bytes_shared").add(nbytes)
-        view = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-        self._views[seg.name] = view
-        return ArraySpec(tuple(shape), dtype.str, shm_name=seg.name), view
+        metrics.counter("shm.bytes_shared").add(array.nbytes)
+        np.ndarray(array.shape, dtype=array.dtype, buffer=seg.buf)[...] = array
+        return ArraySpec(array.shape, array.dtype.str, shm_name=seg.name)
 
-    # -- parent-side access ----------------------------------------------
-    def view(self, spec: ArraySpec) -> np.ndarray:
-        """The parent's view of a spec created by this arena."""
-        if spec.shm_name is None:
-            return np.empty(spec.shape, dtype=np.dtype(spec.dtype))
-        return self._views[spec.shm_name]
-
-    # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
         """Close and unlink every segment this arena created."""
-        self._views.clear()
         for seg in self._segments:
             try:
                 seg.close()

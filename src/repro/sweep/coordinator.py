@@ -11,9 +11,11 @@ analysis each).  The coordinator:
 2. probes the :class:`~repro.sweep.store.ArtifactStore` and satisfies
    hits without simulating anything;
 3. fans misses out over the persistent worker pool
-   (:mod:`repro.parallel.pool`) — one unit per task, computed with the
-   *serial* simulation and analysis paths worker-side so the stored and
-   merged bits equal ``analyze_trials`` exactly;
+   (:func:`repro.parallel.pool.fan_out`) — one unit per task, computed
+   with the *serial* simulation and analysis paths worker-side so the
+   stored and merged bits equal ``analyze_trials`` exactly; trials and
+   the encoded report come back by pickle, with the worker's counters
+   (and spans, when tracing) absorbed on the way;
 4. persists each finished unit **immediately and atomically**, so a
    killed sweep resumes from its last completed unit, not from zero;
 5. merges the per-unit reports, in plan order, into one machine-readable
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from ..experiments.scenarios import default_duration_scale, scenario
 from ..obs import metrics
 from ..obs.export import host_context
 from ..obs.trace import span
-from ..parallel.pool import default_jobs
+from ..parallel.pool import default_jobs, fan_out
 from ..testbeds.base import Testbed
 from ..testbeds.profiles import EnvironmentProfile
 from .codec import series_report_from_dict, series_report_to_dict
@@ -161,17 +162,6 @@ def _compute_unit(task: tuple) -> tuple[list[Trial], dict]:
     return trials, series_report_to_dict(report)
 
 
-def _compute_unit_remote(task: tuple) -> tuple[list[Trial], dict, dict]:
-    """Worker-side wrapper: compute, then drain this worker's metrics.
-
-    The drained deltas ride back on the result so the parent can merge
-    worker telemetry even on untraced runs (traced runs additionally ship
-    spans through the pool's envelope machinery).
-    """
-    trials, report = _compute_unit(task)
-    return trials, report, metrics.REGISTRY.drain_deltas()
-
-
 # -- the orchestrator ------------------------------------------------------
 
 def run_sweep(
@@ -261,31 +251,19 @@ def run_sweep(
     if misses:
         with span("sweep.compute", n_units=len(misses), jobs=jobs):
             if jobs > 1 and len(misses) > 1:
-                from ..parallel.pool import get_pool, submit_task
-
-                pool = get_pool(jobs)
-                futures = {}
-                for unit in misses:
-                    f = submit_task(
-                        pool,
-                        _compute_unit_remote,
-                        (unit.profile, unit.seed, unit.n_runs),
-                        name="sweep.unit.remote",
-                        environment=unit.environment,
-                        seed=unit.seed,
-                    )
-                    futures[f] = unit
-                try:
-                    # Persist in completion order: a killed sweep keeps
-                    # every finished unit, whatever the schedule was.
-                    for f in as_completed(futures):
-                        trials, report_doc, deltas = f.result()
-                        metrics.REGISTRY.merge_deltas(deltas)
-                        _persist(futures[f], trials, report_doc)
-                except BaseException:
-                    for f in futures:
-                        f.cancel()
-                    raise
+                # Persist in completion order: a killed sweep keeps
+                # every finished unit, whatever the schedule was.
+                for i, (trials, report_doc) in fan_out(
+                    jobs,
+                    _compute_unit,
+                    [(u.profile, u.seed, u.n_runs) for u in misses],
+                    name="sweep.unit.remote",
+                    attrs=[
+                        {"environment": u.environment, "seed": u.seed}
+                        for u in misses
+                    ],
+                ):
+                    _persist(misses[i], trials, report_doc)
             else:
                 for unit in misses:
                     trials, report_doc = _compute_unit(

@@ -112,7 +112,7 @@ def build_nodes(profile: EnvironmentProfile) -> list[ChoirNode]:
 
     Node construction is deterministic given the profile — workers of the
     simulation fan-out rebuild identical nodes from the pickled profile
-    and only the recordings travel through shared memory.
+    and only the recordings travel with each task.
     """
     return [
         ChoirNode(

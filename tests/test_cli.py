@@ -124,6 +124,31 @@ class TestObservabilityOptions:
         )
         assert summary["dropped_spans"] == 0
 
+    def test_traced_pooled_sweep_matches_serial(self, capsys, tmp_path):
+        """Two units at --jobs 2 fan out through the pool under --trace."""
+        sweep = [
+            "sweep", "local-single", "local-dual", "--runs", "2",
+            "--scale", "0.02",
+        ]
+        path = tmp_path / "t.jsonl"
+        assert main(sweep + [
+            "--jobs", "2", "--trace", str(path),
+            "--store", str(tmp_path / "store-a"), "-o", str(tmp_path / "out"),
+        ]) == 0
+        assert main(sweep + [
+            "--jobs", "1",
+            "--store", str(tmp_path / "store-b"), "-o", str(tmp_path / "plain"),
+        ]) == 0
+        assert (tmp_path / "out" / "sweep.json").read_bytes() == (
+            tmp_path / "plain" / "sweep.json"
+        ).read_bytes()
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        unit_pids = {
+            d["pid"] for d in lines
+            if d["type"] == "span" and d["name"] == "sweep.unit.remote"
+        }
+        assert len(unit_pids) == 2
+
     @pytest.mark.parametrize(
         "env, flags, msg",
         [

@@ -32,7 +32,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.sink import SpanSink
 from repro.obs.trace import span, traced
-from repro.obs.worker import TaskEnvelope, TaskTelemetry, absorb, run_traced
+from repro.obs.worker import TaskEnvelope, TaskTelemetry, absorb, run_task
 from repro.parallel import compare_series_parallel, shutdown_pool
 
 
@@ -237,14 +237,27 @@ class TestWorkerTelemetry:
             with span("sim.inner", i=i):
                 return i * 10
 
-        first = run_traced(task, 1, "sim.task", {"run": 1}, time.time_ns())
-        second = run_traced(task, 2, "sim.task", {"run": 2}, time.time_ns())
+        first = run_task(task, 1, "sim.task", {"run": 1}, time.time_ns(), True)
+        second = run_task(task, 2, "sim.task", {"run": 2}, time.time_ns(), True)
         assert (first.payload, second.payload) == (10, 20)
         for env, i in ((first, 1), (second, 2)):
             inner, outer = env.telemetry.spans
             assert (inner.name, inner.attrs) == ("sim.inner", {"i": i})
             assert (outer.name, outer.attrs) == ("sim.task", {"run": i})
             assert env.telemetry.pid == os.getpid()
+
+    def test_untraced_task_ships_counters_but_no_spans(self):
+        def task(i):
+            with span("sim.inner", i=i):
+                metrics.counter("t.worker").add(i)
+            return i
+
+        _collect()
+        env = run_task(task, 3, "sim.task", {}, time.time_ns(), False)
+        assert env.payload == 3
+        assert env.telemetry.spans == ()
+        assert env.telemetry.metric_deltas["counters"] == {"t.worker": 3}
+        assert not trace.is_enabled()
 
     def test_envelope_is_plain_data(self):
         env = TaskEnvelope("payload", TaskTelemetry(1, 0, 0))

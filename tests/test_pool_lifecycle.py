@@ -9,14 +9,18 @@ old pool-per-series churn; these tests make it a *tested property*:
 * teardown — ``pool_scope`` and the CLI drain the pool on normal exit
   *and* on error paths (the leak the old per-comparator pools had);
 * failure containment — a raising worker task doesn't poison the pool,
-  ``gather`` drains the rest of a failed batch before re-raising, counts
+  ``fan_out`` drains the rest of a failed batch before re-raising, counts
   the failure, and attaches the remote worker traceback;
-* telemetry round-trip — with tracing on, worker spans and counters ship
-  back through the live pool with worker-pid attribution, and the traced
-  results stay bit-identical to untraced ones.
+* telemetry round-trip — worker counters always ship back through the
+  live pool, so a pooled run counts what its serial run counts; with
+  tracing on, worker spans ship back too, with worker-pid attribution,
+  and the traced results stay bit-identical to untraced ones.
 """
 
 from __future__ import annotations
+
+import os
+import time
 
 import pytest
 
@@ -25,6 +29,7 @@ from repro.core import compare_series
 from repro.obs import metrics, trace
 from repro.parallel import (
     compare_series_parallel,
+    fan_out,
     get_pool,
     pool_scope,
     pool_stats,
@@ -55,6 +60,16 @@ def _boom(_arg):
 
 def _ok(x):
     return x * 2
+
+
+def _slow_mark(task):
+    """Fail on ``None``; otherwise sleep, then leave a marker file."""
+    if task is None:
+        _boom(task)
+    directory, i = task
+    time.sleep(0.2)
+    (directory / str(i)).touch()
+    return i
 
 
 class TestLaziness:
@@ -175,36 +190,31 @@ class TestFailureContainment:
         assert pool.submit(_ok, 21).result() == 42
         assert pool_stats().jobs == 2
 
-    def test_gather_drains_failed_batches(self):
-        from repro.parallel import gather
-
-        pool = get_pool(2)
-        futures = [pool.submit(_boom, None)] + [
-            pool.submit(_ok, i) for i in range(8)
-        ]
+    def test_gather_drains_failed_batches(self, tmp_path):
+        """``fan_out`` settles every sibling of a failed task before raising."""
+        tasks = [None] + [(tmp_path, i) for i in range(8)]
         with pytest.raises(RuntimeError, match="worker exploded"):
-            gather(futures)
-        # Every sibling is settled — nothing left running against
-        # resources the caller is about to release.
-        assert all(f.done() for f in futures)
-        assert pool.submit(_ok, 1).result() == 2
+            list(fan_out(2, _slow_mark, tasks, name="t.mark", attrs=[{}] * 9))
+        # Nothing is left running against resources the caller is about
+        # to release: no marker appears after the raise.
+        settled = sorted(os.listdir(tmp_path))
+        time.sleep(0.5)
+        assert sorted(os.listdir(tmp_path)) == settled
+        assert list(fan_out(2, _ok, [1], name="t.ok", attrs=[{}])) == [(0, 2)]
 
     def test_gather_attaches_remote_traceback_and_counts(self):
         """A worker failure surfaces *where it happened*, not just what.
 
         The bare executor loses the worker's traceback string unless it
-        is re-attached; ``gather`` pins it on the exception and bumps the
+        is re-attached; ``fan_out`` pins it on the exception and bumps the
         ``pool.task_failures`` counter so --stats shows failures even
         when the exception is caught upstream.
         """
-        from repro.parallel import gather
-
-        pool = get_pool(2)
         before = metrics.REGISTRY.snapshot()["counters"].get(
             "pool.task_failures", 0
         )
         with pytest.raises(RuntimeError, match="worker exploded") as ei:
-            gather([pool.submit(_boom, None)])
+            list(fan_out(2, _boom, [None], name="t.boom", attrs=[{}]))
         remote = getattr(ei.value, "remote_traceback", None)
         assert remote is not None
         assert "worker exploded" in remote
@@ -216,8 +226,6 @@ class TestFailureContainment:
 class TestWorkerTelemetryRoundTrip:
     def test_spans_and_counters_cross_the_pool(self):
         """A traced fan-out ships worker spans back, pid-attributed."""
-        import os
-
         sink = trace.ListSink()
         trace.enable(sink)
         trials = Testbed(PROFILE, seed=3).run_series(3, jobs=2)
@@ -240,14 +248,36 @@ class TestWorkerTelemetryRoundTrip:
             assert got_t.times_ns.tobytes() == want_t.times_ns.tobytes()
 
     def test_untraced_pool_results_stay_bare(self):
-        """With tracing off the wrapper never runs — no envelopes, no spans."""
+        """With tracing off no span is collected, in workers or parent."""
         Testbed(PROFILE, seed=3).run_series(2, jobs=2)
+        assert trace.stage_totals() == ({}, 0)
+
+    def test_untraced_worker_counters_match_serial(self):
+        """An untraced pooled run counts exactly what its serial run counts.
+
+        Only the fan-out's own bookkeeping (``pool.*``, ``shm.*``, the
+        whole-pair task count) may differ; every counter a worker bumps
+        (``fused.pairs``, ``match.b_order_argsorts``, ...) comes home.
+        """
+
+        def counters(jobs: int) -> dict:
+            metrics.REGISTRY.reset()
+            trials = Testbed(PROFILE, seed=3).run_series(4, jobs=jobs)
+            compare_series_parallel(trials, environment=PROFILE.name, jobs=jobs)
+            return {
+                name: value
+                for name, value in metrics.REGISTRY.snapshot()["counters"].items()
+                if not name.startswith(("pool.", "shm."))
+                and name != "engine.whole_pair_tasks"
+            }
+
+        serial = counters(1)
+        assert "fused.pairs" in serial and "match.b_order_argsorts" in serial
+        assert counters(2) == serial
         assert trace.stage_totals() == ({}, 0)
 
     def test_traced_analysis_covers_whole_pair_stage(self):
         """Whole-pair analysis at jobs=2 emits worker-pid pair spans."""
-        import os
-
         trials = Testbed(PROFILE, seed=3).run_series(3, jobs=1)
         sink = trace.ListSink()
         trace.enable(sink)

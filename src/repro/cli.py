@@ -27,15 +27,14 @@ Mirrors the artifact's workflow from a shell:
 All commands honor ``--scale`` (capture duration relative to the paper's
 0.3 s; default from ``REPRO_SCALE`` or 0.25) and print plain text so
 output can be redirected into experiment logs.  ``--trace FILE`` (or
-``REPRO_TRACE=FILE``) streams every pipeline stage — parent and worker
-processes alike — to a trace file through a bounded ring (O(buffer)
-memory at any trace length): ``FILE.json`` is a Chrome ``trace_event``
-array loadable in Perfetto / ``chrome://tracing``, ``FILE.jsonl`` one
-JSON object per line.  ``--counter-tick MS`` samples engine counters
-into the trace as Chrome ``ph:"C"`` tracks, ``--stats`` prints the
-stage/counter summary to stderr after the command, and
-``--serve-metrics PORT`` exposes ``/metrics`` (Prometheus text) +
-``/healthz`` while the command runs (see :mod:`repro.obs` and
+``REPRO_TRACE=FILE``) writes every pipeline stage — parent and worker
+processes alike — to a trace file as it finishes, with engine counters
+sampled into Chrome ``ph:"C"`` tracks on the way: ``FILE.json`` is a
+Chrome ``trace_event`` array loadable in Perfetto /
+``chrome://tracing``, ``FILE.jsonl`` one JSON object per line.
+``--stats`` prints the stage/counter summary to stderr after the
+command, and ``--serve-metrics PORT`` exposes ``/metrics`` (Prometheus
+text) + ``/healthz`` while the command runs (see :mod:`repro.obs` and
 ``docs/observability.md``).  Commands that simulate or
 run the Section-3 analysis honor ``--jobs N`` (default from ``REPRO_JOBS``
 or 1), fanning whole items — sweep units, replay runs, trial pairs —
@@ -80,15 +79,15 @@ def _port(text: str) -> int:
     return value
 
 
-def _tick_ms(text: str) -> float:
-    """argparse type: a sampling period in ms, finite and >= 0 (0 = off)."""
+def _seconds(text: str) -> float:
+    """argparse type: a duration in seconds, finite and >= 0."""
     try:
         value = float(text)
     except ValueError:
         value = -1.0
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(
-            f"must be a number of milliseconds >= 0, got {text!r}"
+            f"must be a number of seconds >= 0, got {text!r}"
         )
     return value
 
@@ -133,22 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_obs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--trace", default=None, metavar="FILE",
-            help="stream a timeline of every stage to FILE through a "
-            "bounded ring: FILE.json is a Perfetto-loadable Chrome "
-            "trace_event array, FILE.jsonl one JSON object per line "
-            "(default REPRO_TRACE if set)",
+            help="write a timeline of every stage, with engine counter "
+            "tracks, to FILE as the command runs: FILE.json is a "
+            "Perfetto-loadable Chrome trace_event array, FILE.jsonl one "
+            "JSON object per line (default REPRO_TRACE if set)",
         )
         p.add_argument(
             "--serve-metrics", type=_port, default=None, metavar="PORT",
             help="serve /metrics (Prometheus text) and /healthz on "
             "127.0.0.1:PORT while the command runs (0 picks a free "
             "port; default REPRO_METRICS_PORT if set)",
-        )
-        p.add_argument(
-            "--counter-tick", type=_tick_ms, default=None, metavar="MS",
-            help="sample engine counters/gauges into the trace's counter "
-            "tracks every MS milliseconds (default "
-            "REPRO_COUNTER_TICK_MS, else 250 with --trace; 0 disables)",
         )
         p.add_argument(
             "--stats", action="store_true",
@@ -687,10 +680,9 @@ def main(argv: list[str] | None = None) -> int:
     returning — on success, error exit codes, and exceptions alike — so a
     CLI invocation can never leak worker processes.  Observability
     teardown is ordered after it so every artifact includes worker
-    telemetry from every stage: pool drains, then the counter sampler
-    takes its final sample, then the trace sink flushes and closes, then
-    the stats are printed, and the metrics server (which only ever reads
-    snapshots) goes down last.
+    telemetry from every stage: pool drains, then the trace sink takes its
+    final counter sample and closes, then the stats are printed, and the
+    metrics server (which only ever reads snapshots) goes down last.
     """
     from .parallel.pool import shutdown_pool
 
@@ -714,14 +706,10 @@ def main(argv: list[str] | None = None) -> int:
     serve_port = _flag_or_env(
         parser, args.serve_metrics, "REPRO_METRICS_PORT", _port
     )
-    tick_ms = _flag_or_env(
-        parser, args.counter_tick, "REPRO_COUNTER_TICK_MS", _tick_ms
-    )
-    if tick_ms is None:
-        tick_ms = 250.0 if trace_path else 0.0
+    hold_s = _flag_or_env(parser, None, "REPRO_METRICS_HOLD_S", _seconds)
 
     tracing = bool(trace_path or args.stats)
-    sink = sampler = server = None
+    sink = server = None
     if trace_path:
         from .obs.sink import SpanSink
 
@@ -734,10 +722,6 @@ def main(argv: list[str] | None = None) -> int:
 
         trace.enable(sink)
         trace.set_meta("command", args.command)
-    if sink is not None and tick_ms > 0:
-        from .obs.live import CounterSampler
-
-        sampler = CounterSampler(sink, interval_s=tick_ms / 1e3)
     if serve_port is not None:
         from .obs.live import MetricsServer
 
@@ -757,8 +741,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     finally:
         shutdown_pool()
-        if sampler is not None:
-            sampler.close()
         if tracing:
             trace.disable()
         if sink is not None:
@@ -780,9 +762,8 @@ def main(argv: list[str] | None = None) -> int:
                     stream.flush()
                 except Exception:
                     pass
-            hold_s = os.environ.get("REPRO_METRICS_HOLD_S")
             if hold_s:
                 import time
 
-                time.sleep(float(hold_s))
+                time.sleep(hold_s)
             server.close()

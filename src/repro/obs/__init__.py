@@ -13,25 +13,25 @@ logging, no timers, no visibility into the process pool.  The layers:
   (monotonic counters, ns-resolution log2-bucket timing histograms) the
   engine feeds: task queue-wait, task wall time, shm bytes, pool
   submissions and failures, simulation runs;
-* :mod:`~repro.obs.sink` — the trace writer: bounded ring + background
-  flusher streaming spans and counter samples to a Chrome array
-  (``.json``) or JSONL (``.jsonl``) file, O(capacity) memory for traces
-  of any length;
+* :mod:`~repro.obs.sink` — the trace writer: each span is written and
+  flushed as it finishes, with counter samples taken on the way, to a
+  Chrome array (``.json``) or JSONL (``.jsonl``) file — no queue, no
+  thread, O(1) memory for traces of any length;
 * :mod:`~repro.obs.export` — the human ``--stats`` table and the trace
   validator;
 * :mod:`~repro.obs.worker` — worker-side collection: pool tasks ship
   their spans and metric deltas back piggybacked on results
   (:class:`~repro.obs.worker.TaskTelemetry`), routed parent-side with
   correct pid attribution so one timeline shows the whole fan-out;
-* :mod:`~repro.obs.live` — live telemetry: counter-track sampling on a
-  tick (Chrome ``ph:"C"`` events), per-session labeled gauges, and the
+* :mod:`~repro.obs.live` — live telemetry: per-session labeled gauges
+  (sampled into the trace's counter tracks by the sink) and the
   zero-dependency ``/metrics`` (Prometheus text) + ``/healthz`` server.
 
 Surface: every CLI command takes ``--trace FILE`` (or ``REPRO_TRACE``;
-the suffix picks the format), ``--stats``, ``--serve-metrics PORT`` and
-``--counter-tick MS``.  Observation is inert by construction — κ and
-every ``MetricVector`` are bit-identical with tracing on or off
-(``tests/test_obs.py``, ``tests/test_obs_live.py``).
+the suffix picks the format), ``--stats`` and ``--serve-metrics PORT``.
+Observation is inert by construction — κ and every ``MetricVector`` are
+bit-identical with tracing on or off (``tests/test_obs.py``,
+``tests/test_obs_live.py``).
 
 See ``docs/observability.md`` for the span catalog and Perfetto how-to.
 """
@@ -40,7 +40,6 @@ from . import export, live, metrics, sink, trace, worker
 from .export import stats_table, validate_chrome_trace
 from .live import (
     LIVE_GAUGES,
-    CounterSampler,
     LabeledGauges,
     MetricsServer,
     prometheus_text,
@@ -78,7 +77,6 @@ __all__ = [
     "live",
     "SpanSink",
     "ListSink",
-    "CounterSampler",
     "LabeledGauges",
     "MetricsServer",
     "prometheus_text",

@@ -173,9 +173,9 @@ def validate_chrome_trace(
       coverage for live-telemetry smoke checks.
 
     The summary surfaces the sink's own drop accounting
-    (``dropped_spans``, ``buffer_high_water`` — from its
-    ``sink_dropped``/``sink_high_water`` meta), so a truncated trace is
-    detected, never silently partial.
+    (``dropped_spans``, from its ``sink_dropped`` meta), so a trace
+    that lost events to a write error is detected, never silently
+    partial.
     """
     if isinstance(source, (str, Path)):
         doc = json.loads(Path(source).read_text())
@@ -267,7 +267,6 @@ def validate_chrome_trace(
         "parent_pid": parent_pid,
         "worker_pids": sorted(worker_pids),
         "dropped_spans": meta.get("sink_dropped"),
-        "buffer_high_water": meta.get("sink_high_water"),
         "meta": meta,
     }
 

@@ -1,23 +1,18 @@
-"""Live telemetry: counter-track sampling and a `/metrics` exposition.
+"""Live telemetry: labeled gauges and a `/metrics` exposition.
 
 The registry (:mod:`repro.obs.metrics`) is a snapshot-at-exit story;
 this module makes it *watchable* while the process runs — the layer
 PASTRAMI argues for (performance is only trustworthy when instability
 is observed continuously, PAPERS.md) and the per-node live telemetry
-IoTreeplay builds replay coordination on.  Three pieces, all
+IoTreeplay builds replay coordination on.  Two pieces, both
 zero-dependency:
 
-* :class:`CounterSampler` — a background thread sampling the registry's
-  counters and gauges (plus the labeled :data:`LIVE_GAUGES`) on a
-  configurable tick and emitting one sample per *changed* metric.
-  Pointed at the ``--trace`` :class:`~repro.obs.sink.SpanSink` it
-  produces Chrome ``ph:"C"`` counter events, so Perfetto shows
-  ``pool.tasks_inflight``, ``sweep.units_done`` or per-session windowed
-  κ as live tracks alongside the spans.
 * :class:`LabeledGauges` — last-write-wins gauges with labels, for the
   metrics the flat registry can't name: ``monitor.window_kappa`` keyed
   by session.  :class:`~repro.analysis.streamkappa.KappaMonitor`
-  publishes here on every window close.
+  publishes here on every window close, and the ``--trace``
+  :class:`~repro.obs.sink.SpanSink` samples these gauges with the
+  registry into Chrome ``ph:"C"`` counter tracks (one per session).
 * :class:`MetricsServer` — an opt-in ``http.server``-based snapshot
   server (``--serve-metrics PORT`` / ``REPRO_METRICS_PORT``):
   ``/metrics`` renders the registry and the labeled gauges in Prometheus
@@ -44,7 +39,6 @@ from .metrics import REGISTRY, Registry, bucket_bounds
 __all__ = [
     "LabeledGauges",
     "LIVE_GAUGES",
-    "CounterSampler",
     "MetricsServer",
     "prometheus_text",
 ]
@@ -92,103 +86,6 @@ class LabeledGauges:
 
 #: The process-global labeled-gauge store (sessions' windowed κ lives here).
 LIVE_GAUGES = LabeledGauges()
-
-
-# ----------------------------------------------------------------------
-# The sampler
-# ----------------------------------------------------------------------
-
-class CounterSampler:
-    """Sample the registry into counter-track events on a fixed tick.
-
-    ``target`` is anything with an ``offer_counter(name, ts_ns, value,
-    pid)`` method — in practice the :class:`~repro.obs.sink.SpanSink`
-    writing the ``--trace`` file.  Each tick snapshots
-    the registry's counters and gauges plus the labeled live gauges and
-    emits one sample per metric **whose value changed** since its last
-    emission (every metric is emitted on its first sighting, and
-    :meth:`close` takes one final sample, so even a sub-tick run gets
-    each track's last word).  Labeled gauges render as
-    ``name{k=v,...}`` track names — one Perfetto track per session.
-
-    Sampling reads snapshots and writes to the observation channel only:
-    it can never change a metric output (``TestLiveObservabilityIsInert``
-    pins this).
-    """
-
-    def __init__(
-        self,
-        target,
-        *,
-        interval_s: float = 0.25,
-        registry: Registry | None = None,
-        live: LabeledGauges | None = None,
-        autostart: bool = True,
-    ) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        self.target = target
-        self.interval_s = float(interval_s)
-        self.registry = REGISTRY if registry is None else registry
-        self.live = LIVE_GAUGES if live is None else live
-        self._last: dict[str, float] = {}
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._pid = os.getpid()
-        self.samples_emitted = 0
-        if autostart:
-            self.start()
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(
-            target=self._run, name="repro-counter-sampler", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            self.sample()
-
-    def sample(self) -> int:
-        """Take one sample now; returns the number of events emitted."""
-        ts = time.time_ns()
-        snap = self.registry.snapshot()
-        emitted = 0
-        series: list[tuple[str, float]] = []
-        series.extend((name, float(v)) for name, v in snap["counters"].items())
-        series.extend((name, float(v)) for name, v in snap["gauges"].items())
-        for name, labels, value in self.live.snapshot():
-            if labels:
-                rendered = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-                series.append((f"{name}{{{rendered}}}", value))
-            else:
-                series.append((name, value))
-        for name, value in series:
-            if self._last.get(name) == value:
-                continue
-            self._last[name] = value
-            if self.target.offer_counter(name, ts, value, self._pid):
-                emitted += 1
-        self.samples_emitted += emitted
-        return emitted
-
-    def close(self) -> None:
-        """Stop the tick thread after one final sample (idempotent)."""
-        if self._stop.is_set():
-            return
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self.sample()
-
-    def __enter__(self) -> "CounterSampler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # ----------------------------------------------------------------------

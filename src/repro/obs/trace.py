@@ -7,9 +7,9 @@ wall time, CPU time, process id and thread id.  Every finished span goes
 through one routing point, :func:`emit`, which folds it into per-stage
 totals (count, wall, CPU, max per span name — what ``--stats`` reads,
 bounded by the number of stage names) and offers it to the one installed
-sink: a streaming :class:`~repro.obs.sink.SpanSink` writing the
-``--trace`` file, or a :class:`ListSink` collecting one worker task's
-spans (and a test's).  Nothing here holds spans itself.
+sink: a :class:`~repro.obs.sink.SpanSink` writing it to the ``--trace``
+file on the emitting thread, or a :class:`ListSink` collecting one
+worker task's spans (and a test's).  Nothing here holds spans itself.
 
 Design constraints, in priority order:
 

@@ -93,8 +93,7 @@ class TestObservabilityOptions:
         from repro.obs import metrics, trace
 
         for var in (
-            "REPRO_TRACE", "REPRO_METRICS_PORT", "REPRO_COUNTER_TICK_MS",
-            "REPRO_METRICS_HOLD_S",
+            "REPRO_TRACE", "REPRO_METRICS_PORT", "REPRO_METRICS_HOLD_S",
         ):
             monkeypatch.delenv(var, raising=False)
         trace.reset()
@@ -153,8 +152,8 @@ class TestObservabilityOptions:
         "env, flags, msg",
         [
             ({"REPRO_METRICS_PORT": "abc"}, [], "REPRO_METRICS_PORT"),
-            ({"REPRO_COUNTER_TICK_MS": "fast"}, [], "REPRO_COUNTER_TICK_MS"),
-            ({}, ["--counter-tick", "-5"], "--counter-tick"),
+            ({"REPRO_METRICS_HOLD_S": "abc"}, [], "REPRO_METRICS_HOLD_S"),
+            ({"REPRO_METRICS_HOLD_S": "-1"}, [], "REPRO_METRICS_HOLD_S"),
         ],
     )
     def test_malformed_settings_are_usage_errors(

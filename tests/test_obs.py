@@ -282,9 +282,34 @@ def _sample_spans(origin_ns=0):
     ]
 
 
-def _trace_file(path, *, meta=None, capacity=8192):
-    """The sample spans written through a SpanSink (flusher off)."""
-    sink = SpanSink(path, capacity=capacity, autostart=False)
+class _FailsOnce:
+    """A trace file whose ``n``-th write raises ``OSError``; the rest land."""
+
+    def __init__(self, file, n):
+        self._file = file
+        self._writes_left = n
+
+    def write(self, text):
+        self._writes_left -= 1
+        if self._writes_left == 0:
+            raise OSError("disk full")
+        return self._file.write(text)
+
+    def flush(self):
+        self._file.flush()
+
+    def close(self):
+        self._file.close()
+
+
+def _trace_file(path, *, meta=None, fail_write=None):
+    """The sample spans written through a SpanSink.
+
+    ``fail_write=n`` makes the sink's ``n``-th write to the file fail.
+    """
+    sink = SpanSink(path)
+    if fail_write is not None:
+        sink._file = _FailsOnce(sink._file, fail_write)
     for s in _sample_spans(sink.origin_ns):
         sink.offer_span(s)
     sink.close(meta=meta)
@@ -413,14 +438,12 @@ class TestCounterEventValidation:
             {
                 "name": "trace_meta", "ph": "i", "s": "g", "ts": 9.0,
                 "pid": 1, "tid": 0,
-                "args": {"seed": 11, "parent_pid": 1, "sink_dropped": 2,
-                         "sink_high_water": 7},
+                "args": {"seed": 11, "parent_pid": 1, "sink_dropped": 2},
             },
         ]
         summary = export.validate_chrome_trace(events)
         assert summary["meta"]["seed"] == 11
         assert summary["dropped_spans"] == 2
-        assert summary["buffer_high_water"] == 7
         assert summary["parent_pid"] == 1
         assert summary["worker_pids"] == []
 
@@ -463,12 +486,13 @@ class TestCounterEventValidation:
             export.validate_chrome_trace(doc, min_counter_events=5)
 
     def test_trace_meta_carries_drop_count_and_high_water(self, tmp_path):
-        # A 2-slot ring with the flusher off keeps two spans, drops one.
-        path = _trace_file(tmp_path / "t.json", capacity=2)
+        # The registry is empty, so the sink writes the three spans and
+        # then the meta.  The third span's write fails and is counted;
+        # the trailing meta still records it.
+        path = _trace_file(tmp_path / "t.json", fail_write=3)
         summary = export.validate_chrome_trace(path)
         assert summary["n_spans"] == 2
         assert summary["dropped_spans"] == 1
-        assert summary["buffer_high_water"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,25 +1,26 @@
-"""Live observability: streaming sink, counter sampling, /metrics.
+"""Live observability: synchronous trace sink, counter samples, /metrics.
 
-The contracts of :mod:`repro.obs.sink` and :mod:`repro.obs.live`, in
-the priority order their docstrings declare:
+The contracts of :mod:`repro.obs.sink` and :mod:`repro.obs.live`:
 
-1. **Bounded memory** — a streaming trace holds O(sink capacity) spans
-   no matter how long the run: the ring's high-water mark stays flat
-   when the span count grows 10×, and anything past capacity is dropped
-   *and counted*, never silent.
+1. **Complete, bounded traces** — the sink writes every offered span as
+   it arrives (a 20,000-span burst loses none), holds O(1) memory at any
+   trace length, and starts no thread; the only drops (late offers,
+   write errors) are counted, never silent.
 2. **Self-describing files** — both sink formats end with metadata
-   carrying the drop count and high-water mark, and
+   carrying the drop count and the events written, and
    ``validate_chrome_trace`` accepts the streamed JSON Array Format and
    surfaces that accounting.
-3. **A parsed mid-run scrape** — ``/metrics`` during a live
+3. **Counter samples on write** — after a span is written the sink
+   samples the registry and the labeled live gauges (at most every
+   250 ms, plus once on close), writing only values that changed.
+4. **A parsed mid-run scrape** — ``/metrics`` during a live
    :class:`~repro.analysis.streamkappa.KappaMonitor` returns valid
    Prometheus text (checked with the real parser from
    ``scripts/scrape_metrics.py``, not a string match) including
    per-session windowed-κ gauges.
-4. **Inertness** — a ``repro monitor`` with the streaming sink, counter
-   sampler and metrics server all enabled prints stdout byte-identical
-   to the plain run (the PR-4 differential contract extended to the
-   live layer).
+5. **Inertness** — a ``repro monitor`` with the trace sink and metrics
+   server both enabled prints stdout byte-identical to the plain run
+   (the PR-4 differential contract extended to the live layer).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import threading
-import time
+import tracemalloc
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -37,9 +38,9 @@ import pytest
 
 from .conftest import make_trial, suite_rng
 from repro.obs import export, metrics, trace
+from repro.obs import sink as sink_mod
 from repro.obs.live import (
     LIVE_GAUGES,
-    CounterSampler,
     LabeledGauges,
     MetricsServer,
     prometheus_text,
@@ -78,34 +79,37 @@ def _mk_span(i: int, *, pid: int = 1000, name: str = "analysis.pair"):
 # The streaming sink
 # ----------------------------------------------------------------------
 
+def _read_jsonl(path):
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
 class TestSpanSink:
     def test_jsonl_round_trip_with_meta(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         trace.set_meta("seed", 7)
-        with SpanSink(path, autostart=False) as sink:
+        with SpanSink(path) as sink:
             for i in range(3):
                 assert sink.offer_span(_mk_span(i))
-            assert sink.offer_counter("pool.tasks_inflight", 2_000_000, 2.0)
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
+            metrics.gauge("pool.tasks_inflight").set(2)
+        lines = _read_jsonl(path)
         kinds = [doc["type"] for doc in lines]
         assert kinds == ["span", "span", "span", "counter", "meta"]
         assert lines[0]["name"] == "analysis.pair"
+        assert lines[3]["name"] == "pool.tasks_inflight"
         assert lines[3]["value"] == 2.0
         meta = lines[-1]
         assert meta["seed"] == 7
         assert meta["sink_dropped"] == 0
         assert meta["sink_events_written"] == 4
-        assert meta["sink_high_water"] >= 1
 
     def test_chrome_array_file_validates_with_counters(self, tmp_path):
         path = tmp_path / "trace.json"
-        sink = SpanSink(path, autostart=False)
-        t0 = sink.origin_ns
+        sink = SpanSink(path)
+        metrics.counter("monitor.windows").add()
         for i in range(4):
-            sink.offer_span(_mk_span(i))
-        sink.offer_counter("monitor.windows", t0 + 1_000, 1.0)
-        sink.offer_counter("monitor.windows", t0 + 2_000, 2.0)
-        sink.close()
+            sink.offer_span(_mk_span(i))  # the first one samples
+        metrics.counter("monitor.windows").add()
+        sink.close()  # the final sample
         summary = export.validate_chrome_trace(
             path,
             require_spans=("analysis.pair",),
@@ -115,63 +119,67 @@ class TestSpanSink:
         assert summary["n_spans"] == 4
         assert summary["n_counter_events"] == 2
         assert summary["dropped_spans"] == 0
-        assert summary["buffer_high_water"] >= 1
         # The file itself is a JSON array (streaming format).
         doc = json.loads(path.read_text())
         assert isinstance(doc, list)
         assert doc[-1]["name"] == "trace_meta"
 
     def test_format_from_suffix_and_explicit(self, tmp_path):
-        assert SpanSink(tmp_path / "a.jsonl", autostart=False).fmt == "jsonl"
-        assert SpanSink(tmp_path / "a.json", autostart=False).fmt == "chrome"
-        assert SpanSink(tmp_path / "a.out", autostart=False).fmt == "chrome"
-        assert (
-            SpanSink(tmp_path / "b.out", fmt="jsonl", autostart=False).fmt
-            == "jsonl"
-        )
-        with pytest.raises(ValueError, match="unknown sink format"):
-            SpanSink(tmp_path / "c.json", fmt="xml")
-        with pytest.raises(ValueError, match="capacity"):
-            SpanSink(tmp_path / "d.json", capacity=0)
+        for name in ("a.jsonl", "a.json", "a.out"):
+            with SpanSink(tmp_path / name) as sink:
+                sink.offer_span(_mk_span(0))
+        assert _read_jsonl(tmp_path / "a.jsonl")[0]["type"] == "span"
+        for name in ("a.json", "a.out"):
+            doc = json.loads((tmp_path / name).read_text())
+            assert [e["ph"] for e in doc] == ["M", "X", "i"]
 
-    def test_backpressure_drops_are_counted_never_silent(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        sink = SpanSink(path, capacity=8, autostart=False)
-        accepted = sum(sink.offer_span(_mk_span(i)) for i in range(20))
-        assert accepted == 8
-        assert sink.dropped == 12
-        assert sink.high_water == 8
-        assert metrics.counter("obs.sink.dropped").value == 12
-        sink.close()
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        spans = [d for d in lines if d["type"] == "span"]
-        meta = lines[-1]
-        assert len(spans) == 8
-        assert meta["sink_dropped"] == 12
-        assert meta["sink_high_water"] == 8
+    def test_burst_of_20k_spans_is_written_whole(self, tmp_path):
+        """A burst with no pause loses nothing, in either format."""
+        n = 20_000
+        for name in ("burst.jsonl", "burst.json"):
+            path = tmp_path / name
+            sink = SpanSink(path)
+            for i in range(n):
+                assert sink.offer_span(_mk_span(i))
+            sink.close()
+            assert sink.dropped == 0
+            assert sink.events_written == n
+            if name.endswith(".jsonl"):
+                lines = _read_jsonl(path)
+                spans = [d for d in lines if d["type"] == "span"]
+                assert [d["attrs"]["i"] for d in spans] == list(range(n))
+                assert lines[-1]["sink_dropped"] == 0
+                assert lines[-1]["sink_events_written"] == n
+            else:
+                summary = export.validate_chrome_trace(path)
+                assert summary["n_spans"] == n
+                assert summary["dropped_spans"] == 0
+        assert metrics.counter("obs.sink.dropped").value == 0
 
     @pytest.mark.parametrize("n", [800, 8_000])
     def test_bounded_memory_flat_at_10x(self, tmp_path, n):
-        """Peak queue depth is O(capacity), not O(spans), at 10x length."""
-        capacity = 64
+        """The writer holds O(1) memory: the same small peak at 10x length."""
         path = tmp_path / f"trace-{n}.jsonl"
-        sink = SpanSink(path, capacity=capacity, flush_interval_s=0.001)
-        for i in range(n):
-            sink.offer_span(_mk_span(i))
+        sink = SpanSink(path)
+        sink.offer_span(_mk_span(0))  # first-span pid bookkeeping
+        tracemalloc.start()
+        try:
+            for i in range(1, n):
+                sink.offer_span(_mk_span(i))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         sink.close()
-        # The flat-memory contract: however long the trace, the ring
-        # never held more than its capacity.
-        assert sink.high_water <= capacity
-        assert sink.queued == 0
-        # Full accounting: every offered span was written or counted.
-        assert sink.events_written + sink.dropped == n
+        # A sink that kept its spans would hold ~100 KB at n=800.
+        assert peak < 64 * 1024
+        assert sink.events_written == n and sink.dropped == 0
         meta = json.loads(path.read_text().splitlines()[-1])
-        assert meta["sink_events_written"] == sink.events_written
-        assert meta["sink_dropped"] == sink.dropped
+        assert meta["sink_events_written"] == n
+        assert meta["sink_dropped"] == 0
 
     def test_installed_sink_keeps_buffer_empty(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        sink = SpanSink(path, flush_interval_s=0.001)
+        sink = SpanSink(path)
         trace.enable(sink)
         try:
             for i in range(50):
@@ -184,34 +192,55 @@ class TestSpanSink:
         finally:
             trace.disable()
         sink.close()
-        spans = [
-            json.loads(line)
-            for line in path.read_text().splitlines()
-            if json.loads(line)["type"] == "span"
-        ]
+        spans = [d for d in _read_jsonl(path) if d["type"] == "span"]
         assert len(spans) == 50
 
+    def test_tracing_starts_no_thread(self, tmp_path):
+        before = threading.active_count()
+        sink = SpanSink(tmp_path / "t.json")
+        trace.enable(sink)
+        try:
+            for i in range(5):
+                with trace.span("analysis.pair", i=i):
+                    pass
+            assert threading.active_count() == before
+        finally:
+            trace.disable()
+        sink.close()
+        assert threading.active_count() == before
+
+    def test_each_span_is_on_disk_before_close(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        sink = SpanSink(path)
+        sink.offer_span(_mk_span(0))
+        assert [d["type"] for d in _read_jsonl(path)] == ["span"]
+        sink.close()
+
     def test_reset_detaches_but_does_not_close(self, tmp_path):
-        sink = SpanSink(tmp_path / "t.jsonl", autostart=False)
+        sink = SpanSink(tmp_path / "t.jsonl")
         trace.enable(sink)
         trace.reset()
         trace.enable()
         with trace.span("analysis.pair"):
             pass
-        assert sink.queued == 0  # detached: the span went elsewhere
+        assert sink.events_written == 0  # detached: the span went elsewhere
         assert not sink.closed
         sink.close()
 
     def test_close_is_idempotent_and_late_offers_drop(self, tmp_path):
-        sink = SpanSink(tmp_path / "t.jsonl", autostart=False)
+        path = tmp_path / "t.jsonl"
+        sink = SpanSink(path)
         sink.offer_span(_mk_span(0))
         sink.close()
         sink.close()
         assert not sink.offer_span(_mk_span(1))
-        assert sink.dropped == 1
+        assert not sink.offer_span(_mk_span(2))
+        assert sink.dropped == 2
+        assert metrics.counter("obs.sink.dropped").value == 2
+        assert [d["type"] for d in _read_jsonl(path)] == ["span", "meta"]
 
     def test_io_errors_counted_not_raised(self, tmp_path):
-        sink = SpanSink(tmp_path / "t.jsonl", autostart=False)
+        sink = SpanSink(tmp_path / "t.jsonl")
 
         class _Broken:
             def write(self, _):
@@ -225,87 +254,118 @@ class TestSpanSink:
 
         sink._file.close()
         sink._file = _Broken()
-        sink.offer_span(_mk_span(0))
+        assert not sink.offer_span(_mk_span(0))
+        assert not sink.offer_span(_mk_span(1))  # writes stopped
         sink.close()  # must not raise
         assert sink.io_error is not None
-        assert sink.dropped == 1
+        assert sink.dropped == 2
+        assert metrics.counter("obs.sink.dropped").value == 2
         assert metrics.counter("obs.sink.io_errors").value >= 1
 
 
 # ----------------------------------------------------------------------
-# The counter sampler
+# The sink's on-write counter sampler
 # ----------------------------------------------------------------------
 
-class _Samples:
-    """A sampler target keeping every ``(name, ts_ns, value, pid)``."""
+class _Clock:
+    """A settable stand-in for the sink's ``time`` module."""
 
-    def __init__(self):
-        self.events = []
+    def __init__(self, ns=1_700_000_000_000_000_000):
+        self.ns = ns
 
-    def offer_counter(self, name, ts_ns, value, pid=None):
-        self.events.append((name, ts_ns, value, pid))
-        return True
+    def time_ns(self):
+        return self.ns
+
+
+def _counters(path):
+    """``(name, ts_ns, value)`` of every counter line in a JSONL trace."""
+    return [
+        (d["name"], d["ts_ns"], d["value"])
+        for d in _read_jsonl(path)
+        if d["type"] == "counter"
+    ]
 
 
 class TestCounterSampler:
-    def test_emits_only_changed_values(self):
-        buf = _Samples()
-        sampler = CounterSampler(buf, interval_s=60, autostart=False)
+    def test_emits_only_changed_values(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sink_mod, "COUNTER_SAMPLE_INTERVAL_NS", 0)
+        path = tmp_path / "t.jsonl"
+        sink = SpanSink(path)
         metrics.counter("pool.tasks_submitted").add(3)
         metrics.gauge("pool.tasks_inflight").set(2)
-        assert sampler.sample() == 2
-        assert sampler.sample() == 0  # nothing changed
+        sink.offer_span(_mk_span(0))
+        assert len(_counters(path)) == 2
+        sink.offer_span(_mk_span(1))
+        assert len(_counters(path)) == 2  # nothing changed
         metrics.counter("pool.tasks_submitted").add()
-        assert sampler.sample() == 1
-        names = [name for name, *_ in buf.events]
+        sink.offer_span(_mk_span(2))
+        sink.close()
+        names = [name for name, *_ in _counters(path)]
         assert names.count("pool.tasks_submitted") == 2
         assert names.count("pool.tasks_inflight") == 1
 
-    def test_labeled_gauges_become_labeled_tracks(self):
-        buf = _Samples()
-        sampler = CounterSampler(buf, interval_s=60, autostart=False)
+    def test_labeled_gauges_become_labeled_tracks(self, tmp_path):
+        path = tmp_path / "t.jsonl"
         LIVE_GAUGES.set("monitor.window_kappa", {"session": "run1"}, 0.93)
         LIVE_GAUGES.set("monitor.window_kappa", {"session": "run2"}, 0.88)
-        sampler.sample()
-        names = sorted(name for name, *_ in buf.events)
+        with SpanSink(path) as sink:
+            sink.offer_span(_mk_span(0))
+        names = sorted(name for name, *_ in _counters(path))
         assert names == [
             "monitor.window_kappa{session=run1}",
             "monitor.window_kappa{session=run2}",
         ]
 
-    def test_close_takes_a_final_sample(self):
-        buf = _Samples()
-        sampler = CounterSampler(buf, interval_s=3600, autostart=False)
-        metrics.counter("monitor.windows").add(5)
-        sampler.close()
-        assert [e[0] for e in buf.events] == ["monitor.windows"]
-        assert buf.events[0][2] == 5.0
-        sampler.close()  # idempotent
-        assert len(buf.events) == 1
-
-    def test_background_tick_samples_into_target(self):
-        buf = _Samples()
+    def test_span_write_samples_after_the_interval(self, tmp_path, monkeypatch):
+        clock = _Clock()
+        monkeypatch.setattr(sink_mod, "time", clock)
+        path = tmp_path / "t.jsonl"
+        sink = SpanSink(path)
         metrics.counter("monitor.packets").add(1)
-        with CounterSampler(buf, interval_s=0.005) as sampler:
-            deadline = time.monotonic() + 2.0
-            while not buf.events and time.monotonic() < deadline:
-                time.sleep(0.01)
-        assert sampler.samples_emitted >= 1
-        assert any(name == "monitor.packets" for name, *_ in buf.events)
+        sink.offer_span(_mk_span(0))  # the first write always samples
+        metrics.counter("monitor.packets").add(1)
+        clock.ns += sink_mod.COUNTER_SAMPLE_INTERVAL_NS - 1
+        sink.offer_span(_mk_span(1))
+        assert [v for *_, v in _counters(path)] == [1.0]
+        clock.ns += 1
+        sink.offer_span(_mk_span(2))
+        assert [v for *_, v in _counters(path)] == [1.0, 2.0]
+        sink.close()
 
-    def test_rejects_nonpositive_interval(self):
-        with pytest.raises(ValueError, match="interval"):
-            CounterSampler(_Samples(), interval_s=0)
+    def test_close_takes_a_final_sample(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sink_mod, "COUNTER_SAMPLE_INTERVAL_NS", 3600 * 10**9)
+        path = tmp_path / "t.jsonl"
+        sink = SpanSink(path)
+        metrics.counter("monitor.windows").add(5)
+        sink.offer_span(_mk_span(0))
+        metrics.counter("monitor.windows").add(2)
+        sink.offer_span(_mk_span(1))  # within the interval: no sample
+        sink.close()
+        assert [(n, v) for n, _, v in _counters(path)] == [
+            ("monitor.windows", 5.0), ("monitor.windows", 7.0),
+        ]
+        sink.close()  # idempotent
+        assert len(_counters(path)) == 2
 
-    def test_sampler_timestamps_are_monotonic_per_track(self):
-        buf = _Samples()
-        sampler = CounterSampler(buf, interval_s=60, autostart=False)
+    def test_sampler_timestamps_are_monotonic_per_track(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(sink_mod, "COUNTER_SAMPLE_INTERVAL_NS", 0)
+        path = tmp_path / "t.json"
+        sink = SpanSink(path)
         for k in range(4):
             metrics.counter("pool.tasks_submitted").add()
-            sampler.sample()
-        track = [e for e in buf.events if e[0] == "pool.tasks_submitted"]
-        ts = [e[1] for e in track]
-        assert ts == sorted(ts)
+            sink.offer_span(_mk_span(k))
+        sink.close()
+        summary = export.validate_chrome_trace(
+            path, require_counters=("pool.tasks_submitted",)
+        )
+        assert summary["n_counter_events"] == 4
+        track = [
+            e["ts"] for e in json.loads(path.read_text())
+            if e["ph"] == "C" and e["name"] == "pool.tasks_submitted"
+        ]
+        assert track == sorted(track)
 
 
 class TestLabeledGauges:
@@ -580,8 +640,7 @@ class TestLiveObservabilityIsInert:
         from repro import cli
 
         for var in (
-            "REPRO_TRACE", "REPRO_METRICS_PORT",
-            "REPRO_COUNTER_TICK_MS", "REPRO_METRICS_HOLD_S",
+            "REPRO_TRACE", "REPRO_METRICS_PORT", "REPRO_METRICS_HOLD_S",
         ):
             monkeypatch.delenv(var, raising=False)
         rc = cli.main(["monitor", str(captures), "--window-ms", "0.01"]
@@ -601,11 +660,7 @@ class TestLiveObservabilityIsInert:
         stream = tmp_path / "live.json"
         rc_live, out_live = self._run_monitor(
             capsys, monkeypatch, captures,
-            extra=[
-                "--trace", str(stream),
-                "--serve-metrics", "0",
-                "--counter-tick", "10",
-            ],
+            extra=["--trace", str(stream), "--serve-metrics", "0"],
         )
         assert rc_live == 0
         # The whole point: full live observability changes no output bit.
@@ -627,7 +682,7 @@ class TestLiveObservabilityIsInert:
         path = tmp_path / "oneshot.json"
         rc, _ = self._run_monitor(
             capsys, monkeypatch, captures,
-            extra=["--trace", str(path), "--counter-tick", "10"],
+            extra=["--trace", str(path)],
         )
         assert rc == 0
         summary = export.validate_chrome_trace(

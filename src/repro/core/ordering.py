@@ -22,6 +22,13 @@ move distances (their minima are negative); :func:`move_distance_stats`
 reproduces those columns with the convention ``signed d = rank_A − rank_B``
 (positive means the packet sits later in A than in B).
 
+The patience sort (:func:`patience_fill`) is exact against the textbook
+element-at-a-time loop, but solves most inputs in vectorized passes: a
+strictly ascending input (the identity, every FIFO scenario) in closed
+form, a shuffle of two ascending sequences (two replayers, each FIFO:
+``local-dual``) in a few rounds of a two-chain recurrence, and anything
+else run by run.
+
 When several maximal-length LCSs exist the edit script is not unique; we
 deterministically pick the patience-sorting LIS (predecessor chaining),
 which is a standard canonical choice.  ``O`` computed with swapped
@@ -142,6 +149,16 @@ _LONG_RUN = 32
 #: short stretch on each side; measured on blocks of descending values,
 #: it pays from about 110 elements.
 _LONG_DESCENT = 128
+#: Rounds the two-chain solve may take on one block before the rest of
+#: the call goes run by run.  Every captured ``local-dual`` block, whole
+#: pairs and 2048-element stream chunks alike, converges in 1 or 2; a
+#: block that needs more pays its set-up and every round for nothing
+#: (see docs/performance.md, "Two-chain patience").
+_TWO_CHAIN_ROUNDS = 4
+#: Elements per two-chain block: a miss wastes one block's rounds, and a
+#: block's arrays stay in cache (the captured whole pairs run faster in
+#: blocks of 4096 than in one piece).
+_TWO_CHAIN_BLOCK = 4096
 
 
 def patience_fill(values: np.ndarray, piles: PileState) -> None:
@@ -155,12 +172,22 @@ def patience_fill(values: np.ndarray, piles: PileState) -> None:
     run element by element over the concatenated input, so "stream equals
     batch" is the serial loop itself, not a merge argument.
 
-    The input is split into maximal strictly ascending runs (a tie ends a
-    run, which keeps the ``bisect_left`` tie-break); a stretch of
-    one-element runs between them is a non-increasing run.  An ascending
-    run of ``_LONG_RUN`` or more elements, and a non-increasing one of
-    ``_LONG_DESCENT`` or more, is solved in closed form against the tails
-    before it (:func:`_ascending_run`, :func:`_descending_run`).
+    A strictly ascending input is one run in closed form
+    (:func:`_ascending_run`), checked first so the identity pays nothing
+    more.  Any other input goes in blocks of ``_TWO_CHAIN_BLOCK``
+    elements, each against the state the blocks before it left: a
+    strictly ascending block is one closed-form run, and a shuffle of two
+    strictly ascending sequences is solved in a few vectorized rounds
+    (:func:`_two_chains`).  From the first block that is neither, or that
+    needs more than ``_TWO_CHAIN_ROUNDS`` rounds, the rest of the input
+    goes run by run.
+
+    Run by run, the input is split into maximal strictly ascending runs
+    (a tie ends a run, which keeps the ``bisect_left`` tie-break); a
+    stretch of one-element runs between them is a non-increasing run.  An
+    ascending run of ``_LONG_RUN`` or more elements, and a non-increasing
+    one of ``_LONG_DESCENT`` or more, is solved in closed form against
+    the tails before it (:func:`_ascending_run`, :func:`_descending_run`).
 
     Consecutive shorter runs form a stretch that takes the scalar step on
     Python lists holding only the tails suffix from
@@ -168,12 +195,33 @@ def patience_fill(values: np.ndarray, piles: PileState) -> None:
     is above ``T[lo - 1]``, so no bisect lands below ``lo`` and the piles
     under it are never read or written — except the link to pile
     ``lo - 1``, which the window carries in its first slot.
+
+    Floating-point NaN has no place in an increasing order (every
+    comparison with it is false), so it raises ``ValueError``; ``±inf``
+    is ordered and allowed.
     """
     values = np.asarray(values)
     m = values.shape[0]
     if m == 0:
         return
+    if values.dtype.kind == "f" and np.isnan(values).any():
+        raise ValueError("patience_fill: NaN values have no increasing order")
     piles._reserve(m)
+    if not (values[1:] <= values[:-1]).any():
+        _ascending_run(values, piles)
+        return
+    for lo in range(0, m, _TWO_CHAIN_BLOCK):
+        block = values[lo : lo + _TWO_CHAIN_BLOCK]
+        if not (block[1:] <= block[:-1]).any():
+            _ascending_run(block, piles)
+        elif not _two_chains(block, piles):
+            _run_wise(values[lo:], piles)
+            return
+
+
+def _run_wise(values: np.ndarray, piles: PileState) -> None:
+    """Closed forms for the long runs, scalar steps for the stretches."""
+    m = values.shape[0]
     done = 0
     for a, b, down in _long_runs(values):
         if a > done:
@@ -263,8 +311,128 @@ def _descending_run(run: np.ndarray, piles: PileState) -> None:
     piles.n = first + k
 
 
+def _two_chains(values: np.ndarray, piles: PileState) -> int:
+    """Feed a shuffle of two strictly ascending sequences in a few rounds.
+
+    X is the strict prefix maxima of ``values`` (the first element among
+    them), Y the rest; ``values`` is not strictly ascending, so Y is not
+    empty.  Unless Y is strictly ascending the input is not two chains,
+    and this returns 0 with ``piles`` untouched.
+
+    With ``s = searchsorted(T, v)`` on the tails ``T`` before the call,
+    element ``i`` lands on pile
+
+        pos_i = max(s_i, 1 + max{pos_j : j < i, v_j < v_i})
+
+    (``bisect_left``, ties included).  Positions increase along each
+    chain, so the same-chain term is the chain's previous element, and the
+    other-chain term is one element: for ``x``, the last ``y`` before it
+    (an ``x`` exceeds everything before it); for ``y``, the last ``x``
+    below it (an ``x`` below ``y`` always comes before it).  Given
+    Y's positions, X's follow in closed form —
+    ``pos = j + maximum.accumulate(max(s, cross + 1) − j)`` as in
+    :func:`_ascending_run` — and the same for Y given X's.  Starting from
+    Y alone, the rounds alternate the two until Y's positions repeat: then
+    both satisfy the recurrence, whose solution is unique because each
+    position depends only on earlier ones.  A call that has not converged
+    after ``_TWO_CHAIN_ROUNDS`` rounds returns 0, ``piles`` untouched.
+
+    The predecessor of an element on pile ``p`` is the later of the X and
+    Y elements on pile ``p − 1`` that precede it — only its chain's
+    previous element and the cross element above can — else the pre-call
+    link.  Each chain lands on a pile at most once, and a later ``x``
+    lands above every earlier ``y``, so where the chains share a pile
+    the ``y`` came last: X is scattered in first, then Y.
+
+    Returns the number of rounds taken.
+    """
+    m = values.shape[0]
+    is_x = np.empty(m, dtype=bool)
+    is_x[0] = True
+    np.greater(values[1:], np.maximum.accumulate(values[:-1]), out=is_x[1:])
+    iy = np.flatnonzero(~is_x)
+    yv = values[iy]
+    if not (yv[1:] > yv[:-1]).all():
+        return 0
+    ix = np.flatnonzero(is_x)
+    xv = values[ix]
+    jx = np.arange(ix.shape[0])
+    jy = np.arange(iy.shape[0])
+    # Positions are kept shifted, pos - j (j the index in the chain), in
+    # arrays whose slot 0 stands for "no element" and slot k for the
+    # chain's k-th element, 1-based.  The cross element of x_j is Y slot
+    # d = ix - jx, the count of y before it; that of y_k is X slot c, the
+    # count of x below it.  Its term pos + 1 - j is shifted[slot] + slot - j.
+    tails = piles.tails_vals
+    sx = np.searchsorted(tails, xv) - jx
+    sy = np.searchsorted(tails, yv) - jy
+    d = ix - jx
+    c = np.searchsorted(xv, yv)
+    dx = d - jx
+    cy = c - jy
+    px = np.empty(ix.shape[0] + 1, dtype=np.intp)
+    py = np.empty(iy.shape[0] + 1, dtype=np.intp)
+    px[0] = py[0] = -2 * m - 2  # below every shifted position: no term
+    np.maximum.accumulate(sy, out=py[1:])
+    t = np.empty(iy.shape[0], dtype=np.intp)
+    for rounds in range(1, _TWO_CHAIN_ROUNDS + 1):
+        u = py[d]
+        u += dx
+        np.maximum(u, sx, out=u)
+        np.maximum.accumulate(u, out=px[1:])
+        np.take(px, c, out=t)
+        t += cy
+        np.maximum(t, sy, out=t)
+        np.maximum.accumulate(t, out=t)
+        if np.array_equal(t, py[1:]):
+            break
+        py[1:] = t
+    else:
+        return 0
+
+    px[1:] += jx
+    py[1:] += jy
+    first = piles.n
+    # Global indices, with the same leading slot (-1: no element).
+    gx = np.empty_like(px)
+    gy = np.empty_like(py)
+    gx[0] = gy[0] = -1
+    np.add(ix, first, out=gx[1:])
+    np.add(iy, first, out=gy[1:])
+    # Every element of the call comes after every pre-call one, so the
+    # later of the candidates is the largest index, the pre-call link
+    # included.  A pile above the pre-call ones always has a candidate;
+    # the top pre-call link stands in for its (unset) link.
+    prev = piles._prev[first : first + m]
+    length = piles.length
+    for pos, g, idx, other, g_other, cross in (
+        (px, gx, ix, py, gy, d), (py, gy, iy, px, gx, c)
+    ):
+        at = pos[1:]
+        below = at - 1
+        pred = piles._idx[np.minimum(at, length)]
+        np.maximum(pred, g_other[cross], out=pred, where=other[cross] == below)
+        np.maximum(pred[1:], g[1:-1], out=pred[1:], where=pos[1:-1] == below[1:])
+        prev[idx] = pred
+    tails_idx = piles._idx[1:]
+    for pos, g, v in ((px, gx, xv), (py, gy, yv)):
+        piles._vals[pos[1:]] = v
+        tails_idx[pos[1:]] = g[1:]
+    piles.length = max(length, int(px[-1]) + 1, int(py[-1]) + 1)
+    piles.n = first + m
+    return rounds
+
+
 def _short_stretch(values: np.ndarray, piles: PileState) -> None:
     """Feed ``values`` element by element on a list window of the tails."""
+    if not piles.length:
+        # Nothing to bisect into: the first element opens pile 0, even
+        # -inf, which the empty window's -inf sentinel below would send
+        # to a bisect.
+        _ascending_run(values[:1], piles)
+        values = values[1:]
+        if not values.shape[0]:
+            return
     first = piles.n
     length = piles.length
     lo = int(np.searchsorted(piles.tails_vals, values.min()))

@@ -1,6 +1,7 @@
 """Unit tests for the O metric (Equation 2) and its LIS/edit-script core."""
 
 from bisect import bisect_left
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,12 +64,12 @@ def reference_patience_fill(
                 last = v
 
 
-def assert_same_as_reference(seq, chunks) -> PileState:
+def assert_same_as_reference(seq, chunks, dtype=np.int64) -> PileState:
     """Feed ``seq`` chunk by chunk to both; the states must be ``==`` after
     every chunk (so every chunk after the first starts from a non-empty
     state)."""
-    seq = np.asarray(seq, dtype=np.int64)
-    piles = PileState(np.int64)
+    seq = np.asarray(seq, dtype=dtype)
+    piles = PileState(dtype)
     tails_vals: list = []
     tails_idx: list[int] = []
     prev = np.full(seq.shape[0], -1, dtype=np.intp)
@@ -122,6 +123,76 @@ def run_sequences(draw):
     return np.concatenate(parts), lengths
 
 
+@st.composite
+def two_chain_sequences(draw):
+    """Two strictly ascending chains interleaved at random.
+
+    Values never tie within a chain but may tie between the chains, so an
+    element can equal the prefix maximum it follows.  The interleaving is
+    either uniform or in bursts that alternate between the chains.
+    """
+    def chain():
+        start = draw(st.integers(-50, 200))
+        k = draw(st.integers(0, 150))
+        steps = draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+        return (start + np.cumsum(steps, dtype=np.int64)).tolist()
+
+    a, b = chain(), chain()
+    if draw(st.booleans()):
+        order = [0] * len(a) + [1] * len(b)
+        draw(st.randoms(use_true_random=False)).shuffle(order)
+    else:
+        bursts = draw(st.lists(st.integers(1, 24), min_size=1, max_size=8))
+        order, left, k = [], [len(a), len(b)], 0
+        while left[0] or left[1]:
+            side = k % 2
+            take = min(bursts[k % len(bursts)], left[side])
+            order += [side] * take
+            left[side] -= take
+            k += 1
+    chains = (iter(a), iter(b))
+    return np.array([next(chains[k]) for k in order], dtype=np.int64)
+
+
+def _burst_merge(n: int, a_burst: int, b_burst: int) -> np.ndarray:
+    """Two streams merged in bursts of ``a_burst`` in A, ``b_burst`` in B.
+
+    The A-ranks in B order of two replayers whose bursts A and B cut
+    differently.  The longest increasing subsequences change stream at
+    the burst boundaries, so the two-chain rounds grow with ``n``.
+    """
+    ranks = np.arange(n).reshape(-1, a_burst)
+    streams = (ranks[0::2].ravel(), ranks[1::2].ravel())
+    return np.concatenate([
+        s[lo : lo + b_burst] for lo in range(0, n // 2, b_burst) for s in streams
+    ]).astype(np.int64)
+
+
+@pytest.fixture
+def path_spies(monkeypatch):
+    """What each kernel path saw: the rounds every two-chain block took
+    (0: not solved), and the length of every run-wise rest and scalar
+    stretch."""
+    seen = {"rounds": [], "run_wise": [], "stretch": []}
+    real = {name: getattr(ordering, name)
+            for name in ("_two_chains", "_run_wise", "_short_stretch")}
+
+    def two_chains(values, piles):
+        seen["rounds"].append(real["_two_chains"](values, piles))
+        return seen["rounds"][-1]
+
+    def lengths(name, key):
+        def spy(values, piles):
+            seen[key].append(len(values))
+            return real[name](values, piles)
+        return spy
+
+    monkeypatch.setattr(ordering, "_two_chains", two_chains)
+    monkeypatch.setattr(ordering, "_run_wise", lengths("_run_wise", "run_wise"))
+    monkeypatch.setattr(ordering, "_short_stretch", lengths("_short_stretch", "stretch"))
+    return seen
+
+
 chunk_lists = st.lists(st.integers(1, 70), min_size=1, max_size=4)
 
 
@@ -153,6 +224,25 @@ class TestLIS:
         # Equal elements cannot both be members.
         idx = longest_increasing_subsequence(np.array([2, 2, 2]))
         assert idx.shape == (1,)
+
+    @pytest.mark.parametrize("seq", [[1.0, np.nan, 2.0, 3.0], [np.nan, np.nan]])
+    def test_nan_is_a_value_error(self, seq):
+        with pytest.raises(ValueError, match="NaN"):
+            longest_increasing_subsequence(np.array(seq))
+
+    def test_infinities_are_ordered(self):
+        seq = np.array([-np.inf, 3.0, np.inf, 1.0, 2.0, np.inf])
+        assert longest_increasing_subsequence(seq).tolist() == [0, 3, 4, 5]
+
+    @given(
+        st.lists(st.sampled_from([-np.inf, -2.5, 0.0, 1.0, 1.5, 4.0, np.inf]), max_size=80),
+        chunk_lists,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_infinities_match_the_oracle(self, values, sizes):
+        """Every path, -inf opening an empty state included."""
+        assert_same_as_reference(values, [len(values)], dtype=np.float64)
+        assert_same_as_reference(values, _chunking(len(values), sizes), dtype=np.float64)
 
     def test_indices_increasing(self, rng):
         for _ in range(10):
@@ -191,6 +281,42 @@ class TestPatienceDifferential:
         assert_same_as_reference(seq, lengths)
         assert_same_as_reference(seq, _chunking(seq.shape[0], sizes))
         assert_same_as_reference(seq, [1] * seq.shape[0])
+
+    @given(
+        two_chain_sequences(),
+        st.lists(st.integers(-60, 300), max_size=60),
+        chunk_lists,
+        st.sampled_from([2, 7, 64]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_two_chains(self, seq, prefix, sizes, block):
+        assert_same_as_reference(seq, [seq.shape[0]])
+        assert_same_as_reference(seq, _chunking(seq.shape[0], sizes))
+        assert_same_as_reference(seq, [1] * seq.shape[0])
+        # On the live state an earlier random prefix left.
+        assert_same_as_reference(np.concatenate([prefix, seq]), [len(prefix), seq.shape[0]])
+        # In blocks, each resuming the state the blocks before it left.
+        with mock.patch.object(ordering, "_TWO_CHAIN_BLOCK", block):
+            assert_same_as_reference(seq, [seq.shape[0]])
+
+    def test_past_the_round_cap_goes_run_wise(self, path_spies):
+        seq = _burst_merge(96, 2, 3)
+        piles = PileState(np.int64)
+        piles._reserve(seq.shape[0])
+        cap = ordering._TWO_CHAIN_ROUNDS
+        with mock.patch.object(ordering, "_TWO_CHAIN_ROUNDS", seq.shape[0]):
+            assert ordering._two_chains(seq, piles) > cap + 1
+        path_spies["rounds"].clear()
+        assert_same_as_reference(seq, [seq.shape[0]])
+        assert path_spies["rounds"] == [0] and path_spies["run_wise"] == [seq.shape[0]]
+
+    def test_blocks_then_the_rest_run_wise(self, path_spies):
+        """Blocks that converge are kept; from the first that does not,
+        the rest of the call goes run by run."""
+        seq = np.concatenate([_burst_merge(128, 8, 16), 128 + _burst_merge(256, 2, 3)])
+        with mock.patch.object(ordering, "_TWO_CHAIN_BLOCK", 128):
+            assert_same_as_reference(seq, [seq.shape[0]])
+        assert path_spies["rounds"] == [2, 0] and path_spies["run_wise"] == [256]
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_corpus(self, name):
@@ -240,6 +366,32 @@ class TestPatienceDifferential:
         monkeypatch.setattr(ordering, "patience_fill", spy)
         lis_membership(np.arange(50)[::-1].copy())
         assert seen == [np.ndarray]
+
+
+class TestPatiencePaths:
+    """Which path each input takes (the differential tests pin the bits)."""
+
+    def test_local_dual_never_steps(self, path_spies):
+        """Two replayers, each FIFO: every call is solved as two chains,
+        whole pairs and 2048-packet stream chunks alike."""
+        from repro.experiments.scenarios import scenario
+        from repro.testbeds import Testbed
+
+        trials = Testbed(scenario("local-dual").profile(0.02), seed=5).run_series(3)
+        for b in trials[1:]:
+            compare_trials(trials[0], b)
+            sk = StreamKappa(trials[0])
+            for lo in range(0, len(b), 2048):
+                sk.update(b.tags[lo : lo + 2048], b.times_ns[lo : lo + 2048])
+        assert path_spies["stretch"] == [] and path_spies["run_wise"] == []
+        assert len(path_spies["rounds"]) > 2 and 0 not in path_spies["rounds"]
+
+    def test_identity_never_tries_two_chains(self, path_spies):
+        seq = np.arange(300, dtype=np.int64)
+        lis_membership(seq)
+        assert_same_as_reference(seq, [7] * 43)
+        assert_same_as_reference(seq, [1] * 300)
+        assert path_spies == {"rounds": [], "run_wise": [], "stretch": []}
 
 
 class TestNaiveLCS:

@@ -19,9 +19,10 @@ Two comparators, two memory stories:
 
     * **Incremental matching.**  Matching keys are ``(tag, occurrence)``
       (:mod:`repro.core.matching`); with A fixed, a B packet's key is
-      final the moment it arrives — a per-tag occurrence counter plus a
-      packed-key binary search into A's sorted keys resolves each chunk's
-      matches vectorized, independent of chunk boundaries.
+      final the moment it arrives.  Chunks go through the batch matcher's
+      :class:`~repro.core.matching.BaselineIndex` into one A-length inverse
+      map kept across chunks (a slot already claimed marks a repeated tag),
+      so the map after any prefix is the batch map of that prefix.
     * **Streaming O via positions, not ranks.**  The batch metric runs the
       canonical patience LIS over *A-side ranks in B order*; ranks of
       earlier packets shift as later matches arrive, so ranks don't
@@ -74,19 +75,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.kappa import MetricVector
-from ..core.matching import Matching, match_trials, occurrence_ranks
+from ..core.matching import BaselineIndex, Matching, match_trials
 from ..core.iat import iat_from_deltas, iat_from_matching
 from ..core.latency import latency_from_deltas, latency_from_matching
 from ..core.ordering import (
     PileState,
-    b_order_ranks,
     edit_script_from_keep,
     edit_script_from_matching,
     lis_indices_from_state,
     ordering_from_matching,
     patience_fill,
 )
-from ..core.trial import Trial
+from ..core.trial import Trial, as_tags
 from ..core.uniqueness import uniqueness_from_matching
 from ..core.windows import WindowedDeviation, deviation_from_deltas
 from ..obs import metrics
@@ -146,27 +146,15 @@ class StreamKappa:
         self._a = baseline
         self.run_label = run_label
 
-        tags = baseline.tags
-        self._uniq_tags, inverse = (
-            np.unique(tags, return_inverse=True)
-            if tags.shape[0]
-            else (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        self._index = BaselineIndex.of(baseline)
+        # A position -> run position of its match, -1 while unmatched;
+        # per-tag run counts only when A repeats tags.
+        self._inv = np.full(len(baseline), -1, dtype=np.intp)
+        self._seen = (
+            np.zeros(len(baseline), dtype=np.int64)
+            if self._index.has_duplicates
+            else None
         )
-        ids_a = inverse.astype(np.int64, copy=False)
-        occ_a = occurrence_ranks(ids_a)
-        n_uniq = int(self._uniq_tags.shape[0])
-        self._count_a = np.bincount(ids_a, minlength=max(n_uniq, 1)).astype(np.int64)
-        # Packed (tag id, occurrence) keys, as in the batch matcher; K is
-        # A-only (an occurrence >= K cannot match and never builds a key).
-        self._k = int(occ_a.max(initial=-1)) + 2
-        if n_uniq * self._k >= np.iinfo(np.int64).max:
-            raise OverflowError(
-                f"key space {n_uniq} ids x {self._k} occurrences overflows int64"
-            )
-        key_a = ids_a * self._k + occ_a
-        order = np.argsort(key_a)
-        self._key_sorted = key_a[order]
-        self._pos_by_key = order.astype(np.int64, copy=False)
 
         # Per-baseline-packet series the delta math reads (precomputed with
         # the same elementwise ops the batch path uses).
@@ -174,12 +162,10 @@ class StreamKappa:
         self._iats_a = baseline.iats_ns()
 
         # Run-side running state.
-        self._b_occ = np.zeros(max(n_uniq, 1), dtype=np.int64)
         self._n_b = 0
         self._first_b: float | None = None
         self._last_b = 0.0
-        self._pos_a = _Grow(np.int64)
-        self._pos_b = _Grow(np.int64)
+        self._pos_a = _Grow(np.intp)
         self._dl = _Grow(np.float64)
         self._dg = _Grow(np.float64)
         # Patience piles over matched A-positions in arrival order, with a
@@ -198,7 +184,7 @@ class StreamKappa:
         or timestamps that go backwards (within the chunk or across the
         stream) — a trial is a sequence in arrival order.
         """
-        tags = np.ascontiguousarray(tags, dtype=np.int64)
+        tags = as_tags(tags)
         times = np.ascontiguousarray(times_ns, dtype=np.float64)
         if tags.ndim != 1 or times.ndim != 1 or tags.shape[0] != times.shape[0]:
             raise ValueError("tags and times_ns must be equal-length 1-D arrays")
@@ -237,40 +223,20 @@ class StreamKappa:
 
     def _match_chunk(self, tags, times, g_b) -> int:
         """Resolve one chunk's matches and fold them into all running state."""
-        n = tags.shape[0]
-        n_uniq = self._uniq_tags.shape[0]
-        if n_uniq == 0:
-            return 0
-        idx = np.clip(np.searchsorted(self._uniq_tags, tags), 0, n_uniq - 1)
-        present = self._uniq_tags[idx] == tags
-        ids_in = idx[present].astype(np.int64, copy=False)
-        # Occurrence rank within the whole run stream: within-chunk rank
-        # among equal tags plus the running per-tag count.  Tags outside A
-        # never collide with in-A tags, so restricting to `present` is
-        # exact.
-        occ_in = occurrence_ranks(ids_in) + self._b_occ[ids_in]
-        keep = occ_in < self._count_a[ids_in]
-        np.add.at(self._b_occ, ids_in, 1)
-        n_new = int(np.count_nonzero(keep))
+        pos_a_new, jb = self._index.claim(tags, self._inv, self._n_b, self._seen)
+        n_new = int(pos_a_new.shape[0])
         if n_new == 0:
             return 0
 
-        key = ids_in[keep] * self._k + occ_in[keep]
-        pos_a_new = self._pos_by_key[np.searchsorted(self._key_sorted, key)]
-        pos_b_chunk = self._n_b + np.arange(n, dtype=np.int64)
-        pos_b_new = pos_b_chunk[present][keep]
-
         # Per-packet deltas, elementwise-identical to the batch path.
-        t_new = times[present][keep]
-        dl_new = (t_new - self._first_b) - self._rel_a[pos_a_new]
-        dg_new = g_b[present][keep] - self._iats_a[pos_a_new]
+        dl_new = (times[jb] - self._first_b) - self._rel_a[pos_a_new]
+        dg_new = g_b[jb] - self._iats_a[pos_a_new]
 
         # Streaming O: resume the patience sort on the chunk's matched
         # A-positions, new elements indexed after the prefix.
         patience_fill(pos_a_new, self._piles)
 
         self._pos_a.extend(pos_a_new)
-        self._pos_b.extend(pos_b_new)
         self._dl.extend(dl_new)
         self._dg.extend(dg_new)
         return n_new
@@ -280,14 +246,13 @@ class StreamKappa:
     # ------------------------------------------------------------------
     def matching(self) -> Matching:
         """The exact batch :class:`~repro.core.matching.Matching` of the prefix."""
-        pos_a = self._pos_a.view()
-        order = np.argsort(pos_a, kind="stable")
-        return Matching(
-            idx_a=pos_a[order].astype(np.intp, copy=False),
-            idx_b=self._pos_b.view()[order].astype(np.intp, copy=False),
-            len_a=len(self._a),
-            len_b=self._n_b,
-        )
+        return Matching.from_inverse(self._inv, self._pos_a.view(), self._n_b)
+
+    def _in_a_order(self, m: Matching, values: np.ndarray) -> np.ndarray:
+        """Per-match ``values`` (arrival order) re-listed in A order."""
+        out = np.empty_like(values)
+        out[m.a_ranks_in_b_order()] = values
+        return out
 
     def result(self) -> MetricVector:
         """The metric vector of ``(baseline, stream prefix)`` — batch-exact.
@@ -305,24 +270,24 @@ class StreamKappa:
 
             keep = np.zeros(n_c, dtype=bool)
             keep[lis_indices_from_state(self._piles)] = True
-            script = edit_script_from_keep(m, b_order_ranks(m), keep)
+            script = edit_script_from_keep(m, m.a_ranks_in_b_order(), keep)
             o = ordering_from_matching(m, script)
 
             if n_c == 0:
                 lat = iat = 0.0
             else:
-                order = np.argsort(self._pos_a.view(), kind="stable")
                 span_ns = max(
                     self._last_b - self._a.start_ns,
                     self._a.end_ns - self._first_b,
                     self._a.duration_ns,
                     self._last_b - self._first_b,
                 )
-                lat = latency_from_deltas(self._dl.view()[order], n_c, span_ns)
+                dl, dg = (self._in_a_order(m, g.view()) for g in (self._dl, self._dg))
+                lat = latency_from_deltas(dl, n_c, span_ns)
                 denom = (self._last_b - self._first_b) + (
                     self._a.end_ns - self._a.start_ns
                 )
-                iat = iat_from_deltas(self._dg.view()[order], n_c, denom)
+                iat = iat_from_deltas(dg, n_c, denom)
             return MetricVector(u, o, lat, iat)
 
     def windowed(self, window_ns: float) -> WindowedDeviation:
@@ -334,13 +299,12 @@ class StreamKappa:
         """
         if self._a.is_empty:
             raise ValueError("baseline trial is empty")
-        pos_a = self._pos_a.view()
-        order = np.argsort(pos_a, kind="stable")
+        m = self.matching()
         return deviation_from_deltas(
             self._rel_a,
-            pos_a[order].astype(np.intp, copy=False),
-            np.abs(self._dl.view()[order]),
-            np.abs(self._dg.view()[order]),
+            m.idx_a,
+            np.abs(self._in_a_order(m, self._dl.view())),
+            np.abs(self._in_a_order(m, self._dg.view())),
             window_ns,
         )
 
@@ -365,9 +329,9 @@ class StreamKappa:
         and predecessor links included.
         """
         return int(
-            self._b_occ.nbytes
+            self._inv.nbytes
+            + (0 if self._seen is None else self._seen.nbytes)
             + self._pos_a.nbytes
-            + self._pos_b.nbytes
             + self._dl.nbytes
             + self._dg.nbytes
             + self._piles.nbytes
@@ -524,7 +488,7 @@ class KappaMonitor:
         return self._feed(session, "b", tags, times_ns)
 
     def _feed(self, session: str, side: str, tags, times_ns) -> list[WindowReport]:
-        tags = np.ascontiguousarray(tags, dtype=np.int64)
+        tags = as_tags(tags)
         times = np.ascontiguousarray(times_ns, dtype=np.float64)
         if tags.ndim != 1 or times.ndim != 1 or tags.shape[0] != times.shape[0]:
             raise ValueError("tags and times_ns must be equal-length 1-D arrays")

@@ -3,19 +3,20 @@
 Two packets are "the same" when they are identical in all regions the
 evaluator determines define a packet — here, the per-packet tag.  Tags may
 repeat (identical payloads); following the paper, repeated tags are
-disambiguated by *occurrence rank*: the first packet with a given tag in a
-trial matches the first packet with that tag in the other trial, the second
-the second, and so on.  This makes every trial a sequence of unique
-``(tag, occurrence)`` keys, which is what lets the ordering metric treat
-trials as permutations.
+disambiguated by *occurrence rank*: the k-th packet with a given tag in one
+trial matches the k-th packet with that tag in the other.  This makes every
+trial a sequence of unique ``(tag, occurrence)`` keys, which is what lets
+the ordering metric treat trials as permutations.
 
-Everything here is vectorized, built on one stable argsort per side: the
-sorted tag arrays expose each tag's occurrence group as a contiguous run,
-matched tags are found with one :func:`numpy.searchsorted`, and pairing the
-first ``min(count_A, count_B)`` occurrences of every matched tag is a
-grouped ``arange``.  (An earlier version packed ``(tag id, occurrence)``
-into 64-bit keys and ran :func:`numpy.intersect1d` — two extra sorts and a
-key-space overflow guard for the identical pair set.)
+Every comparison is against one fixed baseline A, so A is the only side
+ever sorted: a :class:`BaselineIndex`, memoized on the baseline trial.  A
+run B is matched with one :func:`numpy.searchsorted` into it and a scatter
+of the hits into an A-length inverse map; the common rows in A order are
+the map's set entries, and the A-ranks in B order one ``cumsum`` of the
+hit mask.  Repeated tags — in A, or two B packets hitting one A slot — take
+an occurrence step (counted by ``match.occurrence_path``).
+:class:`~repro.analysis.streamkappa.StreamKappa` matches its chunks through
+the same index.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from ..obs import metrics
 from .trial import Trial
 
-__all__ = ["Matching", "occurrence_ranks", "match_tag_arrays", "match_trials"]
+__all__ = ["BaselineIndex", "Matching", "occurrence_ranks", "match_trials"]
 
 
 def occurrence_ranks(tags: np.ndarray) -> np.ndarray:
@@ -76,13 +77,20 @@ class Matching:
     idx_b: np.ndarray
     len_a: int
     len_b: int
-    #: Lazily cached stable argsort of ``idx_b`` — ``b_order`` and
-    #: ``a_ranks_in_b_order`` both need it; memoizing on the (frozen,
-    #: immutable-by-contract) matching makes it one argsort
-    #: per pair (``match.b_order_argsorts`` counts the computes).
-    _order_b_cache: np.ndarray | None = field(
-        default=None, repr=False, compare=False
-    )
+    #: Row indices listed in B order — the A-side ranks in B order.  The
+    #: matcher fills it in from its inverse map; a hand-built matching
+    #: derives it on first use by one scatter over B.
+    _ranks_b: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_inverse(cls, inv: np.ndarray, slots: np.ndarray, len_b: int) -> "Matching":
+        """The matching in ``inv`` (A position → B position or -1), whose
+        matched A positions in B order are ``slots``."""
+        hit = inv >= 0
+        idx_a = np.flatnonzero(hit)
+        # A matched position's rank counts the matched positions before it.
+        ranks_b = np.cumsum(hit, dtype=np.int64)[slots] - 1
+        return cls(idx_a, inv[idx_a], inv.shape[0], len_b, ranks_b)
 
     @property
     def n_common(self) -> int:
@@ -94,18 +102,9 @@ class Matching:
         """True when A and B contain exactly the same packets."""
         return self.n_common == self.len_a == self.len_b
 
-    def _order_b(self) -> np.ndarray:
-        """The stable argsort of ``idx_b``, computed once per matching."""
-        cached = self._order_b_cache
-        if cached is None:
-            metrics.counter("match.b_order_argsorts").add()
-            cached = np.argsort(self.idx_b, kind="stable")
-            object.__setattr__(self, "_order_b_cache", cached)
-        return cached
-
     def b_order(self) -> tuple[np.ndarray, np.ndarray]:
         """The aligned index pairs re-sorted by position in B."""
-        order = self._order_b()
+        order = self.a_ranks_in_b_order()
         return self.idx_a[order], self.idx_b[order]
 
     def a_ranks_in_b_order(self) -> np.ndarray:
@@ -117,83 +116,91 @@ class Matching:
         re-listing those ranks in B order yields a permutation of
         ``0..n_common-1``.
         """
-        # Rows are sorted by idx_a, so the row index *is* the A-side rank;
-        # listing row indices in B order therefore lists A ranks in B order.
-        return self._order_b().astype(np.int64, copy=False)
+        ranks = self._ranks_b
+        if ranks is None:
+            row = np.full(self.len_b, -1, dtype=np.int64)
+            row[self.idx_b] = np.arange(self.n_common, dtype=np.int64)
+            ranks = row[row >= 0]
+            object.__setattr__(self, "_ranks_b", ranks)
+        return ranks
 
 
-def match_tag_arrays(
-    tags_a: np.ndarray, tags_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned ``(tag, occurrence)`` index pairs of two tag sequences.
+class BaselineIndex:
+    """Baseline A's tags sorted once, to match any number of runs against.
 
-    The computational core of :func:`match_trials`, on bare tag arrays:
-    occurrence ranks are computed among equal tags only, so restricting
-    both sequences to any set of tag values yields exactly the rows of the
-    full matching whose tags fall in that set.
-
-    One stable argsort per side is the whole cost model.  The stable sort
-    groups equal tags into contiguous runs *in input order*, so the k-th
-    element of tag t's run is the k-th occurrence of t — pairing the first
-    ``min(count_A, count_B)`` run elements of every tag present on both
-    sides yields exactly the ``(tag, occurrence)`` pair set the Section-3
-    matching defines, with no key packing and no overflow regime.
-
-    Returns ``(ia, ib)``: intp position arrays sorted by ``ia``.
+    ``order`` is the stable argsort of A's tags, so each tag's occurrences
+    form one contiguous group of ``sorted_tags`` in A order.
     """
-    na, nb = tags_a.shape[0], tags_b.shape[0]
-    if na == 0 or nb == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty
 
-    sa = np.argsort(tags_a, kind="stable")
-    sb = np.argsort(tags_b, kind="stable")
-    sorted_a = tags_a[sa]
-    sorted_b = tags_b[sb]
+    __slots__ = ("order", "sorted_tags", "has_duplicates")
 
-    # Group boundaries of equal-tag runs in each sorted array.
-    new_a = np.empty(na, dtype=bool)
-    new_a[0] = True
-    np.not_equal(sorted_a[1:], sorted_a[:-1], out=new_a[1:])
-    starts_a = np.flatnonzero(new_a)
-    vals_a = sorted_a[starts_a]
-    counts_a = np.diff(np.append(starts_a, na))
+    def __init__(self, tags: np.ndarray) -> None:
+        self.order = np.argsort(tags, kind="stable")
+        self.sorted_tags = sorted_tags = tags[self.order]
+        self.has_duplicates = bool(np.any(sorted_tags[1:] == sorted_tags[:-1]))
 
-    new_b = np.empty(nb, dtype=bool)
-    new_b[0] = True
-    np.not_equal(sorted_b[1:], sorted_b[:-1], out=new_b[1:])
-    starts_b = np.flatnonzero(new_b)
-    vals_b = sorted_b[starts_b]
-    counts_b = np.diff(np.append(starts_b, nb))
+    @classmethod
+    def of(cls, trial: Trial) -> "BaselineIndex":
+        """The index of ``trial``, built on first use and memoized on it."""
+        index = trial._match_index
+        if index is None:
+            index = cls(trial.tags)
+            object.__setattr__(trial, "_match_index", index)
+        return index
 
-    # Tags present on both sides: for each B group, the A group holding
-    # the same value (if any).
-    pos = np.searchsorted(vals_a, vals_b)
-    in_range = np.flatnonzero(pos < vals_a.size)
-    bsel = in_range[vals_a[pos[in_range]] == vals_b[in_range]]
-    asel = pos[bsel]
+    def claim(self, tags: np.ndarray, inv: np.ndarray, base: int = 0,
+              seen: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Match run packets ``base, base + 1, ...`` with tags ``tags``.
 
-    # Occurrence pairing: the first min(count_A, count_B) elements of each
-    # matched run, generated with one grouped arange across all tags.
-    take = np.minimum(counts_a[asel], counts_b[bsel])
-    total = int(take.sum())
-    group = np.repeat(np.arange(take.size), take)
-    occ = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(take) - take, take)
-    ia = sa[starts_a[asel][group] + occ]
-    ib = sb[starts_b[bsel][group] + occ]
-
-    order = np.argsort(ia, kind="stable")
-    return (
-        ia[order].astype(np.intp, copy=False),
-        ib[order].astype(np.intp, copy=False),
-    )
+        ``inv`` maps A positions to the run positions matched so far (-1
+        while unmatched) and is updated in place.  When A repeats tags, a
+        streaming caller keeps ``seen``: the run's count of each tag so
+        far, at the tag's group start.  Returns the newly matched A
+        positions and their offsets into ``tags``, in arrival order.
+        """
+        n_a = self.order.shape[0]
+        if n_a == 0 or tags.shape[0] == 0:
+            empty = np.empty(0, dtype=np.intp)
+            return empty, empty
+        pos = np.searchsorted(self.sorted_tags, tags)
+        np.minimum(pos, n_a - 1, out=pos)
+        jb = np.flatnonzero(self.sorted_tags[pos] == tags)
+        pos = pos[jb]
+        if self.has_duplicates:
+            # The k-th occurrence of a tag claims slot k of its group.
+            metrics.counter("match.occurrence_path").add()
+            occ = occurrence_ranks(pos)
+            if seen is not None:
+                occ += seen[pos]
+                groups, counts = np.unique(pos, return_counts=True)
+                seen[groups] += counts
+            keep = occ < np.searchsorted(self.sorted_tags, tags[jb], side="right") - pos
+            slots, jb = self.order[pos[keep] + occ[keep]], jb[keep]
+            inv[slots] = jb + base
+            return slots, jb
+        slots = self.order[pos]
+        if base:
+            # A slot claimed by an earlier chunk is a repeat in the run.
+            fresh = inv[slots] < 0
+            slots, jb = slots[fresh], jb[fresh]
+        jb_run = jb + base
+        inv[slots] = jb_run
+        if not np.array_equal(inv[slots], jb_run):
+            # Two packets of this chunk share a tag: the first one matches.
+            metrics.counter("match.occurrence_path").add()
+            first = occurrence_ranks(slots) == 0
+            slots, jb = slots[first], jb[first]
+            inv[slots] = jb + base
+        return slots, jb
 
 
 def match_trials(a: Trial, b: Trial) -> Matching:
     """Compute the aligned common packets of two trials.
 
     Packets are keyed by ``(tag, occurrence rank)``.  The result lists
-    common packets in A's arrival order.
+    common packets in A's arrival order.  A's index is built once per
+    baseline trial and reused by every later run matched against it.
     """
-    ia, ib = match_tag_arrays(a.tags, b.tags)
-    return Matching(ia, ib, len(a), len(b))
+    inv = np.full(len(a), -1, dtype=np.intp)
+    slots, _ = BaselineIndex.of(a).claim(b.tags, inv)
+    return Matching.from_inverse(inv, slots, len(b))

@@ -55,7 +55,6 @@ __all__ = [
     "PileState",
     "patience_fill",
     "lis_indices_from_state",
-    "b_order_ranks",
     "EditScript",
     "edit_script",
     "edit_script_from_matching",
@@ -621,17 +620,6 @@ def edit_script(a: Trial, b: Trial, matching: Matching | None = None) -> EditScr
     return edit_script_from_matching(m)
 
 
-def b_order_ranks(m: Matching) -> np.ndarray:
-    """A-side ranks of the common packets listed in B order.
-
-    The permutation whose LIS is the LCS (Schensted); the input the
-    patience sort runs on.  Routed through the matching's cached argsort,
-    so a pair that also sorts by B position elsewhere (``b_order``) pays
-    for one argsort total.
-    """
-    return m.a_ranks_in_b_order()
-
-
 def edit_script_from_keep(
     m: Matching, a_ranks_in_b: np.ndarray, keep: np.ndarray
 ) -> EditScript:
@@ -668,7 +656,7 @@ def edit_script_from_matching(m: Matching) -> EditScript:
     The script is a pure function of the matching (positions and trial
     lengths); trials are not needed.
     """
-    a_ranks_in_b = b_order_ranks(m)
+    a_ranks_in_b = m.a_ranks_in_b_order()
     return edit_script_from_keep(m, a_ranks_in_b, lis_membership(a_ranks_in_b))
 
 

@@ -18,7 +18,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Trial"]
+__all__ = ["Trial", "as_tags"]
+
+
+def as_tags(values) -> np.ndarray:
+    """``values`` as a contiguous int64 tag array, converted exactly.
+
+    Raises ``ValueError`` unless the int64 conversion round-trips (integral
+    floats are fine): truncating ``1.2`` to ``1``, or wrapping a ``uint64``
+    of ``2**63`` to ``-2**63``, would make a packet match another's tag.
+    """
+    arr = np.asarray(values)
+    if arr.dtype == np.int64:
+        return np.ascontiguousarray(arr)
+    try:
+        with np.errstate(invalid="ignore"):
+            tags = np.ascontiguousarray(arr, dtype=np.int64)
+        exact = np.all(tags == arr)
+    except OverflowError:
+        exact = False
+    if arr.dtype.kind == "f" and exact:
+        exact = bool(np.all((arr >= -(2.0**63)) & (arr < 2.0**63)))
+    if not exact:
+        raise ValueError("tags must convert to int64 exactly")
+    return tags
 
 
 @dataclass(frozen=True)
@@ -45,9 +68,13 @@ class Trial:
     times_ns: np.ndarray
     label: str = ""
     meta: dict = field(default_factory=dict, compare=False)
+    #: The matching index of this trial as a baseline
+    #: (:class:`repro.core.matching.BaselineIndex`), built on first use;
+    #: never compared and never pickled.
+    _match_index: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        tags = np.ascontiguousarray(self.tags, dtype=np.int64)
+        tags = as_tags(self.tags)
         times = np.ascontiguousarray(self.times_ns, dtype=np.float64)
         if tags.ndim != 1 or times.ndim != 1:
             raise ValueError("tags and times_ns must be one-dimensional")
@@ -69,6 +96,11 @@ class Trial:
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_match_index", None)
+        return state
+
     def __len__(self) -> int:
         return int(self.tags.shape[0])
 
@@ -136,7 +168,7 @@ class Trial:
         (stable sort), matching how a receiver that timestamps on a shared
         clock would enqueue simultaneous arrivals.
         """
-        tags = np.asarray(tags, dtype=np.int64)
+        tags = as_tags(tags)
         times_ns = np.asarray(times_ns, dtype=np.float64)
         order = np.argsort(times_ns, kind="stable")
         return cls(tags[order], times_ns[order], label=label, meta=dict(meta or {}))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Trial, match_trials, occurrence_ranks
+from repro.core import Matching, Trial, match_trials, occurrence_ranks
 
 from .conftest import comb_trial, make_trial
 
@@ -95,39 +95,7 @@ class TestMatchTrials:
         np.testing.assert_array_equal(ib, [0, 1, 2])
         np.testing.assert_array_equal(ia, [2, 0, 1])
 
-    def test_negative_tags_supported(self):
-        a = make_trial([0, 1], tags=[-5, -1])
-        b = make_trial([0, 1], tags=[-1, -5])
-        assert match_trials(a, b).n_common == 2
-
-
-class TestArgsortCache:
-    """The B-order argsort is computed once per matching, then memoized.
-
-    ``b_order``, ``a_ranks_in_b_order`` and the engine's ordering
-    permutation all need the stable argsort of ``idx_b``; the
-    ``match.b_order_argsorts`` counter proves every path shares one
-    compute per pair.
-    """
-
-    def _argsorts(self) -> int:
-        from repro.obs import metrics
-
-        return metrics.counter("match.b_order_argsorts").value
-
-    def test_one_argsort_across_accessors(self, rng):
-        perm = rng.permutation(500)
-        a = comb_trial(500)
-        b = make_trial(np.arange(500) * 10.0, tags=perm)
-        m = match_trials(a, b)
-        before = self._argsorts()
-        m.b_order()
-        m.a_ranks_in_b_order()
-        m.b_order()
-        m.a_ranks_in_b_order()
-        assert self._argsorts() - before == 1
-
-    def test_cache_preserves_values(self, rng):
+    def test_b_order_accessors_are_stable(self, rng):
         perm = rng.permutation(64)
         a = comb_trial(64)
         b = make_trial(np.arange(64) * 10.0, tags=perm)
@@ -139,12 +107,64 @@ class TestArgsortCache:
         np.testing.assert_array_equal(first, again)
         np.testing.assert_array_equal(ia1, ia2)
         np.testing.assert_array_equal(ib1, ib2)
-        # The cached permutation is the argsort the accessors are defined by.
+        # The ranks are the permutation the accessors are defined by.
         np.testing.assert_array_equal(
             first, np.argsort(m.idx_b, kind="stable").astype(np.int64)
         )
+        # A hand-built matching derives the same ranks.
+        bare = Matching(m.idx_a, m.idx_b, m.len_a, m.len_b)
+        np.testing.assert_array_equal(bare.a_ranks_in_b_order(), first)
 
-    def test_full_comparison_is_one_argsort_per_pair(self):
+    def test_baseline_index_is_memoized_but_not_pickled(self):
+        import pickle
+
+        a = comb_trial(20)
+        match_trials(a, comb_trial(10))
+        index = a._match_index
+        assert index is not None
+        match_trials(a, comb_trial(5))
+        assert a._match_index is index
+        assert pickle.loads(pickle.dumps(a))._match_index is None
+
+    def test_negative_tags_supported(self):
+        a = make_trial([0, 1], tags=[-5, -1])
+        b = make_trial([0, 1], tags=[-1, -5])
+        assert match_trials(a, b).n_common == 2
+
+
+class TestOccurrencePath:
+    """Only repeated tags take the matcher's occurrence step.
+
+    Captured scenario tags are unique, so their pairs and 2048-packet
+    stream chunks match by a plain scatter; ``match.occurrence_path``
+    counts the pairs and chunks that needed occurrence ranks.
+    """
+
+    def _paths(self) -> int:
+        from repro.obs import metrics
+
+        return metrics.counter("match.occurrence_path").value
+
+    @pytest.mark.parametrize(
+        "name,scale", [("local-dual", 0.02), ("fabric-shared-40g-noisy", 0.01)]
+    )
+    def test_captured_pairs_and_chunks_skip_it(self, name, scale):
+        from repro.analysis.streamkappa import StreamKappa
+        from repro.core import compare_series
+        from repro.experiments.scenarios import scenario
+        from repro.testbeds import Testbed
+
+        trials = Testbed(scenario(name).profile(scale), seed=1).run_series(3)
+        before = self._paths()
+        compare_series(trials)
+        for b in trials[1:]:
+            sk = StreamKappa(trials[0])
+            for lo in range(0, len(b), 2048):
+                sk.update(b.tags[lo : lo + 2048], b.times_ns[lo : lo + 2048])
+            sk.result()
+        assert self._paths() == before
+
+    def test_duplicate_tags_take_it(self):
         from repro.core import compare_trials
 
         rng2 = np.random.default_rng(4242)
@@ -154,6 +174,19 @@ class TestArgsortCache:
         run_times = times + rng2.normal(0, 150, 300)
         order = np.argsort(run_times, kind="stable")
         b = make_trial(run_times[order], tags[order], label="B")
-        before = self._argsorts()
+        before = self._paths()
         compare_trials(a, b)
-        assert self._argsorts() - before == 1
+        assert self._paths() - before == 1
+
+    def test_run_repeats_take_it_per_chunk(self):
+        from repro.analysis.streamkappa import StreamKappa
+
+        a = make_trial([0, 1, 2], tags=[1, 2, 3])
+        before = self._paths()
+        assert match_trials(a, make_trial([0, 1, 2], tags=[2, 2, 3])).n_common == 2
+        assert self._paths() - before == 1
+        sk = StreamKappa(a)
+        sk.update([2, 2], [0.0, 1.0])  # a repeat inside one chunk
+        sk.update([2, 3], [2.0, 3.0])  # a repeat of an earlier chunk's tag
+        assert self._paths() - before == 2
+        assert sk.n_common == 2

@@ -25,7 +25,7 @@ import time
 import pytest
 
 import repro.cli as cli
-from repro.core import compare_series
+from repro.core import Trial, compare_series
 from repro.obs import metrics, trace
 from repro.parallel import (
     compare_series_parallel,
@@ -257,13 +257,17 @@ class TestWorkerTelemetryRoundTrip:
 
         Only the fan-out's own bookkeeping (``pool.*``, ``shm.*``, the
         whole-pair task count) may differ; every counter a worker bumps
-        (``fused.pairs``, ``match.b_order_argsorts``, ...) comes home.
+        (``fused.pairs``, ``match.occurrence_path``, ...) comes home.  The
+        series is compared once as captured and once with every tag
+        halved, so that each of those pairs repeats tags.
         """
 
         def counters(jobs: int) -> dict:
             metrics.REGISTRY.reset()
             trials = Testbed(PROFILE, seed=3).run_series(4, jobs=jobs)
             compare_series_parallel(trials, environment=PROFILE.name, jobs=jobs)
+            halved = [Trial(t.tags // 2, t.times_ns, label=t.label) for t in trials]
+            compare_series_parallel(halved, environment=PROFILE.name, jobs=jobs)
             return {
                 name: value
                 for name, value in metrics.REGISTRY.snapshot()["counters"].items()
@@ -272,7 +276,7 @@ class TestWorkerTelemetryRoundTrip:
             }
 
         serial = counters(1)
-        assert "fused.pairs" in serial and "match.b_order_argsorts" in serial
+        assert serial["fused.pairs"] == 6 and serial["match.occurrence_path"] == 3
         assert counters(2) == serial
         assert trace.stage_totals() == ({}, 0)
 

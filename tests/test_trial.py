@@ -48,6 +48,58 @@ class TestConstruction:
         assert t.times_ns.dtype == np.float64
 
 
+class TestLossyTags:
+    """A tag that does not convert to int64 exactly is rejected.
+
+    Truncating ``1.2`` to ``1`` would make two different packets match;
+    wrapping a ``uint64`` of ``2**63`` would give it another packet's tag.
+    """
+
+    @pytest.mark.parametrize(
+        "tags",
+        [
+            [1.2, 2, 3],
+            [1.0, float("nan"), 3.0],
+            [2.0**63, 1.0, 2.0],
+            np.array([2**63, 1, 2], dtype=np.uint64),
+            np.array([2**64, 1, 2], dtype=object),
+        ],
+    )
+    def test_lossy_tags_raise(self, tags):
+        with pytest.raises(ValueError, match="int64"):
+            Trial(tags, [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="int64"):
+            Trial.from_arrival_events(tags, [0.0, 1.0, 2.0])
+
+    def test_fractional_tags_no_longer_match(self):
+        from repro.core import compare_trials
+
+        with pytest.raises(ValueError):
+            compare_trials(
+                Trial([1.2, 2, 3], [0.0, 1.0, 2.0]), Trial([1.7, 2, 3], [0.0, 1.0, 2.0])
+            )
+
+    def test_exact_tags_accepted(self):
+        t = Trial([1.0, -2.0, -(2.0**63)], [0.0, 1.0, 2.0])
+        assert t.tags.tolist() == [1, -2, -(2**63)]
+        big = np.array([2**63 - 1, 0], dtype=np.uint64)
+        assert Trial(big, [0.0, 1.0]).tags.tolist() == [2**63 - 1, 0]
+        assert Trial(np.array([3, 4], dtype=np.int32), [0.0, 1.0]).tags.dtype == np.int64
+
+    def test_stream_inputs_checked_the_same_way(self):
+        from repro.analysis.streamkappa import KappaMonitor, StreamKappa
+
+        sk = StreamKappa(comb_trial(3))
+        with pytest.raises(ValueError, match="int64"):
+            sk.update([1.5], [0.0])
+        with pytest.raises(ValueError, match="int64"):
+            sk.update(np.array([2**63], dtype=np.uint64), [0.0])
+        sk.update([1.0], [0.0])
+        assert sk.n_common == 1
+        with pytest.raises(ValueError, match="int64"):
+            KappaMonitor(10.0).feed_run("s", [0.5], [0.0])
+
+
 class TestProperties:
     def test_start_end_duration(self):
         t = make_trial([5.0, 10.0, 30.0])

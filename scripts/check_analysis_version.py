@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Guard: metric-bearing source cannot change without an ANALYSIS_VERSION bump.
+"""Guard: metric and simulator source cannot change without an ANALYSIS_VERSION bump.
 
 The artifact store (:mod:`repro.sweep.store`) keys cached trial series
 and Section-3 reports by ``ANALYSIS_VERSION``.  If the code that
@@ -8,9 +8,11 @@ store resurrects stale results — silently, because the digest still
 matches.  This script makes that failure mode a CI error:
 
 * a manifest (``scripts/analysis_version_manifest.json``) records the
-  sha256 of every ``*.py`` file under ``src/repro/core/`` and
-  ``src/repro/analysis/`` alongside the ``ANALYSIS_VERSION`` they were
-  recorded at;
+  sha256 of every ``*.py`` file under the metric code
+  (``src/repro/core/``, ``src/repro/analysis/``) and the simulator whose
+  trials the store caches (``replay/``, ``net/``, ``generators/``,
+  ``timing/``, ``testbeds/``) alongside the ``ANALYSIS_VERSION`` they
+  were recorded at;
 * ``check`` (the default) fails when the working tree disagrees with
   the manifest — naming the changed files and whether the version was
   bumped;
@@ -19,9 +21,9 @@ matches.  This script makes that failure mode a CI error:
   ``--allow-same-version`` is given for changes argued not to alter any
   stored bit — docstrings, comments, new code behind new entry points).
 
-Workflow when touching metric code::
+Workflow when touching metric or simulator code::
 
-    1. edit src/repro/core/... or src/repro/analysis/...
+    1. edit a file under one of GUARDED_DIRS
     2. bump ANALYSIS_VERSION in src/repro/sweep/store.py
        (or decide the change is bit-neutral)
     3. python scripts/check_analysis_version.py --update
@@ -40,8 +42,17 @@ import re
 import sys
 from pathlib import Path
 
-#: Directories whose ``*.py`` files determine stored bits.
-GUARDED_DIRS = ("src/repro/core", "src/repro/analysis")
+#: Directories whose ``*.py`` files determine stored bits: the metric
+#: code, and the simulator that produces the cached trial series.
+GUARDED_DIRS = (
+    "src/repro/core",
+    "src/repro/analysis",
+    "src/repro/replay",
+    "src/repro/net",
+    "src/repro/generators",
+    "src/repro/timing",
+    "src/repro/testbeds",
+)
 #: Where ``ANALYSIS_VERSION`` is declared.
 VERSION_FILE = "src/repro/sweep/store.py"
 #: The recorded state this script checks against.
@@ -111,7 +122,7 @@ def check(root: Path) -> int:
         print(f"  changed: {rel}", file=sys.stderr)
     if changed and version == recorded_version:
         print(
-            f"\nMetric-bearing files changed but ANALYSIS_VERSION is still "
+            f"\nMetric or simulator files changed but ANALYSIS_VERSION is still "
             f"{version}: persistent stores would resurrect stale results.\n"
             f"Bump ANALYSIS_VERSION in {VERSION_FILE}, then run\n"
             f"  python scripts/check_analysis_version.py --update\n"

@@ -44,7 +44,7 @@ def as_tags(values) -> np.ndarray:
     return tags
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trial:
     """An ordered sequence of received packets.
 
@@ -67,11 +67,11 @@ class Trial:
     tags: np.ndarray
     times_ns: np.ndarray
     label: str = ""
-    meta: dict = field(default_factory=dict, compare=False)
+    meta: dict = field(default_factory=dict)
     #: The matching index of this trial as a baseline
     #: (:class:`repro.core.matching.BaselineIndex`), built on first use;
     #: never compared and never pickled.
-    _match_index: object = field(default=None, init=False, repr=False, compare=False)
+    _match_index: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         tags = as_tags(self.tags)
@@ -92,6 +92,22 @@ class Trial:
             raise ValueError("times_ns must be finite")
         object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "times_ns", times)
+
+    def __eq__(self, other: object) -> bool:
+        """Same label and the same packets: equal tags and times, in order.
+
+        ``meta`` and the cached matching index are not compared.
+        """
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.label == other.label
+            and np.array_equal(self.tags, other.tags)
+            and np.array_equal(self.times_ns, other.times_ns)
+        )
+
+    #: Trials hold mutable arrays, so they are unhashable.
+    __hash__ = None
 
     # ------------------------------------------------------------------
     # Basic properties

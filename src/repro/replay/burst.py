@@ -14,11 +14,16 @@ packets.
 times and a loop-cost model, it assigns each packet a burst id.  The loop
 is sequential by nature (the next poll time depends on the previous
 burst's size), but it iterates per *burst*, not per packet, so even a
-million-packet trial only loops tens of thousands of times.
+million-packet trial only loops tens of thousands of times.  Each
+iteration is a few Python float operations and one ``bisect`` over the
+arrival list, searched from the burst's first packet; the ids are built
+once, from the burst starts, at the end.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +47,8 @@ class PollLoopCost:
     per_packet_ns: float = 55.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.iteration_ns, self.per_packet_ns))):
+            raise ValueError("iteration_ns and per_packet_ns must be finite")
         if self.iteration_ns <= 0:
             raise ValueError("iteration_ns must be positive")
         if self.per_packet_ns < 0:
@@ -65,38 +72,59 @@ def burstify_poll_loop(
     iteration cost until the next arrival.
 
     Returns an int64 array of non-decreasing burst ids, one per packet.
+    Raises ``ValueError`` for unsorted or non-finite arrival times.
     """
+    starts, sizes = _poll_loop_bursts(arrival_ns, cost, max_burst)
+    return np.repeat(np.arange(starts.shape[0], dtype=np.int64), sizes)
+
+
+def _poll_loop_bursts(
+    arrival_ns: np.ndarray,
+    cost: PollLoopCost | None = None,
+    max_burst: int = MAX_BURST,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(first packet index, packet count) of each poll-loop burst, as int64."""
     cost = cost if cost is not None else PollLoopCost()
     if max_burst < 1:
         raise ValueError("max_burst must be >= 1")
     t = np.asarray(arrival_ns, dtype=np.float64)
     n = t.shape[0]
-    ids = np.empty(n, dtype=np.int64)
     if n == 0:
-        return ids
-    if np.any(np.diff(t) < 0):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("arrival times must be finite")
+    if np.any(t[1:] < t[:-1]):
         raise ValueError("arrival times must be non-decreasing")
 
-    burst = 0
+    tl = t.tolist()
+    iteration = cost.iteration_ns
+    per_packet = cost.per_packet_ns
+    starts = []
     i = 0
     # Poll time starts at the first arrival (the loop was idle-spinning).
-    poll = float(t[0]) + cost.iteration_ns
-    while i < n:
-        if t[i] > poll:
-            # Idle: loop spins; next poll lands one iteration after the
-            # arrival-containing spin tick.  The sub-iteration phase is
-            # deterministic here; scheduling noise is injected later by the
-            # replayer model, not by burstification.
-            spins = np.ceil((t[i] - poll) / cost.iteration_ns)
-            poll = poll + spins * cost.iteration_ns
-        # Take everything waiting, up to the cap.
-        j = int(np.searchsorted(t, poll, side="right"))
-        j = min(j, i + max_burst)
-        ids[i:j] = burst
-        burst += 1
-        poll += cost.burst_cost_ns(j - i)
-        i = j
-    return ids
+    poll = tl[0] + iteration
+    try:
+        while i < n:
+            if tl[i] > poll:
+                # Idle: loop spins; next poll lands one iteration after the
+                # arrival-containing spin tick.  The sub-iteration phase is
+                # deterministic here; scheduling noise is injected later by
+                # the replayer model, not by burstification.
+                poll = poll + math.ceil((tl[i] - poll) / iteration) * iteration
+            # Take everything waiting, up to the cap.  Every packet before
+            # ``i`` arrived by ``poll``, so the search can start at ``i``.
+            j = bisect_right(tl, poll, i)
+            if j > i + max_burst:
+                j = i + max_burst
+            starts.append(i)
+            poll += iteration + per_packet * (j - i)
+            i = j
+    except OverflowError:
+        raise ValueError(
+            "idle gap overflows when counted in iteration_ns spins"
+        ) from None
+    first = np.array(starts, dtype=np.int64)
+    return first, np.diff(first, append=n)
 
 
 def burstify_fixed(n_packets: int, burst_size: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from ..net.nicmodel import TxNicModel
 from ..net.pktarray import PacketArray
 from ..net.queueing import fifo_departures
 from ..timing.tsc import TSC
-from .burst import PollLoopCost, burst_bounds, burstify_poll_loop
+from .burst import PollLoopCost, _poll_loop_bursts
 from .recording import MIN_BUFFER_BYTES, Recording
 
 __all__ = ["TransparentMiddlebox", "ForwardResult"]
@@ -84,21 +84,17 @@ class TransparentMiddlebox:
         if len(ingress) == 0:
             return ForwardResult(ingress, None)
 
-        burst_ids = burstify_poll_loop(ingress.times_ns, self.loop_cost)
-        starts, ends = burst_bounds(burst_ids)
-        # A burst's doorbell rings one processing interval after its last
-        # frame was picked up.
-        sizes_per_burst = (ends - starts).astype(np.int64)
+        starts, sizes = _poll_loop_bursts(ingress.times_ns, self.loop_cost)
+        burst_ids = np.repeat(np.arange(starts.shape[0], dtype=np.int64), sizes)
         # A burst's doorbell rings after its processing cost, and the
         # single-threaded loop serializes bursts — the FIFO recurrence.
         cost = (
             self.loop_cost.iteration_ns
-            + self.loop_cost.per_packet_ns * sizes_per_burst
+            + self.loop_cost.per_packet_ns * sizes
         )
-        doorbell = fifo_departures(ingress.times_ns[ends - 1], cost)
+        doorbell = fifo_departures(ingress.times_ns[starts + sizes - 1], cost)
         # Per-packet software enqueue time = its burst's doorbell.
-        burst_index = np.repeat(np.arange(starts.shape[0]), sizes_per_burst)
-        notify = doorbell[burst_index]
+        notify = doorbell[burst_ids]
 
         tx = self.tx_nic.transmit(notify, ingress.sizes, burst_ids, rng)
         egress = ingress.with_times(tx.wire_times_ns)

@@ -63,9 +63,11 @@ class Recording:
         btsc = np.ascontiguousarray(self.burst_tsc, dtype=np.int64)
         if bids.shape[0] != len(self.packets):
             raise ValueError("burst_ids must have one entry per packet")
-        if bids.size and np.any(np.diff(bids) < 0):
+        steps = np.diff(bids)
+        if np.any(steps < 0):
             raise ValueError("burst_ids must be non-decreasing")
-        n_bursts = int(np.unique(bids).shape[0]) if bids.size else 0
+        # Non-decreasing ids: each new burst is one nonzero step.
+        n_bursts = 1 + int(np.count_nonzero(steps)) if bids.size else 0
         if btsc.shape[0] != n_bursts:
             raise ValueError(
                 f"burst_tsc has {btsc.shape[0]} stamps for {n_bursts} bursts"

@@ -16,6 +16,11 @@ So far this holds the matching half of κ:
 
 :func:`match_tag_arrays` is the vectorized matcher the production code
 used before the baseline index; it is kept as a second oracle.
+
+:func:`reference_burstify_poll_loop` is the simulator's Section-5 poll
+loop as production ran it before it moved to Python floats and
+``bisect``: one whole-array ``searchsorted`` and numpy-scalar arithmetic
+per burst.  Production burst ids must equal its ids bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
+
+from repro.replay.burst import MAX_BURST, PollLoopCost
 
 
 def match(tags_a, tags_b) -> tuple[list[int], list[int]]:
@@ -110,3 +117,42 @@ def match_tag_arrays(
         ia[order].astype(np.intp, copy=False),
         ib[order].astype(np.intp, copy=False),
     )
+
+
+def reference_burstify_poll_loop(
+    arrival_ns: np.ndarray,
+    cost: PollLoopCost | None = None,
+    max_burst: int = MAX_BURST,
+) -> np.ndarray:
+    """Burst ids of the forwarding poll loop, one burst per iteration."""
+    cost = cost if cost is not None else PollLoopCost()
+    if max_burst < 1:
+        raise ValueError("max_burst must be >= 1")
+    t = np.asarray(arrival_ns, dtype=np.float64)
+    n = t.shape[0]
+    ids = np.empty(n, dtype=np.int64)
+    if n == 0:
+        return ids
+    if np.any(np.diff(t) < 0):
+        raise ValueError("arrival times must be non-decreasing")
+
+    burst = 0
+    i = 0
+    # Poll time starts at the first arrival (the loop was idle-spinning).
+    poll = float(t[0]) + cost.iteration_ns
+    while i < n:
+        if t[i] > poll:
+            # Idle: loop spins; next poll lands one iteration after the
+            # arrival-containing spin tick.  The sub-iteration phase is
+            # deterministic here; scheduling noise is injected later by the
+            # replayer model, not by burstification.
+            spins = np.ceil((t[i] - poll) / cost.iteration_ns)
+            poll = poll + spins * cost.iteration_ns
+        # Take everything waiting, up to the cap.
+        j = int(np.searchsorted(t, poll, side="right"))
+        j = min(j, i + max_burst)
+        ids[i:j] = burst
+        burst += 1
+        poll += cost.burst_cost_ns(j - i)
+        i = j
+    return ids

@@ -1,10 +1,11 @@
 """The ANALYSIS_VERSION bump guard, exercised end to end.
 
 ``scripts/check_analysis_version.py`` is the repo check CI runs so that
-metric-bearing source (``src/repro/core/``, ``src/repro/analysis/``)
-cannot change without bumping the store's cache-invalidation version —
-the failure it prevents is a persistent store silently resurrecting
-results computed by old metric code.  This suite drives the script as a
+metric-bearing source (``src/repro/core/``, ``src/repro/analysis/``) and
+the simulator behind the cached trials (``replay/``, ``net/``,
+``generators/``, ``timing/``, ``testbeds/``) cannot change without bumping
+the store's cache-invalidation version — the failure it prevents is a
+persistent store silently resurrecting results computed by old code.  This suite drives the script as a
 subprocess against both the real repository (the committed manifest must
 be in sync) and a sandbox repo skeleton covering every verdict:
 in-sync, changed-without-bump, bumped-but-stale-manifest, and the
@@ -37,6 +38,11 @@ def make_sandbox(root: Path, *, version: int = 1) -> None:
     for rel, body in {
         "src/repro/core/kappa.py": "def kappa():\n    return 1.0\n",
         "src/repro/analysis/stats.py": "def mean(v):\n    return sum(v) / len(v)\n",
+        "src/repro/replay/burst.py": "MAX_BURST = 64\n",
+        "src/repro/net/link.py": "RATE = 1e10\n",
+        "src/repro/generators/cbr.py": "GAP = 284.0\n",
+        "src/repro/timing/tsc.py": "HZ = 2e9\n",
+        "src/repro/testbeds/base.py": "RUNS = 5\n",
         "src/repro/sweep/store.py": f"ANALYSIS_VERSION = {version}\n",
     }.items():
         path = root / rel
@@ -74,6 +80,8 @@ class TestRealRepository:
         assert "src/repro/core/kappa.py" in files
         assert "src/repro/analysis/stats.py" in files
         assert "src/repro/analysis/stability.py" in files
+        assert "src/repro/replay/burst.py" in files
+        assert "src/repro/testbeds/base.py" in files
         assert all(len(digest) == 64 for digest in files.values())
         from repro.sweep.store import ANALYSIS_VERSION
 
@@ -92,6 +100,14 @@ class TestSandboxVerdicts:
         proc = run_guard("--root", str(sandbox))
         assert proc.returncode == 1
         assert "changed: src/repro/core/kappa.py" in proc.stderr
+        assert "Bump ANALYSIS_VERSION" in proc.stderr
+
+    def test_simulator_change_without_bump_fails(self, sandbox):
+        """The store caches simulated trials, so the simulator is guarded."""
+        (sandbox / "src/repro/replay/burst.py").write_text("MAX_BURST = 32\n")
+        proc = run_guard("--root", str(sandbox))
+        assert proc.returncode == 1
+        assert "changed: src/repro/replay/burst.py" in proc.stderr
         assert "Bump ANALYSIS_VERSION" in proc.stderr
 
     def test_new_guarded_file_counts_as_change(self, sandbox):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import PacketArray, TxNicModel
 from repro.replay import (
@@ -19,7 +21,10 @@ from repro.replay import (
     burstify_fixed,
     burstify_poll_loop,
 )
+from repro.replay.burst import _poll_loop_bursts
 from repro.timing import TSC
+
+from .oracle import reference_burstify_poll_loop
 
 
 def cbr_batch(n=1000, gap=284.0, size=1400, rid=0):
@@ -62,6 +67,42 @@ class TestBurstify:
         with pytest.raises(ValueError):
             burstify_poll_loop(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            [0.0, 100.0, np.nan, 300.0],
+            [np.nan, 0.0, 100.0],
+            [-np.inf, 0.0, 100.0],
+            [0.0, 100.0, np.inf],
+            [np.nan],
+        ],
+    )
+    def test_rejects_non_finite_arrivals(self, t):
+        # Unchecked, a NaN mid-array stalled the loop forever, a leading
+        # NaN put every packet in burst 0 and a leading -inf made the poll
+        # time NaN.
+        with pytest.raises(ValueError, match="finite"):
+            burstify_poll_loop(np.array(t))
+
+    @pytest.mark.parametrize(
+        "iteration, per_packet",
+        [(np.nan, 55.0), (np.inf, 55.0), (250.0, np.nan), (250.0, np.inf)],
+    )
+    def test_cost_rejects_non_finite(self, iteration, per_packet):
+        with pytest.raises(ValueError, match="finite"):
+            PollLoopCost(iteration, per_packet)
+
+    @pytest.mark.parametrize(
+        "t, cost",
+        [
+            ([0.0, 1e308], PollLoopCost(1e-10, 0.0)),
+            ([-1e308, 1e308], PollLoopCost(250.0, 55.0)),
+        ],
+    )
+    def test_overflowing_gap_is_a_value_error(self, t, cost):
+        with pytest.raises(ValueError, match="overflows"):
+            burstify_poll_loop(np.array(t), cost)
+
     def test_fixed(self):
         ids = burstify_fixed(10, 4)
         np.testing.assert_array_equal(ids, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2])
@@ -74,6 +115,81 @@ class TestBurstify:
     def test_burst_bounds_empty(self):
         starts, ends = burst_bounds(np.array([]))
         assert starts.shape == (0,) and ends.shape == (0,)
+
+
+#: Gaps between consecutive arrivals: ties, gaps inside one loop
+#: iteration, and idle gaps of many iterations.  Gaps and costs on a
+#: 5 ns lattice land arrivals exactly on poll times and spin ticks.
+_lattice = st.integers(0, 200).map(lambda k: 5.0 * k)
+_gaps = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 60.0),
+    st.floats(0.0, 2e3),
+    st.floats(1e3, 1e7),
+    _lattice,
+)
+#: (gap, repeats): a run of equal gaps, long enough to fill bursts past
+#: the 64-packet cap when the gap is short or zero.
+_runs = st.lists(st.tuples(_gaps, st.integers(1, 150)), max_size=12)
+_costs = st.one_of(
+    st.just(PollLoopCost()),
+    st.builds(
+        PollLoopCost,
+        st.floats(1e-3, 1e5),
+        st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+    ),
+    st.builds(
+        PollLoopCost,
+        st.integers(1, 100).map(lambda k: 5.0 * k),
+        st.integers(0, 20).map(lambda k: 5.0 * k),
+    ),
+)
+
+
+class TestPollLoopOracle:
+    """Production burst ids equal the per-burst numpy loop's, bit for bit."""
+
+    @staticmethod
+    def check(t, cost, max_burst=MAX_BURST):
+        want = reference_burstify_poll_loop(t, cost, max_burst)
+        got = burstify_poll_loop(t, cost, max_burst)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        starts, sizes = _poll_loop_bursts(t, cost, max_burst)
+        first, ends = burst_bounds(want)
+        np.testing.assert_array_equal(starts, first)
+        np.testing.assert_array_equal(sizes, ends - first)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.one_of(st.floats(-1e9, 1e12), _lattice),
+        runs=_runs,
+        cost=_costs,
+        max_burst=st.one_of(st.just(MAX_BURST), st.just(1), st.integers(1, 100)),
+    )
+    def test_matches_oracle(self, start, runs, cost, max_burst):
+        gaps = np.repeat(
+            np.array([g for g, _ in runs], dtype=np.float64),
+            np.array([k for _, k in runs], dtype=np.int64),
+        )
+        self.check(start + np.cumsum(gaps), cost, max_burst)
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.floats(-1e12, 1e12), cost=_costs)
+    def test_single_packet(self, t, cost):
+        self.check(np.array([t]), cost)
+
+    def test_empty(self):
+        self.check(np.empty(0), PollLoopCost())
+
+    def test_arrival_on_a_spin_tick(self):
+        # After the first burst the loop polls at 555 ns; the next arrival
+        # is exactly two idle spins later, and is picked up alone.
+        self.check(np.array([0.0, 1055.0, 1200.0]), PollLoopCost(250.0, 55.0))
+
+    def test_all_tied_past_the_cap(self):
+        self.check(np.full(1000, 5.0), PollLoopCost(250.0, 55.0))
+        self.check(np.full(1000, 5.0), PollLoopCost(250.0, 55.0), max_burst=1)
 
 
 class TestRecording:
@@ -126,6 +242,13 @@ class TestRecording:
         batch = cbr_batch(10)
         with pytest.raises(ValueError, match="stamps"):
             Recording(batch, burstify_fixed(10, 5), np.array([0]), TSC())
+
+    def test_burst_count_is_distinct_ids(self):
+        ids = np.array([0, 0, 2, 2, 2])
+        rec = Recording(cbr_batch(5), ids, np.array([0, 7]), TSC())
+        assert rec.n_bursts == 2
+        with pytest.raises(ValueError, match="stamps"):
+            Recording(cbr_batch(5), ids, np.array([0, 7, 9]), TSC())
 
 
 class TestMiddlebox:

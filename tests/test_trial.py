@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Trial
+from repro.core import Trial, match_trials
 
 from .conftest import comb_trial, make_trial
 
@@ -98,6 +98,52 @@ class TestLossyTags:
         assert sk.n_common == 1
         with pytest.raises(ValueError, match="int64"):
             KappaMonitor(10.0).feed_run("s", [0.5], [0.0])
+
+
+class TestEquality:
+    """Equal label, tags and times; ``meta`` and the match index ignored."""
+
+    def test_equal_trials_of_many_packets(self):
+        a = comb_trial(5, label="A")
+        b = Trial(a.tags.copy(), a.times_ns.copy(), label="A", meta={"run": 3})
+        assert a == b
+        assert not a != b
+        assert b in [comb_trial(5, label="B"), a]
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            Trial([0, 1, 2, 9, 4], [0.0, 1.0, 2.0, 3.0, 4.0], label="A"),
+            Trial([0, 1, 2, 3, 4], [0.0, 1.0, 2.0, 3.0, 4.5], label="A"),
+            Trial([0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0], label="A"),
+            Trial([0, 1, 2, 3, 4], [0.0, 1.0, 2.0, 3.0, 4.0], label="B"),
+        ],
+    )
+    def test_any_field_differs(self, other):
+        a = Trial([0, 1, 2, 3, 4], [0.0, 1.0, 2.0, 3.0, 4.0], label="A")
+        assert a != other
+        assert a not in [other]
+
+    def test_match_index_not_compared(self):
+        a = comb_trial(5)
+        b = Trial(a.tags, a.times_ns)
+        match_trials(a, b)
+        assert a._match_index is not None and b._match_index is None
+        assert a == b
+
+    def test_other_types_are_not_equal(self):
+        t = comb_trial(2)
+        assert t != (t.tags, t.times_ns, t.label)
+        assert t != None  # noqa: E711
+
+    def test_empty_trials_equal(self):
+        assert make_trial([]) == make_trial([])
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(comb_trial(3))
+        with pytest.raises(TypeError, match="unhashable"):
+            {comb_trial(3)}
 
 
 class TestProperties:

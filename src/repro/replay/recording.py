@@ -57,6 +57,8 @@ class Recording:
     tsc: TSC
     truncated: bool = False
     meta: dict = field(default_factory=dict, compare=False)
+    #: Packets per burst, derived once from ``burst_ids`` (read-only).
+    _burst_sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bids = np.ascontiguousarray(self.burst_ids, dtype=np.int64)
@@ -66,8 +68,14 @@ class Recording:
         steps = np.diff(bids)
         if np.any(steps < 0):
             raise ValueError("burst_ids must be non-decreasing")
-        # Non-decreasing ids: each new burst is one nonzero step.
-        n_bursts = 1 + int(np.count_nonzero(steps)) if bids.size else 0
+        # Non-decreasing ids: each new burst starts at one nonzero step.
+        if bids.size:
+            edges = np.concatenate(([0], np.flatnonzero(steps) + 1, [bids.size]))
+            sizes = np.diff(edges).astype(np.int64, copy=False)
+        else:
+            sizes = np.empty(0, dtype=np.int64)
+        sizes.flags.writeable = False
+        n_bursts = sizes.size
         if btsc.shape[0] != n_bursts:
             raise ValueError(
                 f"burst_tsc has {btsc.shape[0]} stamps for {n_bursts} bursts"
@@ -76,6 +84,7 @@ class Recording:
             raise ValueError("burst TSC stamps must be non-decreasing")
         object.__setattr__(self, "burst_ids", bids)
         object.__setattr__(self, "burst_tsc", btsc)
+        object.__setattr__(self, "_burst_sizes", sizes)
 
     def __len__(self) -> int:
         return len(self.packets)
@@ -100,9 +109,8 @@ class Recording:
         )
 
     def burst_sizes(self) -> np.ndarray:
-        """Packets per burst."""
-        starts, ends = burst_bounds(self.burst_ids)
-        return (ends - starts).astype(np.int64)
+        """Packets per burst (a read-only array computed at construction)."""
+        return self._burst_sizes
 
     def relative_burst_times_ns(self) -> np.ndarray:
         """Per-burst transmit time relative to the first burst, in ns.

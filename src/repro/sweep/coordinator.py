@@ -215,7 +215,7 @@ def run_sweep(
                     )
                     encoded = series_report_to_dict(report)
                     store.put(
-                        unit.digest, entry.trials, report,
+                        unit.digest, entry.trials, encoded,
                         key=digest_key_doc(unit.profile, unit.seed, unit.n_runs),
                     )
                     results[unit.digest] = (entry.trials, encoded)
@@ -244,7 +244,7 @@ def run_sweep(
             store.put(
                 unit.digest,
                 trials,
-                series_report_from_dict(report_doc),
+                report_doc,
                 key=digest_key_doc(unit.profile, unit.seed, unit.n_runs),
             )
 

@@ -31,25 +31,36 @@ follows; pinned by ``tests/test_sweep_differential.py``).
 Store layout (under ``<root>/v<schema>/``)::
 
     <digest[:2]>/<digest>/
-        entry.json      # schema, key doc, labels, per-file sha256 checksums
-        run-<k>.cho     # binary captures (repro.analysis.capture), k = run index
-        run-<k>.cho.json  # capture sidecars (label + meta)
-        report.json     # optional codec-encoded RunSeriesReport
+        entry.bin       # the whole entry, one file
 
-Write discipline: an entry is assembled in ``<root>/tmp/`` (payloads
-fsynced) and published with one atomic ``os.replace`` — readers can never
-observe a half-written entry.  Losing a publish race to a concurrent
-writer is harmless (both writers derived identical content from the same
-digest) and is counted, not raised.
+``entry.bin`` has three parts:
 
-Read discipline: every payload byte is verified against the entry's
-sha256 manifest before anything is decoded, and every decode failure —
-truncation, bit flips, stale schema, a vanished file — degrades to a
-counted cache miss (``sweep.store.corrupt``): the corrupted entry is
-quarantined (removed) so the caller recomputes and rewrites.  Corruption
-is **never** an exception and can never yield a silently wrong κ; the
-fault-injection suite (``tests/test_sweep_store_faults.py``) drives every
-one of these paths.
+1. a line holding the sha256 hex digest of every byte after it;
+2. a JSON header line (space-padded so the arrays below are 8-byte
+   aligned): schema, digest, key doc, per run its label, ``meta`` and
+   packet count, and the report's byte length;
+3. per run its int64 tags then its float64 times (little-endian), then
+   the codec-encoded report JSON, if any.
+
+Write discipline: ``put`` hashes the entry's pieces from memory (no
+joined buffer, no read-back), writes them into one file under
+``<root>/tmp/``, fsyncs that one file and publishes it in one atomic
+step: ``os.link`` for a fresh entry (it fails if one is already there),
+``os.replace`` when a full entry upgrades a trials-only one.  Readers
+can never observe a half-written entry, and a trials-only ``put`` never
+downgrades a full one.  Losing a publish race to a concurrent writer is
+harmless (both writers derived identical content from the same digest)
+and is counted, not raised.
+
+Read discipline: ``get`` reads the file once and checks the checksum
+before it parses anything — header included, so a flipped label or key
+byte is caught too.  Every failure — truncation, bit flips, stale
+schema, a short payload — degrades to a counted cache miss
+(``sweep.store.corrupt``): the damaged entry is quarantined (removed) so
+the caller recomputes and rewrites.  Corruption is **never** an
+exception and can never yield a silently wrong κ; the fault-injection
+suite (``tests/test_sweep_store_faults.py``) drives every one of these
+paths.
 """
 
 from __future__ import annotations
@@ -61,14 +72,15 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..analysis.capture import read_capture, write_capture
+import numpy as np
+
 from ..core.report import RunSeriesReport
 from ..core.trial import Trial
 from ..obs import metrics
 from ..obs.trace import span
 from ..testbeds.profiles import EnvironmentProfile
 from ..testbeds.serialization import canonical_profile_json
-from .codec import series_report_from_dict, series_report_to_dict
+from .codec import series_report_from_dict
 
 __all__ = [
     "ArtifactStore",
@@ -81,7 +93,7 @@ __all__ = [
 ]
 
 #: On-disk layout version; entries of any other version are recomputed.
-STORE_SCHEMA_VERSION = 1
+STORE_SCHEMA_VERSION = 2
 
 #: Version of the analysis code whose outputs the store caches.  Bump
 #: whenever a change legitimately alters simulated trials or Section-3
@@ -153,8 +165,18 @@ class StoreStats:
         }
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _sha256(*parts) -> str:
+    """sha256 hex digest of the concatenated buffers, without joining them."""
+    hasher = hashlib.sha256()
+    for part in parts:
+        hasher.update(part)
+    return hasher.hexdigest()
+
+
+#: The one file an entry is, inside its ``entry_dir``.
+ENTRY_FILE = "entry.bin"
+#: Length of the leading checksum line: 64 hex digits and a newline.
+_SUM_LEN = 65
 
 
 class ArtifactStore:
@@ -165,13 +187,9 @@ class ArtifactStore:
         self.stats = StoreStats()
 
     # -- paths ------------------------------------------------------------
-    @property
-    def _version_root(self) -> Path:
-        return self.root / f"v{STORE_SCHEMA_VERSION}"
-
     def entry_dir(self, digest: str) -> Path:
         """Where an entry for ``digest`` lives (existing or not)."""
-        return self._version_root / digest[:2] / digest
+        return self.root / f"v{STORE_SCHEMA_VERSION}" / digest[:2] / digest
 
     # -- read side ---------------------------------------------------------
     def get(self, digest: str) -> StoredEntry | None:
@@ -191,55 +209,41 @@ class ArtifactStore:
         return entry
 
     def _load_verified(self, digest: str) -> StoredEntry | None:
-        d = self.entry_dir(digest)
-        if not (d / "entry.json").exists():
+        try:
+            data = (self.entry_dir(digest) / ENTRY_FILE).read_bytes()
+        except FileNotFoundError:
             return None
-        try:
-            meta = json.loads((d / "entry.json").read_text())
-        except (OSError, ValueError):
+        except OSError:
             return self._quarantine(digest, "entry-unreadable")
-        if not isinstance(meta, dict) or meta.get("schema") != STORE_SCHEMA_VERSION:
-            return self._quarantine(digest, "stale-schema")
-        if meta.get("digest") != digest:
-            return self._quarantine(digest, "digest-mismatch")
-        files = meta.get("files")
-        labels = meta.get("labels")
-        if not isinstance(files, dict) or not isinstance(labels, list) or not labels:
-            return self._quarantine(digest, "entry-malformed")
-        # Verify every payload byte before decoding anything.
-        for name, want_sha in files.items():
-            try:
-                data = (d / name).read_bytes()
-            except OSError:
-                return self._quarantine(digest, "payload-missing")
-            if _sha256(data) != want_sha:
-                return self._quarantine(digest, "payload-checksum")
-        expected = {f"run-{k}.cho" for k in range(len(labels))}
-        expected |= {f"run-{k}.cho.json" for k in range(len(labels))}
-        if meta.get("has_report"):
-            expected.add("report.json")
-        if set(files) != expected:
-            return self._quarantine(digest, "manifest-mismatch")
+        if data[_SUM_LEN - 1:_SUM_LEN] != b"\n":
+            return self._quarantine(digest, "entry-unreadable")
+        # Verify every byte after the checksum line before parsing any.
+        if data[:_SUM_LEN - 1] != _sha256(memoryview(data)[_SUM_LEN:]).encode():
+            return self._quarantine(digest, "payload-checksum")
+        end = data.find(b"\n", _SUM_LEN)
         try:
+            header = json.loads(data[_SUM_LEN:end])
+            if header["schema"] != STORE_SCHEMA_VERSION:
+                return self._quarantine(digest, "stale-schema")
+            if header["digest"] != digest:
+                return self._quarantine(digest, "digest-mismatch")
+            runs, report_len = header["runs"], header["report_len"]
+            off = end + 1
+            if off + 16 * sum(r["n"] for r in runs) + report_len != len(data):
+                return self._quarantine(digest, "payload-missing")
             trials = []
-            for k, label in enumerate(labels):
-                t = read_capture(d / f"run-{k}.cho", mmap=False)
-                # The capture header truncates labels to 12 bytes; the
-                # manifest keeps the authoritative full label.
-                trials.append(t if t.label == label else t.relabel(label))
+            for r in runs:
+                n = r["n"]
+                tags = np.frombuffer(data, "<i8", n, off)
+                times = np.frombuffer(data, "<f8", n, off + 8 * n)
+                trials.append(Trial(tags, times, label=r["label"], meta=r["meta"]))
+                off += 16 * n
             report = None
-            if meta.get("has_report"):
-                report = series_report_from_dict(
-                    json.loads((d / "report.json").read_text())
-                )
+            if report_len:
+                report = series_report_from_dict(json.loads(data[off:]))
+            return StoredEntry(digest, tuple(trials), report, header["key"])
         except Exception:
             return self._quarantine(digest, "payload-decode")
-        return StoredEntry(
-            digest=digest,
-            trials=tuple(trials),
-            report=report,
-            key=meta.get("key", {}),
-        )
 
     def _quarantine(self, digest: str, reason: str) -> None:
         """Count and remove a damaged entry so the caller rewrites it."""
@@ -254,115 +258,89 @@ class ArtifactStore:
         self,
         digest: str,
         trials: list[Trial] | tuple[Trial, ...],
-        report: RunSeriesReport | None = None,
+        report_doc: dict | None = None,
         key: dict | None = None,
     ) -> bool:
         """Atomically publish an entry; ``True`` if this call wrote it.
 
-        Content is assembled under ``<root>/tmp`` and renamed into place
-        in one step.  Losing the rename race to a concurrent writer of
-        the same digest returns ``False`` (their content is identical by
-        construction) and is counted in ``sweep.store.races``.
+        ``report_doc`` is the codec-encoded report
+        (:func:`repro.sweep.codec.series_report_to_dict`).  The entry's
+        pieces are hashed from memory, written into one file under
+        ``<root>/tmp``, fsynced and published in one step.  Losing the
+        publish race to a concurrent writer of the same digest returns
+        ``False`` (their content is identical by construction) and is
+        counted in ``sweep.store.races``; so is a trials-only ``put``
+        over a published entry, which never downgrades it.
         """
         if not trials:
             raise ValueError("an entry needs at least one trial")
         with span("sweep.store.put", digest=digest[:12], n_trials=len(trials)):
-            tmp_root = self.root / "tmp"
-            tmp_root.mkdir(parents=True, exist_ok=True)
-            token = f"{os.getpid()}-{os.urandom(4).hex()}"
-            tmp = tmp_root / f"{digest}.{token}"
-            tmp.mkdir()
-            try:
-                files: dict[str, str] = {}
-                labels = []
-                for k, t in enumerate(trials):
-                    name = f"run-{k}.cho"
-                    write_capture(t, tmp / name, sidecar=True)
-                    files[name] = _sha256((tmp / name).read_bytes())
-                    files[f"{name}.json"] = _sha256((tmp / f"{name}.json").read_bytes())
-                    labels.append(t.label)
-                if report is not None:
-                    blob = json.dumps(
-                        series_report_to_dict(report), sort_keys=True, indent=1
-                    ) + "\n"
-                    (tmp / "report.json").write_text(blob)
-                    files["report.json"] = _sha256(blob.encode())
-                meta = {
+            report = b""
+            if report_doc is not None:
+                report = json.dumps(report_doc, separators=(",", ":")).encode()
+            header = json.dumps(
+                {
                     "schema": STORE_SCHEMA_VERSION,
                     "digest": digest,
                     "key": dict(key or {}),
-                    "labels": labels,
-                    "has_report": report is not None,
-                    "files": files,
-                }
-                (tmp / "entry.json").write_text(
-                    json.dumps(meta, sort_keys=True, indent=1) + "\n"
-                )
-                self._fsync_dir_contents(tmp)
-                final = self.entry_dir(digest)
-                final.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    os.replace(tmp, final)
-                except OSError:
-                    # The entry already exists.  If ours is strictly
-                    # richer (we carry the analysis, the published entry
-                    # is trials-only — the runner-write / sweep-upgrade
-                    # shape), evict the old entry and publish; otherwise
-                    # a concurrent writer beat us to identical content.
-                    if report is not None and not self._has_report(final):
-                        old = tmp_root / f"{digest}.old-{token}"
-                        try:
-                            os.replace(final, old)
-                            os.replace(tmp, final)
-                        except OSError:
-                            self.stats.races += 1
-                            metrics.counter("sweep.store.races").add()
-                            return False
-                        finally:
-                            shutil.rmtree(old, ignore_errors=True)
-                        self.stats.writes += 1
-                        metrics.counter("sweep.store.writes").add()
-                        return True
-                    self.stats.races += 1
-                    metrics.counter("sweep.store.races").add()
-                    return False
-                self.stats.writes += 1
-                metrics.counter("sweep.store.writes").add()
-                return True
+                    "runs": [
+                        {"label": t.label, "meta": t.meta, "n": len(t)}
+                        for t in trials
+                    ],
+                    "report_len": len(report),
+                },
+                separators=(",", ":"),
+                default=str,
+            ).encode()
+            # Pad the header line so every array starts 8-byte aligned.
+            pad = -(_SUM_LEN + len(header) + 1) % 8
+            parts = [header + b" " * pad + b"\n"]
+            for t in trials:
+                parts += (np.asarray(t.tags, "<i8"), np.asarray(t.times_ns, "<f8"))
+            parts.append(report)
+
+            tmp_root = self.root / "tmp"
+            tmp_root.mkdir(parents=True, exist_ok=True)
+            tmp = tmp_root / f"{digest}.{os.getpid()}-{os.urandom(4).hex()}"
+            try:
+                with open(tmp, "xb") as f:
+                    f.write(_sha256(*parts).encode() + b"\n")
+                    f.writelines(parts)
+                    f.flush()
+                    os.fsync(f.fileno())
+                return self._publish(digest, tmp, with_report=bool(report))
             finally:
-                shutil.rmtree(tmp, ignore_errors=True)
+                tmp.unlink(missing_ok=True)
+
+    def _publish(self, digest: str, tmp: Path, with_report: bool) -> bool:
+        """Move the fsynced ``tmp`` into place; ``False`` if not published."""
+        final = self.entry_dir(digest) / ENTRY_FILE
+        try:
+            final.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                os.link(tmp, final)  # fails if the entry already exists
+            except FileExistsError:
+                # Ours replaces the published entry only when strictly
+                # richer: we carry the analysis, it is trials-only (the
+                # runner-write / sweep-upgrade shape).  Otherwise a
+                # concurrent writer beat us to identical content.
+                if not with_report or self._has_report(final):
+                    raise
+                os.replace(tmp, final)
+        except OSError:
+            self.stats.races += 1
+            metrics.counter("sweep.store.races").add()
+            return False
+        self.stats.writes += 1
+        metrics.counter("sweep.store.writes").add()
+        return True
 
     @staticmethod
-    def _has_report(entry_dir: Path) -> bool:
+    def _has_report(path: Path) -> bool:
         """Whether a published entry already carries its analysis."""
         try:
-            meta = json.loads((entry_dir / "entry.json").read_text())
-            return bool(meta.get("has_report"))
-        except (OSError, ValueError):
+            with open(path, "rb") as f:
+                f.readline()  # the checksum line
+                return json.loads(f.readline())["report_len"] > 0
+        except (OSError, ValueError, KeyError, TypeError):
             return False  # damaged or half-gone: let the writer replace it
-
-    @staticmethod
-    def _fsync_dir_contents(d: Path) -> None:
-        """Flush the staged payloads before publishing the rename."""
-        try:
-            for p in d.iterdir():
-                fd = os.open(p, os.O_RDONLY)
-                try:
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
-        except OSError:  # pragma: no cover - fsync is best-effort
-            pass
-
-    # -- maintenance -------------------------------------------------------
-    def entries(self) -> list[str]:
-        """Digests currently published under the live schema version."""
-        if not self._version_root.exists():
-            return []
-        return sorted(
-            p.name
-            for bucket in self._version_root.iterdir()
-            if bucket.is_dir()
-            for p in bucket.iterdir()
-            if (p / "entry.json").exists()
-        )

@@ -619,10 +619,9 @@ def _cmd_report(args) -> int:
 
     from .experiments import (
         ALL_FIGURES,
-        SCENARIOS,
         render_table1_text,
         render_table2_text,
-        run_scenario,
+        table2,
     )
     from .viz import kappa_bars
 
@@ -631,20 +630,16 @@ def _cmd_report(args) -> int:
     kwargs = _run_kwargs(args)
 
     print("regenerating Table 2 (all nine environments)...", file=sys.stderr)
-    (out / "table2.txt").write_text(render_table2_text(**kwargs))
+    table2_text = render_table2_text(**kwargs)
+    (out / "table2.txt").write_text(table2_text)
     print("regenerating Table 1...", file=sys.stderr)
     (out / "table1.txt").write_text(render_table1_text(**kwargs))
 
-    rows = []
-    for sc in SCENARIOS:
-        rep = run_scenario(sc.key, **kwargs)
-        row = rep.mean_row()
-        row["paper_kappa"] = sc.paper.kappa
-        rows.append(row)
     if not args.no_svg:
-        kappa_bars(rows, title="kappa per environment (bar: measured, notch: paper)").save(
-            out / "table2_kappa.svg"
-        )
+        kappa_bars(
+            table2(**kwargs),
+            title="kappa per environment (bar: measured, notch: paper)",
+        ).save(out / "table2_kappa.svg")
 
     for fid, gen in ALL_FIGURES.items():
         print(f"regenerating Figure {fid}...", file=sys.stderr)
@@ -654,7 +649,7 @@ def _cmd_report(args) -> int:
             series.to_svg(out / f"fig{fid}.svg")
 
     print(f"report written to {out}/", file=sys.stderr)
-    print(render_table2_text(**kwargs))
+    print(table2_text)
     return 0
 
 

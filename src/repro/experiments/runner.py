@@ -2,26 +2,30 @@
 
 Several figures and both tables draw on the same underlying trial series
 (e.g. Table 2 needs all nine environments; Figures 4a and 4b share the
-local-single series).  ``run_scenario`` memoizes by (scenario, scale,
-n_runs, seed) so a full benchmark session simulates each environment once.
+local-single series).  ``run_scenario`` memoizes ``(trials, report)`` by
+(scenario, scale, n_runs, seed), so a full benchmark session simulates
+and analyzes each environment once.
+
+A memo miss resolves the series as a one-unit sweep
+(:func:`repro.sweep.coordinator.run_sweep`): store probe, then simulate
+and analyze, then publish a full entry.  There is no second cache path.
 
 Fan-out: ``run_scenario(..., jobs=N)`` (or ``REPRO_JOBS=N`` in the
-environment) parallelizes **both** stages on the shared worker pool — the
-simulation through :class:`repro.parallel.SimFarm` (one replay run per
-task) and the comparison through
+environment) parallelizes **both** stages of that unit on the shared
+worker pool — the simulation through :class:`repro.parallel.SimFarm`
+(one replay run per task) and the comparison through
 :func:`repro.parallel.compare_series_parallel` (one whole trial pair per
 task) — and both run the unmodified serial code per item, so figure and
-table reproductions are byte-stable under any job count.  The series cache is therefore keyed
-*without* the job count: trials simulated at any ``jobs`` are
-interchangeable bit-for-bit.
+table reproductions are byte-stable under any job count.  The memo is
+therefore keyed *without* the job count.
 
-Persistence: the in-process cache dies with the process; ``--store DIR``
-(or ``REPRO_STORE=DIR``, or :func:`configure_store`) backs it with the
+Persistence: the memo dies with the process; ``--store DIR`` (or
+``REPRO_STORE=DIR``, or :func:`configure_store`) hands the sweep the
 content-addressed artifact store of :mod:`repro.sweep.store`, so a
-Table-2 / figure / validation driver reuses any series ever simulated
-for the same content digest — including entries written by ``repro
-sweep`` — and feeds its own misses back in.  The digest is jobs-free and
-start-method-free, like the in-process key.
+Table-2 / figure / validation driver reuses any series ever computed for
+the same content digest — including entries written by ``repro sweep`` —
+and feeds its own misses back in.  The digest is jobs-free and
+start-method-free, like the memo key.
 """
 
 from __future__ import annotations
@@ -79,10 +83,11 @@ def run_trials(
     return Testbed(profile, seed=seed).run_series(n_runs, jobs=jobs)
 
 
-#: Memoized series per (scenario, scale, n_runs, seed).  A plain dict, not
-#: ``lru_cache``: the job count must NOT be part of the key (output is
-#: jobs-invariant, and a jobs-keyed cache would re-simulate — and break the
-#: identity guarantee tests rely on — when a caller switches job counts).
+#: Memoized ``(trials, report)`` per (scenario, scale, n_runs, seed).  A
+#: plain dict, not ``lru_cache``: the job count must NOT be part of the key
+#: (output is jobs-invariant, and a jobs-keyed cache would re-simulate — and
+#: break the identity guarantee tests rely on — when a caller switches job
+#: counts).
 _series_cache: dict = {}
 _SERIES_CACHE_MAX = 32
 
@@ -111,25 +116,19 @@ def configure_store(store) -> None:
         _store = ArtifactStore(store)
 
 
-def _persistent_store():
-    """The configured store, resolving ``REPRO_STORE`` lazily once."""
-    global _store
+def persistent_store():
+    """The live persistent series store, or ``None``.
+
+    The ``--store`` / ``REPRO_STORE`` resolution (the variable is read
+    lazily, once).  Other drivers that fan work out through the sweep
+    coordinator (e.g. the stability screen behind ``table2(ci=True)``)
+    call this so their units land in — and are satisfied from — the same
+    store as the scenario runner's.
+    """
     if _store is False:
         path = os.environ.get("REPRO_STORE")
         configure_store(path if path else None)
     return _store
-
-
-def persistent_store():
-    """The live persistent series store, or ``None``.
-
-    The public face of the ``--store`` / ``REPRO_STORE`` resolution: other
-    drivers that fan work out through the sweep coordinator (e.g. the
-    stability screen behind ``table2(ci=True)``) call this so their units
-    land in — and are satisfied from — the same store as the scenario
-    runner's.
-    """
-    return _persistent_store()
 
 
 def _cached_series(
@@ -138,48 +137,27 @@ def _cached_series(
     n_runs: int,
     seed_override: int | None,
     jobs: int | None = None,
-) -> tuple[tuple[Trial, ...], str]:
+) -> tuple[tuple[Trial, ...], RunSeriesReport]:
     cache_key = (key, duration_scale, n_runs, seed_override)
     hit = _series_cache.get(cache_key)
     if hit is not None:
         metrics.counter("runner.cache_hits").add()
         return hit
     metrics.counter("runner.cache_misses").add()
+    from ..sweep.coordinator import plan_unit, run_sweep
+
     sc = scenario(key)
-    profile = sc.profile(duration_scale)
     seed = sc.seed if seed_override is None else seed_override
-
-    store = _persistent_store()
-    digest = None
+    unit = plan_unit(key, sc.profile(duration_scale), seed, n_runs)
+    store = persistent_store()
+    result = run_sweep([unit], store, jobs=jobs)
     if store is not None:
-        from ..sweep.store import compute_digest
-
-        digest = compute_digest(profile, seed, n_runs)
-        entry = store.get(digest)
-        if entry is not None:
-            metrics.counter("runner.store_hits").add()
-            result = (entry.trials, profile.name)
-            if len(_series_cache) >= _SERIES_CACHE_MAX:
-                _series_cache.pop(next(iter(_series_cache)))
-            _series_cache[cache_key] = result
-            return result
-        metrics.counter("runner.store_misses").add()
-
-    with span(
-        "experiment.scenario", key=key, seed=seed, n_runs=n_runs
-    ):
-        trials = Testbed(profile, seed=seed).run_series(n_runs, jobs=jobs)
-    result = (tuple(trials), profile.name)
-    if digest is not None:
-        from ..sweep.store import digest_key_doc
-
-        store.put(
-            digest, result[0], key=digest_key_doc(profile, seed, n_runs)
-        )
+        outcome = "hits" if result.outcomes[0] == "hit" else "misses"
+        metrics.counter(f"runner.store_{outcome}").add()
     if len(_series_cache) >= _SERIES_CACHE_MAX:
         _series_cache.pop(next(iter(_series_cache)))
-    _series_cache[cache_key] = result
-    return result
+    _series_cache[cache_key] = (result.trials[0], result.series[0])
+    return _series_cache[cache_key]
 
 
 def run_scenario_trials(
@@ -192,7 +170,7 @@ def run_scenario_trials(
 ) -> list[Trial]:
     """The raw trials of a registered scenario (memoized per process).
 
-    ``jobs`` only affects how a cache *miss* is simulated (serially or on
+    ``jobs`` only affects how a cache *miss* is computed (serially or on
     the pool); hits return the identical cached tuple either way.
     """
     sc = scenario(key)  # validate the key before touching the cache
@@ -211,14 +189,15 @@ def run_scenario(
 ) -> RunSeriesReport:
     """Run (or reuse) a scenario's series and return its analysis report.
 
-    ``jobs`` fans both the simulation (on a cache miss) and the Section-3
+    On a cache miss ``jobs`` fans both the simulation and the Section-3
     analysis out across the shared pool (default: ``REPRO_JOBS`` or
-    serial); the report is identical either way.
+    serial); the report is identical either way, and computed once per
+    process.
     """
     sc = scenario(key)
     scale = duration_scale if duration_scale is not None else _default_scale()
-    trials, env_name = _cached_series(sc.key, scale, n_runs, seed, jobs)
-    return analyze_trials(list(trials), environment=env_name, jobs=jobs)
+    _, report = _cached_series(sc.key, scale, n_runs, seed, jobs)
+    return report
 
 
 def _default_scale() -> float:

@@ -13,16 +13,18 @@ package exploits that determinism end to end:
   atomic publishes, sha256-verified reads, corruption degrades to a
   counted recompute — never a crash, never a wrong κ;
 * :mod:`~repro.sweep.codec` — exact JSON round-trips for the report
-  types (floats via repr, bit-identical back);
+  types (floats via repr, bit-identical back), used only by the store;
 * :mod:`~repro.sweep.coordinator` — :func:`run_sweep`, which expands a
   matrix into a work plan, satisfies cache hits, fans misses over the
   persistent worker pool, persists each unit as it completes (so a
   killed sweep resumes), and merges everything into one deterministic
   sweep report plus a telemetry sidecar.
 
-Entry points: ``repro sweep`` on the command line, ``REPRO_STORE=<dir>``
-(or :func:`repro.experiments.runner.configure_store`) to let the
-Table-2/figure/validation drivers read and feed the same store.  See
+A sweep unit is the one way a series is cached.  Entry points:
+``repro sweep`` on the command line, ``REPRO_STORE=<dir>`` (or
+:func:`repro.experiments.runner.configure_store`) to let the
+Table-2/figure/validation drivers read and feed the same store — the
+runner resolves each series it needs as a one-unit sweep.  See
 ``docs/sweeps.md``.
 """
 

@@ -3,7 +3,10 @@
 A *sweep* evaluates a scenario × seed matrix — the shape behind Table 2,
 every figure series, and the PASTRAMI-style many-run stability screens —
 as a list of independent **work units** (one trial series + its Section-3
-analysis each).  The coordinator:
+analysis each).  A unit is the only way a series is cached: the scenario
+runner (:mod:`repro.experiments.runner`) resolves each series it needs
+as a one-unit sweep, so tables, figures and ``repro sweep`` read and
+write the same full entries.  The coordinator:
 
 1. expands the matrix into a deterministic work plan
    (:func:`plan_from_scenarios` for registered scenarios,
@@ -12,10 +15,11 @@ analysis each).  The coordinator:
    hits without simulating anything;
 3. fans misses out over the persistent worker pool
    (:func:`repro.parallel.pool.fan_out`) — one unit per task, computed
-   with the *serial* simulation and analysis paths worker-side so the
-   stored and merged bits equal ``analyze_trials`` exactly; trials and
-   the encoded report come back by pickle, with the worker's counters
-   (and spans, when tracing) absorbed on the way;
+   with the *serial* simulation and analysis paths worker-side; trials
+   and the report come back by pickle (floats exactly), with the
+   worker's counters (and spans, when tracing) absorbed on the way.  A
+   lone miss computes in-process instead and fans its own replays and
+   pairs out at the caller's ``jobs`` — the same bits either way;
 4. persists each finished unit **immediately and atomically**, so a
    killed sweep resumes from its last completed unit, not from zero;
 5. merges the per-unit reports, in plan order, into one machine-readable
@@ -40,16 +44,16 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.report import RunSeriesReport, compare_series
+from ..core.report import RunSeriesReport
 from ..core.trial import Trial
 from ..experiments.scenarios import default_duration_scale, scenario
 from ..obs import metrics
 from ..obs.export import host_context
 from ..obs.trace import span
+from ..parallel.engine import compare_series_parallel
 from ..parallel.pool import default_jobs, fan_out
 from ..testbeds.base import Testbed
 from ..testbeds.profiles import EnvironmentProfile
-from .codec import series_report_from_dict, series_report_to_dict
 from .store import ArtifactStore, compute_digest, digest_key_doc
 
 __all__ = [
@@ -134,35 +138,46 @@ class SweepResult:
     report: dict
     #: Run-dependent context (the ``sweep_telemetry.json`` payload).
     telemetry: dict
-    #: Decoded per-unit series reports, in plan order.
+    #: Per-unit series reports, in plan order.
     series: tuple[RunSeriesReport, ...]
     #: Per-unit cache outcome, in plan order: ``"hit"`` or ``"miss"``.
     outcomes: tuple[str, ...]
+    #: Per-unit trial series, in plan order.
+    trials: tuple[tuple[Trial, ...], ...]
 
 
 # -- the fan-out unit ------------------------------------------------------
 
-def _compute_unit(task: tuple) -> tuple[list[Trial], dict]:
-    """Simulate and analyze one unit with the serial reference paths.
+def _compute_unit(
+    task: tuple, jobs: int = 1
+) -> tuple[list[Trial], RunSeriesReport]:
+    """Simulate and analyze one unit.
 
-    Runs in a worker process (or in-process at ``jobs=1``).  Everything
-    here is deliberately serial — ``run_series(jobs=1)`` plus
-    ``compare_series`` — so a stored artifact is the bit-exact output of
-    ``analyze_trials`` regardless of how the *sweep* fans out.  The
-    report travels codec-encoded: the same bytes that will be stored and
-    merged, so no float ever takes a detour through repr-and-back twice.
+    A pool worker runs it at ``jobs=1``, the serial reference paths; the
+    in-process path passes the caller's ``jobs`` so a lone unit still fans
+    its replays and pairs out.  The bits are the same at any ``jobs``.
     """
     profile, seed, n_runs = task
     with span(
         "sweep.unit", environment=profile.name, seed=int(seed), n_runs=int(n_runs)
     ):
-        trials = Testbed(profile, seed=seed).run_series(n_runs, jobs=1)
-        report = compare_series(trials, environment=profile.name)
+        trials = Testbed(profile, seed=seed).run_series(n_runs, jobs=jobs)
+        report = compare_series_parallel(
+            trials, environment=profile.name, jobs=jobs
+        )
     metrics.counter("sweep.units_computed").add()
-    return trials, series_report_to_dict(report)
+    return trials, report
 
 
 # -- the orchestrator ------------------------------------------------------
+
+def _resolve_jobs(jobs: int | None) -> int:
+    """``jobs``, or ``REPRO_JOBS`` when ``None``; below 1 is an error."""
+    jobs = default_jobs() if jobs is None else int(jobs)
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    return jobs
+
 
 def run_sweep(
     plan: list[SweepUnit],
@@ -177,12 +192,13 @@ def run_sweep(
     ``resume=True`` (the default) satisfies units from existing store
     entries; ``resume=False`` recomputes every unit and rewrites its
     entry (a "fresh" sweep).  With ``store=None`` nothing persists and
-    every unit computes.  ``jobs`` defaults to ``REPRO_JOBS`` or serial.
+    every unit computes.  ``jobs`` defaults to ``REPRO_JOBS`` or serial;
+    below 1 it raises ``ValueError``.
 
     Duplicate digests in the plan (the same cell listed twice) compute at
     most once; every occurrence receives the identical result.
     """
-    jobs = default_jobs() if jobs is None else int(jobs)
+    jobs = _resolve_jobs(jobs)
     t_start = time.perf_counter()
     per_stage: dict[str, float] = {}
     # Progress gauges for the live observation channel (/metrics, counter
@@ -192,7 +208,7 @@ def run_sweep(
 
     # -- stage 1: probe the store -----------------------------------------
     t0 = time.perf_counter()
-    results: dict[str, tuple[tuple[Trial, ...], dict]] = {}
+    results: dict[str, tuple[tuple[Trial, ...], RunSeriesReport]] = {}
     outcomes: dict[str, str] = {}
     with span("sweep.probe", n_units=len(plan)):
         for unit in plan:
@@ -200,25 +216,8 @@ def run_sweep(
                 continue
             if store is not None and resume:
                 entry = store.get(unit.digest)
-                if entry is not None and entry.report is not None:
-                    results[unit.digest] = (
-                        entry.trials, series_report_to_dict(entry.report)
-                    )
-                    outcomes[unit.digest] = "hit"
-                    continue
                 if entry is not None:
-                    # Trials cached (e.g. by a runner-side simulate) but
-                    # analysis missing: compute it here and upgrade the
-                    # entry in place — still no re-simulation.
-                    report = compare_series(
-                        list(entry.trials), environment=unit.environment
-                    )
-                    encoded = series_report_to_dict(report)
-                    store.put(
-                        unit.digest, entry.trials, encoded,
-                        key=digest_key_doc(unit.profile, unit.seed, unit.n_runs),
-                    )
-                    results[unit.digest] = (entry.trials, encoded)
+                    results[unit.digest] = (entry.trials, entry.report)
                     outcomes[unit.digest] = "hit"
                     continue
             outcomes[unit.digest] = "miss"
@@ -236,15 +235,15 @@ def run_sweep(
     metrics.counter("sweep.units_missed").add(len(misses))
     metrics.gauge("sweep.units_done").set(len(results))
 
-    def _persist(unit: SweepUnit, trials, report_doc: dict) -> None:
+    def _persist(unit: SweepUnit, trials, report: RunSeriesReport) -> None:
         trials = tuple(trials)
-        results[unit.digest] = (trials, report_doc)
+        results[unit.digest] = (trials, report)
         metrics.gauge("sweep.units_done").set(len(results))
         if store is not None:
             store.put(
                 unit.digest,
                 trials,
-                report_doc,
+                report,
                 key=digest_key_doc(unit.profile, unit.seed, unit.n_runs),
             )
 
@@ -253,7 +252,7 @@ def run_sweep(
             if jobs > 1 and len(misses) > 1:
                 # Persist in completion order: a killed sweep keeps
                 # every finished unit, whatever the schedule was.
-                for i, (trials, report_doc) in fan_out(
+                for i, (trials, report) in fan_out(
                     jobs,
                     _compute_unit,
                     [(u.profile, u.seed, u.n_runs) for u in misses],
@@ -263,26 +262,21 @@ def run_sweep(
                         for u in misses
                     ],
                 ):
-                    _persist(misses[i], trials, report_doc)
+                    _persist(misses[i], trials, report)
             else:
                 for unit in misses:
-                    trials, report_doc = _compute_unit(
-                        (unit.profile, unit.seed, unit.n_runs)
+                    trials, report = _compute_unit(
+                        (unit.profile, unit.seed, unit.n_runs), jobs
                     )
-                    _persist(unit, trials, report_doc)
+                    _persist(unit, trials, report)
     per_stage["compute"] = time.perf_counter() - t0
 
     # -- stage 3: merge, in plan order ------------------------------------
     t0 = time.perf_counter()
     with span("sweep.merge", n_units=len(plan)):
         unit_rows = []
-        series = []
-        outcome_list = []
         for unit in plan:
-            _, report_doc = results[unit.digest]
-            report = series_report_from_dict(report_doc)
-            series.append(report)
-            outcome_list.append(outcomes[unit.digest])
+            report = results[unit.digest][1]
             unit_rows.append({
                 "scenario": unit.name,
                 "environment": unit.environment,
@@ -301,7 +295,8 @@ def run_sweep(
         }
     per_stage["merge"] = time.perf_counter() - t0
 
-    n_hits = sum(1 for o in outcome_list if o == "hit")
+    outcome_list = tuple(outcomes[u.digest] for u in plan)
+    n_hits = outcome_list.count("hit")
     telemetry = {
         "bench": "sweep",
         "params": {
@@ -326,8 +321,9 @@ def run_sweep(
     return SweepResult(
         report=merged,
         telemetry=telemetry,
-        series=tuple(series),
-        outcomes=tuple(outcome_list),
+        series=tuple(results[u.digest][1] for u in plan),
+        outcomes=outcome_list,
+        trials=tuple(results[u.digest][0] for u in plan),
     )
 
 
@@ -345,7 +341,7 @@ class AdaptiveSweepResult:
 
     #: Every unit evaluated, in seed order (initial seeds, then extensions).
     plan: tuple[SweepUnit, ...]
-    #: Decoded per-unit series reports, in plan order.
+    #: Per-unit series reports, in plan order.
     series: tuple["RunSeriesReport", ...]
     #: Per-unit cache outcome, in plan order.
     outcomes: tuple[str, ...]
@@ -385,7 +381,8 @@ def run_adaptive_sweep(
     count, so each extension fills the pool), up to ``max_seeds`` total.
     Every batch goes through the same store/pool machinery as a fixed
     sweep, so a warm store replays the whole adaptive trajectory from
-    cache and a killed screen resumes where it stopped.
+    cache and a killed screen resumes where it stopped.  ``jobs`` below 1
+    raises ``ValueError``, as in :func:`run_sweep`.
 
     ``eps=0`` degenerates to a fixed sweep plus one half-width
     measurement — the fixed-N baseline the stopping rule is graded
@@ -406,8 +403,8 @@ def run_adaptive_sweep(
             "bootstrap interval degenerates to the sample range)"
         )
     max_seeds = max(int(max_seeds), len(seeds))
-    jobs_resolved = default_jobs() if jobs is None else int(jobs)
-    batch = max(1, jobs_resolved) if batch is None else max(1, int(batch))
+    jobs = _resolve_jobs(jobs)
+    batch = jobs if batch is None else max(1, int(batch))
 
     plan: list[SweepUnit] = []
     series: list = []

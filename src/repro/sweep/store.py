@@ -6,7 +6,9 @@ re-simulates series it has produced a thousand times before.  This module
 makes those results durable: a **digest-keyed** store mapping the full
 content of a work unit — environment profile × seed scheme × series
 length × analysis code version — to its simulated :class:`Trial` series
-and (optionally) its Section-3 :class:`RunSeriesReport`.
+and its Section-3 :class:`RunSeriesReport`.  The report codec
+(:mod:`repro.sweep.codec`) lives behind this module: ``put`` takes a
+report and encodes it, ``get`` decodes it, and no caller sees the JSON.
 
 Digest scheme
 -------------
@@ -40,27 +42,26 @@ Store layout (under ``<root>/v<schema>/``)::
    aligned): schema, digest, key doc, per run its label, ``meta`` and
    packet count, and the report's byte length;
 3. per run its int64 tags then its float64 times (little-endian), then
-   the codec-encoded report JSON, if any.
+   the codec-encoded report JSON.
 
-Write discipline: ``put`` hashes the entry's pieces from memory (no
-joined buffer, no read-back), writes them into one file under
-``<root>/tmp/``, fsyncs that one file and publishes it in one atomic
-step: ``os.link`` for a fresh entry (it fails if one is already there),
-``os.replace`` when a full entry upgrades a trials-only one.  Readers
-can never observe a half-written entry, and a trials-only ``put`` never
-downgrades a full one.  Losing a publish race to a concurrent writer is
-harmless (both writers derived identical content from the same digest)
-and is counted, not raised.
+Write discipline: ``put`` encodes the report, hashes the entry's pieces
+from memory (no joined buffer, no read-back), writes them into one file
+under ``<root>/tmp/``, fsyncs that one file and publishes it with
+``os.link``, which fails if the entry already exists.  Readers can never
+observe a half-written entry.  Losing a publish race to a concurrent
+writer is harmless (both writers derived identical content from the
+same digest) and is counted, not raised.
 
 Read discipline: ``get`` reads the file once and checks the checksum
 before it parses anything — header included, so a flipped label or key
 byte is caught too.  Every failure — truncation, bit flips, stale
-schema, a short payload — degrades to a counted cache miss
-(``sweep.store.corrupt``): the damaged entry is quarantined (removed) so
-the caller recomputes and rewrites.  Corruption is **never** an
-exception and can never yield a silently wrong κ; the fault-injection
-suite (``tests/test_sweep_store_faults.py``) drives every one of these
-paths.
+schema, a short payload, a report that does not decode (such as the
+empty one of an entry written trials-only by older code) — degrades to
+a counted cache miss (``sweep.store.corrupt``): the damaged entry is
+quarantined (removed) so the caller recomputes and rewrites it whole.
+Corruption is **never** an exception and can never yield a silently
+wrong κ; the fault-injection suite (``tests/test_sweep_store_faults.py``)
+drives every one of these paths.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from ..obs import metrics
 from ..obs.trace import span
 from ..testbeds.profiles import EnvironmentProfile
 from ..testbeds.serialization import canonical_profile_json
-from .codec import series_report_from_dict
+from .codec import series_report_from_dict, series_report_to_dict
 
 __all__ = [
     "ArtifactStore",
@@ -141,7 +142,7 @@ class StoredEntry:
 
     digest: str
     trials: tuple[Trial, ...]
-    report: RunSeriesReport | None
+    report: RunSeriesReport
     key: dict
 
 
@@ -238,9 +239,7 @@ class ArtifactStore:
                 times = np.frombuffer(data, "<f8", n, off + 8 * n)
                 trials.append(Trial(tags, times, label=r["label"], meta=r["meta"]))
                 off += 16 * n
-            report = None
-            if report_len:
-                report = series_report_from_dict(json.loads(data[off:]))
+            report = series_report_from_dict(json.loads(data[off:]))
             return StoredEntry(digest, tuple(trials), report, header["key"])
         except Exception:
             return self._quarantine(digest, "payload-decode")
@@ -258,26 +257,26 @@ class ArtifactStore:
         self,
         digest: str,
         trials: list[Trial] | tuple[Trial, ...],
-        report_doc: dict | None = None,
+        report: RunSeriesReport,
         key: dict | None = None,
     ) -> bool:
         """Atomically publish an entry; ``True`` if this call wrote it.
 
-        ``report_doc`` is the codec-encoded report
-        (:func:`repro.sweep.codec.series_report_to_dict`).  The entry's
-        pieces are hashed from memory, written into one file under
-        ``<root>/tmp``, fsynced and published in one step.  Losing the
-        publish race to a concurrent writer of the same digest returns
-        ``False`` (their content is identical by construction) and is
-        counted in ``sweep.store.races``; so is a trials-only ``put``
-        over a published entry, which never downgrades it.
+        ``report`` is encoded with :func:`repro.sweep.codec.series_report_to_dict`.
+        The entry's pieces are hashed from memory, written into one file
+        under ``<root>/tmp``, fsynced and published in one step.  Losing
+        the publish race to a concurrent writer of the same digest
+        returns ``False`` (their content is identical by construction)
+        and is counted in ``sweep.store.races``.
         """
         if not trials:
             raise ValueError("an entry needs at least one trial")
+        if not isinstance(report, RunSeriesReport):
+            raise TypeError("an entry needs its RunSeriesReport")
         with span("sweep.store.put", digest=digest[:12], n_trials=len(trials)):
-            report = b""
-            if report_doc is not None:
-                report = json.dumps(report_doc, separators=(",", ":")).encode()
+            encoded = json.dumps(
+                series_report_to_dict(report), separators=(",", ":")
+            ).encode()
             header = json.dumps(
                 {
                     "schema": STORE_SCHEMA_VERSION,
@@ -287,7 +286,7 @@ class ArtifactStore:
                         {"label": t.label, "meta": t.meta, "n": len(t)}
                         for t in trials
                     ],
-                    "report_len": len(report),
+                    "report_len": len(encoded),
                 },
                 separators=(",", ":"),
                 default=str,
@@ -297,7 +296,7 @@ class ArtifactStore:
             parts = [header + b" " * pad + b"\n"]
             for t in trials:
                 parts += (np.asarray(t.tags, "<i8"), np.asarray(t.times_ns, "<f8"))
-            parts.append(report)
+            parts.append(encoded)
 
             tmp_root = self.root / "tmp"
             tmp_root.mkdir(parents=True, exist_ok=True)
@@ -308,25 +307,16 @@ class ArtifactStore:
                     f.writelines(parts)
                     f.flush()
                     os.fsync(f.fileno())
-                return self._publish(digest, tmp, with_report=bool(report))
+                return self._publish(digest, tmp)
             finally:
                 tmp.unlink(missing_ok=True)
 
-    def _publish(self, digest: str, tmp: Path, with_report: bool) -> bool:
-        """Move the fsynced ``tmp`` into place; ``False`` if not published."""
+    def _publish(self, digest: str, tmp: Path) -> bool:
+        """Link the fsynced ``tmp`` into place; ``False`` if one was there."""
         final = self.entry_dir(digest) / ENTRY_FILE
         try:
             final.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.link(tmp, final)  # fails if the entry already exists
-            except FileExistsError:
-                # Ours replaces the published entry only when strictly
-                # richer: we carry the analysis, it is trials-only (the
-                # runner-write / sweep-upgrade shape).  Otherwise a
-                # concurrent writer beat us to identical content.
-                if not with_report or self._has_report(final):
-                    raise
-                os.replace(tmp, final)
+            os.link(tmp, final)  # fails if the entry already exists
         except OSError:
             self.stats.races += 1
             metrics.counter("sweep.store.races").add()
@@ -334,13 +324,3 @@ class ArtifactStore:
         self.stats.writes += 1
         metrics.counter("sweep.store.writes").add()
         return True
-
-    @staticmethod
-    def _has_report(path: Path) -> bool:
-        """Whether a published entry already carries its analysis."""
-        try:
-            with open(path, "rb") as f:
-                f.readline()  # the checksum line
-                return json.loads(f.readline())["report_len"] > 0
-        except (OSError, ValueError, KeyError, TypeError):
-            return False  # damaged or half-gone: let the writer replace it

@@ -76,6 +76,27 @@ class TestRunner:
         b = run_scenario_trials("local-single", duration_scale=TINY, n_runs=2)
         assert a[0].tags is b[0].tags  # same arrays, not recomputed
 
+    def test_series_analyzed_once(self, monkeypatch):
+        """Repeated reads of a series run ``compare_series`` once per series."""
+        from repro.experiments import runner
+        from repro.parallel import engine
+
+        monkeypatch.setattr(runner, "_series_cache", {})
+        monkeypatch.setattr(runner, "_store", None)
+        calls = []
+        real = engine.compare_series
+
+        def counting(trials, *args, **kwargs):
+            calls.append(kwargs.get("environment"))
+            return real(trials, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "compare_series", counting)
+        for key in ("local-single", "local-dual"):
+            first = run_scenario(key, duration_scale=TINY, n_runs=2)
+            assert run_scenario(key, duration_scale=TINY, n_runs=2) is first
+            run_scenario_trials(key, duration_scale=TINY, n_runs=2)
+        assert calls == ["local-single", "local-dual"]
+
     def test_unknown_key_fails_fast(self):
         with pytest.raises(KeyError):
             run_scenario_trials("bogus", duration_scale=TINY)

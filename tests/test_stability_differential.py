@@ -193,6 +193,8 @@ class TestEnvironmentStabilityDifferential:
             run_adaptive_sweep("x", profile, initial_seeds=[0], eps=-1.0)
         with pytest.raises(ValueError, match=">= 3 initial seeds"):
             run_adaptive_sweep("x", profile, initial_seeds=[0, 1], eps=0.01)
+        with pytest.raises(ValueError, match="jobs"):
+            run_adaptive_sweep("x", profile, initial_seeds=[0], jobs=0)
 
 
 class TestStabilityReportShape:

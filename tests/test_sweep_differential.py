@@ -27,7 +27,11 @@ import pytest
 
 from repro.core import compare_series
 from repro.experiments import runner
-from repro.experiments.runner import configure_store, run_scenario_trials
+from repro.experiments.runner import (
+    configure_store,
+    run_scenario,
+    run_scenario_trials,
+)
 from repro.parallel import shutdown_pool
 from repro.sweep import (
     ArtifactStore,
@@ -157,6 +161,8 @@ class TestSweepDifferential:
         """``--no-resume`` ignores (and rewrites) existing entries."""
         plan = _plan()[:1]
         store = ArtifactStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep(plan, store, jobs=0)  # never a silent serial run
         run_sweep(plan, store, jobs=1)
         fresh = ArtifactStore(tmp_path / "store")
         again = run_sweep(plan, fresh, jobs=1, resume=False)
@@ -172,6 +178,31 @@ class TestSweepDifferential:
         assert series_report_to_dict(result.series[0]) == (
             series_report_to_dict(result.series[1])
         )
+
+    def test_warm_hit_decodes_report_once(self, tmp_path, monkeypatch):
+        """A hit's report is decoded once, by the store, and never re-encoded."""
+        from repro.sweep import codec
+        from repro.sweep import store as store_module
+
+        plan = _plan()[:1]
+        run_sweep(plan, ArtifactStore(tmp_path / "store"), jobs=1)
+        calls = {"series_report_from_dict": 0, "series_report_to_dict": 0}
+
+        def counting(name):
+            real = getattr(codec, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name)
+            for module in (codec, store_module):
+                monkeypatch.setattr(module, name, wrapper)
+        warm = run_sweep(plan, ArtifactStore(tmp_path / "store"), jobs=1)
+        assert warm.outcomes == ("hit",)
+        assert calls == {"series_report_from_dict": 1, "series_report_to_dict": 0}
 
 
 class TestDigestIsExecutionShapeFree:
@@ -206,12 +237,12 @@ class TestDigestIsExecutionShapeFree:
         assert _sweep_bytes(warm, tmp_path / "warm") == cold_bytes
 
     def test_runner_and_sweep_share_entries(self, tmp_path):
-        """``run_scenario_trials --store`` feeds and reads the same cache.
+        """``run_scenario --store`` writes the full entry a sweep reads.
 
-        A runner-side simulate (jobs=1) writes a trials-only entry; a
-        second runner call at jobs=4 in a "new process" (in-process cache
-        cleared) must hit the store instead of re-simulating, and a sweep
-        over the same cell upgrades the entry in place.
+        A runner-side miss (jobs=1) publishes trials and report in one
+        entry.  A sweep over the same cell is a hit that writes nothing,
+        and a runner call at jobs=4 in a "new process" (memo cleared)
+        hits the store instead of re-simulating.
         """
         from repro.experiments.scenarios import scenario
         from repro.obs import metrics
@@ -222,8 +253,20 @@ class TestDigestIsExecutionShapeFree:
         try:
             kwargs = dict(duration_scale=0.02, n_runs=2)
             cold = run_scenario_trials("local-single", jobs=1, **kwargs)
-            store = runner._persistent_store()
+            report = run_scenario("local-single", jobs=1, **kwargs)
+            store = runner.persistent_store()
             assert store.stats.writes == 1
+
+            plan = plan_from_scenarios(["local-single"], **kwargs)
+            sc = scenario("local-single")
+            assert plan[0].digest == compute_digest(
+                sc.profile(0.02), sc.seed, 2
+            )
+            sweep_store = ArtifactStore(store_dir)
+            swept = run_sweep(plan, sweep_store, jobs=1)
+            assert swept.outcomes == ("hit",)
+            assert sweep_store.stats.writes == 0
+            assert_series_equal(swept.series[0], report)
 
             runner._series_cache.clear()  # simulate a fresh process
             before = metrics.REGISTRY.snapshot()["counters"].get(
@@ -234,20 +277,9 @@ class TestDigestIsExecutionShapeFree:
                 "runner.store_hits", 0
             )
             assert after == before + 1
+            assert store.stats.writes == 1
             for g, w in zip(warm, cold):
                 assert_trial_equal(g, w)
-
-            # The sweep reuses the runner's entry: no re-simulation, just
-            # an in-place analysis upgrade (still a hit).
-            plan = plan_from_scenarios(["local-single"], **kwargs)
-            sc = scenario("local-single")
-            assert plan[0].digest == compute_digest(
-                sc.profile(0.02), sc.seed, 2
-            )
-            swept = run_sweep(plan, store, jobs=1)
-            assert swept.outcomes == ("hit",)
-            entry = store.get(plan[0].digest)
-            assert entry is not None and entry.report is not None
         finally:
             configure_store(None)
             runner._series_cache.clear()

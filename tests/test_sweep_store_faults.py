@@ -13,9 +13,12 @@ one file (checksum line, JSON header line, arrays, report), so each
 fault is an offset inside that file; faults that must get past the
 checksum to reach a later check are re-stamped with a valid one.
 
-Concurrent writers are the last fault class: racing ``put`` calls for
-one digest must elect exactly one publisher (identical content by
-construction), count the losers, and leave a verifiable entry.
+An entry written trials-only by older code (an empty report behind a
+valid checksum) is one more fault: it fails to decode and is rewritten
+whole.  Concurrent writers are the last fault class: racing ``put``
+calls for one digest must elect exactly one publisher (identical
+content by construction), count the losers, and leave a verifiable
+entry.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.report import compare_series
 from repro.core.trial import Trial
 from repro.obs import metrics
 from repro.parallel import shutdown_pool
@@ -38,7 +42,6 @@ from repro.sweep import (
     run_sweep,
     write_sweep_report,
 )
-from repro.sweep.codec import series_report_to_dict
 from repro.sweep.store import ENTRY_FILE
 from repro.testbeds import local_dual_replayer
 
@@ -221,7 +224,6 @@ class TestConcurrentWriters:
         entry = store.get(digest)
         assert entry is not None
 
-        report_doc = series_report_to_dict(entry.report)
         target = ArtifactStore(tmp_path / "race-store")
         n_writers = 6
         errors = []
@@ -230,7 +232,7 @@ class TestConcurrentWriters:
         def race():
             try:
                 barrier.wait()
-                target.put(digest, entry.trials, report_doc, key=entry.key)
+                target.put(digest, entry.trials, entry.report, key=entry.key)
             except BaseException as e:  # pragma: no cover - the assertion
                 errors.append(e)
 
@@ -272,28 +274,26 @@ class TestOneFileEntry:
         real_fsync = os.fsync
         monkeypatch.setattr(os, "fsync", lambda fd: fsyncs.append(real_fsync(fd)))
         target = ArtifactStore(tmp_path / "fresh")
-        assert target.put(
-            entry.digest, entry.trials, series_report_to_dict(entry.report),
-            key=entry.key,
-        )
+        assert target.put(entry.digest, entry.trials, entry.report, key=entry.key)
         assert len(fsyncs) == 1
         assert [p.name for p in target.entry_dir(entry.digest).iterdir()] == [
             ENTRY_FILE
         ]
         assert list((tmp_path / "fresh" / "tmp").iterdir()) == []
 
-    def test_trials_only_put_never_downgrades(self, seeded_store):
-        store, plan, _ = seeded_store
-        digest = plan[0].digest
-        entry = store.get(digest)
-        before = _entry_file(store, digest).read_bytes()
-        races = store.stats.races
-        assert store.put(digest, entry.trials, key=entry.key) is False
-        assert store.stats.races == races + 1
-        assert _entry_file(store, digest).read_bytes() == before
-        again = store.get(digest)
-        assert again is not None and again.report is not None
-        assert again.report.mean_row() == entry.report.mean_row()
+    def test_trials_only_entry_is_rewritten_full(self, seeded_store, tmp_path):
+        """An entry cut back to its trials, checksummed as if whole."""
+        store, plan, cold_bytes = seeded_store
+        path = _entry_file(store, plan[0].digest)
+        data, header, run0 = _layout(path)
+        body = data[run0:len(data) - header["report_len"]]
+        header["report_len"] = 0
+        _restamp(path, json.dumps(header).encode() + b"\n" + body)
+        assert_degrades_to_recompute(
+            store.root, plan, cold_bytes, tmp_path, "payload-decode"
+        )
+        _, header, _ = _layout(path)
+        assert header["report_len"] > 0
 
     def test_long_label_and_meta_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -306,11 +306,15 @@ class TestOneFileEntry:
             ),
             Trial(np.arange(3), np.array([0.0, 0.5, 7.25]), label="", meta={}),
         ]
+        report = compare_series(trials)
         store = ArtifactStore(tmp_path / "store")
         digest = "ab" * 32
-        assert store.put(digest, trials, key={"k": 1})
+        with pytest.raises(TypeError):
+            store.put(digest, trials, None)  # every entry carries its report
+        assert store.put(digest, trials, report, key={"k": 1})
         got = ArtifactStore(tmp_path / "store").get(digest)
-        assert got is not None and got.report is None and got.key == {"k": 1}
+        assert got is not None and got.key == {"k": 1}
+        assert got.report.mean_row() == report.mean_row()
         assert len(got.trials) == len(trials)
         for want, have in zip(trials, got.trials):
             assert have == want  # label, tags and times, exactly

@@ -1,24 +1,24 @@
-"""End-to-end simulate+analyze scaling on the persistent worker pool.
+"""End-to-end simulate+analyze scaling of the sweep-unit fan-out.
 
 The analysis benchmark (bench_parallel_analysis.py) measures the
-Section-3 comparison alone; this one measures the pipeline a real
-``repro report`` runs per environment — record once, replay N runs
-(fanned out by :class:`repro.parallel.SimFarm`), then compare the series
-(fanned out by the engine) — all drawing from the single process-global
-pool.  A ~1M-packet workload (paper-scale duration x runs) is swept over
-job counts, each report is checked bit-identical to serial, and the
-wall-time/speedup table goes to ``benchmarks/out/parallel_sim.txt``.
+Section-3 comparison alone; this one measures the grain every command
+that simulates fans out: whole sweep units (one record-once/replay-N
+series plus its analysis each, :func:`repro.sweep.run_sweep`), drawn
+from the single process-global pool.  A multi-unit ``local-dual`` plan is
+swept over job counts without a store, every unit's trials and report
+are checked bit-identical to serial, and the wall-time/speedup table
+goes to ``benchmarks/out/parallel_sim.txt``.
 
 Honesty note: the speedup assertion (>= 2x at 4 jobs) only fires when the
 runner exposes >= 4 usable cores — on a 1-core container the measurement
 still runs and the exactness checks still bind, but physics caps the
 speedup at ~1x and asserting otherwise would only test the hardware.
 
-``REPRO_BENCH_SMOKE=1`` (CI) shrinks the workload, sweeps serial and
-jobs=2 only, and measures the pooled config at steady state (pool warm)
-instead of including startup — the smoke question is whether a warm
-two-worker pipeline holds serial parity, and it is only asserted when
-the runner has a second core to run it on.
+``REPRO_BENCH_SMOKE=1`` (CI) shrinks the plan to four units at scale
+0.02, sweeps serial and jobs=2 only, and measures the pooled config at
+steady state (pool warm) instead of including startup — the smoke
+question is whether a warm two-worker unit fan-out holds serial parity,
+and it is only asserted when the runner has a second core to run it on.
 """
 
 import os
@@ -26,38 +26,48 @@ import time
 
 import numpy as np
 
-from repro.core import compare_series
 from repro.parallel import pool_stats, shutdown_pool
-from repro.testbeds import Testbed, local_single_replayer
+from repro.sweep import plan_from_scenarios, run_sweep
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
-#: Full: 5 runs x ~210k packets/run ≈ 1.05M simulated packets end-to-end.
-DURATION_NS = 16e6 if SMOKE else 63e6
+#: Full: 8 units x 5 runs at scale 0.1 (~40k packets/run).
+SCALE = 0.02 if SMOKE else 0.1
+SEEDS = list(range(2025, 2025 + (4 if SMOKE else 8)))
 N_RUNS = 5
-SEED = 2025
 JOB_COUNTS = (1, 2) if SMOKE else (1, 2, 4, 8)
+#: Timed repetitions per config; the best one counts (both sides alike).
+REPS = 3 if SMOKE else 1
 
 
 def _pipeline(jobs: int):
-    """One environment's full record -> replay x N -> compare pipeline."""
-    profile = local_single_replayer().at_duration(DURATION_NS)
-    trials = Testbed(profile, seed=SEED).run_series(N_RUNS, jobs=jobs)
-    report = compare_series(trials, environment=profile.name) if jobs == 1 else None
-    if report is None:
-        from repro.parallel import compare_series_parallel
-
-        report = compare_series_parallel(trials, environment=profile.name, jobs=jobs)
-    return trials, report
+    """Simulate and analyze every unit of the plan (no store)."""
+    plan = plan_from_scenarios(
+        ["local-dual"], seeds=SEEDS, n_runs=N_RUNS, duration_scale=SCALE
+    )
+    return run_sweep(plan, None, jobs=jobs)
 
 
-def _assert_series_exact(got_trials, got_report, want_trials, want_report):
-    for g, w in zip(got_trials, want_trials):
-        assert np.array_equal(g.tags, w.tags)
-        assert np.array_equal(g.times_ns, w.times_ns)
-    for g, w in zip(got_report.pairs, want_report.pairs):
-        assert g.metrics == w.metrics
-        assert g.n_common == w.n_common
-        assert g.move_stats == w.move_stats
+def _timed(jobs: int):
+    best = None
+    for _ in range(REPS):
+        t0 = time.perf_counter()
+        result = _pipeline(jobs)
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return result, best
+
+
+def _assert_sweep_exact(got, want):
+    for got_trials, want_trials in zip(got.trials, want.trials, strict=True):
+        for g, w in zip(got_trials, want_trials, strict=True):
+            assert np.array_equal(g.tags, w.tags)
+            assert np.array_equal(g.times_ns, w.times_ns)
+    for got_report, want_report in zip(got.series, want.series, strict=True):
+        for g, w in zip(got_report.pairs, want_report.pairs, strict=True):
+            assert g.metrics == w.metrics
+            assert g.n_common == w.n_common
+            assert g.move_stats == w.move_stats
+    assert got.report == want.report
 
 
 def test_parallel_sim_speedup(once, emit, emit_json):
@@ -65,11 +75,9 @@ def test_parallel_sim_speedup(once, emit, emit_json):
 
     def sweep():
         _pipeline(1)  # warm allocator/caches: measure steady state
-        t0 = time.perf_counter()
-        want_trials, want_report = _pipeline(1)
-        serial_s = time.perf_counter() - t0
+        want, serial_s = _timed(1)
 
-        n_packets = sum(len(t) for t in want_trials)
+        n_packets = sum(len(t) for trials in want.trials for t in trials)
         rows = [("serial", serial_s, 1.0)]
         pools_created = []
         for jobs in JOB_COUNTS[1:]:
@@ -78,23 +86,21 @@ def test_parallel_sim_speedup(once, emit, emit_json):
             else:
                 shutdown_pool()  # fresh pool per config: startup is included,
             before = pool_stats().created_total  # as a real invocation pays it
-            t0 = time.perf_counter()
-            got_trials, got_report = _pipeline(jobs)
-            dt = time.perf_counter() - t0
-            _assert_series_exact(got_trials, got_report, want_trials, want_report)
+            got, dt = _timed(jobs)
+            _assert_sweep_exact(got, want)
             pools_created.append(pool_stats().created_total - before)
             rows.append((f"jobs={jobs}", dt, serial_s / dt))
         shutdown_pool()
-        # The whole simulate+analyze pipeline shares one pool per config
-        # (smoke measures with the warm pool, so none is created mid-sweep).
+        # Every unit of a config shares one pool (smoke measures with the
+        # warm pool, so none is created mid-sweep).
         assert pools_created == [0 if SMOKE else 1] * len(JOB_COUNTS[1:])
         return n_packets, rows
 
     n_packets, rows = once(sweep)
 
     lines = [
-        f"end-to-end simulate+analyze scaling, ~{n_packets} packets across "
-        f"{N_RUNS} runs ({usable_cores} usable cores"
+        f"end-to-end sweep-unit scaling, {len(SEEDS)} local-dual units x "
+        f"{N_RUNS} runs, ~{n_packets} packets ({usable_cores} usable cores"
         f"{', smoke' if SMOKE else ''})",
         f"{'config':>8s}  {'seconds':>8s}  {'speedup':>7s}",
     ]
@@ -102,10 +108,10 @@ def test_parallel_sim_speedup(once, emit, emit_json):
         lines.append(f"{name:>8s}  {dt:8.3f}  {speedup:6.2f}x")
     lines.append("")
     lines.append(
-        "trials and reports verified bit-identical to serial at every job "
-        "count; "
+        "trials, reports and the merged sweep report verified bit-identical "
+        "to serial at every job count; "
         + (
-            "pooled configs measured against a warm pool"
+            f"best of {REPS}, pooled configs measured against a warm pool"
             if SMOKE
             else "exactly one pool created per configuration"
         )
@@ -115,9 +121,10 @@ def test_parallel_sim_speedup(once, emit, emit_json):
         "parallel_sim",
         {
             "n_packets": n_packets,
+            "n_units": len(SEEDS),
             "n_runs": N_RUNS,
-            "duration_ns": DURATION_NS,
-            "seed": SEED,
+            "duration_scale": SCALE,
+            "seeds": SEEDS,
             "usable_cores": usable_cores,
             "smoke": SMOKE,
         },
@@ -131,7 +138,7 @@ def test_parallel_sim_speedup(once, emit, emit_json):
             f"expected >= 2x speedup at 4 jobs on {usable_cores} cores, "
             f"got {by_name['jobs=4']:.2f}x"
         )
-    # Smoke parity gate: a warm two-worker pipeline must not lose to
+    # Smoke parity gate: a warm two-worker unit fan-out must not lose to
     # serial — asserted only where a second core exists (the JSON records
     # the core count either way).  5% noise allowance: parity is the claim.
     if SMOKE and usable_cores >= 2:

@@ -35,11 +35,11 @@ Chrome ``trace_event`` array loadable in Perfetto /
 ``--stats`` prints the stage/counter summary to stderr after the
 command, and ``--serve-metrics PORT`` exposes ``/metrics`` (Prometheus
 text) + ``/healthz`` while the command runs (see :mod:`repro.obs` and
-``docs/observability.md``).  Commands that simulate or
-run the Section-3 analysis honor ``--jobs N`` (default from ``REPRO_JOBS``
-or 1), fanning whole items — sweep units, replay runs, trial pairs —
-across N processes via :mod:`repro.parallel`; each item runs the serial
-code, so output is identical at any job count.
+``docs/observability.md``).  Commands that resolve several series or
+analyze handed-in trials honor ``--jobs N`` (default from ``REPRO_JOBS``
+or 1), fanning whole items — sweep units, or trial pairs where trials
+are handed in — across N processes via :mod:`repro.parallel`; each item
+runs the serial code, so output is identical at any job count.
 Every worker draws from one process-global pool, created lazily on the
 first parallel stage and torn down when the command exits — including on
 error paths (see :mod:`repro.parallel.pool`).
@@ -122,6 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for simulation and analysis (default "
             "REPRO_JOBS or 1; output is identical at any N)",
         )
+        add_store(p)
+
+    def add_store(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--store", default=None, metavar="DIR",
             help="persistent artifact store for simulated series (default "
@@ -187,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="regenerate Table 1 (edit-script distances)")
     p.add_argument("--scale", type=float, default=None)
-    add_jobs(p)
+    add_store(p)
 
     def add_ci(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -286,18 +289,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--svg", default=None, metavar="PATH",
                    help="additionally write the figure as an SVG file")
-    add_jobs(p)
+    add_store(p)
 
     return parser
 
 
 def _run_kwargs(args) -> dict:
-    """kwargs forwarded to ``run_scenario`` from --scale / --jobs flags."""
-    kwargs = {}
+    """kwargs forwarded to ``run_scenario`` from --scale / --jobs flags.
+
+    A command without ``--jobs`` resolves one series, which never fans
+    out, so it runs at ``jobs=1`` whatever ``REPRO_JOBS`` says.
+    """
+    kwargs = {"jobs": getattr(args, "jobs", 1)}
     if getattr(args, "scale", None) is not None:
         kwargs["duration_scale"] = args.scale
-    if getattr(args, "jobs", None) is not None:
-        kwargs["jobs"] = args.jobs
     return kwargs
 
 
@@ -336,7 +341,7 @@ def _cmd_simulate(args) -> int:
     if args.scale is not None:
         trace.set_meta("scale", args.scale)
     print(f"simulating {profile.name} ({profile.describe()}) seed={seed}", file=sys.stderr)
-    trials = Testbed(profile, seed=seed).run_series(args.runs, jobs=args.jobs)
+    trials = Testbed(profile, seed=seed).run_series(args.runs)
     if args.output:
         paths = save_series(trials, args.output)
         print(f"saved {len(paths)} captures under {args.output}", file=sys.stderr)

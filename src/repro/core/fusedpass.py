@@ -18,9 +18,9 @@ Exactness is inherited, not re-argued:
 
 * the delta expressions are the identical IEEE-754 elementwise operations
   of :func:`~repro.core.latency.latency_deltas_ns` and
-  :func:`~repro.core.iat.iat_deltas_ns` — gaps reach back to each
-  packet's predecessor *in the full trial* by direct indexing, the form
-  the differential suites pin;
+  :func:`~repro.core.iat.iat_deltas_ns` — each gap is taken against the
+  packet's predecessor *in the full trial* (:meth:`Trial.iats_ns`), the
+  form the differential suites pin;
 * the final reductions are the canonical single-reduction functions every
   other path runs (:func:`~repro.core.latency.latency_from_deltas`,
   :func:`~repro.core.iat.iat_from_deltas`,
@@ -100,15 +100,14 @@ def fused_timings(
     metrics.counter("fused.pairs").add()
     t0 = time.perf_counter_ns()
     with span("analysis.fused.timings", n_common=n):
-        n_bins = bins.edges().size - 1
         if n == 0:
             empty = np.empty(0, dtype=np.float64)
             result = FusedTimings(
                 n_common=0,
                 dlat=empty,
                 diat=empty,
-                lat_counts=np.zeros(n_bins, dtype=np.int64),
-                iat_counts=np.zeros(n_bins, dtype=np.int64),
+                lat_counts=np.zeros(bins.n_bins, dtype=np.int64),
+                iat_counts=np.zeros(bins.n_bins, dtype=np.int64),
                 iat_within=0,
                 l=0.0,
                 i=0.0,
@@ -120,28 +119,23 @@ def fused_timings(
             ja, jb = m.idx_a, m.idx_b
 
             # Identical elementwise expressions to latency_deltas_ns /
-            # iat_deltas_ns; the gap of a trial's first packet is 0 by the
-            # paper's base case, and ja - 1 wrapping to -1 on row 0 is
-            # overwritten by that masked store before anyone reads it.
+            # iat_deltas_ns: one contiguous gap diff per trial, then two
+            # gathers.
             dlat = (times_b[jb] - times_b[0]) - (times_a[ja] - times_a[0])
-            g_a = times_a[ja] - times_a[ja - 1]
-            g_a[ja == 0] = 0.0
-            g_b = times_b[jb] - times_b[jb - 1]
-            g_b[jb == 0] = 0.0
-            diat = g_b - g_a
+            diat = run.iats_ns()[jb] - baseline.iats_ns()[ja]
 
             edges = bins.edges()
             lat_counts, _ = np.histogram(dlat, bins=edges)
             iat_counts, _ = np.histogram(diat, bins=edges)
 
-            abs_dlat = np.abs(dlat)
             abs_diat = np.abs(diat)
             iat_within = int(np.count_nonzero(abs_diat <= within_ns))
 
             windows = None
             if window_ns is not None:
                 windows = deviation_from_deltas(
-                    baseline.relative_times_ns(), ja, abs_dlat, abs_diat, window_ns
+                    baseline.relative_times_ns(), ja, np.abs(dlat), abs_diat,
+                    window_ns,
                 )
 
             result = FusedTimings(

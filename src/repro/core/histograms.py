@@ -63,11 +63,20 @@ class SymlogBins:
         if self.bins_per_decade < 1:
             raise ValueError("bins_per_decade must be >= 1")
 
+    def _n_log(self) -> int:
+        """Log-spaced bins per sign."""
+        lo = np.log10(self.linthresh)
+        return int(np.ceil((self.max_decade - lo) * self.bins_per_decade))
+
+    @property
+    def n_bins(self) -> int:
+        """Number of bins, ``edges().size - 1``, without building the edges."""
+        return 2 * self._n_log() + 3
+
     def edges(self) -> np.ndarray:
         """Monotone bin edges including ±inf overflow edges."""
         lo = np.log10(self.linthresh)
-        n = int(np.ceil((self.max_decade - lo) * self.bins_per_decade))
-        pos = np.logspace(lo, self.max_decade, n + 1)
+        pos = np.logspace(lo, self.max_decade, self._n_log() + 1)
         return np.concatenate([[-np.inf], -pos[::-1], pos, [np.inf]])
 
     def centers(self) -> np.ndarray:
@@ -131,7 +140,7 @@ class DeltaHistogram:
         """
         bins = bins if bins is not None else SymlogBins()
         counts = np.asarray(counts)
-        if counts.shape != (bins.edges().size - 1,):
+        if counts.shape != (bins.n_bins,):
             raise ValueError("counts do not match the bin layout")
         return cls(
             bins=bins,

@@ -23,7 +23,13 @@ from .figures import (
     fig9,
     fig10,
 )
-from .runner import analyze_trials, run_scenario, run_scenario_trials, run_trials
+from .runner import (
+    analyze_trials,
+    run_scenario,
+    run_scenario_trials,
+    run_scenarios,
+    run_trials,
+)
 from .scenarios import SCENARIOS, PaperRow, Scenario, default_duration_scale, scenario
 from .tables import render_table1_text, render_table2_text, table1, table2
 from .validation import ScenarioVerdict, ValidationResult, validate_against_paper
@@ -36,6 +42,7 @@ __all__ = [
     "default_duration_scale",
     "run_trials",
     "run_scenario",
+    "run_scenarios",
     "run_scenario_trials",
     "analyze_trials",
     "FigureSeries",

@@ -2,22 +2,21 @@
 
 Several figures and both tables draw on the same underlying trial series
 (e.g. Table 2 needs all nine environments; Figures 4a and 4b share the
-local-single series).  ``run_scenario`` memoizes ``(trials, report)`` by
+local-single series).  ``run_scenarios`` memoizes ``(trials, report)`` by
 (scenario, scale, n_runs, seed), so a full benchmark session simulates
 and analyzes each environment once.
 
-A memo miss resolves the series as a one-unit sweep
+All memo misses of one ``run_scenarios`` call resolve as one sweep
 (:func:`repro.sweep.coordinator.run_sweep`): store probe, then simulate
-and analyze, then publish a full entry.  There is no second cache path.
+and analyze, then publish full entries.  There is no second cache path,
+and :func:`run_scenario` is the one-key case.
 
-Fan-out: ``run_scenario(..., jobs=N)`` (or ``REPRO_JOBS=N`` in the
-environment) parallelizes **both** stages of that unit on the shared
-worker pool — the simulation through :class:`repro.parallel.SimFarm`
-(one replay run per task) and the comparison through
-:func:`repro.parallel.compare_series_parallel` (one whole trial pair per
-task) — and both run the unmodified serial code per item, so figure and
-table reproductions are byte-stable under any job count.  The memo is
-therefore keyed *without* the job count.
+Fan-out: ``jobs=N`` (or ``REPRO_JOBS=N``) fans the missing series out as
+whole sweep units on the shared worker pool, each computed by the
+unmodified serial code, so figure and table reproductions are
+byte-stable under any job count.  A single series never fans out, so
+Table 2 resolves its nine series in one call.  The memo is keyed
+*without* the job count.
 
 Persistence: the memo dies with the process; ``--store DIR`` (or
 ``REPRO_STORE=DIR``, or :func:`configure_store`) hands the sweep the
@@ -42,6 +41,7 @@ from .scenarios import scenario
 __all__ = [
     "run_trials",
     "run_scenario",
+    "run_scenarios",
     "run_scenario_trials",
     "analyze_trials",
     "configure_store",
@@ -73,14 +73,9 @@ def run_trials(
     profile: EnvironmentProfile,
     n_runs: int = 5,
     seed: int = 0,
-    jobs: int | None = None,
 ) -> list[Trial]:
-    """Run a trial series on an ad-hoc profile (the quickstart entry point).
-
-    ``jobs`` fans the independent replays across the shared worker pool;
-    the trials are bit-identical at any value.
-    """
-    return Testbed(profile, seed=seed).run_series(n_runs, jobs=jobs)
+    """Run a trial series on an ad-hoc profile (the quickstart entry point)."""
+    return Testbed(profile, seed=seed).run_series(n_runs)
 
 
 #: Memoized ``(trials, report)`` per (scenario, scale, n_runs, seed).  A
@@ -132,32 +127,38 @@ def persistent_store():
 
 
 def _cached_series(
-    key: str,
+    keys: list[str],
     duration_scale: float,
     n_runs: int,
     seed_override: int | None,
     jobs: int | None = None,
-) -> tuple[tuple[Trial, ...], RunSeriesReport]:
-    cache_key = (key, duration_scale, n_runs, seed_override)
-    hit = _series_cache.get(cache_key)
-    if hit is not None:
-        metrics.counter("runner.cache_hits").add()
-        return hit
-    metrics.counter("runner.cache_misses").add()
-    from ..sweep.coordinator import plan_unit, run_sweep
+) -> list[tuple[tuple[Trial, ...], RunSeriesReport]]:
+    """``(trials, report)`` per key; all memo misses resolve in one sweep."""
+    cache_keys = [(key, duration_scale, n_runs, seed_override) for key in keys]
+    resolved = {ck: _series_cache[ck] for ck in cache_keys if ck in _series_cache}
+    misses = [ck for ck in dict.fromkeys(cache_keys) if ck not in resolved]
+    metrics.counter("runner.cache_hits").add(len(cache_keys) - len(misses))
+    metrics.counter("runner.cache_misses").add(len(misses))
+    if misses:
+        from ..sweep.coordinator import plan_unit, run_sweep
 
-    sc = scenario(key)
-    seed = sc.seed if seed_override is None else seed_override
-    unit = plan_unit(key, sc.profile(duration_scale), seed, n_runs)
-    store = persistent_store()
-    result = run_sweep([unit], store, jobs=jobs)
-    if store is not None:
-        outcome = "hits" if result.outcomes[0] == "hit" else "misses"
-        metrics.counter(f"runner.store_{outcome}").add()
-    if len(_series_cache) >= _SERIES_CACHE_MAX:
-        _series_cache.pop(next(iter(_series_cache)))
-    _series_cache[cache_key] = (result.trials[0], result.series[0])
-    return _series_cache[cache_key]
+        plan = []
+        for key, *_ in misses:
+            sc = scenario(key)
+            seed = sc.seed if seed_override is None else seed_override
+            plan.append(plan_unit(key, sc.profile(duration_scale), seed, n_runs))
+        store = persistent_store()
+        result = run_sweep(plan, store, jobs=jobs)
+        for ck, trials, report, outcome in zip(
+            misses, result.trials, result.series, result.outcomes
+        ):
+            if store is not None:
+                outcome = "hits" if outcome == "hit" else "misses"
+                metrics.counter(f"runner.store_{outcome}").add()
+            if len(_series_cache) >= _SERIES_CACHE_MAX:
+                _series_cache.pop(next(iter(_series_cache)))
+            _series_cache[ck] = resolved[ck] = (trials, report)
+    return [resolved[ck] for ck in cache_keys]
 
 
 def run_scenario_trials(
@@ -170,34 +171,40 @@ def run_scenario_trials(
 ) -> list[Trial]:
     """The raw trials of a registered scenario (memoized per process).
 
-    ``jobs`` only affects how a cache *miss* is computed (serially or on
-    the pool); hits return the identical cached tuple either way.
+    A single series computes serially at any ``jobs``; hits return the
+    identical cached tuple.
     """
     sc = scenario(key)  # validate the key before touching the cache
     scale = duration_scale if duration_scale is not None else _default_scale()
-    trials, _ = _cached_series(sc.key, scale, n_runs, seed, jobs)
+    [(trials, _)] = _cached_series([sc.key], scale, n_runs, seed, jobs)
     return list(trials)
 
 
-def run_scenario(
-    key: str,
+def run_scenarios(
+    keys: list[str],
     *,
     duration_scale: float | None = None,
     n_runs: int = 5,
     seed: int | None = None,
     jobs: int | None = None,
-) -> RunSeriesReport:
-    """Run (or reuse) a scenario's series and return its analysis report.
+) -> list[RunSeriesReport]:
+    """Run (or reuse) several scenarios' series; reports in ``keys`` order.
 
-    On a cache miss ``jobs`` fans both the simulation and the Section-3
-    analysis out across the shared pool (default: ``REPRO_JOBS`` or
-    serial); the report is identical either way, and computed once per
-    process.
+    The series missing from the memo resolve as one sweep, fanned out as
+    whole units across ``jobs`` workers (default: ``REPRO_JOBS`` or
+    serial); the reports are identical at any ``jobs``, and computed
+    once per process.
     """
-    sc = scenario(key)
+    keys = [scenario(key).key for key in keys]
     scale = duration_scale if duration_scale is not None else _default_scale()
-    _, report = _cached_series(sc.key, scale, n_runs, seed, jobs)
-    return report
+    return [
+        report for _, report in _cached_series(keys, scale, n_runs, seed, jobs)
+    ]
+
+
+def run_scenario(key: str, **run_kwargs) -> RunSeriesReport:
+    """One scenario's analysis report: :func:`run_scenarios` of one key."""
+    return run_scenarios([key], **run_kwargs)[0]
 
 
 def _default_scale() -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .runner import run_scenario
+from .runner import run_scenarios
 from .scenarios import SCENARIOS, Scenario
 
 __all__ = ["ScenarioVerdict", "ValidationResult", "validate_against_paper"]
@@ -111,7 +111,7 @@ def _check_one(
     kappa_abs_tol: float,
     i_rel_tol: float,
     stability=None,
-    **run_kwargs,
+    report=None,
 ) -> tuple[ScenarioVerdict, float]:
     failures: list[str] = []
     kappa_abs_tol = kappa_abs_tol * _KAPPA_TOL_MULTIPLIER.get(sc.key, 1.0)
@@ -136,11 +136,10 @@ def _check_one(
             outliers=stability.screen.n_flagged,
         )
     else:
-        rep = run_scenario(sc.key, **run_kwargs)
-        k = float(rep.values("kappa").mean())
-        i = float(rep.values("I").mean())
-        u = float(rep.values("U").mean())
-        o = float(rep.values("O").mean())
+        k = float(report.values("kappa").mean())
+        i = float(report.values("I").mean())
+        u = float(report.values("U").mean())
+        o = float(report.values("O").mean())
         kappa_gap = abs(k - sc.paper.kappa)
 
     if kappa_gap > kappa_abs_tol:
@@ -222,13 +221,15 @@ def validate_against_paper(
             f"validation needs duration_scale >= 0.05 (got {scale}); "
             "the dual-replayer offsets do not shrink with the window"
         )
+    if not ci:
+        reports = run_scenarios([sc.key for sc in SCENARIOS], **run_kwargs)
     verdicts = []
     measured_k = {}
-    for sc in SCENARIOS:
-        stability = _scenario_stability(sc, ci_seeds, run_kwargs) if ci else None
+    for n, sc in enumerate(SCENARIOS):
         verdict, k = _check_one(
             sc, kappa_abs_tol=kappa_abs_tol, i_rel_tol=i_rel_tol,
-            stability=stability, **run_kwargs
+            stability=_scenario_stability(sc, ci_seeds, run_kwargs) if ci else None,
+            report=None if ci else reports[n],
         )
         verdicts.append(verdict)
         measured_k[sc.key] = k

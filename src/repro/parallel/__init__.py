@@ -1,22 +1,22 @@
 """Fan-out of whole, independent work items across one process pool.
 
 The rule this package keeps: **fan out whole items and reassemble them by
-index; never split an item and merge partials.**  Exactly three fan-outs
-exist, all dispatched through :func:`~repro.parallel.pool.fan_out` on
-the one persistent pool (:mod:`~repro.parallel.pool`):
+index; never split an item and merge partials.**  A command has one
+fan-out grain, dispatched through :func:`~repro.parallel.pool.fan_out`
+on the one persistent pool (:mod:`~repro.parallel.pool`):
 
-* sweep units — :func:`repro.sweep.coordinator.run_sweep`;
-* replay runs of a series — :class:`~repro.parallel.simfarm.SimFarm`,
-  one ``SeedSequence``-seeded replay per task;
+* sweep units — :func:`repro.sweep.coordinator.run_sweep`, for every
+  command that simulates; a unit itself always runs serially;
 * whole trial pairs — :func:`~repro.parallel.engine.compare_series_parallel`,
-  one serial ``compare_trials`` per task.
+  one serial ``compare_trials`` per task, only where trials are handed in
+  (``repro analyze``, ``analyze_trials``, ``repro simulate``'s analysis).
 
 Each task runs the unmodified serial code, so output is bit-identical at
 any job count.  Whole pairs read their packet arrays from
 ``multiprocessing.shared_memory`` (:mod:`~repro.parallel.shm`); sweep
-units and replay runs cross the pool by pickle.  See ``docs/parallel.md``
-for the measured costs, and ``tests/test_parallel_differential.py`` /
-``tests/test_sim_differential.py`` for the differential harnesses that
+units cross the pool by pickle.  See ``docs/parallel.md`` for the
+measured costs, and ``tests/test_parallel_differential.py`` /
+``tests/test_sweep_differential.py`` for the differential harnesses that
 prove parallel == serial.
 """
 
@@ -30,11 +30,9 @@ from .pool import (
     pool_stats,
     shutdown_pool,
 )
-from .simfarm import SimFarm
 
 __all__ = [
     "compare_series_parallel",
-    "SimFarm",
     "fan_out",
     "get_pool",
     "shutdown_pool",

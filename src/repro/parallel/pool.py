@@ -10,11 +10,9 @@ running with no owner to shut it down.
 This module owns exactly one pool per process instead:
 
 * :func:`get_pool` creates it **lazily** on first use and hands the same
-  executor to every caller — the three fan-outs, sweep units
-  (:mod:`repro.sweep.coordinator`), replay runs
-  (:mod:`repro.parallel.simfarm`) and whole trial pairs
-  (:mod:`repro.parallel.engine`), all draw from it through
-  :func:`fan_out`;
+  executor to every caller — both fan-outs, sweep units
+  (:mod:`repro.sweep.coordinator`) and whole trial pairs
+  (:mod:`repro.parallel.engine`), draw from it through :func:`fan_out`;
 * :func:`shutdown_pool` tears it down; the CLI calls it in a ``finally``
   so error exits cannot leak workers, and an ``atexit`` hook covers
   library users who never call it;
@@ -29,7 +27,7 @@ serial path at any worker count — only startup cost is.
 
 :func:`fan_out` is the one way work reaches the pool.  It submits each
 task wrapped in :func:`repro.obs.worker.run_task`, which names the stage
-(``analysis.pair.whole``, ``sim.run``, ``sweep.unit.remote``) and ships
+(``sweep.unit.remote``, ``analysis.pair.whole``) and ships
 the worker's metric deltas back on the result, plus its spans when
 tracing (:mod:`repro.obs.trace`) is on.  It absorbs that telemetry
 parent-side and yields ``(index, result)`` in completion order.  When a
@@ -42,7 +40,7 @@ carries the remote worker traceback string (``remote_traceback``), so a
 drained batch never swallows the original cause.
 
 Start method: workers start via **forkserver** by default — the server
-process pre-imports NumPy and the engine modules once
+process pre-imports NumPy and the task modules once
 (:func:`multiprocessing.set_forkserver_preload`), so each worker forks
 from a warm template instead of re-running imports (``spawn``) or
 copying the parent's full heap of trial arrays (``fork``).  The
@@ -99,10 +97,11 @@ def _inflight_add(n: int) -> None:
         metrics.gauge("pool.tasks_inflight").set(_inflight)
 
 #: Modules the forkserver template imports once; every worker forks with
-#: them warm.  ``repro.parallel.engine`` transitively pulls in the core
-#: metric kernels and the shm transport — the whole import graph a
-#: comparison task touches.
-_FORKSERVER_PRELOAD = ["numpy", "repro.parallel.engine", "repro.parallel.simfarm"]
+#: them warm.  They are the modules of the two task functions:
+#: ``repro.sweep.coordinator`` (a sweep unit: simulation, analysis and
+#: store) and ``repro.parallel.engine`` (a whole pair: the core metric
+#: kernels and the shm transport).
+_FORKSERVER_PRELOAD = ["numpy", "repro.parallel.engine", "repro.sweep.coordinator"]
 
 
 @dataclass(frozen=True)

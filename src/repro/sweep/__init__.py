@@ -24,7 +24,7 @@ A sweep unit is the one way a series is cached.  Entry points:
 ``repro sweep`` on the command line, ``REPRO_STORE=<dir>`` (or
 :func:`repro.experiments.runner.configure_store`) to let the
 Table-2/figure/validation drivers read and feed the same store — the
-runner resolves each series it needs as a one-unit sweep.  See
+runner resolves the series it needs as one sweep.  See
 ``docs/sweeps.md``.
 """
 

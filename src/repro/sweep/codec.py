@@ -71,7 +71,7 @@ def _hist_to_dict(h: DeltaHistogram) -> dict:
 def _hist_from_dict(data: dict, context: str) -> DeltaHistogram:
     bins = SymlogBins(**data["bins"])
     counts = np.asarray(data["counts"], dtype=np.int64)
-    if counts.shape != (bins.edges().size - 1,):
+    if counts.shape != (bins.n_bins,):
         raise ValueError(f"{context}: histogram counts do not match bin layout")
     return DeltaHistogram(
         bins=bins,

@@ -4,9 +4,11 @@ A *sweep* evaluates a scenario × seed matrix — the shape behind Table 2,
 every figure series, and the PASTRAMI-style many-run stability screens —
 as a list of independent **work units** (one trial series + its Section-3
 analysis each).  A unit is the only way a series is cached: the scenario
-runner (:mod:`repro.experiments.runner`) resolves each series it needs
-as a one-unit sweep, so tables, figures and ``repro sweep`` read and
-write the same full entries.  The coordinator:
+runner (:mod:`repro.experiments.runner`) resolves every series it needs
+through a sweep, so tables, figures and ``repro sweep`` read and write
+the same full entries.  A unit is also the only grain that fans out for
+anything that simulates; a unit itself always computes serially.  The
+coordinator:
 
 1. expands the matrix into a deterministic work plan
    (:func:`plan_from_scenarios` for registered scenarios,
@@ -18,8 +20,8 @@ write the same full entries.  The coordinator:
    with the *serial* simulation and analysis paths worker-side; trials
    and the report come back by pickle (floats exactly), with the
    worker's counters (and spans, when tracing) absorbed on the way.  A
-   lone miss computes in-process instead and fans its own replays and
-   pairs out at the caller's ``jobs`` — the same bits either way;
+   lone miss, or any miss at ``jobs=1``, computes in-process through the
+   same serial function — the same bits either way;
 4. persists each finished unit **immediately and atomically**, so a
    killed sweep resumes from its last completed unit, not from zero;
 5. merges the per-unit reports, in plan order, into one machine-readable
@@ -44,13 +46,12 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.report import RunSeriesReport
+from ..core.report import RunSeriesReport, compare_series
 from ..core.trial import Trial
 from ..experiments.scenarios import default_duration_scale, scenario
 from ..obs import metrics
 from ..obs.export import host_context
 from ..obs.trace import span
-from ..parallel.engine import compare_series_parallel
 from ..parallel.pool import default_jobs, fan_out
 from ..testbeds.base import Testbed
 from ..testbeds.profiles import EnvironmentProfile
@@ -148,23 +149,14 @@ class SweepResult:
 
 # -- the fan-out unit ------------------------------------------------------
 
-def _compute_unit(
-    task: tuple, jobs: int = 1
-) -> tuple[list[Trial], RunSeriesReport]:
-    """Simulate and analyze one unit.
-
-    A pool worker runs it at ``jobs=1``, the serial reference paths; the
-    in-process path passes the caller's ``jobs`` so a lone unit still fans
-    its replays and pairs out.  The bits are the same at any ``jobs``.
-    """
+def _compute_unit(task: tuple) -> tuple[list[Trial], RunSeriesReport]:
+    """Simulate and analyze one unit, serially, in whichever process runs it."""
     profile, seed, n_runs = task
     with span(
         "sweep.unit", environment=profile.name, seed=int(seed), n_runs=int(n_runs)
     ):
-        trials = Testbed(profile, seed=seed).run_series(n_runs, jobs=jobs)
-        report = compare_series_parallel(
-            trials, environment=profile.name, jobs=jobs
-        )
+        trials = Testbed(profile, seed=seed).run_series(n_runs)
+        report = compare_series(trials, environment=profile.name)
     metrics.counter("sweep.units_computed").add()
     return trials, report
 
@@ -266,7 +258,7 @@ def run_sweep(
             else:
                 for unit in misses:
                     trials, report = _compute_unit(
-                        (unit.profile, unit.seed, unit.n_runs), jobs
+                        (unit.profile, unit.seed, unit.n_runs)
                     )
                     _persist(unit, trials, report)
     per_stage["compute"] = time.perf_counter() - t0

@@ -24,9 +24,8 @@ record phase plus one **per run**.  Every run therefore owns a private,
 independent random stream keyed only by ``(seed, series index, run
 index)`` — a run's packets do not depend on how many runs precede it, in
 which order runs execute, or whether they execute in this process at all.
-That independence is what lets :class:`repro.parallel.simfarm.SimFarm`
-fan runs out across the persistent worker pool with bit-identical
-results at any ``jobs`` count.
+:meth:`Testbed.run_series` replays them in a plain loop; fan-out happens
+one level up, across whole series (:mod:`repro.sweep.coordinator`).
 """
 
 from __future__ import annotations
@@ -110,9 +109,8 @@ def series_seed_plan(seed: int, n_runs: int, series_index: int = 0) -> SeriesSee
 def build_nodes(profile: EnvironmentProfile) -> list[ChoirNode]:
     """The environment's replay nodes, fresh and in standby.
 
-    Node construction is deterministic given the profile — workers of the
-    simulation fan-out rebuild identical nodes from the pickled profile
-    and only the recordings travel with each task.
+    Node construction is deterministic given the profile, so every run
+    rebuilds identical nodes and only the recordings carry over.
     """
     return [
         ChoirNode(
@@ -134,13 +132,12 @@ def simulate_run(
     run_seq: np.random.SeedSequence,
     label: str = "",
 ) -> RunArtifacts:
-    """Simulate one replay run from its seed sequence — the fan-out unit.
+    """Simulate one replay run from its seed sequence.
 
     Rebuilds fresh nodes, arms them with the (immutable) recordings, and
-    replays with a private generator seeded from ``run_seq``.  This is the
-    exact function the serial path runs in-process and the worker pool
-    runs remotely; a run's output depends only on ``(profile, recordings,
-    run_seq, label)``, never on sibling runs.
+    replays with a private generator seeded from ``run_seq``; a run's
+    output depends only on ``(profile, recordings, run_seq, label)``,
+    never on sibling runs.
     """
     nodes = build_nodes(profile)
     if len(recordings) != len(nodes):
@@ -270,20 +267,22 @@ class Testbed:
     # ------------------------------------------------------------------
     def run_series(
         self, n_runs: int = 5, *, labels: list[str] | None = None,
-        collect_artifacts: bool = False, jobs: int | None = None,
+        collect_artifacts: bool = False, jobs: int = 1,
     ):
         """Record once, replay ``n_runs`` times; return the trials.
 
         With ``collect_artifacts=True`` returns ``(trials, artifacts)``.
         Labels default to the paper's A, B, C, ... convention.
 
-        ``jobs`` fans the (seed-independent) runs out across the
-        persistent worker pool; ``None`` honors ``REPRO_JOBS`` (default
-        1 — in-process).  The trials are bit-identical at any job count:
-        each run's stream comes from its own spawned
-        :class:`~numpy.random.SeedSequence` (see :func:`series_seed_plan`),
-        so fan-out changes scheduling, never sampling.
+        The replays run in-process, one after another.  ``jobs`` accepts
+        only 1: a series is never split across workers — whole series fan
+        out as sweep units (:func:`repro.sweep.coordinator.run_sweep`).
         """
+        if jobs != 1:
+            raise ValueError(
+                f"run_series runs serially (jobs must be 1, got {jobs!r}); "
+                "fan out whole series with repro.sweep.run_sweep"
+            )
         if n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         plan = series_seed_plan(self.seed, n_runs, series_index=self._series_count)
@@ -299,12 +298,17 @@ class Testbed:
 
         if labels is None:
             labels = [chr(ord("A") + i) if i < 26 else f"run{i}" for i in range(n_runs)]
+        if len(labels) != n_runs:
+            raise ValueError("labels must match n_runs in length")
 
-        from ..parallel.simfarm import SimFarm
-
-        artifacts = SimFarm(jobs=jobs).run_series(
-            self.profile, recordings, plan.runs, labels
-        )
+        metrics.counter("sim.runs").add(n_runs)
+        artifacts = []
+        with trace.span("sim.series", n_runs=n_runs):
+            for i, (run_seq, label) in enumerate(zip(plan.runs, labels)):
+                with trace.span("sim.run", run=i):
+                    artifacts.append(
+                        simulate_run(self.profile, recordings, run_seq, label)
+                    )
         trials = [a.trial for a in artifacts]
         if collect_artifacts:
             return trials, artifacts

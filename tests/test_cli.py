@@ -30,6 +30,14 @@ class TestParser:
         assert args.chunk == 512 and args.kappa_step == 0.05
         assert args.fail_on_degraded
 
+    @pytest.mark.parametrize("argv", [["table1"], ["figure", "4a"]])
+    def test_single_series_commands_take_no_jobs(self, argv, capsys):
+        """One series never fans out, so these commands have no --jobs."""
+        p = build_parser()
+        assert p.parse_args(argv + ["--store", "/tmp/s"]).store == "/tmp/s"
+        with pytest.raises(SystemExit):
+            p.parse_args(argv + ["--jobs", "2"])
+
     def test_ci_flags_parse(self):
         p = build_parser()
         args = p.parse_args(["table2", "--ci", "--ci-seeds", "6"])
@@ -83,8 +91,9 @@ class TestJobsValidation:
 class TestObservabilityOptions:
     """``--trace`` streams through the sink; bad settings are usage errors."""
 
+    #: Four runs: three whole pairs for the analysis step's two workers.
     SIMULATE = [
-        "simulate", "local-single", "--runs", "2", "--scale", "0.02",
+        "simulate", "local-single", "--runs", "4", "--scale", "0.02",
         "--jobs", "2",
     ]
 
@@ -111,15 +120,19 @@ class TestObservabilityOptions:
         assert meta["type"] == "meta" and meta["sink_dropped"] == 0
         span_pids = {d["pid"] for d in lines if d["type"] == "span"}
         assert len(span_pids - {meta["parent_pid"]}) >= 2
-        # --stats counts the worker-side replay runs too.
-        assert re.search(r"^ +sim\.run +2 ", capsys.readouterr().err, re.M)
+        # --stats counts the parent-side replay runs and the worker-side pairs.
+        err = capsys.readouterr().err
+        assert re.search(r"^ +sim\.run +4 ", err, re.M)
+        assert re.search(r"^ +analysis\.pair\.whole +3 ", err, re.M)
 
     def test_json_suffix_writes_a_valid_chrome_trace(self, capsys, tmp_path):
         path = tmp_path / "t.json"
         assert main(self.SIMULATE + ["--trace", str(path)]) == 0
         summary = validate_chrome_trace(
             path, min_worker_pids=2,
-            require_spans=("cli.simulate", "testbed.record", "sim.run"),
+            require_spans=(
+                "cli.simulate", "testbed.record", "sim.run", "analysis.pair.whole"
+            ),
         )
         assert summary["dropped_spans"] == 0
 

@@ -79,18 +79,18 @@ class TestRunner:
     def test_series_analyzed_once(self, monkeypatch):
         """Repeated reads of a series run ``compare_series`` once per series."""
         from repro.experiments import runner
-        from repro.parallel import engine
+        from repro.sweep import coordinator
 
         monkeypatch.setattr(runner, "_series_cache", {})
         monkeypatch.setattr(runner, "_store", None)
         calls = []
-        real = engine.compare_series
+        real = coordinator.compare_series
 
         def counting(trials, *args, **kwargs):
             calls.append(kwargs.get("environment"))
             return real(trials, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "compare_series", counting)
+        monkeypatch.setattr(coordinator, "compare_series", counting)
         for key in ("local-single", "local-dual"):
             first = run_scenario(key, duration_scale=TINY, n_runs=2)
             assert run_scenario(key, duration_scale=TINY, n_runs=2) is first

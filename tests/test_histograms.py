@@ -38,6 +38,23 @@ class TestSymlogBins:
         assert centers.shape[0] == b.edges().shape[0] - 1
         assert 0.0 in centers  # the central linear bin
 
+    @pytest.mark.parametrize(
+        "linthresh, max_decade, bins_per_decade",
+        [
+            (10.0, 9, 4),
+            (1.0, 9, 4),
+            (3.0, 7, 1),
+            (0.5, 3, 5),
+            (25.0, 6, 3),
+            (1e-3, 2, 7),
+            (99.0, 2, 2),
+            (7.5, 12, 10),
+        ],
+    )
+    def test_n_bins_matches_edges(self, linthresh, max_decade, bins_per_decade):
+        b = SymlogBins(linthresh, max_decade, bins_per_decade)
+        assert b.n_bins == b.edges().size - 1
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             SymlogBins(linthresh=0.0)

@@ -4,8 +4,9 @@
 old pool-per-series churn; these tests make it a *tested property*:
 
 * lazy creation — importing, or running any serial path, creates nothing;
-* reuse — the simulation fan-out and the analysis engine draw from the
-  same executor within one invocation (``created_total`` moves by one);
+* reuse — the sweep-unit fan-out and the whole-pair engine draw from
+  the same executor within one invocation (``created_total`` moves by
+  one), and ``table2`` fans its nine series out as nine units on it;
 * teardown — ``pool_scope`` and the CLI drain the pool on normal exit
   *and* on error paths (the leak the old per-comparator pools had);
 * failure containment — a raising worker task doesn't poison the pool,
@@ -35,11 +36,17 @@ from repro.parallel import (
     pool_stats,
     shutdown_pool,
 )
+from repro.sweep import plan_unit, run_sweep
 from repro.testbeds import Testbed, local_single_replayer
 
 from .test_parallel_differential import assert_series_equal
 
 PROFILE = local_single_replayer().at_duration(3e6)
+
+
+def _units(n_runs: int, seeds=(3, 4)):
+    """A plan of one PROFILE unit per seed (two by default: a real fan-out)."""
+    return [plan_unit(PROFILE.name, PROFILE, seed, n_runs) for seed in seeds]
 
 
 @pytest.fixture(autouse=True)
@@ -81,6 +88,8 @@ class TestLaziness:
         trials = Testbed(PROFILE, seed=3).run_series(2, jobs=1)
         compare_series(trials, environment=PROFILE.name)
         compare_series_parallel(trials, environment=PROFILE.name, jobs=1)
+        run_sweep(_units(2), None, jobs=1)
+        run_sweep(_units(2, seeds=(5,)), None, jobs=2)  # a lone unit
         stats = pool_stats()
         assert stats.active is False
         assert stats.created_total == before
@@ -92,20 +101,42 @@ class TestLaziness:
 
 class TestReuse:
     def test_one_pool_spans_simulation_and_analysis(self):
-        """The full simulate+analyze pipeline creates exactly one pool."""
+        """Sweep units and whole pairs in one invocation share one pool."""
         before = pool_stats().created_total
-        trials = Testbed(PROFILE, seed=3).run_series(3, jobs=2)
-        rep = compare_series_parallel(trials, environment=PROFILE.name, jobs=2)
+        swept = run_sweep(_units(3), None, jobs=2)
+        rep = compare_series_parallel(
+            list(swept.trials[0]), environment=PROFILE.name, jobs=2
+        )
         stats = pool_stats()
         assert stats.active is True
         assert stats.jobs == 2
         assert stats.created_total == before + 1
-        # And the shared-pool report is still the serial report, exactly.
+        # And the shared-pool reports are still the serial report, exactly.
         want = compare_series(
-            Testbed(PROFILE, seed=3).run_series(3, jobs=1),
-            environment=PROFILE.name,
+            Testbed(PROFILE, seed=3).run_series(3), environment=PROFILE.name
         )
+        assert_series_equal(swept.series[0], want)
         assert_series_equal(rep, want)
+
+    def test_table2_fans_out_nine_units_on_one_pool(self):
+        """table2 resolves its nine series as one sweep: nine unit tasks."""
+        from repro.experiments import runner, table2
+
+        runner._series_cache.clear()
+        runner.configure_store(None)
+        sink = trace.ListSink()
+        trace.enable(sink)
+        before = pool_stats().created_total
+        try:
+            table2(jobs=2, duration_scale=0.02)
+        finally:
+            runner._series_cache.clear()
+        assert pool_stats().created_total == before + 1
+        counters = metrics.REGISTRY.snapshot()["counters"]
+        assert counters["pool.tasks_submitted"] == 9
+        remote = [s for s in sink.spans if s.name == "sweep.unit.remote"]
+        assert len(remote) == 9
+        assert os.getpid() not in {s.pid for s in remote}
 
     def test_same_executor_returned(self):
         assert get_pool(2) is get_pool(2)
@@ -169,8 +200,8 @@ class TestCliOwnership:
         created = []
 
         def counting_command(args):
-            trials = Testbed(PROFILE, seed=1).run_series(2, jobs=2)
-            compare_series_parallel(trials, environment=PROFILE.name, jobs=2)
+            trials = run_sweep(_units(2), None, jobs=2).trials[0]
+            compare_series_parallel(list(trials), environment=PROFILE.name, jobs=2)
             created.append(pool_stats().created_total)
             return 0
 
@@ -228,28 +259,30 @@ class TestWorkerTelemetryRoundTrip:
         """A traced fan-out ships worker spans back, pid-attributed."""
         sink = trace.ListSink()
         trace.enable(sink)
-        trials = Testbed(PROFILE, seed=3).run_series(3, jobs=2)
+        swept = run_sweep(_units(2, seeds=(3, 4, 5)), None, jobs=2)
         spans = sink.spans
         run_spans = [s for s in spans if s.name == "sim.run"]
-        assert len(run_spans) == 3
+        assert len(run_spans) == 6
         worker_pids = {s.pid for s in run_spans}
         assert os.getpid() not in worker_pids
-        # The parent-side series span reached the same sink.
+        # Each unit's series span came back from its worker; the
+        # parent-side compute span reached the same sink.
+        assert {s.pid for s in spans if s.name == "sim.series"} == worker_pids
         assert any(
-            s.name == "sim.series" and s.pid == os.getpid() for s in spans
+            s.name == "sweep.compute" and s.pid == os.getpid() for s in spans
         )
         snap = metrics.REGISTRY.snapshot()
-        assert snap["counters"]["sim.runs"] == 3
+        assert snap["counters"]["sim.runs"] == 6
         assert snap["histograms"]["pool.queue_wait_ns"]["count"] == 3
         assert snap["histograms"]["pool.task_wall_ns"]["count"] == 3
         # And tracing changed nothing: bit-identical to the untraced serial run.
-        want = Testbed(PROFILE, seed=3).run_series(3, jobs=1)
-        for got_t, want_t in zip(trials, want):
+        want = Testbed(PROFILE, seed=3).run_series(2)
+        for got_t, want_t in zip(swept.trials[0], want, strict=True):
             assert got_t.times_ns.tobytes() == want_t.times_ns.tobytes()
 
     def test_untraced_pool_results_stay_bare(self):
         """With tracing off no span is collected, in workers or parent."""
-        Testbed(PROFILE, seed=3).run_series(2, jobs=2)
+        run_sweep(_units(2), None, jobs=2)
         assert trace.stage_totals() == ({}, 0)
 
     def test_untraced_worker_counters_match_serial(self):
@@ -257,15 +290,16 @@ class TestWorkerTelemetryRoundTrip:
 
         Only the fan-out's own bookkeeping (``pool.*``, ``shm.*``, the
         whole-pair task count) may differ; every counter a worker bumps
-        (``fused.pairs``, ``match.occurrence_path``, ...) comes home.  The
-        series is compared once as captured and once with every tag
-        halved, so that each of those pairs repeats tags.
+        (``sim.runs``, ``fused.pairs``, ``match.occurrence_path``, ...)
+        comes home.  Two units are swept, then the first unit's series is
+        compared once as captured and once with every tag halved, so that
+        each of those pairs repeats tags.
         """
 
         def counters(jobs: int) -> dict:
             metrics.REGISTRY.reset()
-            trials = Testbed(PROFILE, seed=3).run_series(4, jobs=jobs)
-            compare_series_parallel(trials, environment=PROFILE.name, jobs=jobs)
+            trials = run_sweep(_units(4), None, jobs=jobs).trials[0]
+            compare_series_parallel(list(trials), environment=PROFILE.name, jobs=jobs)
             halved = [Trial(t.tags // 2, t.times_ns, label=t.label) for t in trials]
             compare_series_parallel(halved, environment=PROFILE.name, jobs=jobs)
             return {
@@ -276,13 +310,14 @@ class TestWorkerTelemetryRoundTrip:
             }
 
         serial = counters(1)
-        assert serial["fused.pairs"] == 6 and serial["match.occurrence_path"] == 3
+        assert serial["sim.runs"] == 8 and serial["sweep.units_computed"] == 2
+        assert serial["fused.pairs"] == 12 and serial["match.occurrence_path"] == 3
         assert counters(2) == serial
         assert trace.stage_totals() == ({}, 0)
 
     def test_traced_analysis_covers_whole_pair_stage(self):
         """Whole-pair analysis at jobs=2 emits worker-pid pair spans."""
-        trials = Testbed(PROFILE, seed=3).run_series(3, jobs=1)
+        trials = Testbed(PROFILE, seed=3).run_series(3)
         sink = trace.ListSink()
         trace.enable(sink)
         rep = compare_series_parallel(trials, environment=PROFILE.name, jobs=2)
@@ -318,10 +353,12 @@ class TestTrackerQuiet:
         script = tmp_path / "pooled_run.py"
         script.write_text(
             "from repro.parallel import compare_series_parallel, shutdown_pool\n"
-            "from repro.testbeds import Testbed, local_single_replayer\n"
+            "from repro.sweep import plan_unit, run_sweep\n"
+            "from repro.testbeds import local_single_replayer\n"
             "if __name__ == '__main__':\n"
             "    profile = local_single_replayer().at_duration(3e6)\n"
-            "    trials = Testbed(profile, seed=11).run_series(3, jobs=2)\n"
+            "    plan = [plan_unit('p', profile, s, 3) for s in (11, 12)]\n"
+            "    trials = list(run_sweep(plan, None, jobs=2).trials[0])\n"
             "    compare_series_parallel(trials, environment=profile.name, jobs=2)\n"
             "    shutdown_pool()\n"
         )

@@ -1,13 +1,14 @@
 """Differential suite: the simulation fan-out must equal serial *exactly*.
 
-The contract of :class:`repro.parallel.SimFarm` (and of
-``Testbed.run_series(jobs=N)`` on top of it) is the same as the analysis
-engine's: fan-out never changes a single bit.  Every assertion here is
-``==`` / ``np.array_equal`` — never ``approx`` — over a grid of scenario
-shapes (quiet single-replayer, reordered dual-replayer merge, droppy
-shared-port under background noise) and job counts, covering the trial
-packet arrays, the recorded per-run seed keys, the run diagnostics, and
-the downstream Section-3 κ reports computed from the trials.
+Simulation fans out one grain only: whole series, as sweep units
+(:func:`repro.sweep.run_sweep`); a series itself always replays its runs
+serially (:meth:`repro.testbeds.Testbed.run_series`).  The contract is
+the same as the analysis engine's: fan-out never changes a single bit.
+Every assertion here is ``==`` / ``np.array_equal`` — never ``approx`` —
+over a grid of scenario shapes (quiet single-replayer, reordered
+dual-replayer merge, droppy shared-port under background noise) and job
+counts, covering the trial packet arrays, the recorded per-run seed
+keys, the run diagnostics, and the downstream Section-3 κ reports.
 
 ``REPRO_DIFF_JOBS`` (comma-separated, e.g. ``2,4``) restricts the job
 counts exercised — CI uses it to split the matrix across runners.
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 
 from repro.core import compare_series
-from repro.parallel import shutdown_pool
+from repro.parallel import pool_stats, shutdown_pool
+from repro.sweep import plan_unit, run_sweep
 from repro.testbeds import (
     Testbed,
     fabric_shared_40g_noisy,
@@ -53,17 +55,33 @@ SCENARIOS = {
     "droppy-noisy": lambda: fabric_shared_40g_noisy().at_duration(6e6),
 }
 
-#: Serial (jobs=1) reference series per scenario, simulated once.
+#: Serial reference series per scenario, simulated once in-process.
 _reference_cache: dict = {}
+#: Per (scenario, jobs): one two-unit sweep, shared by the tests below.
+_sweep_cache: dict = {}
 
 
 def _reference(scenario: str):
     if scenario not in _reference_cache:
         profile = SCENARIOS[scenario]()
         _reference_cache[scenario] = Testbed(profile, seed=SEED).run_series(
-            N_RUNS, collect_artifacts=True, jobs=1
+            N_RUNS, collect_artifacts=True
         )
     return _reference_cache[scenario]
+
+
+def _swept(scenario: str, jobs: int):
+    """The scenario's series swept as a unit beside a 2-run twin unit.
+
+    Two units, so ``jobs > 1`` really sends each to a pool worker.  The
+    twin keeps the seed: its runs are the series' first two runs, since a
+    run's stream depends neither on the runs before it nor on those after.
+    """
+    if (scenario, jobs) not in _sweep_cache:
+        profile = SCENARIOS[scenario]()
+        plan = [plan_unit(scenario, profile, SEED, n) for n in (N_RUNS, 2)]
+        _sweep_cache[scenario, jobs] = run_sweep(plan, None, jobs=jobs)
+    return _sweep_cache[scenario, jobs]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -98,30 +116,32 @@ class TestSimulationDifferential:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
     def test_series_bit_identical(self, scenario, jobs):
-        """run_series(jobs=N) == run_series(jobs=1), bit-for-bit."""
-        want_trials, want_arts = _reference(scenario)
-        profile = SCENARIOS[scenario]()
-        got_trials, got_arts = Testbed(profile, seed=SEED).run_series(
-            N_RUNS, collect_artifacts=True, jobs=jobs
-        )
-        assert len(got_trials) == len(want_trials) == N_RUNS
-        for g, w in zip(got_trials, want_trials):
+        """A swept unit's trials == run_series, bit-for-bit, at any jobs."""
+        want_trials, _ = _reference(scenario)
+        full, twin = _swept(scenario, jobs).trials
+        assert len(full) == len(want_trials) == N_RUNS
+        for g, w in zip(full, want_trials, strict=True):
             assert_trial_equal(g, w)
-        for g, w in zip(got_arts, want_arts):
-            assert_artifacts_equal(g, w)
+        for g, w in zip(twin, want_trials[:2], strict=True):
+            assert_trial_equal(g, w)
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("jobs", [j for j in JOB_COUNTS if j > 1] or [2])
     def test_downstream_kappa_reports_identical(self, scenario, jobs):
-        """Section-3 reports from fanned-out trials equal the serial ones."""
+        """Section-3 reports of pool-computed units equal the serial ones."""
         want_trials, _ = _reference(scenario)
-        profile = SCENARIOS[scenario]()
-        got_trials = Testbed(profile, seed=SEED).run_series(N_RUNS, jobs=jobs)
-        got = compare_series(got_trials, environment=profile.name)
-        want = compare_series(want_trials, environment=profile.name)
+        got = _swept(scenario, jobs).series[0]
+        want = compare_series(want_trials, environment=SCENARIOS[scenario]().name)
         assert_series_equal(got, want)
         for g, w in zip(got.pairs, want.pairs):
             assert g.metrics.kappa() == w.metrics.kappa()
+
+    def test_run_series_is_serial_only(self):
+        """A series never fans out: any ``jobs`` but 1 is refused, poolless."""
+        before = pool_stats().created_total
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            Testbed(SCENARIOS["quiet-single"](), seed=SEED).run_series(2, jobs=2)
+        assert pool_stats().created_total == before
 
     def test_droppy_scenario_actually_drops(self):
         """The grid is honest: the noisy scenario exercises the drop path."""
@@ -134,7 +154,7 @@ class TestSimulationDifferential:
         monkeypatch.setattr("repro.net.sriov.fifo_tail_drop", reference_tail_drop)
         got_trials, got_arts = Testbed(
             SCENARIOS["droppy-noisy"](), seed=SEED
-        ).run_series(N_RUNS, collect_artifacts=True, jobs=1)
+        ).run_series(N_RUNS, collect_artifacts=True)
         assert sum(a.n_dropped for a in got_arts) > 0
         for g, w in zip(got_arts, want_arts, strict=True):
             assert_artifacts_equal(g, w)

@@ -3,10 +3,11 @@
 Two properties make the simulation fan-out trustworthy:
 
 1. **Independence** — a run's random stream is keyed only by
-   ``(seed, series index, run index)``.  Simulating runs alone and in any
-   order, changing the pool size, or running in-process must never
-   change any individual trial's packets.  These are property tests over
-   :class:`repro.parallel.SimFarm` itself.
+   ``(seed, series index, run index)``.  Simulating runs alone, in any
+   order, or in a pool worker instead of in-process must never change
+   any individual trial's packets.  These are property tests over
+   :func:`repro.testbeds.base.simulate_run` and
+   :meth:`repro.testbeds.Testbed.run_series`.
 
 2. **Stability** — the derivation ``SeedSequence(seed) -> series ->
    (record, run_0..run_{n-1})`` is a public reproducibility contract.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.parallel import SimFarm, shutdown_pool
+from repro.parallel import fan_out, shutdown_pool
 from repro.testbeds import Testbed, local_dual_replayer
 from repro.testbeds.base import series_seed_plan, simulate_run
 
@@ -38,7 +39,7 @@ def _teardown_pool():
 
 
 def _recorded(seed: int = 5):
-    """One recording phase; returns (plan, recordings) for direct SimFarm use."""
+    """One recording phase; returns (plan, recordings) for direct replays."""
     tb = Testbed(PROFILE, seed=seed)
     plan = series_seed_plan(seed, N_RUNS)
     nodes = tb._build_nodes()
@@ -46,38 +47,42 @@ def _recorded(seed: int = 5):
     return plan, [node.recording for node in nodes]
 
 
+def _series(seed: int = 5):
+    """The serial reference: the series' artifacts from run_series."""
+    return Testbed(PROFILE, seed=seed).run_series(N_RUNS, collect_artifacts=True)[1]
+
+
+def _simulate_run_task(task: tuple):
+    return simulate_run(*task)
+
+
 class TestSeedIndependence:
     def test_submission_order_is_irrelevant(self):
-        """Every permutation of submission order yields identical runs.
+        """Every permutation of simulation order yields identical runs.
 
-        The runs go to the pool permuted; mapped back to run order, each
-        trial must match the one submitted in order.
+        The runs are replayed permuted, one by one; mapped back to run
+        order, each must match the series run_series produced.
         """
         plan, recordings = _recorded()
         labels = [chr(ord("A") + i) for i in range(N_RUNS)]
-        farm = SimFarm(jobs=2)
-        want = farm.run_series(PROFILE, recordings, plan.runs, labels)
+        want = _series()
         for order in ([3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
-            got = farm.run_series(
-                PROFILE,
-                recordings,
-                [plan.runs[i] for i in order],
-                [labels[i] for i in order],
-            )
-            for pos, i in enumerate(order):
-                assert_artifacts_equal(got[pos], want[i])
+            for i in order:
+                got = simulate_run(PROFILE, recordings, plan.runs[i], labels[i])
+                assert_artifacts_equal(got, want[i])
 
     def test_pool_size_is_irrelevant(self):
-        """jobs=1 (in-process), 2 and 3 produce bit-identical runs."""
+        """Runs replayed in pool workers (2 and 3) equal the in-process series."""
         plan, recordings = _recorded()
         labels = ["A", "B", "C", "D"]
-        want = SimFarm(jobs=1).run_series(PROFILE, recordings, plan.runs, labels)
+        want = _series()
+        tasks = [(PROFILE, recordings, plan.runs[i], labels[i]) for i in range(N_RUNS)]
         for jobs in (2, 3):
-            got = SimFarm(jobs=jobs).run_series(
-                PROFILE, recordings, plan.runs, labels
-            )
-            for g, w in zip(got, want):
-                assert_artifacts_equal(g, w)
+            for i, got in fan_out(
+                jobs, _simulate_run_task, tasks, name="test.run",
+                attrs=[{}] * N_RUNS,
+            ):
+                assert_artifacts_equal(got, want[i])
 
     def test_single_run_matches_series_element(self):
         """simulate_run on run i's seed reproduces series element i alone.
@@ -88,7 +93,7 @@ class TestSeedIndependence:
         """
         plan, recordings = _recorded()
         labels = ["A", "B", "C", "D"]
-        series = SimFarm(jobs=1).run_series(PROFILE, recordings, plan.runs, labels)
+        series = _series()
         for i in reversed(range(N_RUNS)):
             alone = simulate_run(PROFILE, recordings, plan.runs[i], label=labels[i])
             assert_artifacts_equal(alone, series[i])

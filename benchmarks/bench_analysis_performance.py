@@ -2,15 +2,14 @@
 
 The artifact appendix budgets "no more than 5 minutes" per trial for
 analysis; these benchmarks pin where this implementation actually spends
-its time at paper scale and that the streaming path holds its
-constant-memory promise at high throughput.  Unlike the figure/table
+its time at paper scale (the streaming κ path has its own benchmark,
+``bench_streaming_kappa.py``).  Unlike the figure/table
 benches (one deterministic round), these run multiple pytest-benchmark
 rounds — they measure code, not simulations.
 """
 
 import numpy as np
 
-from repro.analysis import StreamingComparison
 from repro.core import (
     Trial,
     count_inversions,
@@ -38,26 +37,6 @@ def test_matching_throughput(benchmark, bench_params):
     a, b = _aligned_pair()
     m = benchmark(match_trials, a, b)
     assert m.n_common == N
-
-
-def test_streaming_throughput(benchmark, bench_params):
-    """The constant-memory path: packets/second through the accumulator."""
-    bench_params(seed=0, n_packets=N, chunk=65_536)
-    a, b = _aligned_pair()
-    chunk = 65_536
-
-    def run():
-        sc = StreamingComparison()
-        for lo in range(0, N, chunk):
-            hi = lo + chunk
-            sc.update(a.tags[lo:hi], a.times_ns[lo:hi],
-                      b.tags[lo:hi], b.times_ns[lo:hi])
-        return sc.result()
-
-    result = benchmark(run)
-    assert result.i >= 0.0
-    # Throughput note lands in the benchmark table via the timer; assert
-    # the workload actually streamed everything.
 
 
 def test_ordering_metrics_on_permuted_capture(benchmark, bench_params):

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from repro.analysis import render_report, save_series
 from repro.core import compare_series
-from repro.net import NodeRole
 from repro.testbeds import (
     NetworkServiceKind,
     NICKind,
@@ -25,6 +24,7 @@ from repro.testbeds import (
     Testbed,
     fabric_dedicated_40g,
 )
+from repro.testbeds.slices import NodeRole
 
 
 def provision_slice() -> Slice:
@@ -56,9 +56,7 @@ def main() -> None:
     print(f"slice {sl.name!r} submitted on site {sl.site.name} "
           f"(site utilization: {u['cores']:.1%} CPU, {u['ram']:.1%} RAM)")
     print(f"PTP available: {sl.ptp_synchronized}; "
-          f"shared NICs in the data path: {sl.uses_shared_nics()}")
-    topo = sl.to_topology()
-    print(f"lowered to {topo!r}\n")
+          f"shared NICs in the data path: {sl.uses_shared_nics()}\n")
 
     print("== step 2-3: record a replay buffer and run 5 replays ==")
     profile = fabric_dedicated_40g().at_duration(30e6)

@@ -23,7 +23,6 @@ from .stability import (
     stability_seed_plan,
 )
 from .stats import SeedSweepResult, bootstrap_ci, seed_sweep
-from .streaming import StreamingComparison, stream_compare
 from .streamkappa import DegradationEvent, KappaMonitor, StreamKappa, WindowReport
 from .tracestats import TraceStats, detect_bursts, trace_stats
 from .weights import balanced_scaling, component_ranges
@@ -80,8 +79,6 @@ __all__ = [
     "stability_seed_plan",
     "balanced_scaling",
     "component_ranges",
-    "StreamingComparison",
-    "stream_compare",
     "StreamKappa",
     "KappaMonitor",
     "WindowReport",

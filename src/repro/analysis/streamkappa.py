@@ -1,13 +1,10 @@
 """Streaming κ: the full metric vector — **including O** — over a live stream.
 
-:class:`~repro.analysis.streaming.StreamingComparison` streams L and I but
-*guarantees* U = O = 0 through an aligned-captures precondition, because
-the LCS behind the ordering metric is a global property of the whole
+The LCS behind the ordering metric is a global property of the whole
 permutation: no chunk-local bound survives a single far-moved packet.
-This module lifts that restriction for the one regime the ROADMAP's
-online-monitoring story actually needs: a **known baseline** (the recorded
-trial A every repeat is compared against) and a run B arriving chunk by
-chunk.
+This module streams every component anyway in the one regime online
+monitoring needs: a **known baseline** (the recorded trial A every repeat
+is compared against) and a run B arriving chunk by chunk.
 
 Two comparators, two memory stories:
 

@@ -40,12 +40,6 @@ from .ordering import (
     naive_lcs_length,
     ordering_variation,
 )
-from .gapreplay import (
-    cumulative_latency_ns,
-    iat_deviation_ns,
-    mean_absolute_iat_delta_ns,
-    mean_absolute_latency_delta_ns,
-)
 from .reorder import ReorderBySpacing, reorder_probability_by_spacing
 from .report import PairReport, RunSeriesReport, compare_series, compare_trials
 from .trial import Trial
@@ -86,10 +80,6 @@ __all__ = [
     "DeltaHistogram",
     "pct_within",
     "pct_within_from_counts",
-    "cumulative_latency_ns",
-    "iat_deviation_ns",
-    "mean_absolute_latency_delta_ns",
-    "mean_absolute_iat_delta_ns",
     "ReorderBySpacing",
     "reorder_probability_by_spacing",
     "PairReport",

@@ -95,11 +95,8 @@ class MetricVector:
     streaming comparator
     (:class:`repro.analysis.streamkappa.StreamKappa`) computes every
     component — including the global-LCS ordering metric, via the serial
-    patience loop resumed chunk by chunk — exactly, while the aligned-only
-    fast path (:class:`repro.analysis.streaming.StreamingComparison`)
-    *guarantees* U = O = 0 by its checked alignment precondition.
-    Vectors from any path therefore mix freely in series aggregation and
-    rendering.
+    patience loop resumed chunk by chunk — exactly.  Vectors from any path
+    therefore mix freely in series aggregation and rendering.
     """
 
     u: float

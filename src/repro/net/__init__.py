@@ -1,4 +1,4 @@
-"""Network substrate: packets, links, NICs, switches, shared ports, DES.
+"""Network substrate: packets, links, NICs, switches, shared ports, WAN.
 
 Everything the testbed models compose to turn transmit schedules into
 receive-timestamp sequences.  All bulk operations are vectorized over
@@ -6,7 +6,6 @@ structure-of-arrays packet batches (:class:`~repro.net.pktarray.PacketArray`).
 """
 
 from . import units
-from .events import Event, EventLoop
 from .hwcatalog import NIC_CATALOG, SWITCH_CATALOG, NicPart, nic, switch
 from .link import Link
 from .nicmodel import RxNicModel, TxNicModel, TxResult
@@ -14,7 +13,6 @@ from .pktarray import PacketArray, make_tags
 from .queueing import TailDropResult, fifo_departures, fifo_tail_drop
 from .sriov import SharedPort, SharedPortResult
 from .switch import CISCO_5700, TOFINO2, SwitchModel
-from .topology import NodeRole, Topology
 from .wan import WanSegment
 
 __all__ = [
@@ -33,10 +31,6 @@ __all__ = [
     "SwitchModel",
     "TOFINO2",
     "CISCO_5700",
-    "EventLoop",
-    "Event",
-    "NodeRole",
-    "Topology",
     "WanSegment",
     "NicPart",
     "NIC_CATALOG",

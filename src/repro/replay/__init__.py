@@ -6,7 +6,6 @@ Structure mirrors Section 4-5 of the paper:
 * :mod:`~repro.replay.recording` — in-memory recordings with TSC stamps;
 * :mod:`~repro.replay.middlebox` — the transparent forward/record path;
 * :mod:`~repro.replay.replayer` — TSC busy-poll replay scheduling;
-* :mod:`~repro.replay.control` — out-of-band/in-band command sequencing;
 * :mod:`~repro.replay.choir` — the per-node lifecycle facade.
 """
 
@@ -18,7 +17,6 @@ from .burst import (
     burstify_poll_loop,
 )
 from .choir import ChoirNode, ChoirState
-from .control import ChoirCommand, CommandKind, CommandLog, ControlChannel
 from .debug import (
     Backtrace,
     NodeTrace,
@@ -32,8 +30,6 @@ from .debug import (
 from .middlebox import ForwardResult, TransparentMiddlebox
 from .recording import MBUF_BYTES, MIN_BUFFER_BYTES, Recording
 from .replayer import Replayer, ReplayOutcome, ReplayTimingModel
-from .from_capture import recording_from_trial
-from .session import ReplaySession
 
 __all__ = [
     "MAX_BURST",
@@ -49,10 +45,6 @@ __all__ = [
     "Replayer",
     "ReplayOutcome",
     "ReplayTimingModel",
-    "ControlChannel",
-    "CommandLog",
-    "ChoirCommand",
-    "CommandKind",
     "ChoirNode",
     "ChoirState",
     "backtrace",
@@ -63,6 +55,4 @@ __all__ = [
     "match_tags",
     "match_time_window",
     "match_size_at_least",
-    "ReplaySession",
-    "recording_from_trial",
 ]

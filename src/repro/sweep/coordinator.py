@@ -48,7 +48,6 @@ from pathlib import Path
 
 from ..core.report import RunSeriesReport, compare_series
 from ..core.trial import Trial
-from ..experiments.scenarios import default_duration_scale, scenario
 from ..obs import metrics
 from ..obs.export import host_context
 from ..obs.trace import span
@@ -118,7 +117,7 @@ def plan_from_scenarios(
     scenario-major in registry order, then seed order — the merge order
     of the final report.
     """
-    from ..experiments.scenarios import SCENARIOS
+    from ..experiments.scenarios import SCENARIOS, default_duration_scale, scenario
 
     keys = list(keys) if keys else [sc.key for sc in SCENARIOS]
     scale = duration_scale if duration_scale is not None else default_duration_scale()

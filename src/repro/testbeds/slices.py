@@ -10,8 +10,7 @@ This module models exactly the slice semantics the evaluation depends
 on: per-site resource accounting (utilization drives the co-tenant noise
 story), dedicated vs shared NIC components (the paper's central
 comparison), PTP availability (23 of 33 sites), L2 network services, and
-the submit/validate/delete lifecycle.  :meth:`Slice.to_topology` lowers
-a submitted slice onto the packet-level :class:`~repro.net.topology.Topology`.
+the submit/validate/delete lifecycle.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ..net.link import Link
-from ..net.topology import NodeRole, Topology
-
 __all__ = [
+    "NodeRole",
     "NICKind",
     "NICComponent",
     "SliceNode",
@@ -33,6 +30,15 @@ __all__ = [
     "SliceError",
     "default_site",
 ]
+
+
+class NodeRole:
+    """Role constants for slice nodes."""
+
+    GENERATOR = "generator"
+    REPLAYER = "replayer"
+    RECORDER = "recorder"
+    NOISE = "noise"
 
 
 class SliceError(RuntimeError):
@@ -240,27 +246,3 @@ class Slice:
     def uses_shared_nics(self) -> bool:
         """True when any data-plane NIC is an SR-IOV VF."""
         return any(n.is_shared for node in self.nodes.values() for n in node.nics)
-
-    # -- lowering ------------------------------------------------------------
-    def to_topology(self, propagation_ns: float = 500.0) -> Topology:
-        """Lower the submitted slice onto a packet-level topology.
-
-        Each L2 service becomes a switch node (the site's Cisco 5700 data
-        plane) with a link per endpoint at the endpoint NIC's rate.
-        """
-        if not self.submitted:
-            raise SliceError("submit the slice before lowering it")
-        topo = Topology(self.name)
-        for node in self.nodes.values():
-            topo.add_node(node.name, node.role)
-        for svc in self.services:
-            sw_name = f"svc-{svc.name}"
-            topo.add_node(sw_name, NodeRole.SWITCH)
-            for node_name, nic_name in svc.endpoints:
-                nic = self.nodes[node_name].nic(nic_name)
-                topo.add_link(
-                    node_name,
-                    sw_name,
-                    Link(rate_bps=nic.rate_bps, propagation_ns=propagation_ns),
-                )
-        return topo

@@ -1,4 +1,4 @@
-"""Clock substrate: TSC, system clocks, PTP/NTP sync, NIC RX timestamping.
+"""Clock substrate: TSC, system clocks, PTP sync, NIC RX timestamping.
 
 These models supply the time sources the paper's machinery depends on:
 Choir schedules replays off the TSC (Section 4), nodes compare timestamps
@@ -8,7 +8,6 @@ timestamping model shapes the observed IAT distributions (Section 8.1).
 
 from .clock import SystemClock
 from .hwstamp import RealtimeHWStamper, RxTimestamper, SampledClockStamper
-from .ntp import NTPServer, ntp_discipline
 from .ptp import FABRIC_PTP, LOCAL_PTP, PTPDomain, PTPProfile
 from .tsc import TSC
 
@@ -19,8 +18,6 @@ __all__ = [
     "PTPDomain",
     "LOCAL_PTP",
     "FABRIC_PTP",
-    "NTPServer",
-    "ntp_discipline",
     "RxTimestamper",
     "RealtimeHWStamper",
     "SampledClockStamper",

@@ -10,9 +10,9 @@ standard imperfections are modeled:
 * **wander** — a slow random walk of the frequency error caused by
   temperature and load, realized as an integrated Gaussian process.
 
-PTP/NTP (see :mod:`repro.timing.ptp`, :mod:`repro.timing.ntp`) discipline
-a clock by re-estimating and cancelling the offset, leaving a residual
-error characteristic of the protocol and transport.
+PTP (see :mod:`repro.timing.ptp`) disciplines a clock by re-estimating
+and cancelling the offset, leaving a residual error characteristic of the
+protocol and transport.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """API-surface integrity: every exported name exists and imports cleanly."""
 
 import importlib
+import json
+import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +69,32 @@ class TestExports:
 
         parser = build_parser()
         assert parser.prog == "repro"
+
+
+def loaded_modules(imports: list[str]) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after importing ``imports``."""
+    code = "".join(f"import {name}\n" for name in imports)
+    code += "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def within(modules: set[str], roots: tuple[str, ...]) -> list[str]:
+    """The modules that are one of ``roots`` or inside one of them."""
+    prefixes = tuple(f"{root}." for root in roots)
+    return sorted(m for m in modules if m in roots or m.startswith(prefixes))
+
+
+class TestImportWeight:
+    def test_sweep_coordinator_loads_no_experiments_or_analysis(self):
+        """A sweep unit needs testbeds, core and the store: every forkserver
+        worker preloads the coordinator, so it must stay this light."""
+        mods = loaded_modules(["repro.sweep.coordinator"])
+        assert not within(mods, ("repro.experiments", "repro.analysis", "networkx"))
+
+    def test_no_package_loads_networkx_or_scipy(self):
+        mods = loaded_modules(SUBPACKAGES + ["repro.cli", "repro.sweep"])
+        assert not within(mods, ("networkx", "scipy"))

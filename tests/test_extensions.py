@@ -1,5 +1,5 @@
 """Unit tests for the extension modules: rolling capture, B&S reorder
-metric, GapReplay raw metrics, statistics, and metric balancing."""
+metric, the Eq. 3/4 normalizers over raw deviation sums, statistics, and metric balancing."""
 
 import numpy as np
 import pytest
@@ -13,13 +13,11 @@ from repro.analysis import (
 from repro.core import (
     Trial,
     compare_series,
-    cumulative_latency_ns,
-    iat_deviation_ns,
+    iat_deltas_ns,
     iat_variation,
+    latency_deltas_ns,
     latency_variation,
     match_trials,
-    mean_absolute_iat_delta_ns,
-    mean_absolute_latency_delta_ns,
     reorder_probability_by_spacing,
 )
 from repro.net import PacketArray, make_tags
@@ -125,7 +123,7 @@ class TestGapReplayRawMetrics:
         a = make_trial([0.0, 100.0, 250.0], label="A")
         b = make_trial([0.0, 130.0, 240.0], label="B")
         m = match_trials(a, b)
-        raw = cumulative_latency_ns(a, b)
+        raw = np.abs(latency_deltas_ns(a, b)).sum()
         span = max(b.end_ns - a.start_ns, a.end_ns - b.start_ns,
                    a.duration_ns, b.duration_ns)
         assert latency_variation(a, b) == pytest.approx(raw / (m.n_common * span))
@@ -133,21 +131,9 @@ class TestGapReplayRawMetrics:
     def test_iat_identity_with_normalized(self):
         a = make_trial([0.0, 100.0, 250.0], label="A")
         b = make_trial([0.0, 130.0, 240.0], label="B")
-        raw = iat_deviation_ns(a, b)
+        raw = np.abs(iat_deltas_ns(a, b)).sum()
         denom = (a.end_ns - a.start_ns) + (b.end_ns - b.start_ns)
         assert iat_variation(a, b) == pytest.approx(raw / denom)
-
-    def test_mean_absolute_forms(self):
-        a = make_trial([0.0, 100.0], tags=[1, 2])
-        b = make_trial([0.0, 150.0], tags=[1, 2])
-        assert mean_absolute_latency_delta_ns(a, b) == pytest.approx(25.0)
-        assert mean_absolute_iat_delta_ns(a, b) == pytest.approx(25.0)
-
-    def test_empty_overlap(self):
-        a = make_trial([0.0], tags=[1])
-        b = make_trial([0.0], tags=[2])
-        assert mean_absolute_latency_delta_ns(a, b) == 0.0
-        assert mean_absolute_iat_delta_ns(a, b) == 0.0
 
 
 class TestBootstrap:

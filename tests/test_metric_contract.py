@@ -1,8 +1,8 @@
 """Regression: one MetricVector contract across batch/streaming/parallel.
 
-The streaming module's docs once claimed it reported O as ``None`` while
-its code returned ``0.0`` — and the batch path always returned floats.
-The resolved contract (documented on
+An earlier streaming path's docs once claimed it reported O as ``None``
+while its code returned ``0.0`` — and the batch path always returned
+floats.  The resolved contract (documented on
 :class:`repro.core.kappa.MetricVector`) is: every component is a concrete
 finite float in [0, 1] on *every* comparison path; a path that cannot
 compute a component guarantees its value by precondition instead.  These
@@ -14,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import stream_compare
-from repro.analysis.streaming import StreamingComparison
 from repro.analysis.streamkappa import KappaMonitor, StreamKappa
 from repro.core import MetricVector, Trial, compare_trials
 from repro.parallel import compare_series_parallel
@@ -36,33 +34,10 @@ class TestAllPathsReturnFloats:
         a, b = comb_trial(40), comb_trial(40, start=7.0)
         assert_contract(compare_trials(a, b).metrics)
 
-    def test_streaming_path_o_is_exact_zero_float(self):
-        """Streaming O is the float 0.0 — guaranteed, not None/unknown."""
-        a, b = comb_trial(40), comb_trial(40, start=7.0)
-        vec = stream_compare(a, b, chunk=16)
-        assert_contract(vec)
-        assert vec.o == 0.0 and isinstance(vec.o, float)
-        assert vec.u == 0.0  # same guarantee, same precondition
-
-    def test_streaming_empty_stream(self):
-        vec = StreamingComparison().result()
-        assert_contract(vec)
-        assert vec == MetricVector(0.0, 0.0, 0.0, 0.0)
-
     def test_parallel_path(self):
         a, b = comb_trial(40), comb_trial(40, start=7.0)
         for pair in compare_series_parallel([a, b, b], jobs=2).pairs:
             assert_contract(pair.metrics)
-
-    def test_streaming_agrees_with_batch_on_aligned(self):
-        """On its precondition's domain the streaming vector IS the batch one."""
-        rng = np.random.default_rng(808)
-        times = np.cumsum(rng.exponential(90.0, size=300))
-        a = make_trial(times)
-        # jitter small, then re-sort: both captures keep tag order 0..n-1,
-        # which is exactly the aligned regime streaming requires
-        b = make_trial(np.sort(times + rng.normal(0.0, 4.0, size=300)))
-        assert stream_compare(a, b, chunk=64) == compare_trials(a, b).metrics
 
 
 class TestStreamKappaContract:
@@ -117,16 +92,6 @@ class TestStreamKappaContract:
         for rep in reports:
             assert_contract(rep.vector)
             assert isinstance(rep.kappa, float) and np.isfinite(rep.kappa)
-
-    def test_aligned_only_fast_path_still_rejects_misorder(self):
-        """Lifting the O restriction did not relax the old fast path: the
-        aligned-captures precondition still raises on misordered input."""
-        a, _ = self._messy_pair(905)
-        sc = StreamingComparison()
-        swapped = a.tags.copy()
-        swapped[0], swapped[1] = swapped[1], swapped[0]
-        with pytest.raises(ValueError, match="not packet-aligned"):
-            sc.update(a.tags, a.times_ns, swapped, a.times_ns)
 
 
 class TestVectorRejectsNonContract:

@@ -1,9 +1,8 @@
 """Property-based tests for the I/O formats and analysis decompositions.
 
 Complements test_properties_metrics: here hypothesis drives the capture
-formats (roundtrip exactness), the streaming path (equivalence with
-batch), and the windowed decomposition (exact partition of the metric
-numerators).
+formats (roundtrip exactness) and the windowed decomposition (exact
+partition of the metric numerators).
 """
 
 import numpy as np
@@ -12,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.analysis import read_capture, read_pcap, read_pcapng, stream_compare, write_capture, write_pcap, write_pcapng
+from repro.analysis import read_capture, read_pcap, read_pcapng, write_capture, write_pcap, write_pcapng
 from repro.core import (
     Trial,
-    compare_trials,
-    cumulative_latency_ns,
-    iat_deviation_ns,
+    iat_deltas_ns,
+    latency_deltas_ns,
     windowed_deviation,
 )
 
@@ -80,25 +78,15 @@ def test_pcapng_roundtrip_preserves_identity(tmp_path_factory, trial):
     np.testing.assert_array_equal(np.sort(result.trial.tags), np.sort(trial.tags))
 
 
-@given(aligned_pairs(), st.integers(1, 64))
-@settings(max_examples=60, deadline=None)
-def test_streaming_equals_batch_on_aligned_pairs(pair, chunk):
-    a, b = pair
-    batch = compare_trials(a, b).metrics
-    stream = stream_compare(a, b, chunk=chunk)
-    assert stream.l == pytest.approx(batch.l, rel=1e-9, abs=1e-15)
-    assert stream.i == pytest.approx(batch.i, rel=1e-9, abs=1e-15)
-
-
 @given(aligned_pairs(), st.floats(10.0, 1e6))
 @settings(max_examples=60, deadline=None)
 def test_windowed_sums_partition_numerators(pair, window_ns):
     a, b = pair
     w = windowed_deviation(a, b, window_ns=window_ns)
     assert w.sum_abs_latency_ns.sum() == pytest.approx(
-        cumulative_latency_ns(a, b), rel=1e-9, abs=1e-9
+        np.abs(latency_deltas_ns(a, b)).sum(), rel=1e-9, abs=1e-9
     )
     assert w.sum_abs_iat_ns.sum() == pytest.approx(
-        iat_deviation_ns(a, b), rel=1e-9, abs=1e-9
+        np.abs(iat_deltas_ns(a, b)).sum(), rel=1e-9, abs=1e-9
     )
     assert int(w.n_common.sum()) == len(a)

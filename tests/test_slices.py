@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.net import NodeRole
 from repro.testbeds import (
     NetworkServiceKind,
     NICKind,
@@ -11,6 +10,7 @@ from repro.testbeds import (
     SliceError,
     default_site,
 )
+from repro.testbeds.slices import NodeRole
 
 
 def paper_slice() -> Slice:
@@ -126,20 +126,3 @@ class TestServiceKinds:
         assert not sl.uses_shared_nics()
         sl.nodes["recorder"].add_nic("vf0", NICKind.SHARED_VF)
         assert sl.uses_shared_nics()
-
-
-class TestLowering:
-    def test_to_topology(self):
-        sl = paper_slice()
-        sl.submit()
-        topo = sl.to_topology()
-        # 3 nodes + 1 service switch.
-        assert topo.graph.number_of_nodes() == 4
-        assert topo.nodes_with_role(NodeRole.SWITCH) == ["svc-bridge"]
-        # Path generator -> recorder crosses the bridge.
-        hops = topo.path("generator", "recorder")
-        assert [h.dst for h in hops] == ["svc-bridge", "recorder"]
-
-    def test_lowering_requires_submit(self):
-        with pytest.raises(SliceError, match="submit"):
-            paper_slice().to_topology()

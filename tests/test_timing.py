@@ -7,13 +7,11 @@ from repro.timing import (
     FABRIC_PTP,
     LOCAL_PTP,
     TSC,
-    NTPServer,
     PTPDomain,
     PTPProfile,
     RealtimeHWStamper,
     SampledClockStamper,
     SystemClock,
-    ntp_discipline,
 )
 
 
@@ -138,26 +136,6 @@ class TestPTP:
         dom.add_follower("a")
         offs = [dom.synchronize_all()["a"] for _ in range(50)]
         assert np.mean(offs) == pytest.approx(500.0, abs=5.0)
-
-
-class TestNTP:
-    def test_stratum_scales_error(self, rng):
-        c = SystemClock()
-        tight = [abs(ntp_discipline(c, NTPServer(stratum=1), rng)) for _ in range(200)]
-        loose = [abs(ntp_discipline(c, NTPServer(stratum=5), rng)) for _ in range(200)]
-        assert np.mean(loose) > np.mean(tight)
-
-    def test_discipline_steps_clock(self, rng):
-        c = SystemClock(offset_ns=1e9)
-        off = ntp_discipline(c, NTPServer(), rng)
-        assert c.offset_ns == off
-        assert abs(off) < 1e9  # stepped away from the wild initial offset
-
-    def test_rejects_bad_stratum(self):
-        with pytest.raises(ValueError):
-            NTPServer(stratum=0)
-        with pytest.raises(ValueError):
-            NTPServer(stratum=16)
 
 
 class TestStampers:

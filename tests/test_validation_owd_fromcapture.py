@@ -1,4 +1,4 @@
-"""Unit tests for validation, OWD analysis, and capture-derived recordings."""
+"""Unit tests for validation and OWD analysis."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ from repro.core import Trial
 from repro.experiments import validate_against_paper
 from repro.experiments.validation import ScenarioVerdict, ValidationResult
 from repro.net import PacketArray, TxNicModel
-from repro.replay import ChoirNode, Replayer, recording_from_trial
+from repro.replay import ChoirNode
 
-from .conftest import comb_trial, make_trial
+from .conftest import make_trial
 
 
 class TestValidation:
@@ -95,54 +95,3 @@ class TestOwd:
         s = owd_series(rec, other)
         assert s.n_packets == 0
         assert s.summary() == {"n": 0}
-
-
-class TestRecordingFromTrial:
-    def test_gap_mode_recovers_bursts(self):
-        # A burst-structured capture: 10 bursts of 8.
-        times = []
-        t = 0.0
-        for _ in range(10):
-            for _ in range(8):
-                times.append(t)
-                t += 112.0
-            t += 5_000.0
-        trial = make_trial(times, label="cap")
-        rec = recording_from_trial(trial, burst_mode="gaps")
-        assert rec.n_bursts == 10
-        np.testing.assert_array_equal(rec.burst_sizes(), np.full(10, 8))
-
-    def test_loop_mode_burstifies_smooth_traffic(self):
-        trial = comb_trial(2000, gap_ns=284.0)
-        rec = recording_from_trial(trial, burst_mode="loop")
-        assert 1 < rec.n_bursts < 2000
-
-    def test_replayable_end_to_end(self, rng):
-        trial = comb_trial(1000, gap_ns=284.0)
-        rec = recording_from_trial(trial)
-        out = Replayer(tx_nic=TxNicModel(rate_bps=100e9)).replay(rec, 1e9, rng)
-        assert len(out) == 1000
-        np.testing.assert_array_equal(out.egress.tags, trial.tags)
-
-    def test_per_packet_sizes(self):
-        trial = comb_trial(4)
-        rec = recording_from_trial(trial, sizes=np.array([64, 576, 1500, 64]))
-        np.testing.assert_array_equal(rec.packets.sizes, [64, 576, 1500, 64])
-
-    def test_pcap_to_replay_pipeline(self, rng, tmp_path):
-        """Full loop: trial -> pcap -> reload -> recording -> replay."""
-        from repro.analysis import read_pcap, write_pcap
-
-        trial = comb_trial(200, gap_ns=284.0, label="A")
-        reloaded = read_pcap(write_pcap(trial, tmp_path / "t.pcap")).trial
-        rec = recording_from_trial(reloaded, burst_mode="loop")
-        out = Replayer(tx_nic=TxNicModel(rate_bps=100e9)).replay(rec, 1e9, rng)
-        np.testing.assert_array_equal(np.sort(out.egress.tags), np.sort(trial.tags))
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="empty"):
-            recording_from_trial(make_trial([]))
-        with pytest.raises(ValueError, match="burst_mode"):
-            recording_from_trial(comb_trial(5), burst_mode="psychic")
-        with pytest.raises(ValueError, match="one entry per packet"):
-            recording_from_trial(comb_trial(5), sizes=np.array([100]))

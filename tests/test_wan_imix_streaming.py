@@ -1,17 +1,14 @@
-"""Unit tests for the future-work extensions: WAN segments, IMIX traffic,
-streaming analysis."""
+"""Unit tests for the future-work extensions: WAN segments and IMIX
+traffic."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import StreamingComparison, stream_compare
-from repro.core import Trial, compare_series, compare_trials
+from repro.core import compare_series
 from repro.generators import SIMPLE_IMIX, IMIXGenerator
 from repro.net import PacketArray, WanSegment
 from repro.testbeds import Testbed
 from repro.testbeds.fabric import fabric_intersite_40g
-
-from .conftest import comb_trial
 
 
 class TestWanSegment:
@@ -102,57 +99,3 @@ class TestIMIX:
             IMIXGenerator(pps=0)
         with pytest.raises(ValueError):
             IMIXGenerator(pps=1.0, mix=((0, 1),))
-
-
-class TestStreaming:
-    def _pair(self, rng, n=50_000):
-        base = np.cumsum(rng.exponential(284.0, n))
-        a = Trial(np.arange(n), base, label="A")
-        b = Trial(
-            np.arange(n),
-            np.maximum.accumulate(base + rng.normal(0, 8.0, n)),
-            label="B",
-        )
-        return a, b
-
-    def test_matches_batch_exactly(self, rng):
-        a, b = self._pair(rng)
-        batch = compare_trials(a, b).metrics
-        stream = stream_compare(a, b, chunk=4096)
-        assert stream.l == pytest.approx(batch.l, rel=1e-12)
-        assert stream.i == pytest.approx(batch.i, rel=1e-12)
-
-    def test_chunk_size_irrelevant(self, rng):
-        a, b = self._pair(rng, n=10_000)
-        r1 = stream_compare(a, b, chunk=1)
-        r2 = stream_compare(a, b, chunk=999)
-        r3 = stream_compare(a, b, chunk=10_000_000)
-        assert r1.i == pytest.approx(r2.i, rel=1e-12)
-        assert r2.i == pytest.approx(r3.i, rel=1e-12)
-
-    def test_misalignment_detected(self, rng):
-        a, b = self._pair(rng, n=100)
-        shuffled = Trial(b.tags[::-1].copy(), b.times_ns, label="B")
-        with pytest.raises(ValueError, match="not packet-aligned"):
-            stream_compare(a, shuffled)
-
-    def test_length_mismatch_rejected(self, rng):
-        a, b = self._pair(rng, n=100)
-        with pytest.raises(ValueError, match="aligned"):
-            stream_compare(a, b.head(50))
-
-    def test_empty_stream(self):
-        sc = StreamingComparison()
-        v = sc.result()
-        assert v.is_identical
-        assert sc.n_packets == 0
-
-    def test_incremental_updates(self, rng):
-        a, b = self._pair(rng, n=1000)
-        sc = StreamingComparison()
-        for lo in range(0, 1000, 100):
-            sc.update(a.tags[lo:lo+100], a.times_ns[lo:lo+100],
-                      b.tags[lo:lo+100], b.times_ns[lo:lo+100])
-        assert sc.n_packets == 1000
-        batch = compare_trials(a, b).metrics
-        assert sc.result().i == pytest.approx(batch.i, rel=1e-12)

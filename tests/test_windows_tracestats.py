@@ -6,8 +6,8 @@ import pytest
 from repro.analysis import detect_bursts, trace_stats
 from repro.core import (
     Trial,
-    cumulative_latency_ns,
-    iat_deviation_ns,
+    iat_deltas_ns,
+    latency_deltas_ns,
     windowed_deviation,
 )
 from repro.net import make_tags
@@ -36,10 +36,10 @@ class TestWindowedDeviation:
         a, b = self._pair()
         w = windowed_deviation(a, b, window_ns=7_000.0)
         assert w.sum_abs_latency_ns.sum() == pytest.approx(
-            cumulative_latency_ns(a, b), rel=1e-12
+            np.abs(latency_deltas_ns(a, b)).sum(), rel=1e-12
         )
         assert w.sum_abs_iat_ns.sum() == pytest.approx(
-            iat_deviation_ns(a, b), rel=1e-12
+            np.abs(iat_deltas_ns(a, b)).sum(), rel=1e-12
         )
 
     def test_disturbance_localized(self):

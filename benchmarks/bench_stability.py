@@ -20,8 +20,9 @@ import time
 
 import numpy as np
 
+from repro.analysis.stability import stability_screen
 from repro.parallel import shutdown_pool
-from repro.sweep import ArtifactStore, run_adaptive_sweep
+from repro.sweep import ArtifactStore, compute_digest
 from repro.testbeds import local_single_replayer
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -34,53 +35,53 @@ EPSILON = 0.005  # the stability layer's default κ resolution target
 
 def test_adaptive_stops_before_the_fixed_cap(once, emit, emit_json, tmp_path):
     profile = local_single_replayer().at_duration(SCALE_NS)
+    fixed_store = ArtifactStore(tmp_path / "fixed-store")
+    adaptive_store = ArtifactStore(tmp_path / "adaptive-store")
 
     def fixed():
         t0 = time.perf_counter()
-        result = run_adaptive_sweep(
-            "fixed", profile,
-            initial_seeds=range(INITIAL_SEEDS[0], INITIAL_SEEDS[0] + MAX_SEEDS),
-            n_runs=N_RUNS, eps=0.0,
-            store=ArtifactStore(tmp_path / "fixed-store"), jobs=1,
+        (result,) = stability_screen(
+            [("fixed", profile,
+              range(INITIAL_SEEDS[0], INITIAL_SEEDS[0] + MAX_SEEDS))],
+            n_runs=N_RUNS, store=fixed_store, jobs=1,
         )
         return result, time.perf_counter() - t0
 
     fixed_result, fixed_s = once(fixed)
 
     t0 = time.perf_counter()
-    adaptive = run_adaptive_sweep(
-        "adaptive", profile,
-        initial_seeds=INITIAL_SEEDS, n_runs=N_RUNS,
-        eps=EPSILON, max_seeds=MAX_SEEDS,
-        store=ArtifactStore(tmp_path / "adaptive-store"), jobs=1,
+    (adaptive,) = stability_screen(
+        [("adaptive", profile, INITIAL_SEEDS)],
+        n_runs=N_RUNS, eps=EPSILON, max_seeds=MAX_SEEDS,
+        store=adaptive_store, jobs=1,
     )
     adaptive_s = time.perf_counter() - t0
 
-    n_fixed = len(fixed_result.plan)
-    n_adaptive = len(adaptive.plan)
+    n_fixed = len(fixed_result.seeds)
+    n_adaptive = len(adaptive.seeds)
 
     # Correctness before economy: the adaptive sessions are the exact
-    # prefix of the fixed sweep — same seeds, same content digests, same
-    # per-seed κ bits — so fewer sessions is a saving, not a detour.
-    assert tuple(u.seed for u in adaptive.plan) == tuple(
-        u.seed for u in fixed_result.plan
-    )[:n_adaptive]
-    assert tuple(u.digest for u in adaptive.plan) == tuple(
-        u.digest for u in fixed_result.plan
-    )[:n_adaptive]
-    assert np.array_equal(adaptive.values, fixed_result.values[:n_adaptive])
-    assert abs(adaptive.values.mean() - fixed_result.values.mean()) <= EPSILON
+    # prefix of the fixed sweep — same seeds, the same content-addressed
+    # store entries, same per-seed κ bits — so fewer sessions is a
+    # saving, not a detour.
+    assert adaptive.seeds == fixed_result.seeds[:n_adaptive]
+    for seed in adaptive.seeds:
+        digest = compute_digest(profile, seed, N_RUNS)
+        assert adaptive_store.get(digest) is not None
+        assert fixed_store.get(digest) is not None
+    assert np.array_equal(adaptive.kappa, fixed_result.kappa[:n_adaptive])
+    assert abs(adaptive.kappa.mean() - fixed_result.kappa.mean()) <= EPSILON
 
     emit(
         "stability_minimal_runs",
         f"environment: {profile.name}, n_runs={N_RUNS}, "
         f"eps={EPSILON}, cap={MAX_SEEDS}\n"
         f"fixed-N : {n_fixed:2d} sessions  {fixed_s * 1e3:9.1f} ms  "
-        f"mean kappa {fixed_result.values.mean():.6f}\n"
+        f"mean kappa {fixed_result.kappa.mean():.6f}\n"
         f"adaptive: {n_adaptive:2d} sessions  {adaptive_s * 1e3:9.1f} ms  "
-        f"mean kappa {adaptive.values.mean():.6f}  "
-        f"(stopped={adaptive.stopped}, "
-        f"half_width={adaptive.half_width:.2e})\n"
+        f"mean kappa {adaptive.kappa.mean():.6f}  "
+        f"(stopped={adaptive.decision.stopped}, "
+        f"half_width={adaptive.decision.half_width:.2e})\n"
         f"sessions saved: {n_fixed - n_adaptive} "
         f"({(n_fixed - n_adaptive) / n_fixed:.0%})\n",
     )
@@ -88,7 +89,7 @@ def test_adaptive_stops_before_the_fixed_cap(once, emit, emit_json, tmp_path):
         "stability_minimal_runs",
         {
             "environment": profile.name,
-            "seeds": [u.seed for u in fixed_result.plan],
+            "seeds": list(fixed_result.seeds),
             "n_runs": N_RUNS,
             "eps": EPSILON,
             "max_seeds": MAX_SEEDS,
@@ -104,9 +105,10 @@ def test_adaptive_stops_before_the_fixed_cap(once, emit, emit_json, tmp_path):
     )
 
     # The headline gates: the rule stopped on its own, under the cap.
-    assert adaptive.stopped, (
+    assert adaptive.decision.stopped, (
         f"stopping rule never converged: half_width="
-        f"{adaptive.half_width:.2e} > eps={EPSILON} after {n_adaptive} sessions"
+        f"{adaptive.decision.half_width:.2e} > eps={EPSILON} after "
+        f"{n_adaptive} sessions"
     )
     assert n_adaptive < n_fixed, (
         f"adaptive screen used {n_adaptive} sessions, no fewer than the "

@@ -20,24 +20,6 @@ See ``README.md`` for the architecture overview and ``EXPERIMENTS.md`` for
 the paper-vs-measured record.
 """
 
-from . import core
-from .core import (
-    DeltaHistogram,
-    KappaScaling,
-    MetricVector,
-    PairReport,
-    RunSeriesReport,
-    SymlogBins,
-    Trial,
-    compare_series,
-    compare_trials,
-    iat_variation,
-    kappa_from_vector,
-    latency_variation,
-    ordering_variation,
-    uniqueness_variation,
-)
-
 __version__ = "1.0.0"
 
 __all__ = [
@@ -60,27 +42,34 @@ __all__ = [
 ]
 
 
+#: Subpackages served on first touch by :func:`__getattr__`.
+_SUBPACKAGES = frozenset({
+    "core",
+    "net",
+    "timing",
+    "replay",
+    "generators",
+    "testbeds",
+    "analysis",
+    "experiments",
+    "parallel",
+    "viz",
+})
+
+
 def __getattr__(name):
-    """Lazily expose heavy subpackages (net, timing, replay, ...).
+    """Lazily expose the subpackages and the :mod:`repro.core` names.
 
-    Keeps ``import repro`` light while letting ``repro.testbeds`` etc.
-    resolve on first touch.
+    Keeps ``import repro`` free of numpy, so ``repro --help`` stays fast,
+    while ``repro.testbeds``, ``repro.Trial`` etc. resolve on first touch.
     """
-    lazy = {
-        "net",
-        "timing",
-        "replay",
-        "generators",
-        "testbeds",
-        "analysis",
-        "experiments",
-        "parallel",
-        "viz",
-    }
-    if name in lazy:
-        import importlib
+    import importlib
 
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _SUBPACKAGES:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in __all__:
+        value = getattr(importlib.import_module(".core", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

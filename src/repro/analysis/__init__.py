@@ -16,10 +16,9 @@ from .stability import (
     OutlierScreen,
     StabilityDecision,
     ci_half_width,
-    environment_stability,
     minimal_runs_mean,
     screen_outliers,
-    seed_sweep_parallel,
+    stability_screen,
     stability_seed_plan,
 )
 from .stats import SeedSweepResult, bootstrap_ci, seed_sweep
@@ -68,13 +67,12 @@ __all__ = [
     "bootstrap_ci",
     "seed_sweep",
     "SeedSweepResult",
-    "seed_sweep_parallel",
     "screen_outliers",
     "OutlierScreen",
     "minimal_runs_mean",
     "ci_half_width",
     "StabilityDecision",
-    "environment_stability",
+    "stability_screen",
     "EnvironmentStability",
     "stability_seed_plan",
     "balanced_scaling",

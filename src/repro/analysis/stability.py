@@ -11,12 +11,6 @@ interval is tight enough to defend.
 This module promotes the :mod:`repro.analysis.stats` bootstrap machinery
 into that default reporting path:
 
-* :func:`seed_sweep_parallel` — the pool-parallel twin of
-  :func:`repro.analysis.stats.seed_sweep`: per-seed sessions fan out over
-  the persistent worker pool through the sweep coordinator
-  (:func:`repro.sweep.coordinator.run_sweep`), so results are
-  store-cacheable and **bit-identical** to the serial loop
-  (pinned by ``tests/test_stability_differential.py``);
 * :func:`screen_outliers` — MAD-based outlier screening (the modified
   z-score of Iglewicz & Hoaglin, PASTRAMI's robust screen).  Outliers are
   **flagged and reported, never silently dropped**: every row names the
@@ -24,12 +18,17 @@ into that default reporting path:
 * :func:`minimal_runs_mean` — the sequential minimal-runs estimator:
   draw sessions until the bootstrap CI half-width of the mean is ≤ ε
   (default 0.005, the κ resolution the paper's comparisons need) or a
-  run cap is hit.  :func:`repro.sweep.coordinator.run_adaptive_sweep`
-  applies the same rule to real environments on the pool;
-* :func:`environment_stability` — the per-environment driver behind
-  ``repro stability``, ``table2(ci=True)`` and the CI-aware validation
-  tolerances: distributions, screen, decision and interval columns
-  (``kappa_ci_low/high``, ``n_eff``, ``outliers``) in one result.
+  run cap is hit;
+* :func:`stability_screen` — the one driver behind ``repro stability``,
+  ``table2(ci=True)`` and the CI-aware validation tolerances.  Every
+  environment's seeded sessions are sweep units
+  (:func:`repro.sweep.coordinator.run_sweep`), so they are
+  store-cacheable and **bit-identical** to the serial
+  :func:`repro.analysis.stats.seed_sweep` loop (pinned by
+  ``tests/test_stability_differential.py``); with ``eps > 0`` each
+  environment grows through :func:`minimal_runs_mean`.  The result
+  carries distributions, screen, decision and interval columns
+  (``kappa_ci_low/high``, ``n_eff``, ``outliers``).
 
 Calibration, not just coverage: the statistical claims here are tested as
 *statistics* — ``tests/test_stability_calibration.py`` pins the bootstrap
@@ -44,15 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from ..obs import metrics
 from ..obs.trace import span
-from .stats import SeedSweepResult, bootstrap_ci
-
-if TYPE_CHECKING:  # import cycle: testbeds.base -> replay -> analysis
-    from ..core.report import RunSeriesReport
-    from ..testbeds.profiles import EnvironmentProfile
+from .stats import bootstrap_ci
 
 __all__ = [
     "OutlierScreen",
@@ -60,9 +53,8 @@ __all__ = [
     "StabilityDecision",
     "ci_half_width",
     "minimal_runs_mean",
-    "seed_sweep_parallel",
     "EnvironmentStability",
-    "environment_stability",
+    "stability_screen",
     "stability_seed_plan",
     "stability_document",
     "write_stability_report",
@@ -78,6 +70,9 @@ STABILITY_REPORT_SCHEMA = 1
 #: well-separated pair of Table-2 environments (the closest distinct
 #: paper κ gap is ~0.01).
 DEFAULT_EPSILON = 0.005
+
+#: Confidence level of every interval a screen reports.
+CONFIDENCE = 0.95
 
 #: Default modified-z threshold; 3.5 is the Iglewicz–Hoaglin
 #: recommendation PASTRAMI's screening follows.
@@ -244,7 +239,7 @@ def minimal_runs_mean(
     return np.asarray(values), decision
 
 
-# -- the pool-parallel seed sweep ------------------------------------------
+# -- the stability screen --------------------------------------------------
 
 def stability_seed_plan(base_seed: int, count: int) -> tuple[int, ...]:
     """The seed list a stability screen derives from a scenario's seed.
@@ -266,55 +261,6 @@ def _series_values(reports, component: str) -> np.ndarray:
     return np.asarray([rep.values(component).mean() for rep in reports])
 
 
-def seed_sweep_parallel(
-    profile: "EnvironmentProfile",
-    seeds,
-    *,
-    n_runs: int = 3,
-    jobs: int | None = None,
-    store=None,
-    resume: bool = True,
-) -> SeedSweepResult:
-    """The pool-parallel (and store-cacheable) twin of :func:`seed_sweep`.
-
-    Each seed's session — record, ``n_runs`` replays, Section-3 analysis —
-    is one independent work unit fanned out over the persistent worker
-    pool via the sweep coordinator; ``store`` (an
-    :class:`repro.sweep.ArtifactStore` or ``None``) makes the sessions
-    durable under the same content digests ``repro sweep`` uses.  The
-    returned :class:`~repro.analysis.stats.SeedSweepResult` is
-    **bit-identical** to the serial loop's at any job count, cold or warm
-    (``tests/test_stability_differential.py``).
-
-    Unlike the serial path this one requires a store-canonicalizable
-    profile (no custom ``workload`` callables) — the same restriction
-    ``repro sweep`` carries, because the fan-out rides its work units.
-    """
-    from ..sweep.coordinator import plan_unit, run_sweep
-
-    seeds = tuple(int(s) for s in seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    plan = [plan_unit(profile.name, profile, s, n_runs) for s in seeds]
-    with span(
-        "stability.seed_sweep",
-        environment=profile.name,
-        n_seeds=len(seeds),
-        n_runs=n_runs,
-    ):
-        result = run_sweep(plan, store, jobs=jobs, resume=resume)
-    metrics.counter("stability.seeds_computed").add(len(seeds))
-    return SeedSweepResult(
-        environment=profile.name,
-        seeds=seeds,
-        kappa=_series_values(result.series, "kappa"),
-        i_values=_series_values(result.series, "I"),
-        l_values=_series_values(result.series, "L"),
-    )
-
-
-# -- the per-environment stability driver ----------------------------------
-
 @dataclass(frozen=True)
 class EnvironmentStability:
     """One environment's κ distribution, screen and stopping decision."""
@@ -332,7 +278,6 @@ class EnvironmentStability:
     screen: OutlierScreen
     #: The sequential stopping decision (``eps=0``: screening-only).
     decision: StabilityDecision
-    confidence: float
 
     @property
     def n_eff(self) -> int:
@@ -347,17 +292,7 @@ class EnvironmentStability:
 
     def interval(self) -> tuple[float, float, float]:
         """``(low, mean, high)`` over the screened κ sample."""
-        return bootstrap_ci(self.screen.kept(), confidence=self.confidence)
-
-    def sweep_result(self) -> SeedSweepResult:
-        """The plain seed-sweep view (for diffing against the serial path)."""
-        return SeedSweepResult(
-            environment=self.environment,
-            seeds=self.seeds,
-            kappa=self.kappa,
-            i_values=self.i_values,
-            l_values=self.l_values,
-        )
+        return bootstrap_ci(self.screen.kept(), confidence=CONFIDENCE)
 
     def row(self) -> dict:
         """The interval-bearing Table-2-style row."""
@@ -392,7 +327,7 @@ class EnvironmentStability:
             "kappa_ci_low": float(lo),
             "kappa_ci_high": float(hi),
             "kappa_spread": float(self.kappa.max() - self.kappa.min()),
-            "confidence": float(self.confidence),
+            "confidence": float(CONFIDENCE),
             "n_eff": int(self.n_eff),
             "outlier_seeds": [int(s) for s in self.outlier_seeds()],
             "stopped": bool(self.decision.stopped),
@@ -402,82 +337,126 @@ class EnvironmentStability:
         }
 
 
-def environment_stability(
-    profile: "EnvironmentProfile",
+def stability_screen(
+    environments,
     *,
-    seeds=None,
     n_runs: int = 3,
     jobs: int | None = None,
     store=None,
-    resume: bool = True,
     eps: float = 0.0,
     max_seeds: int = 12,
-    batch: int | None = None,
-    confidence: float = 0.95,
-    outlier_threshold: float = DEFAULT_OUTLIER_THRESHOLD,
-) -> EnvironmentStability:
-    """Screen one environment's κ stability over many seeded sessions.
+) -> list[EnvironmentStability]:
+    """Screen the κ stability of several environments over seeded sessions.
 
-    ``eps=0`` (the default) evaluates exactly the given ``seeds`` (default:
-    four consecutive seeds from 0) and reports distribution + screen.
-    ``eps>0`` turns on the sequential rule: after the initial seeds, new
-    sessions are appended — ``batch`` at a time, pool-parallel, via
-    :func:`repro.sweep.coordinator.run_adaptive_sweep` — until the κ CI
-    half-width is ≤ ``eps`` or ``max_seeds`` sessions have run.
+    ``environments`` lists ``(name, profile, seeds)`` triples; each seed
+    is one session (record, ``n_runs`` replays, Section-3 analysis) and
+    one sweep unit, cached in ``store`` under the digest ``repro sweep``
+    uses, so a profile must be store-canonicalizable (no custom
+    ``workload`` callables), as for ``repro sweep``.  The initial seeds
+    of every environment resolve as one sweep plan, fanned out over
+    ``jobs`` workers.
+
+    ``eps=0`` (the default) reports exactly those seeds.  ``eps>0`` runs
+    each environment through :func:`minimal_runs_mean`: new seeds
+    (``max(seeds) + 1`` onward) are appended until the κ CI half-width is
+    ≤ ``eps`` or ``max_seeds`` sessions have run.  The rule is checked
+    after every seed, in seed order; a miss fetches the next ``jobs``
+    seeds in one sweep, and units computed past the stopping point stay
+    in the store but out of the result.  The result is therefore the same
+    at any job count, cold or warm.
 
     The screen (:func:`screen_outliers`) runs over the final per-seed κ
     means; flagged seeds are excluded from the headline interval but stay
-    in every reported distribution.
+    in every reported distribution.  Results come back in request order.
     """
-    from ..sweep.coordinator import run_adaptive_sweep
+    from ..parallel.pool import resolve_jobs
+    from ..sweep.coordinator import plan_unit, run_sweep
 
-    if seeds is None:
-        seeds = stability_seed_plan(0, 4)
-    seeds = tuple(int(s) for s in seeds)
-    with span(
-        "stability.environment",
-        environment=profile.name,
-        n_seeds=len(seeds),
-        eps=eps,
-    ):
-        adaptive = run_adaptive_sweep(
-            profile.name,
-            profile,
-            initial_seeds=seeds,
-            n_runs=n_runs,
-            eps=eps,
-            max_seeds=max_seeds,
-            batch=batch,
-            store=store,
-            jobs=jobs,
-            resume=resume,
-            confidence=confidence,
+    environments = [
+        (name, profile, tuple(int(s) for s in seeds))
+        for name, profile, seeds in environments
+    ]
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
+    for name, _, seeds in environments:
+        if not seeds:
+            raise ValueError(
+                f"{name}: need at least one seed (the initial seed list is empty)"
+            )
+        if eps > 0 and len(seeds) < 3:
+            raise ValueError(
+                f"{name}: adaptive mode needs >= 3 initial seeds (below "
+                "that the bootstrap interval degenerates to the sample range)"
+            )
+    jobs = resolve_jobs(jobs)
+
+    def sweep(units) -> list:
+        return list(run_sweep(units, store, jobs=jobs).series)
+
+    def extend(name, profile, seeds, series):
+        """Grow one environment through the stopping rule, seed by seed."""
+        seeds, series = list(seeds), list(series)
+        max_runs = max(int(max_seeds), len(seeds))
+
+        def draw(k: int) -> float:
+            if k >= len(series):
+                start = max(seeds) + 1
+                new = range(start, start + min(jobs, max_runs - k))
+                series.extend(
+                    sweep([plan_unit(name, profile, s, n_runs) for s in new])
+                )
+                seeds.extend(new)
+            return series[k].values("kappa").mean()
+
+        _, decision = minimal_runs_mean(
+            draw, eps=eps, min_runs=len(seeds), max_runs=max_runs
         )
-        screen = screen_outliers(adaptive.values, threshold=outlier_threshold)
-    metrics.counter("stability.environments").add()
-    if screen.n_flagged:
-        metrics.counter("stability.outliers_flagged").add(screen.n_flagged)
-    all_seeds = tuple(u.seed for u in adaptive.plan)
-    decision = StabilityDecision(
-        stopped=adaptive.stopped,
-        n_used=len(all_seeds),
-        half_width=adaptive.half_width,
-        eps=eps,
-        history=adaptive.history,
-    )
-    return EnvironmentStability(
-        environment=profile.name,
-        seeds=all_seeds,
-        n_runs=n_runs,
-        kappa=adaptive.values,
-        u_values=_series_values(adaptive.series, "U"),
-        o_values=_series_values(adaptive.series, "O"),
-        i_values=_series_values(adaptive.series, "I"),
-        l_values=_series_values(adaptive.series, "L"),
-        screen=screen,
-        decision=decision,
-        confidence=confidence,
-    )
+        n = decision.n_used
+        return tuple(seeds[:n]), series[:n], decision
+
+    reports = iter(sweep([
+        plan_unit(name, profile, s, n_runs)
+        for name, profile, seeds in environments
+        for s in seeds
+    ]))
+    results = []
+    for name, profile, seeds in environments:
+        series = [next(reports) for _ in seeds]
+        with span(
+            "stability.environment",
+            environment=profile.name,
+            n_seeds=len(seeds),
+            eps=eps,
+        ):
+            if eps > 0:
+                seeds, series, decision = extend(name, profile, seeds, series)
+            kappa = _series_values(series, "kappa")
+            if eps == 0:
+                hw = ci_half_width(kappa)
+                decision = StabilityDecision(
+                    stopped=False,
+                    n_used=len(seeds),
+                    half_width=hw,
+                    eps=eps,
+                    history=(hw,),
+                )
+            screen = screen_outliers(kappa)
+        metrics.counter("stability.environments").add()
+        if screen.n_flagged:
+            metrics.counter("stability.outliers_flagged").add(screen.n_flagged)
+        results.append(EnvironmentStability(
+            environment=profile.name,
+            seeds=seeds,
+            n_runs=n_runs,
+            kappa=kappa,
+            u_values=_series_values(series, "U"),
+            o_values=_series_values(series, "O"),
+            i_values=_series_values(series, "I"),
+            l_values=_series_values(series, "L"),
+            screen=screen,
+            decision=decision,
+        ))
+    return results
 
 
 # -- the machine-readable report -------------------------------------------

@@ -490,8 +490,8 @@ def _cmd_stability(args) -> int:
     import time
 
     from .analysis.stability import (
-        environment_stability,
         stability_document,
+        stability_screen,
         stability_seed_plan,
         write_stability_report,
     )
@@ -528,30 +528,31 @@ def _cmd_stability(args) -> int:
         file=sys.stderr,
     )
     t_start = time.perf_counter()
-    blocks = []
-    rows = []
     try:
-        for sc in scenarios:
-            env_seeds = seeds if seeds else stability_seed_plan(sc.seed, 4)
-            st = environment_stability(
-                sc.profile(scale),
-                seeds=env_seeds,
-                n_runs=args.runs,
-                jobs=args.jobs,
-                store=store,
-                eps=args.eps,
-                max_seeds=args.max_runs,
-            )
-            blocks.append((sc.key, st))
-            row = dict(st.row(), scenario=sc.key, n_seeds=len(st.seeds))
-            row["stopped"] = (
-                ("yes" if st.decision.stopped else "cap") if args.eps > 0
-                else "-"
-            )
-            rows.append(row)
+        results = stability_screen(
+            [
+                (sc.key, sc.profile(scale),
+                 seeds if seeds else stability_seed_plan(sc.seed, 4))
+                for sc in scenarios
+            ],
+            n_runs=args.runs,
+            jobs=args.jobs,
+            store=store,
+            eps=args.eps,
+            max_seeds=args.max_runs,
+        )
     except ValueError as exc:
         print(f"stability: {exc}", file=sys.stderr)
         return 2
+    blocks = [(sc.key, st) for sc, st in zip(scenarios, results)]
+    rows = []
+    for key, st in blocks:
+        row = dict(st.row(), scenario=key, n_seeds=len(st.seeds))
+        row["stopped"] = (
+            ("yes" if st.decision.stopped else "cap") if args.eps > 0
+            else "-"
+        )
+        rows.append(row)
     print(render_metric_rows(rows, columns=[
         "scenario", "n_seeds", "n_eff", "kappa", "kappa_ci_low",
         "kappa_ci_high", "kappa_spread", "outliers", "stopped",
@@ -684,10 +685,12 @@ def main(argv: list[str] | None = None) -> int:
     final counter sample and closes, then the stats are printed, and the
     metrics server (which only ever reads snapshots) goes down last.
     """
-    from .parallel.pool import shutdown_pool
-
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Imported after parsing: repro.parallel loads numpy, which --help and
+    # usage errors never need.
+    from .parallel.pool import shutdown_pool
+
     if getattr(args, "jobs", 0) is None:
         from .parallel.pool import default_jobs
 

@@ -43,6 +43,7 @@ __all__ = [
     "run_scenario",
     "run_scenarios",
     "run_scenario_trials",
+    "screen_scenarios",
     "analyze_trials",
     "configure_store",
     "persistent_store",
@@ -205,6 +206,36 @@ def run_scenarios(
 def run_scenario(key: str, **run_kwargs) -> RunSeriesReport:
     """One scenario's analysis report: :func:`run_scenarios` of one key."""
     return run_scenarios([key], **run_kwargs)[0]
+
+
+def screen_scenarios(
+    keys: list[str],
+    ci_seeds: int,
+    *,
+    duration_scale: float | None = None,
+    n_runs: int = 5,
+    jobs: int | None = None,
+) -> list:
+    """``ci_seeds``-session stability screens of several scenarios.
+
+    Seed k of a screen is the scenario's seed + k, so seed 0 is the
+    series the point-estimate drivers consume.  Every session of every
+    screen resolves as one sweep through the persistent store
+    (:func:`repro.analysis.stability.stability_screen`); results come
+    back in ``keys`` order.
+    """
+    from ..analysis.stability import stability_screen, stability_seed_plan
+
+    scale = duration_scale if duration_scale is not None else _default_scale()
+    return stability_screen(
+        [
+            (sc.key, sc.profile(scale), stability_seed_plan(sc.seed, ci_seeds))
+            for sc in map(scenario, keys)
+        ],
+        n_runs=n_runs,
+        jobs=jobs,
+        store=persistent_store(),
+    )
 
 
 def _default_scale() -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ..analysis.tables import render_table1, table1_rows
 from ..analysis.textplot import render_metric_rows
-from .runner import persistent_store, run_scenario, run_scenarios
+from .runner import run_scenario, run_scenarios, screen_scenarios
 from .scenarios import SCENARIOS
 
 __all__ = [
@@ -44,23 +44,6 @@ def render_table1_text(**run_kwargs) -> str:
     return render_table1(run_scenario("local-dual", **run_kwargs))
 
 
-def _stability_row(sc, ci_seeds: int, run_kwargs: dict) -> dict:
-    """One environment's interval-bearing row via the stability screen."""
-    from ..analysis.stability import environment_stability, stability_seed_plan
-    from .scenarios import default_duration_scale
-
-    scale = run_kwargs.get("duration_scale")
-    scale = default_duration_scale() if scale is None else scale
-    st = environment_stability(
-        sc.profile(scale),
-        seeds=stability_seed_plan(sc.seed, ci_seeds),
-        n_runs=run_kwargs.get("n_runs", 5),
-        jobs=run_kwargs.get("jobs"),
-        store=persistent_store(),
-    )
-    return st.row()
-
-
 def table2(
     *,
     with_paper: bool = True,
@@ -75,20 +58,18 @@ def table2(
     ``ci=True`` replaces each point estimate with a ``ci_seeds``-session
     stability screen: κ becomes the screened mean and every row gains the
     interval columns (:data:`TABLE2_CI_COLUMNS`).  Screens reuse the
-    persistent series store when one is configured, and fan out across
-    ``jobs`` like every other driver; the point estimates resolve all
-    nine series in one sweep, so ``jobs`` fans out nine units.
+    persistent series store when one is configured.  Either way every
+    series resolves in one sweep, so ``jobs`` fans out nine units (nine
+    times ``ci_seeds`` with ``ci=True``).
     """
     if ci_seeds < 1:
         raise ValueError("ci_seeds must be >= 1")
-    if not ci:
-        reports = run_scenarios([sc.key for sc in SCENARIOS], **run_kwargs)
-    rows = []
-    for i, sc in enumerate(SCENARIOS):
-        if ci:
-            row = _stability_row(sc, ci_seeds, run_kwargs)
-        else:
-            row = reports[i].mean_row()
+    keys = [sc.key for sc in SCENARIOS]
+    if ci:
+        rows = [st.row() for st in screen_scenarios(keys, ci_seeds, **run_kwargs)]
+    else:
+        rows = [rep.mean_row() for rep in run_scenarios(keys, **run_kwargs)]
+    for sc, row in zip(SCENARIOS, rows):
         if with_paper:
             row.update(
                 paper_U=sc.paper.u,
@@ -97,7 +78,6 @@ def table2(
                 paper_L=sc.paper.l,
                 paper_kappa=sc.paper.kappa,
             )
-        rows.append(row)
     return rows
 
 

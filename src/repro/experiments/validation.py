@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .runner import run_scenarios
+from .runner import run_scenarios, screen_scenarios
 from .scenarios import SCENARIOS, Scenario
 
 __all__ = ["ScenarioVerdict", "ValidationResult", "validate_against_paper"]
@@ -174,23 +174,6 @@ def _check_one(
     )
 
 
-def _scenario_stability(sc: Scenario, ci_seeds: int, run_kwargs: dict):
-    """The ``ci_seeds``-session stability screen grading one scenario."""
-    from ..analysis.stability import environment_stability, stability_seed_plan
-    from .runner import persistent_store
-    from .scenarios import default_duration_scale
-
-    scale = run_kwargs.get("duration_scale")
-    scale = default_duration_scale() if scale is None else scale
-    return environment_stability(
-        sc.profile(scale),
-        seeds=stability_seed_plan(sc.seed, ci_seeds),
-        n_runs=run_kwargs.get("n_runs", 5),
-        jobs=run_kwargs.get("jobs"),
-        store=persistent_store(),
-    )
-
-
 def validate_against_paper(
     *,
     kappa_abs_tol: float = 0.08,
@@ -221,15 +204,19 @@ def validate_against_paper(
             f"validation needs duration_scale >= 0.05 (got {scale}); "
             "the dual-replayer offsets do not shrink with the window"
         )
-    if not ci:
-        reports = run_scenarios([sc.key for sc in SCENARIOS], **run_kwargs)
+    keys = [sc.key for sc in SCENARIOS]
+    if ci:
+        screens = screen_scenarios(keys, ci_seeds, **run_kwargs)
+        reports = [None] * len(keys)
+    else:
+        screens = [None] * len(keys)
+        reports = run_scenarios(keys, **run_kwargs)
     verdicts = []
     measured_k = {}
-    for n, sc in enumerate(SCENARIOS):
+    for sc, stability, report in zip(SCENARIOS, screens, reports):
         verdict, k = _check_one(
             sc, kappa_abs_tol=kappa_abs_tol, i_rel_tol=i_rel_tol,
-            stability=_scenario_stability(sc, ci_seeds, run_kwargs) if ci else None,
-            report=None if ci else reports[n],
+            stability=stability, report=report,
         )
         verdicts.append(verdict)
         measured_k[sc.key] = k

@@ -21,7 +21,7 @@ from ..core.report import RunSeriesReport, compare_series, compare_trials, label
 from ..core.trial import Trial
 from ..obs import metrics
 from ..obs.trace import span
-from .pool import default_jobs, fan_out
+from .pool import fan_out, resolve_jobs
 from .shm import ShmArena, attach_view, detach_all
 
 __all__ = ["compare_series_parallel"]
@@ -58,9 +58,7 @@ def compare_series_parallel(
     honors ``REPRO_JOBS``.  Runs serially, with no pool, when ``jobs=1``
     or the series has a single pair.
     """
-    jobs = default_jobs() if jobs is None else int(jobs)
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    jobs = resolve_jobs(jobs)
     if jobs == 1 or len(trials) <= 2:
         return compare_series(trials, environment=environment, bins=bins)
     baseline, *runs = label_series(trials)

@@ -68,6 +68,7 @@ from ..obs.worker import absorb, run_task
 
 __all__ = [
     "default_jobs",
+    "resolve_jobs",
     "get_pool",
     "shutdown_pool",
     "pool_stats",
@@ -149,6 +150,14 @@ def default_jobs() -> int:
         jobs = 0
     if jobs < 1:
         raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {raw!r}")
+    return jobs
+
+
+def resolve_jobs(jobs: int | None) -> int:
+    """``jobs``, or :func:`default_jobs` when ``None``; below 1 raises."""
+    jobs = default_jobs() if jobs is None else int(jobs)
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     return jobs
 
 

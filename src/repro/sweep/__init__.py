@@ -30,13 +30,11 @@ runner resolves the series it needs as one sweep.  See
 
 from .coordinator import (
     SWEEP_REPORT_SCHEMA,
-    AdaptiveSweepResult,
     SweepResult,
     SweepUnit,
     plan_from_scenarios,
     plan_unit,
     render_sweep_summary,
-    run_adaptive_sweep,
     run_sweep,
     write_sweep_report,
 )
@@ -60,11 +58,9 @@ __all__ = [
     "ANALYSIS_VERSION",
     "SweepUnit",
     "SweepResult",
-    "AdaptiveSweepResult",
     "plan_unit",
     "plan_from_scenarios",
     "run_sweep",
-    "run_adaptive_sweep",
     "write_sweep_report",
     "render_sweep_summary",
     "SWEEP_REPORT_SCHEMA",

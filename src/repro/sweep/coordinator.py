@@ -51,7 +51,7 @@ from ..core.trial import Trial
 from ..obs import metrics
 from ..obs.export import host_context
 from ..obs.trace import span
-from ..parallel.pool import default_jobs, fan_out
+from ..parallel.pool import fan_out, resolve_jobs
 from ..testbeds.base import Testbed
 from ..testbeds.profiles import EnvironmentProfile
 from .store import ArtifactStore, compute_digest, digest_key_doc
@@ -59,11 +59,9 @@ from .store import ArtifactStore, compute_digest, digest_key_doc
 __all__ = [
     "SweepUnit",
     "SweepResult",
-    "AdaptiveSweepResult",
     "plan_unit",
     "plan_from_scenarios",
     "run_sweep",
-    "run_adaptive_sweep",
     "write_sweep_report",
     "render_sweep_summary",
     "SWEEP_REPORT_SCHEMA",
@@ -162,14 +160,6 @@ def _compute_unit(task: tuple) -> tuple[list[Trial], RunSeriesReport]:
 
 # -- the orchestrator ------------------------------------------------------
 
-def _resolve_jobs(jobs: int | None) -> int:
-    """``jobs``, or ``REPRO_JOBS`` when ``None``; below 1 is an error."""
-    jobs = default_jobs() if jobs is None else int(jobs)
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    return jobs
-
-
 def run_sweep(
     plan: list[SweepUnit],
     store: ArtifactStore | None = None,
@@ -189,7 +179,7 @@ def run_sweep(
     Duplicate digests in the plan (the same cell listed twice) compute at
     most once; every occurrence receives the identical result.
     """
-    jobs = _resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs)
     t_start = time.perf_counter()
     per_stage: dict[str, float] = {}
     # Progress gauges for the live observation channel (/metrics, counter
@@ -315,133 +305,6 @@ def run_sweep(
         series=tuple(results[u.digest][1] for u in plan),
         outcomes=outcome_list,
         trials=tuple(results[u.digest][0] for u in plan),
-    )
-
-
-# -- the sequential stopping rule ------------------------------------------
-
-@dataclass(frozen=True)
-class AdaptiveSweepResult:
-    """A sweep grown seed-by-seed until its estimate stabilized (or a cap).
-
-    The coordinator-level face of the PASTRAMI-style minimal-runs
-    estimator (:mod:`repro.analysis.stability`): the plan is not fixed up
-    front but extended in batches until the bootstrap CI half-width of the
-    per-seed metric means is at most ``eps``.
-    """
-
-    #: Every unit evaluated, in seed order (initial seeds, then extensions).
-    plan: tuple[SweepUnit, ...]
-    #: Per-unit series reports, in plan order.
-    series: tuple["RunSeriesReport", ...]
-    #: Per-unit cache outcome, in plan order.
-    outcomes: tuple[str, ...]
-    #: Per-seed session means of the stopping metric, in plan order.
-    values: "np.ndarray"
-    #: The half-width target (0 = fixed plan, no extension).
-    eps: float
-    #: True when the target was reached before ``max_seeds``.
-    stopped: bool
-    #: Final CI half-width.
-    half_width: float
-    #: Half-width after each batch — the convergence trace.
-    history: tuple[float, ...]
-
-
-def run_adaptive_sweep(
-    name: str,
-    profile: EnvironmentProfile,
-    *,
-    initial_seeds,
-    n_runs: int = 3,
-    eps: float = 0.0,
-    max_seeds: int = 12,
-    batch: int | None = None,
-    store: ArtifactStore | None = None,
-    jobs: int | None = None,
-    resume: bool = True,
-    confidence: float = 0.95,
-    metric: str = "kappa",
-) -> AdaptiveSweepResult:
-    """Sweep seeds for one environment until the metric's CI is tight.
-
-    Runs :func:`run_sweep` over ``initial_seeds``, then — while ``eps > 0``
-    and the bootstrap CI half-width of the per-seed ``metric`` means
-    exceeds ``eps`` — extends the plan with fresh consecutive seeds
-    (``max(seeds) + 1`` onward), ``batch`` at a time (default: the job
-    count, so each extension fills the pool), up to ``max_seeds`` total.
-    Every batch goes through the same store/pool machinery as a fixed
-    sweep, so a warm store replays the whole adaptive trajectory from
-    cache and a killed screen resumes where it stopped.  ``jobs`` below 1
-    raises ``ValueError``, as in :func:`run_sweep`.
-
-    ``eps=0`` degenerates to a fixed sweep plus one half-width
-    measurement — the fixed-N baseline the stopping rule is graded
-    against (``benchmarks/bench_stability.py``).
-    """
-    import numpy as np
-
-    from ..analysis.stability import ci_half_width
-
-    seeds = [int(s) for s in initial_seeds]
-    if not seeds:
-        raise ValueError("need at least one initial seed")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if eps > 0 and len(seeds) < 3:
-        raise ValueError(
-            "adaptive mode needs >= 3 initial seeds (below that the "
-            "bootstrap interval degenerates to the sample range)"
-        )
-    max_seeds = max(int(max_seeds), len(seeds))
-    jobs = _resolve_jobs(jobs)
-    batch = jobs if batch is None else max(1, int(batch))
-
-    plan: list[SweepUnit] = []
-    series: list = []
-    outcomes: list[str] = []
-    history: list[float] = []
-    stopped = False
-    pending = seeds
-    with span(
-        "sweep.adaptive",
-        environment=profile.name,
-        eps=eps,
-        max_seeds=max_seeds,
-    ):
-        while True:
-            units = [plan_unit(name, profile, s, n_runs) for s in pending]
-            result = run_sweep(units, store, jobs=jobs, resume=resume)
-            plan.extend(units)
-            series.extend(result.series)
-            outcomes.extend(result.outcomes)
-            metrics.counter("sweep.adaptive_batches").add()
-            values = np.asarray(
-                [rep.values(metric).mean() for rep in series]
-            )
-            hw = ci_half_width(values, confidence=confidence)
-            history.append(hw)
-            if eps > 0 and hw <= eps:
-                stopped = True
-                metrics.counter("sweep.adaptive_early_stops").add()
-                break
-            if eps <= 0:
-                break
-            if len(plan) >= max_seeds:
-                metrics.counter("sweep.adaptive_cap_hits").add()
-                break
-            next_seed = max(u.seed for u in plan) + 1
-            n_new = min(batch, max_seeds - len(plan))
-            pending = list(range(next_seed, next_seed + n_new))
-    return AdaptiveSweepResult(
-        plan=tuple(plan),
-        series=tuple(series),
-        outcomes=tuple(outcomes),
-        values=values,
-        eps=eps,
-        stopped=stopped,
-        half_width=history[-1],
-        history=tuple(history),
     )
 
 

@@ -71,10 +71,10 @@ class RunArtifacts:
     n_stalls: int
     freq_errors_ppm: tuple[float, ...]
     start_offsets_ns: tuple[float, ...]
-    #: Spawn key of the run's :class:`~numpy.random.SeedSequence` (empty
-    #: for legacy callers that drive :meth:`Testbed.run_one` directly).
-    #: Together with the testbed seed it identifies the run's random
-    #: stream exactly — the provenance the differential suite pins.
+    #: Spawn key of the run's :class:`~numpy.random.SeedSequence`, set by
+    #: :func:`simulate_run`.  Together with the testbed seed it identifies
+    #: the run's random stream exactly — the provenance the differential
+    #: suite pins.
     seed_key: tuple[int, ...] = ()
 
 
@@ -167,7 +167,7 @@ def _replay_once(
     rng: np.random.Generator,
     label: str = "",
 ) -> RunArtifacts:
-    """Phase 3-4 for a single run (shared by legacy and seeded drivers)."""
+    """Phase 3-4 for a single run: replay through every layer to the capture."""
     p = profile
     ptp.synchronize_all()
 
@@ -239,9 +239,6 @@ class Testbed:
     _series_count: int = field(init=False, default=0, repr=False)
 
     # ------------------------------------------------------------------
-    def _build_nodes(self) -> list[ChoirNode]:
-        return build_nodes(self.profile)
-
     def _record_all(
         self, nodes: list[ChoirNode], rng: np.random.Generator
     ) -> None:
@@ -255,14 +252,6 @@ class Testbed:
         ingress_link = Link(rate_bps=p.tx_nic.rate_bps, propagation_ns=500.0)
         for node, sub in zip(nodes, substreams):
             node.record(ingress_link.traverse(sub), rng)
-
-    # ------------------------------------------------------------------
-    def run_one(
-        self, nodes: list[ChoirNode], ptp: PTPDomain, rng: np.random.Generator,
-        label: str = "",
-    ) -> RunArtifacts:
-        """Phase 3-4 for a single run (caller-managed nodes/PTP/rng)."""
-        return _replay_once(self.profile, nodes, ptp, rng, label)
 
     # ------------------------------------------------------------------
     def run_series(
@@ -288,7 +277,7 @@ class Testbed:
         plan = series_seed_plan(self.seed, n_runs, series_index=self._series_count)
         self._series_count += 1
 
-        nodes = self._build_nodes()
+        nodes = build_nodes(self.profile)
         with trace.span(
             "testbed.record", environment=self.profile.name, n_runs=n_runs
         ):

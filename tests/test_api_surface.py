@@ -95,6 +95,26 @@ class TestImportWeight:
         mods = loaded_modules(["repro.sweep.coordinator"])
         assert not within(mods, ("repro.experiments", "repro.analysis", "networkx"))
 
+    def test_help_and_usage_errors_load_no_numpy(self):
+        """``repro --help`` and argparse usage errors exit before anything
+        that needs numpy is imported."""
+        code = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "for argv in (['--help'], ['stability', '--jobs', '0']):\n"
+            "    try:\n"
+            "        main(argv)\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_no_package_loads_networkx_or_scipy(self):
         mods = loaded_modules(SUBPACKAGES + ["repro.cli", "repro.sweep"])
         assert not within(mods, ("networkx", "scipy"))

@@ -6,7 +6,8 @@ old pool-per-series churn; these tests make it a *tested property*:
 * lazy creation — importing, or running any serial path, creates nothing;
 * reuse — the sweep-unit fan-out and the whole-pair engine draw from
   the same executor within one invocation (``created_total`` moves by
-  one), and ``table2`` fans its nine series out as nine units on it;
+  one), ``table2`` fans its nine series out as nine units on it, and
+  ``table2(ci=True)`` all nine screens' sessions in one sweep;
 * teardown — ``pool_scope`` and the CLI drain the pool on normal exit
   *and* on error paths (the leak the old per-comparator pools had);
 * failure containment — a raising worker task doesn't poison the pool,
@@ -137,6 +138,21 @@ class TestReuse:
         remote = [s for s in sink.spans if s.name == "sweep.unit.remote"]
         assert len(remote) == 9
         assert os.getpid() not in {s.pid for s in remote}
+
+    def test_table2_ci_fans_out_every_screen_unit_in_one_sweep(self):
+        """table2(ci=True) resolves all 9 x ci_seeds sessions as one sweep."""
+        from repro.experiments import runner, table2
+
+        runner.configure_store(None)
+        sink = trace.ListSink()
+        trace.enable(sink)
+        before = pool_stats().created_total
+        table2(ci=True, ci_seeds=2, jobs=2, duration_scale=0.02, n_runs=2)
+        assert pool_stats().created_total == before + 1
+        counters = metrics.REGISTRY.snapshot()["counters"]
+        assert counters["pool.tasks_submitted"] == 18
+        computes = [s for s in sink.spans if s.name == "sweep.compute"]
+        assert [s.attrs["n_units"] for s in computes] == [18]
 
     def test_same_executor_returned(self):
         assert get_pool(2) is get_pool(2)

@@ -24,7 +24,7 @@ import pytest
 
 from repro.parallel import fan_out, shutdown_pool
 from repro.testbeds import Testbed, local_dual_replayer
-from repro.testbeds.base import series_seed_plan, simulate_run
+from repro.testbeds.base import build_nodes, series_seed_plan, simulate_run
 
 from .test_sim_differential import assert_artifacts_equal
 
@@ -42,7 +42,7 @@ def _recorded(seed: int = 5):
     """One recording phase; returns (plan, recordings) for direct replays."""
     tb = Testbed(PROFILE, seed=seed)
     plan = series_seed_plan(seed, N_RUNS)
-    nodes = tb._build_nodes()
+    nodes = build_nodes(PROFILE)
     tb._record_all(nodes, np.random.default_rng(plan.record))
     return plan, [node.recording for node in nodes]
 

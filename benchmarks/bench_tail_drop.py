@@ -9,12 +9,17 @@ loop in ``tests/test_queueing.py``) on every captured call, asserting that
 the accepted masks and the departure-time bytes are identical.
 
 Reported per scale: ns per packet for both, the drop-free busy periods,
-the drops, and the share of packets served by the scalar steps between an
-at-risk arrival and the next regeneration point.  The table goes to
+the drops, the share of packets served by the scalar steps between an
+at-risk arrival and the next regeneration point, and how many calls the
+verified closed form solved (every drop-free solve of the call passed
+:func:`repro.net.queueing._satisfies_recurrence`, so none fell back to the
+busy-period sums; counted on an untimed call).  The table goes to
 ``benchmarks/out/tail_drop.txt``, the structured twin to ``tail_drop.json``.
 
-``REPRO_BENCH_SMOKE=1`` (CI) measures the small scale only and gates the
-production path at >= 2x faster than the oracle.
+``REPRO_BENCH_SMOKE=1`` (CI) measures the small scale only, gates the
+production path at >= 2x faster than the oracle, and requires the closed
+form to verify on every captured call, so shipped inputs that drift onto
+the fallback fail.
 """
 
 from __future__ import annotations
@@ -70,27 +75,36 @@ def _best_of(fn, *args) -> tuple[float, object]:
     return best, result
 
 
-def _scalar_packets(ready, service, capacity) -> int:
-    """Packets the production call serves in its scalar steps."""
-    spans = []
+def _inspect(ready, service, capacity) -> tuple[int, bool]:
+    """Packets the production call serves in its scalar steps, and whether
+    the verified closed form gave every drop-free solve of the call."""
+    spans, checks = [], []
     steps = queueing._scalar_steps
+    satisfies = queueing._satisfies_recurrence
 
     def counted(ready, service, done, accepted, a, f, end, cap):
         stop = steps(ready, service, done, accepted, a, f, end, cap)
         spans.append(stop - f)
         return stop
 
+    def checked(ready, service, done):
+        ok = satisfies(ready, service, done)
+        checks.append(ok)
+        return ok
+
     queueing._scalar_steps = counted
+    queueing._satisfies_recurrence = checked
     try:
         queueing.fifo_tail_drop(ready, service, capacity)
     finally:
         queueing._scalar_steps = steps
-    return sum(spans)
+        queueing._satisfies_recurrence = satisfies
+    return sum(spans), all(checks)
 
 
 def _measure(scale: float) -> dict:
     calls = _captured_calls(scale)
-    row = dict(calls=len(calls), packets=0, busy_periods=0, drops=0,
+    row = dict(calls=len(calls), verified=0, packets=0, busy_periods=0, drops=0,
                scalar_packets=0, oracle_s=0.0, production_s=0.0)
     for ready, service, capacity in calls:
         oracle_s, want = _best_of(reference_tail_drop, ready, service, capacity)
@@ -100,7 +114,9 @@ def _measure(scale: float) -> dict:
         row["packets"] += ready.size
         row["busy_periods"] += int(queueing._drop_free_departures(ready, service)[1].sum())
         row["drops"] += got.n_dropped
-        row["scalar_packets"] += _scalar_packets(ready, service, capacity)
+        scalar_packets, verified = _inspect(ready, service, capacity)
+        row["scalar_packets"] += scalar_packets
+        row["verified"] += verified
         row["oracle_s"] += oracle_s
         row["production_s"] += production_s
     return row
@@ -112,13 +128,13 @@ def test_tail_drop_speedup(once, emit, emit_json):
     lines = [
         f"{SCENARIO} shared-port tail drop, {N_RUNS} runs per scale, best of "
         f"{REPEATS} per call{' (smoke)' if SMOKE else ''}",
-        f"{'scale':>5s}  {'calls':>5s}  {'packets':>9s}  {'periods':>7s}  "
+        f"{'scale':>5s}  {'calls':>5s}  {'verified':>8s}  {'packets':>9s}  {'periods':>7s}  "
         f"{'drops':>5s}  {'scalar':>6s}  {'oracle':>10s}  {'production':>10s}  "
         f"{'speedup':>7s}",
     ]
     for scale, r in rows.items():
         lines.append(
-            f"{scale:5.2f}  {r['calls']:5d}  {r['packets']:9d}  "
+            f"{scale:5.2f}  {r['calls']:5d}  {r['verified']:8d}  {r['packets']:9d}  "
             f"{r['busy_periods']:7d}  {r['drops']:5d}  "
             f"{r['scalar_packets'] / r['packets']:6.1%}  "
             f"{r['oracle_s'] / r['packets'] * 1e9:7.1f} ns  "
@@ -127,8 +143,9 @@ def test_tail_drop_speedup(once, emit, emit_json):
         )
     lines.append("")
     lines.append(
-        "ns per packet; 'scalar' is the share of packets served one at a "
-        "time; accepted masks and departure bytes identical on every call"
+        "ns per packet; 'verified' counts calls solved by the verified closed "
+        "form; 'scalar' is the share of packets served one at a time; "
+        "accepted masks and departure bytes identical on every call"
     )
     emit("tail_drop", "\n".join(lines))
     emit_json(
@@ -141,8 +158,9 @@ def test_tail_drop_speedup(once, emit, emit_json):
             "repeats": REPEATS,
             "smoke": SMOKE,
             "streams": {
-                str(scale): {k: r[k] for k in ("calls", "packets", "busy_periods",
-                                               "drops", "scalar_packets")}
+                str(scale): {k: r[k] for k in ("calls", "verified", "packets",
+                                               "busy_periods", "drops",
+                                               "scalar_packets")}
                 for scale, r in rows.items()
             },
         },
@@ -156,6 +174,10 @@ def test_tail_drop_speedup(once, emit, emit_json):
 
     if SMOKE:
         for scale, r in rows.items():
+            assert r["verified"] == r["calls"], (
+                f"tail drop at scale {scale}: the closed form verified on only "
+                f"{r['verified']} of {r['calls']} calls"
+            )
             speedup = r["oracle_s"] / r["production_s"]
             assert speedup >= MIN_SPEEDUP, (
                 f"tail drop at scale {scale}: production only {speedup:.2f}x "

@@ -115,12 +115,17 @@ class PacketArray:
         Returns the merged batch and an int array identifying, per merged
         packet, which input batch it came from (for later extraction).
         Stable under ties: earlier-listed batches win, matching a
-        round-robin arbiter's bias toward its first port.
+        round-robin arbiter's bias toward its first port.  A single batch
+        is already in order: it comes back as a new batch (no ``meta``)
+        without a sort.
         """
         if not batches:
             return PacketArray(
                 np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64)
             ), np.empty(0, np.int64)
+        if len(batches) == 1:
+            (b,) = batches
+            return PacketArray(b.tags, b.sizes, b.times_ns), np.zeros(len(b), np.int64)
         tags = np.concatenate([b.tags for b in batches])
         sizes = np.concatenate([b.sizes for b in batches])
         times = np.concatenate([b.times_ns for b in batches])

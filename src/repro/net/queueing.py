@@ -22,14 +22,19 @@ because unrolling the recurrence shows every prefix maximum candidate is
 "packet j started service exactly at ready_j, everything after was
 back-to-back".  The inner maximum is a single ``np.maximum.accumulate``.
 
+The closed form rounds differently from the recurrence in general, but
+it is cheap to *check*: one vector pass tests every step of the recurrence
+on it, and a proposal that passes every step is the recurrence's result
+(:func:`_drop_free_departures`).
+
 Finite buffers (tail drop) break the closed form — whether packet *i* is
 dropped feeds back into every later departure.  :func:`fifo_tail_drop`
-stays exact by solving the drop-free departures exactly (left-to-right
-sums per busy period, checked to a fixed point), screening them for the
-arrivals that could find the queue full, and stepping packet by packet
-only from such an arrival to the next point where the queue has drained.
-Only contended shared-NIC scenarios take that path, and only for the
-queue in contention.
+stays exact by solving the drop-free departures exactly (the verified
+closed form, or left-to-right sums per busy period where a step fails),
+screening them for the arrivals that could find the queue full, and
+stepping packet by packet only from such an arrival to the next point
+where the queue has drained.  Only contended shared-NIC scenarios take
+that path, and only for the queue in contention.
 """
 
 from __future__ import annotations
@@ -103,8 +108,9 @@ def fifo_tail_drop(
     one at a time in arrival order, but only the stretches where the queue
     can overflow are stepped packet by packet:
 
-    1. the drop-free departures are solved exactly per busy period
-       (:func:`_drop_free_departures`);
+    1. the drop-free departures are solved exactly
+       (:func:`_drop_free_departures`: the closed form, verified step by
+       step, or summed per busy period where a step fails);
     2. departures are non-decreasing, so arrival *i* finds the queue full
        iff ``done[i - queue_capacity] > ready[i]`` — one vector compare,
        and every packet before the first such arrival is accepted;
@@ -184,27 +190,50 @@ def _drop_free_departures(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact infinite-buffer departures and busy-period starts.
 
-    The closed form :func:`fifo_departures` rounds differently from the
-    recurrence, so it only proposes the busy-period starts (``ready[i] >
-    done[i - 1]``; packet 0 always starts one).  Each period is then summed
-    left to right, ``ready[start] + service[start] + service[start+1] +
-    ...``, which are the recurrence's own additions in its own order, and
-    the starts are re-derived from those sums until they stop changing.
-    At that fixed point every step of the recurrence holds, so the result
-    is exact.  Each round fixes at least the first wrong start, so the
-    loop ends; in practice the closed form's guess is already the fixed
-    point.
+    The closed form :func:`fifo_departures` is a proposal, returned as it
+    is when :func:`_satisfies_recurrence` verifies it; it does whenever
+    the sums round alike, e.g. for whole-nanosecond services.
+
+    Where a step fails, the proposal only seeds the busy-period starts
+    (``ready[i] > done[i - 1]``; packet 0 always starts one).  Each period
+    is then summed left to right, ``ready[start] + service[start] +
+    service[start+1] + ...``, which are the recurrence's own additions in
+    its own order, and the starts are re-derived from those sums until
+    they stop changing.  At that fixed point every step of the recurrence
+    holds, so the result is exact.  Each round fixes at least the first
+    wrong start, so the loop ends.
     """
-    guess = fifo_departures(ready, service)
+    done = fifo_departures(ready, service)
     is_start = np.empty(ready.size, dtype=bool)
     is_start[0] = True
-    np.greater(ready[1:], guess[:-1], out=is_start[1:])
+    np.greater(ready[1:], done[:-1], out=is_start[1:])
+    if _satisfies_recurrence(ready, service, done):
+        return done, is_start
     while True:
         done = _busy_period_sums(ready, service, np.flatnonzero(is_start))
         rederived = ready[1:] > done[:-1]
         if np.array_equal(rederived, is_start[1:]):
             return done, is_start
         is_start[1:] = rederived
+
+
+def _satisfies_recurrence(
+    ready: np.ndarray, service: np.ndarray, done: np.ndarray
+) -> bool:
+    """Whether ``done`` is the FIFO recurrence's result, bit for bit.
+
+    One vector pass checks every step, ``done[0] == ready[0] + service[0]``
+    and ``maximum(ready[i], done[i - 1]) + service[i] == done[i]``.  By
+    induction on ``i``, a ``done`` that passes has the recurrence's
+    values.  Equal values have equal bits except for signed zeros, and
+    the departures are non-decreasing, so a positive first departure
+    rules those out.
+    """
+    if not (done[0] > 0 and done[0] == ready[0] + service[0]):
+        return False
+    step = np.maximum(ready[1:], done[:-1])
+    step += service[1:]
+    return np.array_equal(step, done[1:])
 
 
 def _busy_period_sums(

@@ -45,6 +45,17 @@ class SharedPortResult:
 class SharedPort:
     """One physical port multiplexing a foreground VF with background traffic.
 
+    :meth:`traverse` merges only what the queue reads.  Each stream's wire
+    times are computed before the merge; one stable argsort of the
+    concatenated ready times orders both streams (the foreground first on
+    ties), and only the ready and wire times are gathered.  The merged
+    stream is served by :func:`~repro.net.queueing.fifo_departures`, or
+    with a finite VF ring by :func:`~repro.net.queueing.fifo_tail_drop`
+    (looked up through the name this module imports, so that a tracer or
+    a test can replace it here).  The foreground's
+    kept tags and sizes and its departure times make one validated
+    :class:`PacketArray`; no merged batch is built.
+
     Parameters
     ----------
     rate_bps:
@@ -76,46 +87,47 @@ class SharedPort:
         Background frames consume wire time but are discarded from the
         output; only the foreground batch's departure times are returned.
         """
+        fg_service = self._service(foreground.sizes)
         if background is None or len(background) == 0:
-            times = fifo_departures(
-                foreground.times_ns, self._service(foreground.sizes)
-            )
+            times = fifo_departures(foreground.times_ns, fg_service)
             return SharedPortResult(foreground.with_times(times), 0, 0.0)
 
-        merged, source = PacketArray.merge([foreground, background])
-        service = self._service(merged.sizes)
-        fg_mask = source == 0
+        bg_service = self._service(background.sizes)
+        bg_load = self._bg_load(background, bg_service)
+        times = np.concatenate([foreground.times_ns, background.times_ns])
+        order = np.argsort(times, kind="stable")
+        ready = times[order]
+        service = np.concatenate([fg_service, bg_service])[order]
+        fg_mask = order < len(foreground)
 
         if self.vf_queue_packets is None:
-            done = fifo_departures(merged.times_ns, service)
-            out = foreground.with_times(done[fg_mask])
-            return SharedPortResult(out, 0, self._bg_load(background))
+            done = fifo_departures(ready, service)
+            return SharedPortResult(foreground.with_times(done[fg_mask]), 0, bg_load)
 
         # Finite VF ring: exact tail-drop semantics over the merged stream,
         # but only foreground packets can be dropped — the background
         # tenants have their own rings, modeled as always-accepted load.
-        result = fifo_tail_drop(merged.times_ns, service, self.vf_queue_packets + self._bg_allowance(background))
-        accepted_fg = result.accepted & fg_mask
+        result = fifo_tail_drop(ready, service, self.vf_queue_packets + self._bg_allowance(background))
+        kept = result.accepted[fg_mask]
         # Departure times of accepted packets, filtered to foreground.
-        acc_positions = np.flatnonzero(result.accepted)
-        fg_in_accepted = fg_mask[acc_positions]
-        fg_done = result.done_ns[fg_in_accepted]
-
-        kept = foreground.select(accepted_fg[fg_mask])
-        out = kept.with_times(fg_done)
-        n_dropped = len(foreground) - len(kept)
-        return SharedPortResult(out, n_dropped, self._bg_load(background))
+        fg_done = result.done_ns[fg_mask[result.accepted]]
+        out = PacketArray(
+            foreground.tags[kept], foreground.sizes[kept], fg_done,
+            meta=dict(foreground.meta),
+        )
+        return SharedPortResult(out, len(foreground) - len(out), bg_load)
 
     def _service(self, sizes: np.ndarray) -> np.ndarray:
         return wire_time_ns(sizes, self.rate_bps, overhead_bytes=self.overhead_bytes)
 
-    def _bg_load(self, background: PacketArray) -> float:
+    @staticmethod
+    def _bg_load(background: PacketArray, bg_service: np.ndarray) -> float:
         if len(background) < 2:
             return 0.0
         span = float(background.times_ns[-1] - background.times_ns[0])
         if span <= 0:
             return np.inf
-        return float(self._service(background.sizes).sum()) / span
+        return float(bg_service.sum()) / span
 
     def _bg_allowance(self, background: PacketArray) -> int:
         """Extra queue slots representing the background tenants' rings.

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.net import (
     CISCO_5700,
@@ -12,9 +15,13 @@ from repro.net import (
     SharedPort,
     SwitchModel,
     TxNicModel,
+    fifo_departures,
     make_tags,
 )
+from repro.net.units import wire_time_ns
 from repro.timing import RealtimeHWStamper
+
+from .test_queueing import reference_tail_drop
 
 
 class TestMakeTags:
@@ -87,6 +94,175 @@ class TestPacketArray:
         b = PacketArray.uniform(1, 100, np.array([5.0]), replayer_id=2)
         _, src = PacketArray.merge([a, b])
         np.testing.assert_array_equal(src, [0, 1])
+
+
+def reference_merge(batches):
+    """A pure-Python stable merge: (merged batch, source per packet)."""
+    rows = [
+        (t, tag, size, i)
+        for i, b in enumerate(batches)
+        for t, tag, size in zip(b.times_ns.tolist(), b.tags.tolist(), b.sizes.tolist())
+    ]
+    rows.sort(key=lambda row: row[0])  # list.sort is stable
+    cols = list(zip(*rows)) or [(), (), (), ()]
+    merged = PacketArray(
+        np.array(cols[1], dtype=np.int64),
+        np.array(cols[2], dtype=np.int64),
+        np.array(cols[0], dtype=np.float64),
+    )
+    return merged, np.array(cols[3], dtype=np.int64)
+
+
+def assert_batch_bytes_equal(got, want):
+    assert got.tags.tobytes() == want.tags.tobytes()
+    assert got.sizes.tobytes() == want.sizes.tobytes()
+    assert got.times_ns.tobytes() == want.times_ns.tobytes()
+
+
+@st.composite
+def packet_batches(draw, min_batches=1, max_batches=4):
+    """Batches on integer clocks (so ties across batches are common)."""
+    batches = []
+    for i in range(draw(st.integers(min_batches, max_batches))):
+        n = draw(st.integers(0, 30))
+        gaps = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 5)))
+        sizes = draw(hnp.arrays(np.int64, n, elements=st.sampled_from([64, 1400, 1500])))
+        times = (draw(st.integers(0, 10)) + np.cumsum(gaps)).astype(np.float64)
+        batches.append(PacketArray(make_tags(n, replayer_id=i), sizes, times))
+    return batches
+
+
+class TestMergeDifferential:
+    """PacketArray.merge against a pure-Python stable merge, exact bytes."""
+
+    @given(packet_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_reference(self, batches):
+        merged, source = PacketArray.merge(batches)
+        want, want_source = reference_merge(batches)
+        assert_batch_bytes_equal(merged, want)
+        assert source.tobytes() == want_source.tobytes()
+        assert merged.meta == {}
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_one_batch(self, n):
+        b = PacketArray(
+            make_tags(n, replayer_id=3), np.full(n, 1400), np.arange(n) * 10.0,
+            meta={"node": "a"},
+        )
+        merged, source = PacketArray.merge([b])
+        assert merged is not b
+        assert merged.meta == {}
+        assert_batch_bytes_equal(merged, b)
+        assert source.dtype == np.int64
+        np.testing.assert_array_equal(source, np.zeros(n))
+
+
+def reference_traverse(port, fg, bg):
+    """The shared port as a merged batch: merge, queue, select, with_times."""
+    def service(sizes):
+        return wire_time_ns(sizes, port.rate_bps, overhead_bytes=port.overhead_bytes)
+
+    if bg is None or len(bg) == 0:
+        return fg.with_times(fifo_departures(fg.times_ns, service(fg.sizes))), 0, 0.0
+    if len(bg) < 2:
+        load = 0.0
+    else:
+        span = float(bg.times_ns[-1] - bg.times_ns[0])
+        load = float(service(bg.sizes).sum()) / span if span > 0 else np.inf
+    merged, source = PacketArray.merge([fg, bg])
+    svc = service(merged.sizes)
+    fg_mask = source == 0
+    if port.vf_queue_packets is None:
+        done = fifo_departures(merged.times_ns, svc)
+        return fg.with_times(done[fg_mask]), 0, load
+    # The background tenants' rings add vf_queue_packets slots.
+    result = reference_tail_drop(merged.times_ns, svc, 2 * port.vf_queue_packets)
+    kept = fg.select(result.accepted[fg_mask])
+    out = kept.with_times(result.done_ns[fg_mask[result.accepted]])
+    return out, len(fg) - len(kept), load
+
+
+def assert_traverse_matches_reference(port, fg, bg):
+    got = port.traverse(fg, bg)
+    out, n_dropped, load = reference_traverse(port, fg, bg)
+    assert_batch_bytes_equal(got.batch, out)
+    assert got.batch.meta == fg.meta
+    assert got.n_dropped == n_dropped
+    assert got.background_load == load
+    return got
+
+
+def _batch(times, sizes, replayer_id=0):
+    times = np.asarray(times, dtype=np.float64)
+    return PacketArray(
+        make_tags(times.size, replayer_id=replayer_id),
+        np.broadcast_to(np.asarray(sizes, dtype=np.int64), times.shape),
+        times,
+        meta={"replayer": replayer_id},
+    )
+
+
+@st.composite
+def shared_port_cases(draw):
+    """(port, foreground, background) on a 1e9 + frac clock or near zero."""
+    origin = draw(st.sampled_from([0.0, 1e9 + 0.3]))
+    fg, bg = (
+        _batch(origin + b.times_ns * 100.0, b.sizes, replayer_id=i)
+        for i, b in enumerate(draw(packet_batches(min_batches=2, max_batches=2)))
+    )
+    port = SharedPort(
+        rate_bps=draw(st.sampled_from([40e9, 100e9])),
+        vf_queue_packets=draw(st.one_of(st.none(), st.integers(1, 8))),
+    )
+    return port, fg, draw(st.sampled_from([bg, None]))
+
+
+class TestSharedPortDifferential:
+    """SharedPort.traverse against the merged-batch composition, exact bytes."""
+
+    @given(shared_port_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_property_matches_reference(self, case):
+        assert_traverse_matches_reference(*case)
+
+    @pytest.mark.parametrize("vf", [None, 1, 4])
+    def test_ties_serve_foreground_first(self, vf):
+        port = SharedPort(rate_bps=40e9, vf_queue_packets=vf)
+        fg = _batch([0.0, 0.0, 500.0], 1400)
+        bg = _batch([0.0, 0.0, 500.0, 500.0], 1500, replayer_id=1)
+        got = assert_traverse_matches_reference(port, fg, bg)
+        # 1400 B at 40 Gb/s takes 280 ns; the foreground goes first.
+        assert got.batch.times_ns[0] == 280.0
+
+    def test_empty_background(self):
+        port = SharedPort(rate_bps=40e9, vf_queue_packets=2)
+        fg = _batch(np.arange(5) * 100.0, 1400)
+        got = assert_traverse_matches_reference(port, fg, _batch([], 1500, 1))
+        assert got.n_dropped == 0 and got.background_load == 0.0
+
+    def test_infinite_ring_with_background(self):
+        port = SharedPort(rate_bps=40e9)
+        fg = _batch(np.zeros(20), 1400)
+        bg = _batch(np.arange(30) * 50.0, 1500, 1)
+        got = assert_traverse_matches_reference(port, fg, bg)
+        assert got.n_dropped == 0 and len(got.batch) == 20
+
+    def test_all_foreground_dropped(self):
+        # Two background frames fill the 2-slot queue before any
+        # foreground frame arrives.
+        port = SharedPort(rate_bps=40e9, vf_queue_packets=1)
+        fg = _batch([1.0, 2.0, 3.0], 1400)
+        bg = _batch([0.0, 0.0, 10_000.0], 1500, 1)
+        got = assert_traverse_matches_reference(port, fg, bg)
+        assert got.n_dropped == 3 and len(got.batch) == 0
+
+    def test_no_drops(self):
+        port = SharedPort(rate_bps=40e9, vf_queue_packets=4)
+        fg = _batch(1e9 + 0.3 + np.arange(10) * 1000.0, 1400)
+        bg = _batch(1e9 + 0.3 + np.arange(10) * 1000.0 + 500.0, 1500, 1)
+        got = assert_traverse_matches_reference(port, fg, bg)
+        assert got.n_dropped == 0 and len(got.batch) == 10
 
 
 class TestLink:

@@ -9,16 +9,22 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.net import TailDropResult, fifo_departures, fifo_tail_drop
+from repro.net.queueing import _drop_free_departures, _satisfies_recurrence
 
 from .conftest import suite_rng
 
 
 def reference_fifo(ready, service):
-    """The textbook sequential recurrence, for cross-validation."""
+    """The textbook sequential recurrence, for cross-validation.
+
+    A packet starts at its arrival only if that is strictly later than
+    the previous departure, as in :func:`reference_tail_drop`; on a tie
+    the two choices differ only in the sign of a zero.
+    """
     done = np.empty_like(ready)
     last = -np.inf
     for i in range(ready.shape[0]):
-        start = max(ready[i], last)
+        start = ready[i] if ready[i] > last else last
         last = start + service[i]
         done[i] = last
     return done
@@ -251,3 +257,90 @@ class TestTailDropDifferential:
             ready[-1] = np.nextafter(ready[-1], nudge * np.inf)
         got = assert_same_as_reference(ready, service, 1)
         np.testing.assert_array_equal(got.accepted, np.arange(length) < length - (nudge < 0))
+
+
+def assert_drop_free_exact(ready, service):
+    """_drop_free_departures equals the recurrence bit for bit."""
+    done, is_start = _drop_free_departures(ready, service)
+    want = reference_fifo(ready, service)
+    assert done.tobytes() == want.tobytes()
+    assert is_start[0]
+    np.testing.assert_array_equal(is_start[1:], ready[1:] > want[:-1])
+
+
+def _verifies(ready, service):
+    return _satisfies_recurrence(ready, service, fifo_departures(ready, service))
+
+
+@st.composite
+def drop_free_cases(draw):
+    """Streams from four families: (ready, service).
+
+    * whole-nanosecond services on a ``1e9 + frac`` clock, where the
+      closed form verifies;
+    * services on the fractional 16.8/33.3 grid, where it mostly does not;
+    * whole-nanosecond services on a clock crossing 2**30 ns, where the
+      clock's ulp doubles;
+    * arrivals and services of ``-0.0``/``0.0``, where ``==`` cannot tell
+      results whose bits differ.
+    """
+    n = draw(st.integers(1, 120))
+    gaps = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 400)))
+    family = draw(st.sampled_from(["integer", "fractional", "crossing", "zeros"]))
+    if family == "zeros":
+        ready = np.sort(draw(hnp.arrays(np.float64, n, elements=st.sampled_from(
+            [-0.0, 0.0, 1.0, 2.0]))))
+        service = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([-0.0, 0.0, 1.0])))
+        return ready, service
+    if family == "fractional":
+        service = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([16.8, 33.3])))
+    else:
+        service = draw(hnp.arrays(np.int64, n, elements=st.sampled_from(
+            [0, 1, 7, 280, 300]))).astype(np.float64)
+    if family == "crossing":
+        origin = 2.0**30 - draw(st.integers(0, 2000)) + draw(st.sampled_from([0.1, 0.3, 0.5]))
+    else:
+        origin = 1e9 + draw(st.sampled_from([0.0, 0.1, 0.3]))
+    return origin + np.cumsum(gaps).astype(np.float64), service
+
+
+class TestDropFreeDepartures:
+    """_drop_free_departures against the recurrence, with exact bytes."""
+
+    @given(drop_free_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_property_matches_reference(self, case):
+        assert_drop_free_exact(*case)
+
+    def test_verified_proposal(self):
+        # 1400/1500 B frames at 40 Gb/s take 280/300 ns: the closed form's
+        # sums are exact on a 1e9 + 0.3 ns clock, so it verifies.
+        ready = 1e9 + 0.3 + np.array([0.0, 100.0, 100.0, 150.0, 2000.0, 2000.0])
+        service = np.array([280.0, 300.0, 280.0, 280.0, 300.0, 300.0])
+        assert _verifies(ready, service)
+        assert_drop_free_exact(ready, service)
+
+    def test_failed_step_falls_back(self):
+        # A chain where each arrival meets the previous departure: the
+        # closed form rounds some departures off by an ulp, so a step fails
+        # and the busy-period sums give the exact answer.
+        service = np.full(40, 16.8)
+        chain = [1e9 + 0.1]
+        for s in service[:-1]:
+            chain.append(chain[-1] + s)
+        ready = np.array(chain)
+        assert not _verifies(ready, service)
+        assert_drop_free_exact(ready, service)
+
+    def test_signed_zero_falls_back(self):
+        # Every step holds under ==, but the closed form ends on -0.0 where
+        # the recurrence (and the tail-drop oracle) ends on 0.0.
+        ready = np.array([0.0, -0.0])
+        service = np.array([-0.0, -0.0])
+        proposal = fifo_departures(ready, service)
+        assert proposal[0] == ready[0] + service[0]
+        assert np.maximum(ready[1], proposal[0]) + service[1] == proposal[1]
+        assert proposal.tobytes() != reference_fifo(ready, service).tobytes()
+        assert not _verifies(ready, service)
+        assert_drop_free_exact(ready, service)
+        assert_same_as_reference(ready, service, 4)

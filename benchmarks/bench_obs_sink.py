@@ -76,7 +76,7 @@ def test_sink_throughput_and_flat_memory(
     results = {}
     wall_s = 0.0
     for label, n in (("short", N_SHORT), ("long", N_LONG)):
-        path = tmp_path / f"{label}.jsonl"
+        path = tmp_path / f"{label}.json"
         sink, offer_s, close_s, _ = _stream(path, spans, n)
         _, mem_offer_s, _, peak = _stream(path, spans, n, trace_memory=True)
         wall_s += offer_s + close_s + mem_offer_s

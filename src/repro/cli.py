@@ -29,9 +29,9 @@ All commands honor ``--scale`` (capture duration relative to the paper's
 output can be redirected into experiment logs.  ``--trace FILE`` (or
 ``REPRO_TRACE=FILE``) writes every pipeline stage — parent and worker
 processes alike — to a trace file as it finishes, with engine counters
-sampled into Chrome ``ph:"C"`` tracks on the way: ``FILE.json`` is a
+sampled into Chrome ``ph:"C"`` tracks on the way: ``FILE`` is a
 Chrome ``trace_event`` array loadable in Perfetto /
-``chrome://tracing``, ``FILE.jsonl`` one JSON object per line.
+``chrome://tracing``.
 ``--stats`` prints the stage/counter summary to stderr after the
 command, and ``--serve-metrics PORT`` exposes ``/metrics`` (Prometheus
 text) + ``/healthz`` while the command runs (see :mod:`repro.obs` and
@@ -136,9 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--trace", default=None, metavar="FILE",
             help="write a timeline of every stage, with engine counter "
-            "tracks, to FILE as the command runs: FILE.json is a "
-            "Perfetto-loadable Chrome trace_event array, FILE.jsonl one "
-            "JSON object per line (default REPRO_TRACE if set)",
+            "tracks, to FILE as the command runs, as a Perfetto-loadable "
+            "Chrome trace_event array (default REPRO_TRACE if set)",
         )
         p.add_argument(
             "--serve-metrics", type=_port, default=None, metavar="PORT",

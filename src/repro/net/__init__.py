@@ -1,14 +1,14 @@
-"""Network substrate: packets, links, NICs, switches, shared ports, WAN.
+"""Network substrate: packets, links, the TX NIC, switches, shared ports, WAN.
 
 Everything the testbed models compose to turn transmit schedules into
-receive-timestamp sequences.  All bulk operations are vectorized over
+arrival times at the recorder, whose timestamping model lives in
+:mod:`repro.timing.hwstamp`.  All bulk operations are vectorized over
 structure-of-arrays packet batches (:class:`~repro.net.pktarray.PacketArray`).
 """
 
 from . import units
-from .hwcatalog import NIC_CATALOG, SWITCH_CATALOG, NicPart, nic, switch
 from .link import Link
-from .nicmodel import RxNicModel, TxNicModel, TxResult
+from .nicmodel import TxNicModel
 from .pktarray import PacketArray, make_tags
 from .queueing import TailDropResult, fifo_departures, fifo_tail_drop
 from .sriov import SharedPort, SharedPortResult
@@ -24,17 +24,10 @@ __all__ = [
     "fifo_tail_drop",
     "TailDropResult",
     "TxNicModel",
-    "RxNicModel",
-    "TxResult",
     "SharedPort",
     "SharedPortResult",
     "SwitchModel",
     "TOFINO2",
     "CISCO_5700",
     "WanSegment",
-    "NicPart",
-    "NIC_CATALOG",
-    "SWITCH_CATALOG",
-    "nic",
-    "switch",
 ]

@@ -29,15 +29,13 @@ class Link:
         Line rate in bits/second.
     propagation_ns:
         One-way propagation delay (cable length + PHY latency).
-    overhead_bytes:
-        Extra on-wire bytes per frame (preamble + IFG) when strict
-        Ethernet accounting is wanted; 0 matches the paper's packet-rate
-        arithmetic.
+
+    Frames serialize at their size alone, with no preamble or IFG bytes,
+    which matches the paper's packet-rate arithmetic.
     """
 
     rate_bps: float
     propagation_ns: float = 50.0
-    overhead_bytes: int = 0
 
     def __post_init__(self) -> None:
         if self.rate_bps <= 0:
@@ -47,7 +45,7 @@ class Link:
 
     def serialization_ns(self, sizes_bytes) -> np.ndarray:
         """Wire time of each frame at this link's rate."""
-        return wire_time_ns(sizes_bytes, self.rate_bps, overhead_bytes=self.overhead_bytes)
+        return wire_time_ns(sizes_bytes, self.rate_bps)
 
     def traverse_times(self, ready_ns: np.ndarray, sizes_bytes: np.ndarray) -> np.ndarray:
         """Arrival times at the far end for frames ready at ``ready_ns``.

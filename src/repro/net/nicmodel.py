@@ -1,4 +1,4 @@
-"""NIC models: the TX DMA-pull path and the RX timestamping path.
+"""NIC model: the TX DMA-pull path.
 
 Section 2.3 describes the transmit behaviour that bounds every DPDK
 replayer's timing accuracy: software posts packets to the ring and rings a
@@ -14,34 +14,21 @@ model therefore has three parts:
    intra-burst IATs highly repeatable (the ±10 ns cluster in the figures)
    while inter-burst gaps carry the jitter.
 
-The RX model timestamps arriving frames with whichever
-:class:`~repro.timing.hwstamp.RxTimestamper` the recorder hardware uses.
+The receive side is the recorder's
+:class:`~repro.timing.hwstamp.RxTimestamper`, which the testbed calls
+directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..timing.hwstamp import RealtimeHWStamper, RxTimestamper
-from .pktarray import PacketArray
 from .queueing import fifo_departures
 from .units import wire_time_ns
 
-__all__ = ["TxNicModel", "RxNicModel", "TxResult"]
-
-
-@dataclass(frozen=True)
-class TxResult:
-    """Outcome of a TX operation."""
-
-    wire_times_ns: np.ndarray
-    pull_delays_ns: np.ndarray
-
-    @property
-    def n_packets(self) -> int:
-        return int(self.wire_times_ns.shape[0])
+__all__ = ["TxNicModel"]
 
 
 @dataclass(frozen=True)
@@ -86,7 +73,7 @@ class TxNicModel:
         sizes_bytes: np.ndarray,
         burst_ids: np.ndarray,
         rng: np.random.Generator,
-    ) -> TxResult:
+    ) -> np.ndarray:
         """Wire departure times for packets posted in doorbell bursts.
 
         Parameters
@@ -109,7 +96,7 @@ class TxNicModel:
         if sizes.shape[0] != n or bids.shape[0] != n:
             raise ValueError("per-packet arrays must have equal length")
         if n == 0:
-            return TxResult(np.empty(0), np.empty(0))
+            return np.empty(0)
         if np.any(np.diff(bids) < 0):
             raise ValueError("burst_ids must be non-decreasing")
 
@@ -118,8 +105,7 @@ class TxNicModel:
         run_end = np.flatnonzero(np.diff(np.append(bids, bids[-1] + 1)))
         doorbell = notify[run_end]
         n_bursts = run_end.shape[0]
-        pulls = self._pull_delays(n_bursts, rng)
-        pull_time = doorbell + pulls
+        pull_time = doorbell + self._pull_delays(n_bursts, rng)
         # The DMA engine itself serves doorbells in order: a pull cannot
         # complete before the previous burst's pull completed.
         pull_time = np.maximum.accumulate(pull_time)
@@ -128,27 +114,4 @@ class TxNicModel:
         burst_index = np.cumsum(np.append(0, np.diff(bids) != 0))
         ready = pull_time[burst_index]
         service = wire_time_ns(sizes, self.rate_bps, overhead_bytes=self.overhead_bytes)
-        wire = fifo_departures(ready, service)
-        return TxResult(wire, pulls)
-
-    def transmit_batch(
-        self, batch: PacketArray, burst_ids: np.ndarray, rng: np.random.Generator
-    ) -> PacketArray:
-        """Pipeline-stage form: batch times are the software notify times."""
-        result = self.transmit(batch.times_ns, batch.sizes, burst_ids, rng)
-        return batch.with_times(result.wire_times_ns)
-
-
-@dataclass(frozen=True)
-class RxNicModel:
-    """Receive path of a NIC: wire arrival → recorded timestamp.
-
-    The recorder never sees true wire times; it sees what its
-    timestamping hardware reports (Section 8.1's E810-vs-CX-6 difference).
-    """
-
-    stamper: RxTimestamper = field(default_factory=RealtimeHWStamper)
-
-    def receive(self, wire_times_ns: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Recorded timestamps for frames whose last bit lands at given times."""
-        return self.stamper.stamp(np.asarray(wire_times_ns, dtype=np.float64), rng)
+        return fifo_departures(ready, service)

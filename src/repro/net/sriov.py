@@ -12,11 +12,13 @@ consequences the paper measures are:
   an order of magnitude, and the finite VF queue produces the paper's
   first observed **drops** (Section 7.1).
 
-The model merges foreground and background frame streams by ready time,
-serves the merged stream through the physical port's exact FIFO, and
-extracts the foreground departures.  Finite VF queueing (for the drop
-regime) applies tail drop on the foreground stream only, approximating a
-per-VF ring in front of the shared scheduler.
+The model merges foreground and background frame streams by ready time
+and serves the merged stream through the physical port's exact FIFO;
+only the foreground departures are returned.  With a finite VF queue
+(the drop regime) the merged stream goes through one tail-drop ring of
+``2 × vf_queue_packets`` slots, and that ring can drop frames of either
+stream: a dropped background frame takes no wire time.  Only foreground
+drops are counted.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class SharedPortResult:
 
     batch: PacketArray
     n_dropped: int
-    background_load: float
 
 
 @dataclass(frozen=True)
@@ -61,15 +62,14 @@ class SharedPort:
     rate_bps:
         Physical port line rate.
     vf_queue_packets:
-        Foreground VF ring capacity; ``None`` means effectively infinite
-        (the uncontended regimes, where the closed-form FIFO applies).
-    overhead_bytes:
-        Per-frame wire overhead.
+        VF ring capacity; ``None`` means effectively infinite (the
+        uncontended regimes, where the closed-form FIFO applies).  With
+        background traffic the merged stream shares one ring of twice
+        this many slots.
     """
 
     rate_bps: float
     vf_queue_packets: int | None = None
-    overhead_bytes: int = 0
 
     def __post_init__(self) -> None:
         if self.rate_bps <= 0:
@@ -84,16 +84,15 @@ class SharedPort:
     ) -> SharedPortResult:
         """Serve foreground (and optional background) frames through the port.
 
-        Background frames consume wire time but are discarded from the
+        Accepted background frames take wire time but are left out of the
         output; only the foreground batch's departure times are returned.
         """
-        fg_service = self._service(foreground.sizes)
+        fg_service = wire_time_ns(foreground.sizes, self.rate_bps)
         if background is None or len(background) == 0:
             times = fifo_departures(foreground.times_ns, fg_service)
-            return SharedPortResult(foreground.with_times(times), 0, 0.0)
+            return SharedPortResult(foreground.with_times(times), 0)
 
-        bg_service = self._service(background.sizes)
-        bg_load = self._bg_load(background, bg_service)
+        bg_service = wire_time_ns(background.sizes, self.rate_bps)
         times = np.concatenate([foreground.times_ns, background.times_ns])
         order = np.argsort(times, kind="stable")
         ready = times[order]
@@ -102,12 +101,12 @@ class SharedPort:
 
         if self.vf_queue_packets is None:
             done = fifo_departures(ready, service)
-            return SharedPortResult(foreground.with_times(done[fg_mask]), 0, bg_load)
+            return SharedPortResult(foreground.with_times(done[fg_mask]), 0)
 
-        # Finite VF ring: exact tail-drop semantics over the merged stream,
-        # but only foreground packets can be dropped — the background
-        # tenants have their own rings, modeled as always-accepted load.
-        result = fifo_tail_drop(ready, service, self.vf_queue_packets + self._bg_allowance(background))
+        # Finite VF ring: exact tail drop over the merged stream in one
+        # ring of 2 × vf_queue_packets slots.  Frames of either stream can
+        # be dropped; only the foreground's are counted.
+        result = fifo_tail_drop(ready, service, 2 * self.vf_queue_packets)
         kept = result.accepted[fg_mask]
         # Departure times of accepted packets, filtered to foreground.
         fg_done = result.done_ns[fg_mask[result.accepted]]
@@ -115,27 +114,4 @@ class SharedPort:
             foreground.tags[kept], foreground.sizes[kept], fg_done,
             meta=dict(foreground.meta),
         )
-        return SharedPortResult(out, len(foreground) - len(out), bg_load)
-
-    def _service(self, sizes: np.ndarray) -> np.ndarray:
-        return wire_time_ns(sizes, self.rate_bps, overhead_bytes=self.overhead_bytes)
-
-    @staticmethod
-    def _bg_load(background: PacketArray, bg_service: np.ndarray) -> float:
-        if len(background) < 2:
-            return 0.0
-        span = float(background.times_ns[-1] - background.times_ns[0])
-        if span <= 0:
-            return np.inf
-        return float(bg_service.sum()) / span
-
-    def _bg_allowance(self, background: PacketArray) -> int:
-        """Extra queue slots representing the background tenants' rings.
-
-        The shared scheduler's queue holds everyone's in-flight frames;
-        granting the background its proportional share keeps the
-        foreground's effective ring at ``vf_queue_packets``.
-        """
-        if len(background) == 0:
-            return 0
-        return self.vf_queue_packets
+        return SharedPortResult(out, len(foreground) - len(out))

@@ -15,8 +15,8 @@ logging, no timers, no visibility into the process pool.  The layers:
   submissions and failures, simulation runs;
 * :mod:`~repro.obs.sink` — the trace writer: each span is written and
   flushed as it finishes, with counter samples taken on the way, to a
-  Chrome array (``.json``) or JSONL (``.jsonl``) file — no queue, no
-  thread, O(1) memory for traces of any length;
+  Chrome ``trace_event`` array file — no queue, no thread, O(1) memory
+  for traces of any length;
 * :mod:`~repro.obs.export` — the human ``--stats`` table and the trace
   validator;
 * :mod:`~repro.obs.worker` — worker-side collection: pool tasks ship
@@ -28,7 +28,7 @@ logging, no timers, no visibility into the process pool.  The layers:
   zero-dependency ``/metrics`` (Prometheus text) + ``/healthz`` server.
 
 Surface: every CLI command takes ``--trace FILE`` (or ``REPRO_TRACE``;
-the suffix picks the format), ``--stats`` and ``--serve-metrics PORT``.
+a Chrome trace at any suffix), ``--stats`` and ``--serve-metrics PORT``.
 Observation is inert by construction — κ and every ``MetricVector`` are
 bit-identical with tracing on or off (``tests/test_obs.py``,
 ``tests/test_obs_live.py``).

@@ -18,24 +18,16 @@ length, and a killed run keeps every event it wrote.
   value that changed (labeled gauges as ``name{k=v,...}`` tracks).
   :meth:`close` always takes a final sample.  Sampling reads snapshots
   only, so it can never change a metric output.
-* **Crash-useful files.**  The JSONL file is valid line-by-line at any
-  truncation point; the Chrome file uses the ``trace_event`` *JSON
-  Array Format*, which Perfetto loads even without its closing bracket.
-  A clean :meth:`close` appends a ``trace_meta`` event (run metadata,
-  drop count, event tally) and the closing bracket.
+* **Crash-useful files.**  The file uses the Chrome ``trace_event``
+  *JSON Array Format*, which Perfetto loads even without its closing
+  bracket.  A clean :meth:`close` appends a ``trace_meta`` event (run
+  metadata, drop count, event tally) and the closing bracket.
 
-Formats, chosen from the path suffix:
-
-* ``chrome`` (anything but ``*.jsonl``) — a JSON array of
-  ``trace_event`` objects: ``ph:"X"`` complete events for spans,
-  ``ph:"C"`` counter events for sampled metrics (one Perfetto counter
-  track per metric name), ``ph:"M"`` ``process_name`` metadata on first
-  sight of each pid, and one final ``ph:"i"`` ``trace_meta`` instant
-  event.
-* ``jsonl`` (``*.jsonl``) — one JSON object per line with a ``type``
-  marker (``span`` / ``counter`` / ``meta``) for ``jq``/pandas
-  digestion; span lines carry ``name``, ``start_ns``, ``dur_ns``,
-  ``cpu_ns``, ``pid``, ``tid`` and (when set) ``attrs``.
+One format, whatever the path's suffix: a JSON array of ``trace_event``
+objects — ``ph:"X"`` complete events for spans, ``ph:"C"`` counter
+events for sampled metrics (one Perfetto counter track per metric
+name), ``ph:"M"`` ``process_name`` metadata on first sight of each pid,
+and one final ``ph:"i"`` ``trace_meta`` instant event.
 
 Install with :func:`repro.obs.trace.enable`; from a shell, every CLI
 command takes ``--trace FILE`` (see ``docs/observability.md``).
@@ -60,11 +52,10 @@ COUNTER_SAMPLE_INTERVAL_NS = 250_000_000
 
 
 class SpanSink:
-    """Synchronous trace writer: ``*.jsonl`` → JSONL, else a Chrome array."""
+    """Synchronous trace writer of a Chrome ``trace_event`` array."""
 
     def __init__(self, path) -> None:
         self.path = Path(path)
-        self._jsonl = self.path.suffix == ".jsonl"
         #: Epoch-ns origin of the Chrome timeline (sink creation time).
         self.origin_ns = time.time_ns()
         self._pid = os.getpid()
@@ -78,8 +69,7 @@ class SpanSink:
         self._last_sample_ns = 0
         self._last_values: dict[str, float] = {}
         self._file = open(self.path, "w", encoding="utf-8")
-        if not self._jsonl:
-            self._file.write("[\n")
+        self._file.write("[\n")
 
     def offer_span(self, record: trace.SpanRecord) -> bool:
         """Write one finished span; False (and a counted drop) if it can't."""
@@ -98,10 +88,7 @@ class SpanSink:
         if self._closed or self._io_error is not None:
             self._drop(n_events)
             return False
-        if self._jsonl:
-            chunk = "".join(line + "\n" for line in lines)
-        else:
-            chunk = ("" if self._first_event else ",\n") + ",\n".join(lines)
+        chunk = ("" if self._first_event else ",\n") + ",\n".join(lines)
         try:
             self._file.write(chunk)
             self._file.flush()
@@ -140,19 +127,6 @@ class SpanSink:
             self._write(lines, len(lines))
 
     def _span_lines(self, s: trace.SpanRecord) -> list[str]:
-        if self._jsonl:
-            doc = {
-                "type": "span",
-                "name": s.name,
-                "start_ns": s.start_ns,
-                "dur_ns": s.dur_ns,
-                "cpu_ns": s.cpu_ns,
-                "pid": s.pid,
-                "tid": s.tid,
-            }
-            if s.attrs:
-                doc["attrs"] = s.attrs
-            return [json.dumps(doc)]
         lines = []
         if s.pid not in self._seen_pids:
             self._seen_pids.add(s.pid)
@@ -176,11 +150,6 @@ class SpanSink:
         return lines
 
     def _counter_line(self, name: str, ts_ns: int, value: float) -> str:
-        if self._jsonl:
-            return json.dumps({
-                "type": "counter", "name": name, "ts_ns": ts_ns,
-                "value": value, "pid": self._pid,
-            })
         return json.dumps({
             "name": name,
             "cat": "repro",
@@ -215,18 +184,15 @@ class SpanSink:
                 sink_dropped=self._dropped,
                 sink_events_written=self._written,
             )
-            if self._jsonl:
-                tail = json.dumps({"type": "meta", **doc}) + "\n"
-            else:
-                tail = ("" if self._first_event else ",\n") + json.dumps({
-                    "name": "trace_meta",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": self._ts_us(time.time_ns()),
-                    "pid": self._pid,
-                    "tid": 0,
-                    "args": doc,
-                }) + "\n]\n"
+            tail = ("" if self._first_event else ",\n") + json.dumps({
+                "name": "trace_meta",
+                "ph": "i",
+                "s": "g",
+                "ts": self._ts_us(time.time_ns()),
+                "pid": self._pid,
+                "tid": 0,
+                "args": doc,
+            }) + "\n]\n"
             try:
                 self._file.write(tail)
                 self._file.flush()

@@ -6,7 +6,8 @@ Structure mirrors Section 4-5 of the paper:
 * :mod:`~repro.replay.recording` — in-memory recordings with TSC stamps;
 * :mod:`~repro.replay.middlebox` — the transparent forward/record path;
 * :mod:`~repro.replay.replayer` — TSC busy-poll replay scheduling;
-* :mod:`~repro.replay.choir` — the per-node lifecycle facade.
+* :mod:`~repro.replay.choir` — one replayer node: record, then replay
+  at a scheduled instant shifted by its clock offset.
 """
 
 from .burst import (
@@ -16,7 +17,7 @@ from .burst import (
     burstify_fixed,
     burstify_poll_loop,
 )
-from .choir import ChoirNode, ChoirState
+from .choir import ChoirNode
 from .debug import (
     Backtrace,
     NodeTrace,
@@ -46,7 +47,6 @@ __all__ = [
     "ReplayOutcome",
     "ReplayTimingModel",
     "ChoirNode",
-    "ChoirState",
     "backtrace",
     "Backtrace",
     "NodeTrace",

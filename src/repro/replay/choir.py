@@ -1,39 +1,28 @@
-"""The Choir node facade: standby → record → replay lifecycle.
+"""The Choir node facade: forward, record, replay.
 
 Ties the middlebox (forward/record path), the replay engine, and the
-node's clock together behind the lifecycle the paper describes: a node
-idles as an invisible transparent forwarder, records on command without
+node's clock offset together as the paper describes a node: it forwards
+as an invisible transparent middlebox, records on command without
 leaving the datapath, and later replays the recording at a scheduled
-instant.  One :class:`ChoirNode` corresponds to one replayer VM/host in
-the evaluation topologies.
+instant of its own clock.  One :class:`ChoirNode` corresponds to one
+replayer VM/host in the evaluation topologies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from ..net.nicmodel import TxNicModel
 from ..net.pktarray import PacketArray
-from ..timing.clock import SystemClock
 from ..timing.tsc import TSC
 from .burst import PollLoopCost
 from .middlebox import TransparentMiddlebox
 from .recording import MIN_BUFFER_BYTES, Recording
 from .replayer import Replayer, ReplayOutcome, ReplayTimingModel
 
-__all__ = ["ChoirNode", "ChoirState"]
-
-
-class ChoirState(Enum):
-    """Lifecycle states of a Choir middlebox."""
-
-    STANDBY = "standby"
-    RECORDING = "recording"
-    ARMED = "armed"
-    REPLAYING = "replaying"
+__all__ = ["ChoirNode"]
 
 
 @dataclass
@@ -50,10 +39,13 @@ class ChoirNode:
         Forwarding/replay loop cost model.
     timing:
         Replay-scheduling imperfection model for this node's environment.
-    tsc / clock:
-        The node's time sources.
+    tsc:
+        The node's cycle counter.
     buffer_bytes:
         Replay buffer budget (Section 5: ≥ 1 GB).
+
+    :attr:`clock_offset_ns` is the node's clock minus true time, set for
+    each run from :meth:`repro.timing.ptp.PTPDomain.synchronize_all`.
     """
 
     name: str
@@ -66,10 +58,9 @@ class ChoirNode:
     replay_loop_cost: PollLoopCost | None = None
     timing: ReplayTimingModel = field(default_factory=ReplayTimingModel)
     tsc: TSC = field(default_factory=TSC)
-    clock: SystemClock = field(default_factory=SystemClock)
     buffer_bytes: int = MIN_BUFFER_BYTES
-    state: ChoirState = ChoirState.STANDBY
     recording: Recording | None = None
+    clock_offset_ns: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         self._middlebox = TransparentMiddlebox(
@@ -89,7 +80,7 @@ class ChoirNode:
 
     # ------------------------------------------------------------------
     def forward(self, ingress: PacketArray, rng: np.random.Generator) -> PacketArray:
-        """Standby-mode transparent forwarding (no recording)."""
+        """Transparent forwarding (no recording)."""
         return self._middlebox.forward(ingress, rng, record=False).egress
 
     def record(
@@ -100,13 +91,11 @@ class ChoirNode:
         The node remains transparent while recording (Section 4); the
         egress stream is identical in timing to plain forwarding.
         """
-        self.state = ChoirState.RECORDING
         result = self._middlebox.forward(
             ingress, rng, record=True, meta={"node": self.name}
         )
         assert result.recording is not None
         self.recording = result.recording
-        self.state = ChoirState.ARMED
         return result.egress, result.recording
 
     def replay(
@@ -115,23 +104,16 @@ class ChoirNode:
         """Replay the stored recording at a scheduled instant.
 
         The scheduled instant is interpreted on the node's *own clock*:
-        clock offset (e.g. the PTP residual of this sync epoch) shifts the
+        the clock offset (the PTP residual of this sync epoch) shifts the
         achieved start in true time, which is the cross-replayer
         synchronization mechanism the dual-replayer evaluation exercises.
         """
         if self.recording is None:
             raise RuntimeError(f"{self.name}: no recording armed for replay")
-        self.state = ChoirState.REPLAYING
         # The node starts when its own clock shows the scheduled value; a
-        # clock running offset_ns fast reaches it offset_ns early.
-        true_start = float(scheduled_start_ns) - self.clock.offset_ns
-        outcome = self._replayer.replay(self.recording, true_start, rng)
-        self.state = ChoirState.ARMED
-        return outcome
-
-    def standby(self) -> None:
-        """Drop back to invisible standby (keeps the recording armed)."""
-        self.state = ChoirState.STANDBY
+        # clock running clock_offset_ns fast reaches it that much early.
+        true_start = float(scheduled_start_ns) - self.clock_offset_ns
+        return self._replayer.replay(self.recording, true_start, rng)
 
     @property
     def sustainable_pps_at_full_burst(self) -> float:

@@ -96,8 +96,8 @@ class TransparentMiddlebox:
         # Per-packet software enqueue time = its burst's doorbell.
         notify = doorbell[burst_ids]
 
-        tx = self.tx_nic.transmit(notify, ingress.sizes, burst_ids, rng)
-        egress = ingress.with_times(tx.wire_times_ns)
+        wire = self.tx_nic.transmit(notify, ingress.sizes, burst_ids, rng)
+        egress = ingress.with_times(wire)
 
         recording = None
         if record:

@@ -163,10 +163,10 @@ class Replayer:
         )
         notify = notify_per_burst[burst_index]
 
-        tx = self.tx_nic.transmit(
+        wire = self.tx_nic.transmit(
             notify, recording.packets.sizes, recording.burst_ids, rng
         )
-        egress = recording.packets.with_times(tx.wire_times_ns)
+        egress = recording.packets.with_times(wire)
         return ReplayOutcome(egress, epoch, freq_error_ppm, n_stalls)
 
     def sustainable_pps(self, mean_burst_size: float) -> float:

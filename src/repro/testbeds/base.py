@@ -41,9 +41,8 @@ from ..obs import metrics, trace
 from ..net.link import Link
 from ..net.pktarray import PacketArray
 from ..net.sriov import SharedPort
-from ..replay.choir import ChoirNode, ChoirState
+from ..replay.choir import ChoirNode
 from ..replay.recording import Recording
-from ..timing.clock import SystemClock
 from ..timing.hwstamp import RealtimeHWStamper
 from ..timing.ptp import PTPDomain
 from .profiles import EnvironmentProfile
@@ -107,7 +106,7 @@ def series_seed_plan(seed: int, n_runs: int, series_index: int = 0) -> SeriesSee
 
 
 def build_nodes(profile: EnvironmentProfile) -> list[ChoirNode]:
-    """The environment's replay nodes, fresh and in standby.
+    """The environment's replay nodes, fresh and without recordings.
 
     Node construction is deterministic given the profile, so every run
     rebuilds identical nodes and only the recordings carry over.
@@ -119,7 +118,6 @@ def build_nodes(profile: EnvironmentProfile) -> list[ChoirNode]:
             loop_cost=profile.loop_cost,
             replay_loop_cost=profile.replay_loop_cost,
             timing=profile.replay_timing,
-            clock=SystemClock(),
             buffer_bytes=profile.buffer_bytes,
         )
         for k in range(profile.n_replayers)
@@ -147,14 +145,9 @@ def simulate_run(
         )
     for node, recording in zip(nodes, recordings):
         node.recording = recording
-        node.state = ChoirState.ARMED
 
     rng = np.random.default_rng(run_seq)
-    ptp = PTPDomain(profile=profile.ptp, rng=rng)
-    for node in nodes:
-        ptp.followers[node.name] = node.clock
-
-    artifacts = _replay_once(profile, nodes, ptp, rng, label)
+    artifacts = _replay_once(profile, nodes, rng, label)
     return replace(
         artifacts, seed_key=tuple(int(k) for k in run_seq.spawn_key)
     )
@@ -163,13 +156,14 @@ def simulate_run(
 def _replay_once(
     profile: EnvironmentProfile,
     nodes: list[ChoirNode],
-    ptp: PTPDomain,
     rng: np.random.Generator,
     label: str = "",
 ) -> RunArtifacts:
     """Phase 3-4 for a single run: replay through every layer to the capture."""
     p = profile
-    ptp.synchronize_all()
+    ptp = PTPDomain(profile=p.ptp, rng=rng)
+    for node, offset in zip(nodes, ptp.synchronize_all(len(nodes))):
+        node.clock_offset_ns = offset
 
     outcomes = [node.replay(REPLAY_EPOCH_NS, rng) for node in nodes]
 

@@ -7,23 +7,21 @@ disciplines the VM's NICs from the system clock.  On the local testbed the
 generator's system clock (NTP stratum-1 conditioned) acts as grandmaster
 with in-band PTP to the replay nodes.
 
-What the experiments actually depend on is the *residual* error left on
-each node's clock after synchronization, and how it changes between runs:
+What the experiments depend on is the *residual* offset left on each
+replayer's clock after synchronization, and how it changes between runs:
 Section 6.2 attributes the dual-replayer reordering to per-run offsets
-between the two replayers' disciplined clocks.  The model therefore keeps
-one grandmaster and, per sync epoch, gives each follower clock a fresh
-residual offset drawn from the profile's error scale, plus the slow drift
-between syncs that the underlying :class:`~repro.timing.clock.SystemClock`
-already provides.
+between the two replayers' disciplined clocks.  The model is therefore
+one float per replayer per run: a fresh draw from the profile's error
+scale plus the fixed path asymmetry.  Nothing else about a clock is
+simulated; the replayers' frequency error is
+:attr:`~repro.replay.replayer.ReplayTimingModel.freq_error_ppm`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .clock import SystemClock
 
 __all__ = ["PTPProfile", "PTPDomain"]
 
@@ -39,7 +37,9 @@ class PTPProfile:
         exchange.  The paper's setups: "synchronizes to within 10s of
         nanoseconds" locally; ``ptp_kvm`` claims sub-microsecond on FABRIC.
     sync_interval_ns:
-        Time between sync exchanges (log message period).
+        Time between sync exchanges (log message period).  Part of the
+        profile's description and its digest; a run is one sync epoch,
+        so the model does not read it.
     path_asymmetry_ns:
         Fixed error from asymmetric network paths, which PTP cannot
         observe; applied as a constant bias per follower.
@@ -64,45 +64,25 @@ FABRIC_PTP = PTPProfile(residual_ns=400.0)
 
 @dataclass
 class PTPDomain:
-    """A grandmaster and its follower clocks.
+    """The replayers' sync domain: one profile, one random source.
 
-    Followers are registered by name; :meth:`synchronize_all` steps each
-    follower to grandmaster time plus a fresh residual, which is the state
-    a trial starts from.
+    :meth:`synchronize_all` runs one sync epoch and gives each replayer
+    its clock offset for the run.
     """
 
     profile: PTPProfile
     rng: np.random.Generator
-    grandmaster: SystemClock = field(default_factory=SystemClock)
-    followers: dict[str, SystemClock] = field(default_factory=dict)
 
-    def add_follower(self, name: str, clock: SystemClock | None = None) -> SystemClock:
-        """Register (and return) a follower clock under ``name``."""
-        if name in self.followers:
-            raise ValueError(f"follower {name!r} already registered")
-        clock = clock if clock is not None else SystemClock()
-        self.followers[name] = clock
-        return clock
-
-    def synchronize_all(self, true_now_ns: float = 0.0) -> dict[str, float]:
+    def synchronize_all(self, n_followers: int) -> list[float]:
         """Run one sync epoch; returns each follower's post-sync offset.
 
-        Each follower's offset becomes the grandmaster's current error plus
-        an independent residual draw plus the fixed path asymmetry —
-        the state of the domain at the start of a recording or replay.
+        One residual draw per follower, in follower order, plus the fixed
+        path asymmetry.  The draw is taken even when ``residual_ns`` is 0,
+        so the run's random stream does not depend on the profile's error
+        scale.
         """
-        gm_err = self.grandmaster.error_at(true_now_ns)
-        offsets: dict[str, float] = {}
-        for name, clock in self.followers.items():
-            residual = self.rng.normal(0.0, self.profile.residual_ns)
-            offset = gm_err + residual + self.profile.path_asymmetry_ns
-            clock.set_offset(offset)
-            offsets[name] = offset
-        return offsets
-
-    def worst_pairwise_offset_ns(self, true_now_ns: float = 0.0) -> float:
-        """Largest clock disagreement between any two followers right now."""
-        if len(self.followers) < 2:
-            return 0.0
-        errs = [c.error_at(true_now_ns) for c in self.followers.values()]
-        return float(max(errs) - min(errs))
+        return [
+            self.rng.normal(0.0, self.profile.residual_ns)
+            + self.profile.path_asymmetry_ns
+            for _ in range(n_followers)
+        ]

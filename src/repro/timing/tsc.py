@@ -5,13 +5,11 @@ cheapest monotone time source available to a busy-polling DPDK thread
 (Section 4).  The properties that matter to the replayer — and that this
 model captures — are:
 
-* the counter ticks at a fixed nominal frequency (*constant/invariant*
-  TSC, which the paper notes FABRIC nodes provide);
+* the counter ticks at a fixed nominal frequency (a *constant/invariant*
+  TSC, which the paper notes FABRIC nodes provide), so cycle counts
+  convert to nanoseconds at that frequency;
 * reads are integer cycle counts, so converting a wall-clock replay start
-  time into a cycle target quantizes to the cycle period;
-* a non-invariant TSC (frequency scaling with the core clock) breaks the
-  cycle↔nanosecond conversion — modeled so tests can demonstrate why
-  Choir requires invariance.
+  time into a cycle target quantizes to the cycle period.
 """
 
 from __future__ import annotations
@@ -33,23 +31,13 @@ class TSC:
         Nominal tick rate.  FABRIC VM hosts and the local testbed in the
         paper run in the low-GHz range; the default matches a common
         2.4 GHz part.
-    invariant:
-        When False, :meth:`read` applies the instantaneous ``scale`` factor
-        (e.g. turbo/powersave excursions), breaking the constant-frequency
-        assumption Choir relies on.
-    scale:
-        Instantaneous frequency multiplier used only when not invariant.
     """
 
     frequency_hz: float = 2.4e9
-    invariant: bool = True
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.frequency_hz <= 0:
             raise ValueError("frequency_hz must be positive")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
 
     @property
     def period_ns(self) -> float:
@@ -58,17 +46,10 @@ class TSC:
 
     def read(self, true_time_ns):
         """Cycle count at a true time (scalar or array) since counter zero."""
-        rate = self.frequency_hz * (1.0 if self.invariant else self.scale)
-        cycles = np.floor(np.multiply(true_time_ns, rate / 1e9))
-        return cycles.astype(np.int64) if isinstance(cycles, np.ndarray) else np.int64(cycles)
+        return self.ns_to_cycles(true_time_ns)
 
     def cycles_to_ns(self, cycles):
-        """Convert cycle counts to nanoseconds at the *nominal* frequency.
-
-        This is what software does with a recorded TSC value; under a
-        non-invariant counter the result is wrong by ``scale``, which is
-        exactly the failure mode the invariance requirement avoids.
-        """
+        """Convert cycle counts to nanoseconds at the nominal frequency."""
         return np.multiply(cycles, 1e9 / self.frequency_hz)
 
     def ns_to_cycles(self, ns):

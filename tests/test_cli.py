@@ -111,14 +111,15 @@ class TestObservabilityOptions:
         trace.reset()
         metrics.REGISTRY.reset()
 
-    def test_jsonl_suffix_streams_jsonl_with_worker_spans(self, capsys, tmp_path):
-        path = tmp_path / "t.jsonl"
+    def test_trace_streams_worker_spans_with_stats(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
         assert main(self.SIMULATE + ["--trace", str(path), "--stats"]) == 0
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert {d["type"] for d in lines} <= {"span", "counter", "meta"}
-        meta = lines[-1]
-        assert meta["type"] == "meta" and meta["sink_dropped"] == 0
-        span_pids = {d["pid"] for d in lines if d["type"] == "span"}
+        events = json.loads(path.read_text())
+        assert {e["ph"] for e in events} <= {"M", "X", "C", "i"}
+        assert events[-1]["name"] == "trace_meta"
+        meta = events[-1]["args"]
+        assert meta["sink_dropped"] == 0
+        span_pids = {e["pid"] for e in events if e["ph"] == "X"}
         assert len(span_pids - {meta["parent_pid"]}) >= 2
         # --stats counts the parent-side replay runs and the worker-side pairs.
         err = capsys.readouterr().err
@@ -142,7 +143,7 @@ class TestObservabilityOptions:
             "sweep", "local-single", "local-dual", "--runs", "2",
             "--scale", "0.02",
         ]
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "t.json"
         assert main(sweep + [
             "--jobs", "2", "--trace", str(path),
             "--store", str(tmp_path / "store-a"), "-o", str(tmp_path / "out"),
@@ -154,10 +155,9 @@ class TestObservabilityOptions:
         assert (tmp_path / "out" / "sweep.json").read_bytes() == (
             tmp_path / "plain" / "sweep.json"
         ).read_bytes()
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
         unit_pids = {
-            d["pid"] for d in lines
-            if d["type"] == "span" and d["name"] == "sweep.unit.remote"
+            e["pid"] for e in json.loads(path.read_text())
+            if e["ph"] == "X" and e["name"] == "sweep.unit.remote"
         }
         assert len(unit_pids) == 2
 

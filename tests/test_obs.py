@@ -342,6 +342,9 @@ class TestExport:
         # Timestamps are microseconds from the sink's origin.
         xs = [e for e in json.loads(path.read_text()) if e["ph"] == "X"]
         assert [e["ts"] for e in xs] == [1.0, 1.2, 1.3]
+        # Each span keeps its name and attributes, plus its CPU time.
+        assert [e["name"] for e in xs] == ["testbed.record", "sim.run", "sim.run"]
+        assert xs[1]["args"] == {"run": 0, "cpu_ms": 150 / 1e6}
 
     def test_chrome_trace_names_processes(self, tmp_path):
         events = json.loads(_trace_file(tmp_path / "t.json").read_text())
@@ -365,13 +368,6 @@ class TestExport:
             sink.path, require_spans=("cli.test",)
         )
         assert summary["meta"]["seed"] == 42
-
-    def test_jsonl_round_trips(self, tmp_path):
-        path = _trace_file(tmp_path / "t.jsonl")
-        objs = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [o["type"] for o in objs] == ["span"] * 3 + ["meta"]
-        assert objs[0]["name"] == "testbed.record"
-        assert objs[1]["attrs"] == {"run": 0}
 
     def test_stats_table_mentions_stages_and_counters(self):
         metrics.counter("engine.pairs_compared").add(3)

@@ -6,8 +6,8 @@ The contracts of :mod:`repro.obs.sink` and :mod:`repro.obs.live`:
    it arrives (a 20,000-span burst loses none), holds O(1) memory at any
    trace length, and starts no thread; the only drops (late offers,
    write errors) are counted, never silent.
-2. **Self-describing files** — both sink formats end with metadata
-   carrying the drop count and the events written, and
+2. **Self-describing files** — the sink's Chrome array ends with
+   metadata carrying the drop count and the events written, and
    ``validate_chrome_trace`` accepts the streamed JSON Array Format and
    surfaces that accounting.
 3. **Counter samples on write** — after a span is written the sink
@@ -79,25 +79,34 @@ def _mk_span(i: int, *, pid: int = 1000, name: str = "analysis.pair"):
 # The streaming sink
 # ----------------------------------------------------------------------
 
-def _read_jsonl(path):
-    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+def _read_events(path):
+    """The events of a sink's Chrome array, closed or still being written."""
+    text = Path(path).read_text().rstrip()
+    if not text.endswith("]"):
+        text += "\n]"  # a file mid-run lacks only its closing bracket
+    return json.loads(text)
+
+
+def _kinds(path):
+    """Each event's ``ph``, with the ``process_name`` metadata left out."""
+    return [e["ph"] for e in _read_events(path) if e["ph"] != "M"]
 
 
 class TestSpanSink:
-    def test_jsonl_round_trip_with_meta(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
+    def test_round_trip_with_meta(self, tmp_path):
+        path = tmp_path / "trace.json"
         trace.set_meta("seed", 7)
         with SpanSink(path) as sink:
             for i in range(3):
                 assert sink.offer_span(_mk_span(i))
             metrics.gauge("pool.tasks_inflight").set(2)
-        lines = _read_jsonl(path)
-        kinds = [doc["type"] for doc in lines]
-        assert kinds == ["span", "span", "span", "counter", "meta"]
-        assert lines[0]["name"] == "analysis.pair"
-        assert lines[3]["name"] == "pool.tasks_inflight"
-        assert lines[3]["value"] == 2.0
-        meta = lines[-1]
+        events = [e for e in _read_events(path) if e["ph"] != "M"]
+        assert [e["ph"] for e in events] == ["X", "X", "X", "C", "i"]
+        assert events[0]["name"] == "analysis.pair"
+        assert events[3]["name"] == "pool.tasks_inflight"
+        assert events[3]["args"]["value"] == 2.0
+        assert events[-1]["name"] == "trace_meta"
+        meta = events[-1]["args"]
         assert meta["seed"] == 7
         assert meta["sink_dropped"] == 0
         assert meta["sink_events_written"] == 4
@@ -124,42 +133,37 @@ class TestSpanSink:
         assert isinstance(doc, list)
         assert doc[-1]["name"] == "trace_meta"
 
-    def test_format_from_suffix_and_explicit(self, tmp_path):
+    def test_every_suffix_gets_the_chrome_array(self, tmp_path):
         for name in ("a.jsonl", "a.json", "a.out"):
             with SpanSink(tmp_path / name) as sink:
                 sink.offer_span(_mk_span(0))
-        assert _read_jsonl(tmp_path / "a.jsonl")[0]["type"] == "span"
-        for name in ("a.json", "a.out"):
             doc = json.loads((tmp_path / name).read_text())
             assert [e["ph"] for e in doc] == ["M", "X", "i"]
 
     def test_burst_of_20k_spans_is_written_whole(self, tmp_path):
-        """A burst with no pause loses nothing, in either format."""
+        """A burst with no pause loses nothing."""
         n = 20_000
-        for name in ("burst.jsonl", "burst.json"):
-            path = tmp_path / name
-            sink = SpanSink(path)
-            for i in range(n):
-                assert sink.offer_span(_mk_span(i))
-            sink.close()
-            assert sink.dropped == 0
-            assert sink.events_written == n
-            if name.endswith(".jsonl"):
-                lines = _read_jsonl(path)
-                spans = [d for d in lines if d["type"] == "span"]
-                assert [d["attrs"]["i"] for d in spans] == list(range(n))
-                assert lines[-1]["sink_dropped"] == 0
-                assert lines[-1]["sink_events_written"] == n
-            else:
-                summary = export.validate_chrome_trace(path)
-                assert summary["n_spans"] == n
-                assert summary["dropped_spans"] == 0
+        path = tmp_path / "burst.json"
+        sink = SpanSink(path)
+        for i in range(n):
+            assert sink.offer_span(_mk_span(i))
+        sink.close()
+        assert sink.dropped == 0
+        assert sink.events_written == n
+        events = _read_events(path)
+        spans = [e for e in events if e["ph"] == "X"]
+        assert [e["args"]["i"] for e in spans] == list(range(n))
+        assert events[-1]["args"]["sink_dropped"] == 0
+        assert events[-1]["args"]["sink_events_written"] == n
+        summary = export.validate_chrome_trace(path)
+        assert summary["n_spans"] == n
+        assert summary["dropped_spans"] == 0
         assert metrics.counter("obs.sink.dropped").value == 0
 
     @pytest.mark.parametrize("n", [800, 8_000])
     def test_bounded_memory_flat_at_10x(self, tmp_path, n):
         """The writer holds O(1) memory: the same small peak at 10x length."""
-        path = tmp_path / f"trace-{n}.jsonl"
+        path = tmp_path / f"trace-{n}.json"
         sink = SpanSink(path)
         sink.offer_span(_mk_span(0))  # first-span pid bookkeeping
         tracemalloc.start()
@@ -173,12 +177,12 @@ class TestSpanSink:
         # A sink that kept its spans would hold ~100 KB at n=800.
         assert peak < 64 * 1024
         assert sink.events_written == n and sink.dropped == 0
-        meta = json.loads(path.read_text().splitlines()[-1])
+        meta = _read_events(path)[-1]["args"]
         assert meta["sink_events_written"] == n
         assert meta["sink_dropped"] == 0
 
     def test_installed_sink_keeps_buffer_empty(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
+        path = tmp_path / "trace.json"
         sink = SpanSink(path)
         trace.enable(sink)
         try:
@@ -192,7 +196,7 @@ class TestSpanSink:
         finally:
             trace.disable()
         sink.close()
-        spans = [d for d in _read_jsonl(path) if d["type"] == "span"]
+        spans = [e for e in _read_events(path) if e["ph"] == "X"]
         assert len(spans) == 50
 
     def test_tracing_starts_no_thread(self, tmp_path):
@@ -210,14 +214,14 @@ class TestSpanSink:
         assert threading.active_count() == before
 
     def test_each_span_is_on_disk_before_close(self, tmp_path):
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "t.json"
         sink = SpanSink(path)
         sink.offer_span(_mk_span(0))
-        assert [d["type"] for d in _read_jsonl(path)] == ["span"]
+        assert _kinds(path) == ["X"]
         sink.close()
 
     def test_reset_detaches_but_does_not_close(self, tmp_path):
-        sink = SpanSink(tmp_path / "t.jsonl")
+        sink = SpanSink(tmp_path / "t.json")
         trace.enable(sink)
         trace.reset()
         trace.enable()
@@ -228,7 +232,7 @@ class TestSpanSink:
         sink.close()
 
     def test_close_is_idempotent_and_late_offers_drop(self, tmp_path):
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "t.json"
         sink = SpanSink(path)
         sink.offer_span(_mk_span(0))
         sink.close()
@@ -237,10 +241,10 @@ class TestSpanSink:
         assert not sink.offer_span(_mk_span(2))
         assert sink.dropped == 2
         assert metrics.counter("obs.sink.dropped").value == 2
-        assert [d["type"] for d in _read_jsonl(path)] == ["span", "meta"]
+        assert _kinds(path) == ["X", "i"]
 
     def test_io_errors_counted_not_raised(self, tmp_path):
-        sink = SpanSink(tmp_path / "t.jsonl")
+        sink = SpanSink(tmp_path / "t.json")
 
         class _Broken:
             def write(self, _):
@@ -278,18 +282,18 @@ class _Clock:
 
 
 def _counters(path):
-    """``(name, ts_ns, value)`` of every counter line in a JSONL trace."""
+    """``(name, ts_us, value)`` of every counter event in a trace."""
     return [
-        (d["name"], d["ts_ns"], d["value"])
-        for d in _read_jsonl(path)
-        if d["type"] == "counter"
+        (e["name"], e["ts"], e["args"]["value"])
+        for e in _read_events(path)
+        if e["ph"] == "C"
     ]
 
 
 class TestCounterSampler:
     def test_emits_only_changed_values(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sink_mod, "COUNTER_SAMPLE_INTERVAL_NS", 0)
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "t.json"
         sink = SpanSink(path)
         metrics.counter("pool.tasks_submitted").add(3)
         metrics.gauge("pool.tasks_inflight").set(2)
@@ -305,7 +309,7 @@ class TestCounterSampler:
         assert names.count("pool.tasks_inflight") == 1
 
     def test_labeled_gauges_become_labeled_tracks(self, tmp_path):
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "t.json"
         LIVE_GAUGES.set("monitor.window_kappa", {"session": "run1"}, 0.93)
         LIVE_GAUGES.set("monitor.window_kappa", {"session": "run2"}, 0.88)
         with SpanSink(path) as sink:
@@ -319,7 +323,7 @@ class TestCounterSampler:
     def test_span_write_samples_after_the_interval(self, tmp_path, monkeypatch):
         clock = _Clock()
         monkeypatch.setattr(sink_mod, "time", clock)
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "t.json"
         sink = SpanSink(path)
         metrics.counter("monitor.packets").add(1)
         sink.offer_span(_mk_span(0))  # the first write always samples
@@ -334,7 +338,7 @@ class TestCounterSampler:
 
     def test_close_takes_a_final_sample(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sink_mod, "COUNTER_SAMPLE_INTERVAL_NS", 3600 * 10**9)
-        path = tmp_path / "t.jsonl"
+        path = tmp_path / "t.json"
         sink = SpanSink(path)
         metrics.counter("monitor.windows").add(5)
         sink.offer_span(_mk_span(0))

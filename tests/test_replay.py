@@ -11,7 +11,6 @@ from repro.replay import (
     MBUF_BYTES,
     MIN_BUFFER_BYTES,
     ChoirNode,
-    ChoirState,
     PollLoopCost,
     Recording,
     Replayer,
@@ -351,14 +350,13 @@ class TestReplayer:
 
 class TestChoirNode:
     def test_lifecycle(self, rng):
+        """Record arms the node; replay plays the stored recording."""
         node = ChoirNode("n1", TxNicModel(rate_bps=100e9))
-        assert node.state is ChoirState.STANDBY
-        node.record(cbr_batch(300), rng)
-        assert node.state is ChoirState.ARMED
+        _, recording = node.record(cbr_batch(300), rng)
+        assert node.recording is recording
         out = node.replay(1e9, rng)
         assert len(out) == 300
-        node.standby()
-        assert node.state is ChoirState.STANDBY
+        assert node.recording is recording
 
     def test_replay_without_recording_raises(self, rng):
         node = ChoirNode("n1", TxNicModel(rate_bps=100e9))
@@ -373,7 +371,7 @@ class TestChoirNode:
         )
         fast = ChoirNode("f", TxNicModel(rate_bps=100e9, pull_jitter=0.0), timing=timing)
         slow = ChoirNode("s", TxNicModel(rate_bps=100e9, pull_jitter=0.0), timing=timing)
-        fast.clock.set_offset(+5000.0)
+        fast.clock_offset_ns = 5000.0
         batch = cbr_batch(100)
         fast.record(batch, rng)
         slow.record(batch, rng)

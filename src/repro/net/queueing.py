@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["fifo_departures", "fifo_tail_drop", "TailDropResult"]
+__all__ = ["fifo_departures", "fifo_tail_drop", "last_idle_arrival", "TailDropResult"]
 
 
 def fifo_departures(ready_ns: np.ndarray, service_ns: np.ndarray) -> np.ndarray:
@@ -183,6 +183,29 @@ def fifo_tail_drop(
     if accepted.all():
         return TailDropResult(done, accepted)
     return TailDropResult(done[accepted], accepted)
+
+
+def last_idle_arrival(
+    ready_ns: np.ndarray, service_ns: np.ndarray, next_ns: float
+) -> int:
+    """Index of the last arrival that finds the drop-free FIFO empty.
+
+    The arrivals are ``ready_ns`` followed by one more at ``next_ns`` (at
+    or after ``ready_ns[-1]``), which has index ``len(ready_ns)``.  An
+    arrival finds the queue empty when it comes strictly after the
+    previous departure, the busy-period starts of
+    :func:`_drop_free_departures`; packet 0 always does.  Tail drops only
+    lower departures, so such an arrival finds a finite queue empty under
+    every drop pattern too: from it on, the queue runs as if nothing had
+    come before.
+    """
+    ready = np.asarray(ready_ns, dtype=np.float64)
+    if ready.size == 0:
+        return 0
+    done, is_start = _drop_free_departures(ready, np.asarray(service_ns, dtype=np.float64))
+    if next_ns > done[-1]:
+        return ready.size
+    return int(np.flatnonzero(is_start)[-1])
 
 
 def _drop_free_departures(

@@ -19,6 +19,24 @@ only the foreground departures are returned.  With a finite VF queue
 ``2 × vf_queue_packets`` slots, and that ring can drop frames of either
 stream: a dropped background frame takes no wire time.  Only foreground
 drops are counted.
+
+Only the foreground is measured, so the port queues only the background
+that can reach it (the *window*), and the result is bit-identical to
+queueing all of it:
+
+* background frames ordered after the last foreground frame (ready at or
+  after it: the foreground wins ties) are left out.  A FIFO arrival never
+  changes an earlier arrival's admission or departure, and the prefixes
+  of the closed form's ``cumsum`` and ``maximum.accumulate`` do not depend
+  on later elements;
+* with a finite VF ring, the background before the last arrival, up to
+  and including the first foreground frame, that finds the drop-free
+  queue empty (:func:`~repro.net.queueing.last_idle_arrival`) is left out
+  too.  Drops only lower departures, so the ring is empty at that arrival
+  under every drop pattern, and from it on the queue makes the same
+  additions in the same order.  The infinite ring keeps that background:
+  its unverified closed form rounds according to where its ``cumsum``
+  starts.
 """
 
 from __future__ import annotations
@@ -28,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pktarray import PacketArray
-from .queueing import fifo_departures, fifo_tail_drop
+from .queueing import fifo_departures, fifo_tail_drop, last_idle_arrival
 from .units import wire_time_ns
 
 __all__ = ["SharedPort", "SharedPortResult"]
@@ -46,16 +64,17 @@ class SharedPortResult:
 class SharedPort:
     """One physical port multiplexing a foreground VF with background traffic.
 
-    :meth:`traverse` merges only what the queue reads.  Each stream's wire
-    times are computed before the merge; one stable argsort of the
-    concatenated ready times orders both streams (the foreground first on
-    ties), and only the ready and wire times are gathered.  The merged
-    stream is served by :func:`~repro.net.queueing.fifo_departures`, or
-    with a finite VF ring by :func:`~repro.net.queueing.fifo_tail_drop`
-    (looked up through the name this module imports, so that a tracer or
-    a test can replace it here).  The foreground's
-    kept tags and sizes and its departure times make one validated
-    :class:`PacketArray`; no merged batch is built.
+    :meth:`traverse` merges only what the queue reads: the background is
+    first cut to the window that can reach the foreground (see the module
+    docstring).  Each stream's wire times are computed before the merge;
+    one stable argsort of the concatenated ready times orders both streams
+    (the foreground first on ties), and only the ready and wire times are
+    gathered.  The merged stream is served by
+    :func:`~repro.net.queueing.fifo_departures`, or with a finite VF ring
+    by :func:`~repro.net.queueing.fifo_tail_drop` (looked up through the
+    name this module imports, so that a tracer or a test can replace it
+    here).  The foreground's kept tags and sizes and its departure times
+    make one validated :class:`PacketArray`; no merged batch is built.
 
     Parameters
     ----------
@@ -86,17 +105,40 @@ class SharedPort:
 
         Accepted background frames take wire time but are left out of the
         output; only the foreground batch's departure times are returned.
+        Background that cannot change a foreground frame's admission or
+        departure is cut away before any wire time, merge or queue run:
+        the frames ready at or after the last foreground frame, and with a
+        finite ring those before the last arrival, up to the first
+        foreground frame, that finds the drop-free queue empty.  The
+        output is bit-identical to queueing the whole background.
+
+        Raises
+        ------
+        ValueError
+            With a non-empty background, if any ready time of either
+            stream is non-finite, the cut-away part included.
         """
         fg_service = wire_time_ns(foreground.sizes, self.rate_bps)
         if background is None or len(background) == 0:
             times = fifo_departures(foreground.times_ns, fg_service)
             return SharedPortResult(foreground.with_times(times), 0)
 
-        bg_service = wire_time_ns(background.sizes, self.rate_bps)
-        times = np.concatenate([foreground.times_ns, background.times_ns])
+        fg_times, bg_times = foreground.times_ns, background.times_ns
+        if not (np.isfinite(fg_times).all() and np.isfinite(bg_times).all()):
+            raise ValueError("ready_ns must be finite")
+        # The window: drop what comes after the last foreground frame, and
+        # with a finite ring what comes before the queue last went idle.
+        hi = int(np.searchsorted(bg_times, fg_times[-1])) if len(fg_times) else 0
+        bg_service = wire_time_ns(background.sizes[:hi], self.rate_bps)
+        lo = 0
+        if self.vf_queue_packets is not None and len(fg_times):
+            p = int(np.searchsorted(bg_times[:hi], fg_times[0]))
+            lo = last_idle_arrival(bg_times[:p], bg_service[:p], fg_times[0])
+
+        times = np.concatenate([fg_times, bg_times[lo:hi]])
         order = np.argsort(times, kind="stable")
         ready = times[order]
-        service = np.concatenate([fg_service, bg_service])[order]
+        service = np.concatenate([fg_service, bg_service[lo:]])[order]
         fg_mask = order < len(foreground)
 
         if self.vf_queue_packets is None:

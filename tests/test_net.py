@@ -17,6 +17,7 @@ from repro.net import (
     fifo_departures,
     make_tags,
 )
+import repro.net.sriov as sriov
 from repro.net.units import wire_time_ns
 
 from .test_queueing import reference_tail_drop
@@ -195,19 +196,45 @@ def _batch(times, sizes, replayer_id=0):
     )
 
 
+def _clock_batch(draw, replayer_id, origin, start, max_n):
+    """Frames on a 100 ns clock: 0-5 ticks apart from ``start`` ticks."""
+    n = draw(st.integers(0, max_n))
+    gaps = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 5)))
+    sizes = draw(hnp.arrays(np.int64, n, elements=st.sampled_from([64, 1400, 1500])))
+    times = origin + (draw(start) + np.cumsum(gaps)).astype(np.float64) * 100.0
+    return _batch(times, sizes, replayer_id)
+
+
 @st.composite
 def shared_port_cases(draw):
-    """(port, foreground, background) on a 1e9 + frac clock or near zero."""
+    """(port, foreground, background) on a 1e9 + frac clock or near zero.
+
+    The background starts up to 4 µs before the foreground and can run
+    twice as long, so it often extends on both sides of it; its frames
+    come faster than a 40 Gb/s port serves them, so the ring is often
+    still busy at the first foreground frame.
+    """
     origin = draw(st.sampled_from([0.0, 1e9 + 0.3]))
-    fg, bg = (
-        _batch(origin + b.times_ns * 100.0, b.sizes, replayer_id=i)
-        for i, b in enumerate(draw(packet_batches(min_batches=2, max_batches=2)))
-    )
+    fg = _clock_batch(draw, 0, origin, st.integers(20, 40), 30)
+    bg = _clock_batch(draw, 1, origin, st.integers(0, 40), 60)
     port = SharedPort(
         rate_bps=draw(st.sampled_from([40e9, 100e9])),
         vf_queue_packets=draw(st.one_of(st.none(), st.integers(1, 8))),
     )
     return port, fg, draw(st.sampled_from([bg, None]))
+
+
+def _queued(monkeypatch, port, fg, bg):
+    """Traverse, checked against the reference: (result, packets queued)."""
+    sizes = []
+    for name in ("fifo_departures", "fifo_tail_drop"):
+        def spy(ready, *args, _real=getattr(sriov, name)):
+            sizes.append(len(ready))
+            return _real(ready, *args)
+        monkeypatch.setattr(sriov, name, spy)
+    got = assert_traverse_matches_reference(port, fg, bg)
+    (queued,) = sizes
+    return got, queued
 
 
 class TestSharedPortDifferential:
@@ -233,12 +260,15 @@ class TestSharedPortDifferential:
         got = assert_traverse_matches_reference(port, fg, _batch([], 1500, 1))
         assert got.n_dropped == 0
 
-    def test_infinite_ring_with_background(self):
+    def test_infinite_ring_with_background(self, monkeypatch):
+        # Background on both sides of the foreground: the infinite ring
+        # cuts only what is ready at or after the last foreground frame.
         port = SharedPort(rate_bps=40e9)
-        fg = _batch(np.zeros(20), 1400)
-        bg = _batch(np.arange(30) * 50.0, 1500, 1)
-        got = assert_traverse_matches_reference(port, fg, bg)
-        assert got.n_dropped == 0 and len(got.batch) == 20
+        fg = _batch(1000.0 + np.arange(10) * 100.0, 1400)
+        bg = _batch(np.arange(40) * 100.0, 1500, 1)
+        got, queued = _queued(monkeypatch, port, fg, bg)
+        assert got.n_dropped == 0 and len(got.batch) == 10
+        assert queued == 10 + 19
 
     def test_all_foreground_dropped(self):
         # Two background frames fill the 2-slot queue before any
@@ -255,6 +285,86 @@ class TestSharedPortDifferential:
         bg = _batch(1e9 + 0.3 + np.arange(10) * 1000.0 + 500.0, 1500, 1)
         got = assert_traverse_matches_reference(port, fg, bg)
         assert got.n_dropped == 0 and len(got.batch) == 10
+
+    @pytest.mark.parametrize("vf", [None, 1, 4])
+    def test_window_edges_on_ties(self, monkeypatch, vf):
+        # Background tied with the first foreground frame is queued after
+        # it (kept); background tied with the last one comes after every
+        # foreground frame (cut).  The frame at 500 ns has left by 1000 ns,
+        # so a finite ring cuts it too.
+        port = SharedPort(rate_bps=40e9, vf_queue_packets=vf)
+        fg = _batch([1000.0, 1200.0, 1400.0], 1400)
+        bg = _batch([500.0, 1000.0, 1000.0, 1400.0, 1400.0, 1600.0], 1500, 1)
+        _, queued = _queued(monkeypatch, port, fg, bg)
+        assert queued == 3 + (3 if vf is None else 2)
+
+    @pytest.mark.parametrize("vf", [None, 2])
+    def test_background_wholly_before_foreground(self, monkeypatch, vf):
+        port = SharedPort(rate_bps=40e9, vf_queue_packets=vf)
+        fg = _batch(10_000.0 + np.arange(5) * 100.0, 1400)
+        bg = _batch(np.zeros(6), 1500, 1)
+        got, queued = _queued(monkeypatch, port, fg, bg)
+        assert len(got.batch) == 5
+        # The queue has drained by the first foreground frame: a finite
+        # ring queues the foreground alone, still through the ring.
+        assert queued == (11 if vf is None else 5)
+
+    @pytest.mark.parametrize("vf", [None, 2])
+    def test_background_wholly_after_foreground(self, monkeypatch, vf):
+        port = SharedPort(rate_bps=40e9, vf_queue_packets=vf)
+        fg = _batch(np.zeros(5), 1400)
+        bg = _batch(np.arange(6) * 10.0, 1500, 1)
+        got, queued = _queued(monkeypatch, port, fg, bg)
+        assert queued == 5
+        assert got.n_dropped == (0 if vf is None else 1)
+
+    def test_busy_period_straddling_first_foreground_frame(self, monkeypatch):
+        # A 2-slot ring.  The first two background frames have left by
+        # 5000 ns, where a busy period starts that drops two background
+        # frames and is still busy when the foreground arrives: the queue
+        # starts at that busy period, and the foreground frame at 5400 ns
+        # finds the ring full.
+        port = SharedPort(rate_bps=40e9, vf_queue_packets=1)
+        fg = _batch([5350.0, 5400.0, 5650.0], 1400)
+        bg = _batch([0.0, 0.0, 5000.0, 5000.0, 5000.0, 5000.0], 1500, 1)
+        got, queued = _queued(monkeypatch, port, fg, bg)
+        assert queued == 4 + 3
+        assert got.n_dropped == 1
+        np.testing.assert_array_equal(got.batch.times_ns, [5880.0, 6160.0])
+
+    @pytest.mark.parametrize("vf", [None, 2])
+    def test_empty_foreground_with_background(self, monkeypatch, vf):
+        port = SharedPort(rate_bps=40e9, vf_queue_packets=vf)
+        got, queued = _queued(monkeypatch, port, _batch([], 1400), _batch(np.zeros(4), 1500, 1))
+        assert queued == 0
+        assert got.n_dropped == 0 and len(got.batch) == 0
+
+
+class TestSharedPortInputChecks:
+    """Non-finite ready times raise wherever they are, cut away or not."""
+
+    @pytest.mark.parametrize("vf", [None, 2])
+    @pytest.mark.parametrize(
+        "fg_times, bg_times",
+        [
+            ([300.0, 400.0], [np.nan, 100.0, 200.0]),      # before fg[0]
+            ([300.0, 400.0], [-np.inf, 100.0, 200.0]),
+            ([300.0, 400.0], [100.0, 500.0, np.nan]),      # after fg[-1]
+            ([300.0, 400.0], [100.0, 500.0, np.inf]),
+            ([300.0, np.nan, 400.0], [100.0, 350.0]),      # in the foreground
+            ([300.0, 400.0, np.inf], [100.0, 350.0]),
+            ([], [100.0, np.nan]),
+        ],
+    )
+    def test_non_finite_time_raises(self, monkeypatch, vf, fg_times, bg_times):
+        def unreachable(*args):
+            raise AssertionError("the queue ran on a non-finite stream")
+
+        monkeypatch.setattr(sriov, "fifo_departures", unreachable)
+        monkeypatch.setattr(sriov, "fifo_tail_drop", unreachable)
+        port = SharedPort(rate_bps=40e9, vf_queue_packets=vf)
+        with pytest.raises(ValueError, match="ready_ns must be finite"):
+            port.traverse(_batch(fg_times, 1400), _batch(bg_times, 1500, 1))
 
 
 class TestLink:

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.net import TailDropResult, fifo_departures, fifo_tail_drop
-from repro.net.queueing import _drop_free_departures, _satisfies_recurrence
+from repro.net.queueing import (
+    _drop_free_departures,
+    _satisfies_recurrence,
+    last_idle_arrival,
+)
 
 from .conftest import suite_rng
 
@@ -344,3 +348,46 @@ class TestDropFreeDepartures:
         assert not _verifies(ready, service)
         assert_drop_free_exact(ready, service)
         assert_same_as_reference(ready, service, 4)
+
+
+def reference_last_idle_arrival(ready, service, next_ns):
+    """The last arrival, ``next_ns`` (index n) included, that comes
+    strictly after the recurrence's previous departure."""
+    done = reference_fifo(ready, service)
+    arrivals = ready.tolist() + [next_ns]
+    return max(
+        [0] + [i for i in range(1, len(arrivals)) if arrivals[i] > done[i - 1]]
+    )
+
+
+class TestLastIdleArrival:
+    """last_idle_arrival against the recurrence, and the restart it licenses."""
+
+    @given(drop_free_cases(), st.integers(0, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_property_matches_reference(self, case, gap):
+        ready, service = case
+        next_ns = ready[-1] + gap
+        got = last_idle_arrival(ready, service, next_ns)
+        assert got == reference_last_idle_arrival(ready, service, next_ns)
+
+    def test_empty_stream(self):
+        assert last_idle_arrival(np.array([]), np.array([]), 5.0) == 0
+
+    def test_next_arrival_on_the_last_departure_is_not_idle(self):
+        ready, service = np.array([0.0, 1000.0]), np.array([300.0, 300.0])
+        assert last_idle_arrival(ready, service, 1300.0) == 1
+        assert last_idle_arrival(ready, service, 1300.5) == 2
+
+    @given(tail_drop_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_tail_drop_restarts_at_the_idle_arrival(self, case):
+        # Cutting everything before the idle arrival leaves the tail drop
+        # of what follows it unchanged, bit for bit.
+        ready, service, cap = case
+        k = last_idle_arrival(ready[:-1], service[:-1], ready[-1])
+        full = reference_tail_drop(ready, service, cap)
+        cut = fifo_tail_drop(ready[k:], service[k:], cap)
+        np.testing.assert_array_equal(cut.accepted, full.accepted[k:])
+        n_before = np.count_nonzero(full.accepted[:k])
+        assert cut.done_ns.tobytes() == full.done_ns[n_before:].tobytes()

@@ -2,11 +2,11 @@
 
 Compares a paper-scale series — one baseline and ``N_RUNS`` runs of
 ~1.05M packets each, light jitter + drops (the Section-6.1 regime) —
-serially and under increasing job counts through
-:func:`repro.parallel.compare_series_parallel`, checks the parallel
+serially in memory and, saved as captures, under increasing job counts
+through :func:`repro.analysis.analyze_directory`, checks the parallel
 reports are *bit-identical* to serial, and emits the wall-time/speedup
 table to ``benchmarks/out/parallel_analysis.txt``.  Each pool task is one
-whole pair; a pair is never split.
+whole pair, named by its two capture paths; a pair is never split.
 
 Honesty note: the speedup assertion (>= 2x at 4 jobs) only fires when the
 runner actually exposes >= 4 usable cores — on a smaller host the
@@ -17,7 +17,7 @@ The fused timing kernel gets its own stage table
 (``test_fused_kernel_stage_table``): the single-pass
 :func:`repro.core.fusedpass.fused_timings` against the pre-fusion
 per-component passes it replaced, plus a jobs=2 steady-state parity
-measurement of the whole-pair fan-out on a two-pair series.  Gates: the
+measurement of the whole-pair fan-out on a saved two-pair series.  Gates: the
 fused path must stay within 10% of the component passes in every mode
 (regression guard), jobs=2 must reach serial parity when the runner
 actually has a second core, and in full mode the serial comparison must
@@ -33,8 +33,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis import analyze_directory, save_series
 from repro.core import compare_series, compare_trials
-from repro.parallel import compare_series_parallel
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 N = 221_000 if SMOKE else 1_055_648  # full: the paper's Section-6.1 capture size
@@ -90,8 +90,9 @@ def _assert_series_exact(got, want):
 
 
 @pytest.mark.skipif(SMOKE, reason="full scaling sweep is not part of smoke mode")
-def test_parallel_analysis_speedup(once, emit, emit_json):
+def test_parallel_analysis_speedup(once, emit, emit_json, tmp_path):
     trials = _paper_scale_series(n_runs=N_RUNS)
+    save_series(trials, tmp_path)
     usable_cores = len(os.sched_getaffinity(0))
 
     def sweep():
@@ -102,8 +103,8 @@ def test_parallel_analysis_speedup(once, emit, emit_json):
 
         rows = [("serial", serial_s, 1.0)]
         for jobs in JOB_COUNTS:
-            _assert_series_exact(compare_series_parallel(trials, jobs=jobs), serial)
-            dt = _best_of(2, lambda j=jobs: compare_series_parallel(trials, jobs=j))
+            _assert_series_exact(analyze_directory(tmp_path, jobs=jobs), serial)
+            dt = _best_of(2, lambda j=jobs: analyze_directory(tmp_path, jobs=j))
             rows.append((f"jobs={jobs}", dt, serial_s / dt))
         return rows
 
@@ -150,7 +151,7 @@ def _best_of(k, fn):
     return best
 
 
-def test_fused_kernel_stage_table(once, emit, emit_json):
+def test_fused_kernel_stage_table(once, emit, emit_json, tmp_path):
     """Fused timing kernel vs the per-component passes it replaced."""
     from repro.core import SymlogBins
     from repro.core.fusedpass import fused_timings
@@ -189,14 +190,16 @@ def test_fused_kernel_stage_table(once, emit, emit_json):
         serial_s = _best_of(reps, lambda: compare_trials(a, b))
 
         # jobs=2 steady state on a two-pair series: one whole pair per
-        # forkserver worker.  Pool startup is measured by the sim bench;
-        # here the question is whether a warm two-worker fan-out holds
-        # parity with the fused serial path over the same two pairs.
+        # forkserver worker, read from its saved captures.  Pool startup
+        # is measured by the sim bench; here the question is whether a
+        # warm two-worker fan-out holds parity with the fused serial path
+        # over the same two pairs already in memory.
         series = [a, b, b]
+        save_series(series, tmp_path)
         want = compare_series(series)
         serial2_s = _best_of(reps, lambda: compare_series(series))
-        _assert_series_exact(compare_series_parallel(series, jobs=2), want)
-        jobs2_s = _best_of(reps, lambda: compare_series_parallel(series, jobs=2))
+        _assert_series_exact(analyze_directory(tmp_path, jobs=2), want)
+        jobs2_s = _best_of(reps, lambda: analyze_directory(tmp_path, jobs=2))
         return match_s, components_s, fused_s, serial_s, serial2_s, jobs2_s
 
     match_s, components_s, fused_s, serial_s, serial2_s, jobs2_s = once(sweep)

@@ -35,11 +35,13 @@ Chrome ``trace_event`` array loadable in Perfetto /
 ``--stats`` prints the stage/counter summary to stderr after the
 command, and ``--serve-metrics PORT`` exposes ``/metrics`` (Prometheus
 text) + ``/healthz`` while the command runs (see :mod:`repro.obs` and
-``docs/observability.md``).  Commands that resolve several series or
-analyze handed-in trials honor ``--jobs N`` (default from ``REPRO_JOBS``
-or 1), fanning whole items — sweep units, or trial pairs where trials
-are handed in — across N processes via :mod:`repro.parallel`; each item
-runs the serial code, so output is identical at any job count.
+``docs/observability.md``).  Commands that resolve several series, and
+``analyze``, honor ``--jobs N`` (default from ``REPRO_JOBS`` or 1),
+fanning whole items — sweep units, or capture pairs for ``analyze`` —
+across N processes via :mod:`repro.parallel`; each item runs the serial
+code, so output is identical at any job count.  Commands that simulate
+honor ``--store DIR`` (default from ``REPRO_STORE``), reusing and
+feeding the persistent series store.
 Every worker draws from one process-global pool, created lazily on the
 first parallel stage and torn down when the command exits — including on
 error paths (see :mod:`repro.parallel.pool`).
@@ -55,15 +57,25 @@ import sys
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (a bad value is a usage error)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low`` (a bad value is a usage error)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+#: ``--runs``: a baseline plus at least one repeat run.
+_run_count = _int_at_least(2)
 
 
 def _port(text: str) -> int:
@@ -118,11 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_jobs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--jobs", type=_positive_int, default=None, metavar="N",
+            "--jobs", type=_int_at_least(1), default=None, metavar="N",
             help="worker processes for simulation and analysis (default "
             "REPRO_JOBS or 1; output is identical at any N)",
         )
-        add_store(p)
 
     def add_store(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -160,17 +171,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario key (see `repro scenarios`)")
     p.add_argument("--profile", default=None, metavar="JSON",
                    help="run a custom environment from a profile JSON instead")
-    p.add_argument("--runs", type=int, default=5, help="number of runs (default 5)")
+    p.add_argument("--runs", type=_run_count, default=5,
+                   help="number of runs, at least 2 (default 5)")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--scale", type=float, default=None, help="duration scale (default REPRO_SCALE)")
     p.add_argument("-o", "--output", default=None, help="directory to save captures into")
     p.add_argument("--histograms", action="store_true", help="include figure histograms")
-    add_jobs(p)
+    add_store(p)
 
     p = sub.add_parser("analyze", help="analyze a directory of saved captures")
     p.add_argument("directory")
     p.add_argument("--histograms", action="store_true")
     add_jobs(p)
+    add_obs(p)
 
     p = sub.add_parser(
         "monitor", help="stream saved captures through the online kappa monitor"
@@ -207,18 +220,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-paper", action="store_true", help="omit the paper's columns")
     add_ci(p)
     add_jobs(p)
+    add_store(p)
 
     p = sub.add_parser("validate", help="grade the reproduction against the paper's Table 2")
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--kappa-tol", type=float, default=0.08)
     add_ci(p)
     add_jobs(p)
+    add_store(p)
 
     p = sub.add_parser("report", help="regenerate the full evaluation into a directory")
     p.add_argument("-o", "--output", default="report", help="output directory")
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--no-svg", action="store_true", help="skip SVG figure rendering")
     add_jobs(p)
+    add_store(p)
 
     p = sub.add_parser(
         "sweep",
@@ -233,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated seeds applied to every scenario (default: "
         "each scenario's registered seed)",
     )
-    p.add_argument("--runs", type=int, default=5, help="runs per unit (default 5)")
+    p.add_argument("--runs", type=_run_count, default=5,
+                   help="runs per unit, at least 2 (default 5)")
     p.add_argument("--scale", type=float, default=None,
                    help="duration scale (default REPRO_SCALE)")
     p.add_argument(
@@ -246,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write sweep.json + sweep_telemetry.json into DIR",
     )
     add_jobs(p)
+    add_store(p)
 
     p = sub.add_parser(
         "stability",
@@ -273,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on seeded sessions per environment in adaptive mode "
         "(default 12)",
     )
-    p.add_argument("--runs", type=int, default=3,
-                   help="replay runs per session (default 3)")
+    p.add_argument("--runs", type=_run_count, default=3,
+                   help="replay runs per session, at least 2 (default 3)")
     p.add_argument("--scale", type=float, default=None,
                    help="duration scale (default REPRO_SCALE)")
     p.add_argument(
@@ -282,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write stability.json + stability_telemetry.json into DIR",
     )
     add_jobs(p)
+    add_store(p)
 
     p = sub.add_parser("figure", help="regenerate one figure's series")
     p.add_argument("figure_id", help="4a, 4b, 5, 6a..10b")
@@ -316,8 +335,9 @@ def _cmd_scenarios(_args) -> int:
 
 def _cmd_simulate(args) -> int:
     from .analysis import render_report, save_series
-    from .experiments import analyze_trials, scenario
-    from .testbeds import Testbed
+    from .experiments import scenario
+    from .experiments.runner import persistent_store
+    from .sweep import plan_unit, run_sweep
 
     if (args.scenario is None) == (args.profile is None):
         print("simulate: give exactly one of <scenario> or --profile", file=sys.stderr)
@@ -340,11 +360,17 @@ def _cmd_simulate(args) -> int:
     if args.scale is not None:
         trace.set_meta("scale", args.scale)
     print(f"simulating {profile.name} ({profile.describe()}) seed={seed}", file=sys.stderr)
-    trials = Testbed(profile, seed=seed).run_series(args.runs)
+    # One series is one sweep unit: served from the store when it holds
+    # the unit's digest, computed serially and stored otherwise.
+    result = run_sweep(
+        [plan_unit(profile.name, profile, seed, args.runs)],
+        persistent_store(),
+        jobs=1,
+    )
+    [trials], [report] = result.trials, result.series
     if args.output:
-        paths = save_series(trials, args.output)
+        paths = save_series(list(trials), args.output)
         print(f"saved {len(paths)} captures under {args.output}", file=sys.stderr)
-    report = analyze_trials(trials, environment=profile.name, jobs=args.jobs)
     print(render_report(report, histograms=args.histograms))
     return 0
 
@@ -352,7 +378,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_analyze(args) -> int:
     from .analysis import analyze_directory, render_report
 
-    report = analyze_directory(args.directory, jobs=args.jobs)
+    try:
+        report = analyze_directory(args.directory, jobs=args.jobs)
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"analyze: {exc}", file=sys.stderr)
+        return 2
     print(render_report(report, histograms=args.histograms))
     return 0
 
@@ -698,9 +728,10 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     if getattr(args, "store", None) and args.command not in ("sweep", "stability"):
-        # Scenario-driven commands (tables, figures, validate, report,
-        # simulate) read and feed the persistent series store; the sweep
-        # and stability commands manage their own store instances.
+        # The other commands that simulate (simulate, tables, figures,
+        # validate, report) read and feed the persistent series store;
+        # the sweep and stability commands manage their own store
+        # instances.
         from .experiments.runner import configure_store
 
         configure_store(args.store)

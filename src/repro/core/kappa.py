@@ -90,8 +90,8 @@ class MetricVector:
     report that exact float, or refuse to produce a vector —
     partially-populated vectors do not exist.  The batch
     (:func:`repro.core.report.compare_trials`), parallel
-    (:func:`repro.parallel.compare_series_parallel`, which runs the batch
-    path per pair) and streaming paths all honor this: the known-baseline
+    (:func:`repro.analysis.analyze_directory`, which runs the batch path
+    per pair) and streaming paths all honor this: the known-baseline
     streaming comparator
     (:class:`repro.analysis.streamkappa.StreamKappa`) computes every
     component — including the global-LCS ordering metric, via the serial

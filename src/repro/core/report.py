@@ -30,6 +30,7 @@ __all__ = [
     "compare_trials",
     "RunSeriesReport",
     "compare_series",
+    "default_label",
     "label_series",
 ]
 
@@ -164,20 +165,22 @@ class RunSeriesReport:
         return [p.row() for p in self.pairs]
 
 
-def label_series(trials: list[Trial]) -> list[Trial]:
-    """The series with the paper's default labels filled in.
+def default_label(trial: Trial, index: int) -> Trial:
+    """``trial`` as run ``index`` of a series, labelled as the paper does.
 
-    The first run is A, later runs B, C, D, E, ... — each only if it
-    carries no label of its own.
+    A trial keeps its own label; an unlabelled one becomes A at index 0
+    (the baseline), then B, C, D, E, ...
     """
+    if trial.label:
+        return trial
+    return trial.relabel(chr(ord("A") + index) if index < 26 else f"run{index}")
+
+
+def label_series(trials: list[Trial]) -> list[Trial]:
+    """The series with the paper's default labels filled in."""
     if len(trials) < 2:
         raise ValueError("need a baseline plus at least one repeat run")
-    baseline = trials[0] if trials[0].label else trials[0].relabel("A")
-    runs = [
-        run if run.label else run.relabel(chr(ord("B") + k) if k < 25 else f"run{k + 1}")
-        for k, run in enumerate(trials[1:])
-    ]
-    return [baseline, *runs]
+    return [default_label(trial, i) for i, trial in enumerate(trials)]
 
 
 def compare_series(

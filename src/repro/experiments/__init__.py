@@ -24,7 +24,6 @@ from .figures import (
     fig10,
 )
 from .runner import (
-    analyze_trials,
     run_scenario,
     run_scenario_trials,
     run_scenarios,
@@ -44,7 +43,6 @@ __all__ = [
     "run_scenario",
     "run_scenarios",
     "run_scenario_trials",
-    "analyze_trials",
     "FigureSeries",
     "fig4",
     "fig5",

@@ -34,7 +34,6 @@ import os
 from ..core.report import RunSeriesReport
 from ..core.trial import Trial
 from ..obs import metrics
-from ..obs.trace import span
 from ..testbeds import EnvironmentProfile, Testbed
 from .scenarios import scenario
 
@@ -44,30 +43,9 @@ __all__ = [
     "run_scenarios",
     "run_scenario_trials",
     "screen_scenarios",
-    "analyze_trials",
     "configure_store",
     "persistent_store",
 ]
-
-
-def analyze_trials(
-    trials: list[Trial], environment: str = "", jobs: int | None = None
-) -> RunSeriesReport:
-    """Compare a trial series, fanning analysis across ``jobs`` processes.
-
-    ``jobs=None`` honors ``REPRO_JOBS`` (default 1 — the serial path);
-    any value produces the identical report.
-    """
-    from ..parallel import compare_series_parallel, default_jobs
-
-    jobs = default_jobs() if jobs is None else int(jobs)
-    with span(
-        "experiment.analyze",
-        environment=environment,
-        n_trials=len(trials),
-        jobs=jobs,
-    ):
-        return compare_series_parallel(trials, environment=environment, jobs=jobs)
 
 
 def run_trials(

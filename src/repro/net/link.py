@@ -59,12 +59,3 @@ class Link:
     def traverse(self, batch: PacketArray) -> PacketArray:
         """Pipeline-stage form of :meth:`traverse_times`."""
         return batch.with_times(self.traverse_times(batch.times_ns, batch.sizes))
-
-    def utilization(self, batch: PacketArray) -> float:
-        """Offered load of ``batch`` relative to the line rate, in [0, ∞)."""
-        if len(batch) < 2:
-            return 0.0
-        span = float(batch.times_ns[-1] - batch.times_ns[0])
-        if span <= 0:
-            return np.inf
-        return float(self.serialization_ns(batch.sizes).sum()) / span

@@ -58,10 +58,6 @@ class SwitchModel:
         if self.egress_rate_bps <= 0:
             raise ValueError("egress_rate_bps must be positive")
 
-    def forward(self, batch: PacketArray, rng: np.random.Generator) -> PacketArray:
-        """Forward one ingress stream to the egress port."""
-        return self.forward_merged([batch], rng)
-
     def forward_merged(
         self, ingress: list[PacketArray], rng: np.random.Generator
     ) -> PacketArray:

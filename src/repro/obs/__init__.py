@@ -11,8 +11,8 @@ logging, no timers, no visibility into the process pool.  The layers:
   per-stage totals and the one installed sink;
 * :mod:`~repro.obs.metrics` — a counter/gauge/histogram registry
   (monotonic counters, ns-resolution log2-bucket timing histograms) the
-  engine feeds: task queue-wait, task wall time, shm bytes, pool
-  submissions and failures, simulation runs;
+  engine feeds: task queue-wait, task wall time, pool submissions and
+  failures, simulation runs;
 * :mod:`~repro.obs.sink` — the trace writer: each span is written and
   flushed as it finishes, with counter samples taken on the way, to a
   Chrome ``trace_event`` array file — no queue, no thread, O(1) memory

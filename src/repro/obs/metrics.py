@@ -7,7 +7,7 @@ queue waits, stragglers and retry storms.  This registry gives the
 engine cheap, always-on distributions instead:
 
 * **counters** — monotonic event counts (``pool.tasks_submitted``,
-  ``pool.task_failures``, ``shm.bytes_shared``);
+  ``pool.task_failures``, ``sim.runs``);
 * **gauges** — last-write-wins levels (``pool.workers``);
 * **histograms** — ns-resolution timing distributions with **fixed log2
   buckets**: an observation ``v`` lands in bucket ``v.bit_length()``

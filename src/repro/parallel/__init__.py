@@ -7,20 +7,18 @@ on the one persistent pool (:mod:`~repro.parallel.pool`):
 
 * sweep units — :func:`repro.sweep.coordinator.run_sweep`, for every
   command that simulates; a unit itself always runs serially;
-* whole trial pairs — :func:`~repro.parallel.engine.compare_series_parallel`,
-  one serial ``compare_trials`` per task, only where trials are handed in
-  (``repro analyze``, ``analyze_trials``, ``repro simulate``'s analysis).
+* whole capture pairs — :func:`repro.analysis.compare.analyze_directory`,
+  one serial ``compare_trials`` per task over two capture paths, for
+  ``repro analyze``.
 
 Each task runs the unmodified serial code, so output is bit-identical at
-any job count.  Whole pairs read their packet arrays from
-``multiprocessing.shared_memory`` (:mod:`~repro.parallel.shm`); sweep
-units cross the pool by pickle.  See ``docs/parallel.md`` for the
+any job count.  Tasks and results cross the pool by pickle; a pair task
+carries only its two file paths.  See ``docs/parallel.md`` for the
 measured costs, and ``tests/test_parallel_differential.py`` /
 ``tests/test_sweep_differential.py`` for the differential harnesses that
 prove parallel == serial.
 """
 
-from .engine import compare_series_parallel
 from .pool import (
     PoolStats,
     default_jobs,
@@ -32,7 +30,6 @@ from .pool import (
 )
 
 __all__ = [
-    "compare_series_parallel",
     "fan_out",
     "get_pool",
     "shutdown_pool",

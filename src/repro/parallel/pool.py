@@ -11,8 +11,9 @@ This module owns exactly one pool per process instead:
 
 * :func:`get_pool` creates it **lazily** on first use and hands the same
   executor to every caller — both fan-outs, sweep units
-  (:mod:`repro.sweep.coordinator`) and whole trial pairs
-  (:mod:`repro.parallel.engine`), draw from it through :func:`fan_out`;
+  (:mod:`repro.sweep.coordinator`) and whole capture pairs
+  (:func:`repro.analysis.compare.analyze_directory`), draw from it
+  through :func:`fan_out`;
 * :func:`shutdown_pool` tears it down; the CLI calls it in a ``finally``
   so error exits cannot leak workers, and an ``atexit`` hook covers
   library users who never call it;
@@ -32,9 +33,9 @@ the worker's metric deltas back on the result, plus its spans when
 tracing (:mod:`repro.obs.trace`) is on.  It absorbs that telemetry
 parent-side and yields ``(index, result)`` in completion order.  When a
 task fails it cancels the rest of the batch and drains the running
-tasks before re-raising.  Without the drain, sibling tasks would still
-be running when the caller's ``ShmArena`` unlinks their input segments,
-and under a shared pool they would poison the *next* batch.  Failures
+tasks before re-raising.  Without the drain, sibling tasks of a failed
+batch would still be running on the shared pool and would delay or
+poison the *next* batch.  Failures
 are counted (``pool.task_failures``), and the re-raised exception
 carries the remote worker traceback string (``remote_traceback``), so a
 drained batch never swallows the original cause.
@@ -100,9 +101,9 @@ def _inflight_add(n: int) -> None:
 #: Modules the forkserver template imports once; every worker forks with
 #: them warm.  They are the modules of the two task functions:
 #: ``repro.sweep.coordinator`` (a sweep unit: simulation, analysis and
-#: store) and ``repro.parallel.engine`` (a whole pair: the core metric
-#: kernels and the shm transport).
-_FORKSERVER_PRELOAD = ["numpy", "repro.parallel.engine", "repro.sweep.coordinator"]
+#: store) and ``repro.analysis.compare`` (a whole pair: the capture
+#: reader and the core metric kernels).
+_FORKSERVER_PRELOAD = ["numpy", "repro.analysis.compare", "repro.sweep.coordinator"]
 
 
 @dataclass(frozen=True)
@@ -243,8 +244,8 @@ def fan_out(jobs: int, fn, tasks, *, name: str, attrs):
 
     On failure — a task raising, or the consumer abandoning the
     iteration — every pending task is cancelled and the running ones are
-    waited for, so no worker is still reading a shared-memory segment
-    the caller is about to unlink.  Failed tasks are counted in
+    waited for, so no task of a failed batch is still running when the
+    next batch reaches the pool.  Failed tasks are counted in
     ``pool.task_failures``, and a re-raised worker exception carries the
     remote traceback string as ``remote_traceback`` (and as an exception
     note on Python >= 3.11), so the drain never swallows the cause.
@@ -278,7 +279,7 @@ def fan_out(jobs: int, fn, tasks, *, name: str, attrs):
         # ProcessPoolExecutor chains the worker traceback as a
         # _RemoteTraceback cause; surface it as a plain string so the
         # error report names the worker-side frames even after the
-        # batch has been drained and its segments unlinked.
+        # batch has been drained.
         cause = exc.__cause__
         if cause is not None and type(cause).__name__ == "_RemoteTraceback":
             remote = str(cause)

@@ -1,4 +1,4 @@
-"""The Choir node facade: forward, record, replay.
+"""The Choir node facade: record and replay.
 
 Ties the middlebox (forward/record path), the replay engine, and the
 node's clock offset together as the paper describes a node: it forwards
@@ -79,10 +79,6 @@ class ChoirNode:
         )
 
     # ------------------------------------------------------------------
-    def forward(self, ingress: PacketArray, rng: np.random.Generator) -> PacketArray:
-        """Transparent forwarding (no recording)."""
-        return self._middlebox.forward(ingress, rng, record=False).egress
-
     def record(
         self, ingress: PacketArray, rng: np.random.Generator
     ) -> tuple[PacketArray, Recording]:

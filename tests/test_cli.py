@@ -30,13 +30,31 @@ class TestParser:
         assert args.chunk == 512 and args.kappa_step == 0.05
         assert args.fail_on_degraded
 
-    @pytest.mark.parametrize("argv", [["table1"], ["figure", "4a"]])
+    @pytest.mark.parametrize(
+        "argv", [["table1"], ["figure", "4a"], ["simulate", "local-single"]]
+    )
     def test_single_series_commands_take_no_jobs(self, argv, capsys):
         """One series never fans out, so these commands have no --jobs."""
         p = build_parser()
         assert p.parse_args(argv + ["--store", "/tmp/s"]).store == "/tmp/s"
         with pytest.raises(SystemExit):
             p.parse_args(argv + ["--jobs", "2"])
+
+    def test_analyze_takes_jobs_but_no_store(self, capsys):
+        """analyze simulates nothing, so it has no series store."""
+        p = build_parser()
+        assert p.parse_args(["analyze", "/tmp/x", "--jobs", "3"]).jobs == 3
+        with pytest.raises(SystemExit):
+            p.parse_args(["analyze", "/tmp/x", "--store", "/tmp/s"])
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "stability"])
+    @pytest.mark.parametrize("runs", ["1", "0", "-3", "two"])
+    def test_runs_below_two_is_a_usage_error(self, command, runs, capsys):
+        """A series is a baseline plus at least one repeat run."""
+        with pytest.raises(SystemExit) as ei:
+            main([command, "local-single", "--runs", runs])
+        assert ei.value.code == 2
+        assert "--runs" in capsys.readouterr().err
 
     def test_ci_flags_parse(self):
         p = build_parser()
@@ -69,8 +87,15 @@ class TestJobsValidation:
     and never a silent fall-back to serial."""
 
     def test_simulate_jobs_zero(self, capsys):
+        """simulate resolves one series serially and takes no --jobs."""
         with pytest.raises(SystemExit) as ei:
             main(["simulate", "local-single", "--jobs", "0"])
+        assert ei.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_analyze_jobs_zero(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as ei:
+            main(["analyze", str(tmp_path), "--jobs", "0"])
         assert ei.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
@@ -80,10 +105,10 @@ class TestJobsValidation:
         assert ei.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_non_integer_repro_jobs(self, capsys, monkeypatch):
+    def test_non_integer_repro_jobs(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_JOBS", "two")
         with pytest.raises(SystemExit) as ei:
-            main(["simulate", "local-single"])
+            main(["analyze", str(tmp_path)])
         assert ei.value.code == 2
         assert "REPRO_JOBS" in capsys.readouterr().err
 
@@ -91,11 +116,15 @@ class TestJobsValidation:
 class TestObservabilityOptions:
     """``--trace`` streams through the sink; bad settings are usage errors."""
 
-    #: Four runs: three whole pairs for the analysis step's two workers.
-    SIMULATE = [
-        "simulate", "local-single", "--runs", "4", "--scale", "0.02",
-        "--jobs", "2",
-    ]
+    @pytest.fixture(scope="class")
+    def caps(self, tmp_path_factory):
+        """Four saved runs: three whole pairs for two analysis workers."""
+        out = tmp_path_factory.mktemp("caps")
+        assert main([
+            "simulate", "local-single", "--runs", "4", "--scale", "0.02",
+            "-o", str(out),
+        ]) == 0
+        return str(out)
 
     @pytest.fixture(autouse=True)
     def _clean_obs(self, monkeypatch):
@@ -111,9 +140,11 @@ class TestObservabilityOptions:
         trace.reset()
         metrics.REGISTRY.reset()
 
-    def test_trace_streams_worker_spans_with_stats(self, capsys, tmp_path):
+    def test_trace_streams_worker_spans_with_stats(self, capsys, tmp_path, caps):
         path = tmp_path / "t.json"
-        assert main(self.SIMULATE + ["--trace", str(path), "--stats"]) == 0
+        assert main(
+            ["analyze", caps, "--jobs", "2", "--trace", str(path), "--stats"]
+        ) == 0
         events = json.loads(path.read_text())
         assert {e["ph"] for e in events} <= {"M", "X", "C", "i"}
         assert events[-1]["name"] == "trace_meta"
@@ -121,21 +152,23 @@ class TestObservabilityOptions:
         assert meta["sink_dropped"] == 0
         span_pids = {e["pid"] for e in events if e["ph"] == "X"}
         assert len(span_pids - {meta["parent_pid"]}) >= 2
-        # --stats counts the parent-side replay runs and the worker-side pairs.
+        # --stats counts the parent-side series span and the worker-side pairs.
         err = capsys.readouterr().err
-        assert re.search(r"^ +sim\.run +4 ", err, re.M)
+        assert re.search(r"^ +analysis\.series +1 ", err, re.M)
         assert re.search(r"^ +analysis\.pair\.whole +3 ", err, re.M)
 
-    def test_json_suffix_writes_a_valid_chrome_trace(self, capsys, tmp_path):
+    def test_json_suffix_writes_a_valid_chrome_trace(self, capsys, tmp_path, caps):
         path = tmp_path / "t.json"
-        assert main(self.SIMULATE + ["--trace", str(path)]) == 0
+        assert main(["analyze", caps, "--jobs", "2", "--trace", str(path)]) == 0
         summary = validate_chrome_trace(
             path, min_worker_pids=2,
-            require_spans=(
-                "cli.simulate", "testbed.record", "sim.run", "analysis.pair.whole"
-            ),
+            require_spans=("cli.analyze", "analysis.pair.whole"),
         )
         assert summary["dropped_spans"] == 0
+        # Tracing changes no output byte.
+        traced = capsys.readouterr().out
+        assert main(["analyze", caps, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == traced
 
     def test_traced_pooled_sweep_matches_serial(self, capsys, tmp_path):
         """Two units at --jobs 2 fan out through the pool under --trace."""
@@ -155,6 +188,12 @@ class TestObservabilityOptions:
         assert (tmp_path / "out" / "sweep.json").read_bytes() == (
             tmp_path / "plain" / "sweep.json"
         ).read_bytes()
+        # Record and replay runs happen inside the units, in the workers.
+        summary = validate_chrome_trace(
+            path, min_worker_pids=2,
+            require_spans=("cli.sweep", "testbed.record", "sim.run"),
+        )
+        assert summary["dropped_spans"] == 0
         unit_pids = {
             e["pid"] for e in json.loads(path.read_text())
             if e["ph"] == "X" and e["name"] == "sweep.unit.remote"
@@ -199,6 +238,43 @@ class TestCommands:
         assert main(["analyze", out_dir]) == 0
         ana_out = capsys.readouterr().out
         assert "kappa" in ana_out
+
+    def test_simulate_reads_and_feeds_the_store(self, capsys, tmp_path, monkeypatch):
+        """simulate is one sweep unit: stored once, then a hit, same bytes."""
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "_store", runner._store)  # --store is global
+        store = tmp_path / "store"
+        argv = [
+            "simulate", "local-single", "--runs", "2", "--scale", "0.01",
+            "--store", str(store),
+        ]
+        outputs = []
+        for k in range(2):
+            assert main(argv + ["-o", str(tmp_path / f"caps{k}")]) == 0
+            outputs.append(capsys.readouterr().out)
+            entries = [p for p in store.rglob("*") if p.is_file()]
+            assert len(entries) == 1
+        assert outputs[0] == outputs[1]
+        for path in sorted((tmp_path / "caps0").iterdir()):
+            assert path.read_bytes() == (tmp_path / "caps1" / path.name).read_bytes()
+
+    def test_analyze_bad_directory_is_a_usage_error(self, capsys, tmp_path):
+        assert main(["analyze", str(tmp_path / "missing")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("analyze: ") and "no captures" in err
+
+    def test_analyze_needs_two_captures(self, capsys, tmp_path):
+        from repro.analysis import save_series
+        from repro.core import Trial
+
+        import numpy as np
+
+        t = Trial(np.arange(5, dtype=np.int64), np.arange(5.0), label="only")
+        save_series([t], tmp_path / "one")
+        assert main(["analyze", str(tmp_path / "one")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("analyze: ") and "at least one repeat run" in err
 
     def test_monitor_on_saved_captures(self, capsys, tmp_path):
         out_dir = str(tmp_path / "caps")

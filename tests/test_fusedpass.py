@@ -3,7 +3,7 @@
 :func:`repro.core.fusedpass.fused_timings` replaced the four separate
 timing passes of ``compare_trials`` — ``latency_deltas_ns``,
 ``iat_deltas_ns`` and the two figure histograms.  Its contract is the
-same as the parallel engine's: **bit-identical** output, so every
+same as the whole-pair fan-out's: **bit-identical** output, so every
 assertion here is exact (``==`` on floats, ``np.array_equal`` on
 arrays), never approximate.
 
@@ -19,8 +19,8 @@ reference path of this suite.  Coverage:
   also stress the fused gather's index arithmetic;
 * the report drivers at jobs 1/2/4/8 (``REPRO_DIFF_JOBS`` restricts, as
   in the other differential suites): the serial report is built on the
-  fused kernel, and the whole-pair fan-out must still equal it at every
-  job count;
+  fused kernel, and the whole-pair fan-out over the saved captures must
+  still equal it at every job count;
 * the windowed series: ``windowed_deviation`` routes through the fused
   kernel and must equal :func:`deviation_from_deltas` fed the
   per-component delta arrays.
@@ -40,12 +40,12 @@ from repro.core.iat import iat_deltas_ns, iat_from_matching
 from repro.core.latency import latency_deltas_ns, latency_from_matching
 from repro.core.matching import match_trials
 from repro.core.report import compare_series, compare_trials
+from repro.analysis import analyze_directory
 from repro.core.windows import deviation_from_deltas, windowed_deviation
-from repro.parallel import compare_series_parallel
 
 from .conftest import make_trial, suite_rng
 from .ordering_corpus import CORPUS
-from .test_parallel_differential import assert_series_equal
+from .test_parallel_differential import assert_series_equal, saved
 
 
 def _job_counts() -> list[int]:
@@ -231,18 +231,18 @@ class TestFusedCorpus:
 
 class TestFusedAcrossJobs:
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
-    def test_engine_equals_fused_serial(self, jobs):
+    def test_engine_equals_fused_serial(self, jobs, tmp_path):
         # One baseline, one run per regime: three pairs to fan out.
-        series = [_grid_pair("quiet", 2500, 31)[0]] + [
+        series = saved([_grid_pair("quiet", 2500, 31)[0]] + [
             _grid_pair(kind, 2500, 31)[1] for kind in ("quiet", "reordered", "droppy")
-        ]
-        got = compare_series_parallel(series, environment="grid", jobs=jobs)
+        ], tmp_path)
+        got = analyze_directory(tmp_path, environment="grid", jobs=jobs)
         assert_series_equal(got, compare_series(series, environment="grid"))
 
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
-    def test_engine_equals_fused_serial_on_corpus(self, jobs):
+    def test_engine_equals_fused_serial_on_corpus(self, jobs, tmp_path):
         for name in ("far-moved-packet", "duplicate-heavy", "interleaved-runs"):
             (_, baseline, permuted), (_, _, droppy) = _corpus_pairs(name)
-            series = [baseline, permuted, droppy]
-            got = compare_series_parallel(series, environment=name, jobs=jobs)
+            series = saved([baseline, permuted, droppy], tmp_path / name)
+            got = analyze_directory(tmp_path / name, environment=name, jobs=jobs)
             assert_series_equal(got, compare_series(series, environment=name))

@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import analyze_directory, save_series
 from repro.analysis.streamkappa import KappaMonitor, StreamKappa
 from repro.core import MetricVector, Trial, compare_trials
-from repro.parallel import compare_series_parallel
 
 from .conftest import comb_trial, make_trial, suite_rng
 
@@ -34,9 +34,10 @@ class TestAllPathsReturnFloats:
         a, b = comb_trial(40), comb_trial(40, start=7.0)
         assert_contract(compare_trials(a, b).metrics)
 
-    def test_parallel_path(self):
-        a, b = comb_trial(40), comb_trial(40, start=7.0)
-        for pair in compare_series_parallel([a, b, b], jobs=2).pairs:
+    def test_parallel_path(self, tmp_path):
+        a, b = comb_trial(40, label="A"), comb_trial(40, start=7.0, label="B")
+        save_series([a, b, b], tmp_path)
+        for pair in analyze_directory(tmp_path, jobs=2).pairs:
             assert_contract(pair.metrics)
 
 

@@ -12,11 +12,15 @@ import pytest
 
 from repro.core import Trial, compare_trials
 from repro.net import Link, PacketArray, TxNicModel
-from repro.replay import ChoirNode
+from repro.replay import ChoirNode, TransparentMiddlebox
 
 
 def chain(n_hops, rng, stream, record_at=None):
-    """Forward a stream through n middleboxes; optionally record at one."""
+    """Forward a stream through n middleboxes; optionally record at one.
+
+    The recording hop records through its :class:`ChoirNode`; every
+    other hop forwards as a standby middlebox with the node's NIC.
+    """
     nodes = [ChoirNode(f"hop-{k}", TxNicModel(rate_bps=100e9)) for k in range(n_hops)]
     link = Link(rate_bps=100e9, propagation_ns=200.0)
     batch = stream
@@ -26,7 +30,7 @@ def chain(n_hops, rng, stream, record_at=None):
         if k == record_at:
             batch, recording = node.record(batch, rng)
         else:
-            batch = node.forward(batch, rng)
+            batch = TransparentMiddlebox(node.tx_nic).forward(batch, rng).egress
     return batch, recording, nodes
 
 

@@ -381,11 +381,6 @@ class TestLink:
         out = link.traverse(b)
         np.testing.assert_allclose(np.diff(out.times_ns), np.full(99, 112.0))
 
-    def test_utilization(self):
-        link = Link(rate_bps=100e9)
-        b = PacketArray.uniform(100, 1400, np.arange(100) * 280.0)
-        assert link.utilization(b) == pytest.approx(0.4, rel=0.05)
-
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             Link(rate_bps=0)
@@ -482,7 +477,7 @@ class TestSwitch:
         sw = SwitchModel("t", pipeline_latency_ns=400.0, jitter_ns=0.0,
                          egress_rate_bps=100e9)
         b = PacketArray.uniform(2, 1400, np.array([0.0, 1000.0]))
-        out = sw.forward(b, rng)
+        out = sw.forward_merged([b], rng)
         np.testing.assert_allclose(out.times_ns, [512.0, 1512.0])
 
     def test_merge_two_ingress(self, rng):
@@ -497,7 +492,7 @@ class TestSwitch:
         sw = SwitchModel("j", pipeline_latency_ns=100.0, jitter_ns=50.0,
                          egress_rate_bps=100e9)
         b = PacketArray.uniform(500, 1400, np.arange(500) * 120.0)
-        out = sw.forward(b, rng)
+        out = sw.forward_merged([b], rng)
         assert np.all(np.diff(out.times_ns) >= 0)
 
     def test_models_exist(self):

@@ -33,7 +33,8 @@ from repro.obs.metrics import (
 from repro.obs.sink import SpanSink
 from repro.obs.trace import span, traced
 from repro.obs.worker import TaskEnvelope, TaskTelemetry, absorb, run_task
-from repro.parallel import compare_series_parallel, shutdown_pool
+from repro.analysis import analyze_directory, save_series
+from repro.parallel import shutdown_pool
 
 
 @pytest.fixture(autouse=True)
@@ -517,13 +518,14 @@ class TestTracingIsInert:
         assert traced_rep.metrics == ref.metrics
         assert traced_rep.kappa == ref.kappa
 
-    def test_whole_pair_fanout_bit_identical_and_staged(self):
+    def test_whole_pair_fanout_bit_identical_and_staged(self, tmp_path):
         a, b = _noisy_pair()
         ref = compare_trials(a, b)
+        save_series([a, b, b], tmp_path)
 
         def fanned_out():
             try:
-                return compare_series_parallel([a, b, b], jobs=2).pairs
+                return analyze_directory(tmp_path, jobs=2).pairs
             finally:
                 shutdown_pool()
 

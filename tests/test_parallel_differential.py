@@ -3,9 +3,13 @@
 Every assertion here is bit-for-bit — ``==`` on floats and
 ``np.array_equal`` on arrays, never ``approx`` — because the fan-out's
 whole contract (see ``docs/parallel.md``) is that it never changes a
-single bit of the Section-3 analysis.  Randomized trial series exercise
-drops, reorders and latency noise under every job count; degenerate
-shapes (empty, single-packet, fully-dropped) pin the short-circuit paths.
+single bit of the Section-3 analysis.  Each series is saved as captures
+and analyzed by :func:`repro.analysis.analyze_directory`, whose pool
+tasks carry capture paths; the truth is the in-memory
+:func:`repro.core.compare_series` of the same trials.  Randomized trial
+series exercise drops, reorders and latency noise under every job count;
+degenerate shapes (empty, single-packet, fully-dropped) pin the
+short-circuit paths.
 
 ``REPRO_DIFF_JOBS`` (comma-separated, e.g. ``2,4``) restricts the job
 counts exercised — CI uses it to split the matrix across runners.
@@ -18,8 +22,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.analysis import analyze_directory, save_series, write_capture
 from repro.core import SymlogBins, compare_series
-from repro.parallel import compare_series_parallel, default_jobs, pool_stats
+from repro.parallel import default_jobs, pool_stats
 
 from .conftest import comb_trial, make_trial
 
@@ -72,6 +77,18 @@ def assert_series_equal(got, want):
         assert_pair_equal(g, w)
 
 
+def saved(trials, directory):
+    """Save ``trials`` as captures labelled t0, t1, ...; return them.
+
+    ``save_series`` names each file after its trial's label, so the
+    positional labels give every trial, repeated ones included, a file
+    of its own.  The returned trials are the series the directory holds.
+    """
+    trials = [t.relabel(f"t{i}") for i, t in enumerate(trials)]
+    save_series(trials, directory)
+    return trials
+
+
 # -- randomized trial-pair generator ---------------------------------------
 
 def random_pair(rng: np.random.Generator, n_base: int):
@@ -118,38 +135,40 @@ def random_series(rng: np.random.Generator, n_base: int, n_runs: int = 3):
 
 class TestRandomizedDifferential:
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
-    def test_randomized_pairs_exact(self, jobs):
+    def test_randomized_pairs_exact(self, jobs, tmp_path):
         """Random droppy/reordered/noisy pairs: parallel == serial, bit-for-bit."""
         rng = np.random.default_rng(20250806 + jobs)
-        for _ in range(N_RANDOM_SERIES):
-            trials = random_series(rng, int(rng.integers(40, 400)))
-            got = compare_series_parallel(trials, environment="diff", jobs=jobs)
+        for k in range(N_RANDOM_SERIES):
+            trials = saved(
+                random_series(rng, int(rng.integers(40, 400))), tmp_path / str(k)
+            )
+            got = analyze_directory(tmp_path / str(k), environment="diff", jobs=jobs)
             assert_series_equal(got, compare_series(trials, environment="diff"))
 
     @pytest.mark.parametrize("jobs", [j for j in JOB_COUNTS if j > 1] or [2])
-    def test_randomized_series_exact(self, jobs):
+    def test_randomized_series_exact(self, jobs, tmp_path):
         """Whole-pair fan-out of six unrelated trials equals serial."""
         rng = np.random.default_rng(77 + jobs)
-        trials = [random_pair(rng, 200)[0] for _ in range(6)]
-        got = compare_series_parallel(trials, environment="diff", jobs=jobs)
+        trials = saved([random_pair(rng, 200)[0] for _ in range(6)], tmp_path)
+        got = analyze_directory(tmp_path, environment="diff", jobs=jobs)
         want = compare_series(trials, environment="diff")
         assert_series_equal(got, want)
 
-    def test_single_pair_runs_serial(self):
+    def test_single_pair_runs_serial(self, tmp_path):
         """One pair has nothing to fan out: no pool, the serial report."""
         rng = np.random.default_rng(991)
-        a, b = random_pair(rng, 300)
+        trials = saved(random_pair(rng, 300), tmp_path)
         before = pool_stats().created_total
-        got = compare_series_parallel([a, b], environment="diff", jobs=4)
+        got = analyze_directory(tmp_path, environment="diff", jobs=4)
         assert pool_stats().created_total == before
-        assert_series_equal(got, compare_series([a, b], environment="diff"))
+        assert_series_equal(got, compare_series(trials, environment="diff"))
 
-    def test_custom_bins_exact(self):
+    def test_custom_bins_exact(self, tmp_path):
         rng = np.random.default_rng(62)
-        trials = random_series(rng, 120)
+        trials = saved(random_series(rng, 120), tmp_path)
         bins = SymlogBins(linthresh=5.0, max_decade=6, bins_per_decade=3)
         want = compare_series(trials, environment="bins", bins=bins)
-        got = compare_series_parallel(trials, environment="bins", bins=bins, jobs=2)
+        got = analyze_directory(tmp_path, environment="bins", bins=bins, jobs=2)
         assert_series_equal(got, want)
 
 
@@ -168,21 +187,23 @@ class TestDegenerateShapes:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("jobs", [1, min(2, max(JOB_COUNTS))])
-    def test_degenerate_exact(self, case, jobs):
+    def test_degenerate_exact(self, case, jobs, tmp_path):
         a, b = self.CASES[case]()
         # Two pairs, so jobs=2 really fans out.
-        got = compare_series_parallel([a, b, b], jobs=jobs)
-        assert_series_equal(got, compare_series([a, b, b]))
+        trials = saved([a, b, b], tmp_path)
+        got = analyze_directory(tmp_path, environment="deg", jobs=jobs)
+        assert_series_equal(got, compare_series(trials, environment="deg"))
 
 
 class TestSerialFastPath:
-    def test_jobs_one_uses_serial_driver(self):
+    def test_jobs_one_uses_serial_driver(self, tmp_path):
         """jobs=1 is the serial code, verbatim, with no pool."""
         a, b = comb_trial(50), comb_trial(50, start=3.0)
+        trials = saved([a, b, b], tmp_path)
         before = pool_stats().created_total
-        got = compare_series_parallel([a, b, b], jobs=1)
+        got = analyze_directory(tmp_path, environment="one", jobs=1)
         assert pool_stats().created_total == before
-        assert_series_equal(got, compare_series([a, b, b]))
+        assert_series_equal(got, compare_series(trials, environment="one"))
 
     def test_default_jobs_reads_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -196,15 +217,24 @@ class TestSerialFastPath:
         with pytest.raises(ValueError, match="REPRO_JOBS"):
             default_jobs()
 
-    def test_series_labeling_matches_serial(self):
-        """Pre-labelled and unlabelled trials mix exactly as in serial."""
+    def test_series_labeling_matches_serial(self, tmp_path):
+        """Labelled and unlabelled captures mix exactly as in serial.
+
+        Captures written without a label (no ``index.txt``; run order is
+        file-name order) get the paper's default labels from their
+        position, in the workers as in the serial path.
+        """
         rng = np.random.default_rng(13)
         trials = [random_pair(rng, 80)[0] for _ in range(4)]
         trials[2] = trials[2].relabel("custom")
-        got = compare_series_parallel(trials, environment="lbl", jobs=2)
+        for i, t in enumerate(trials):
+            write_capture(t, tmp_path / f"run-{i}.cho")
+        got = analyze_directory(tmp_path, environment="lbl", jobs=2)
         want = compare_series(trials, environment="lbl")
+        assert [p.run_label for p in got.pairs] == ["B", "custom", "D"]
         assert_series_equal(got, want)
 
-    def test_series_requires_two_trials(self):
+    def test_series_requires_two_trials(self, tmp_path):
+        save_series([comb_trial(4, label="only")], tmp_path)
         with pytest.raises(ValueError):
-            compare_series_parallel([comb_trial(4)], jobs=2)
+            analyze_directory(tmp_path, jobs=2)

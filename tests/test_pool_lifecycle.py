@@ -4,15 +4,17 @@
 old pool-per-series churn; these tests make it a *tested property*:
 
 * lazy creation — importing, or running any serial path, creates nothing;
-* reuse — the sweep-unit fan-out and the whole-pair engine draw from
-  the same executor within one invocation (``created_total`` moves by
-  one), ``table2`` fans its nine series out as nine units on it, and
-  ``table2(ci=True)`` all nine screens' sessions in one sweep;
+* reuse — the sweep-unit fan-out and the whole-pair fan-out of
+  :func:`~repro.analysis.analyze_directory` draw from the same executor
+  within one invocation (``created_total`` moves by one), ``table2``
+  fans its nine series out as nine units on it, and ``table2(ci=True)``
+  all nine screens' sessions in one sweep;
 * teardown — ``pool_scope`` and the CLI drain the pool on normal exit
   *and* on error paths (the leak the old per-comparator pools had);
 * failure containment — a raising worker task doesn't poison the pool,
   ``fan_out`` drains the rest of a failed batch before re-raising, counts
-  the failure, and attaches the remote worker traceback;
+  the failure, and attaches the remote worker traceback; a truncated
+  capture fails its pair task that way and leaves the pool serving;
 * telemetry round-trip — worker counters always ship back through the
   live pool, so a pooled run counts what its serial run counts; with
   tracing on, worker spans ship back too, with worker-pid attribution,
@@ -27,10 +29,10 @@ import time
 import pytest
 
 import repro.cli as cli
+from repro.analysis import analyze_directory, render_report, save_series
 from repro.core import Trial, compare_series
 from repro.obs import metrics, trace
 from repro.parallel import (
-    compare_series_parallel,
     fan_out,
     get_pool,
     pool_scope,
@@ -84,11 +86,12 @@ class TestLaziness:
     def test_no_pool_until_asked(self):
         assert pool_stats().active is False
 
-    def test_serial_paths_never_create_a_pool(self):
+    def test_serial_paths_never_create_a_pool(self, tmp_path):
         before = pool_stats().created_total
-        trials = Testbed(PROFILE, seed=3).run_series(2, jobs=1)
+        trials = Testbed(PROFILE, seed=3).run_series(3, jobs=1)
         compare_series(trials, environment=PROFILE.name)
-        compare_series_parallel(trials, environment=PROFILE.name, jobs=1)
+        save_series(trials, tmp_path)
+        analyze_directory(tmp_path, environment=PROFILE.name, jobs=1)
         run_sweep(_units(2), None, jobs=1)
         run_sweep(_units(2, seeds=(5,)), None, jobs=2)  # a lone unit
         stats = pool_stats()
@@ -101,13 +104,12 @@ class TestLaziness:
 
 
 class TestReuse:
-    def test_one_pool_spans_simulation_and_analysis(self):
+    def test_one_pool_spans_simulation_and_analysis(self, tmp_path):
         """Sweep units and whole pairs in one invocation share one pool."""
         before = pool_stats().created_total
         swept = run_sweep(_units(3), None, jobs=2)
-        rep = compare_series_parallel(
-            list(swept.trials[0]), environment=PROFILE.name, jobs=2
-        )
+        save_series(swept.trials[0], tmp_path)
+        rep = analyze_directory(tmp_path, environment=PROFILE.name, jobs=2)
         stats = pool_stats()
         assert stats.active is True
         assert stats.jobs == 2
@@ -211,13 +213,16 @@ class TestCliOwnership:
         assert rc == 2
         assert pool_stats().active is False
 
-    def test_cli_success_creates_exactly_one_pool(self, monkeypatch, capsys):
+    def test_cli_success_creates_exactly_one_pool(
+        self, monkeypatch, capsys, tmp_path
+    ):
         """One --jobs invocation: exactly one pool, gone afterwards."""
         created = []
 
         def counting_command(args):
-            trials = run_sweep(_units(2), None, jobs=2).trials[0]
-            compare_series_parallel(list(trials), environment=PROFILE.name, jobs=2)
+            trials = run_sweep(_units(3), None, jobs=2).trials[0]
+            save_series(trials, tmp_path)
+            analyze_directory(tmp_path, environment=PROFILE.name, jobs=2)
             created.append(pool_stats().created_total)
             return 0
 
@@ -269,6 +274,26 @@ class TestFailureContainment:
         after = metrics.REGISTRY.snapshot()["counters"]["pool.task_failures"]
         assert after == before + 1
 
+    def test_truncated_capture_fails_its_pair_and_spares_the_pool(self, tmp_path):
+        """A capture cut after its header fails in the worker, not the parent.
+
+        The error comes back as ``ValueError`` carrying the worker-side
+        traceback, and the next analysis on the same pool is the serial
+        report, byte for byte.
+        """
+        trials = Testbed(PROFILE, seed=3).run_series(3)
+        save_series(trials, tmp_path / "good")
+        save_series(trials, tmp_path / "bad")
+        with open(tmp_path / "bad" / "run-C.cho", "r+b") as f:
+            f.truncate(32)  # the header alone: its count promises a payload
+        pool = get_pool(2)
+        with pytest.raises(ValueError) as ei:
+            analyze_directory(tmp_path / "bad", jobs=2)
+        assert "read_capture" in ei.value.remote_traceback
+        want = render_report(analyze_directory(tmp_path / "good", jobs=1))
+        assert render_report(analyze_directory(tmp_path / "good", jobs=2)) == want
+        assert get_pool(2) is pool
+
 
 class TestWorkerTelemetryRoundTrip:
     def test_spans_and_counters_cross_the_pool(self):
@@ -301,28 +326,30 @@ class TestWorkerTelemetryRoundTrip:
         run_sweep(_units(2), None, jobs=2)
         assert trace.stage_totals() == ({}, 0)
 
-    def test_untraced_worker_counters_match_serial(self):
+    def test_untraced_worker_counters_match_serial(self, tmp_path):
         """An untraced pooled run counts exactly what its serial run counts.
 
-        Only the fan-out's own bookkeeping (``pool.*``, ``shm.*``, the
-        whole-pair task count) may differ; every counter a worker bumps
-        (``sim.runs``, ``fused.pairs``, ``match.occurrence_path``, ...)
-        comes home.  Two units are swept, then the first unit's series is
-        compared once as captured and once with every tag halved, so that
-        each of those pairs repeats tags.
+        Only the fan-out's own bookkeeping (``pool.*``) may differ; every
+        counter a worker bumps (``sim.runs``, ``fused.pairs``,
+        ``match.occurrence_path``, ...) comes home.  Two units are swept,
+        then the first unit's series is saved and analyzed once as
+        captured and once with every tag halved, so that each of those
+        pairs repeats tags.
         """
 
         def counters(jobs: int) -> dict:
             metrics.REGISTRY.reset()
             trials = run_sweep(_units(4), None, jobs=jobs).trials[0]
-            compare_series_parallel(list(trials), environment=PROFILE.name, jobs=jobs)
             halved = [Trial(t.tags // 2, t.times_ns, label=t.label) for t in trials]
-            compare_series_parallel(halved, environment=PROFILE.name, jobs=jobs)
+            for name, series in (("as-captured", trials), ("halved", halved)):
+                save_series(series, tmp_path / f"{name}-{jobs}")
+                analyze_directory(
+                    tmp_path / f"{name}-{jobs}", environment=PROFILE.name, jobs=jobs
+                )
             return {
                 name: value
                 for name, value in metrics.REGISTRY.snapshot()["counters"].items()
-                if not name.startswith(("pool.", "shm."))
-                and name != "engine.whole_pair_tasks"
+                if not name.startswith("pool.")
             }
 
         serial = counters(1)
@@ -331,12 +358,13 @@ class TestWorkerTelemetryRoundTrip:
         assert counters(2) == serial
         assert trace.stage_totals() == ({}, 0)
 
-    def test_traced_analysis_covers_whole_pair_stage(self):
+    def test_traced_analysis_covers_whole_pair_stage(self, tmp_path):
         """Whole-pair analysis at jobs=2 emits worker-pid pair spans."""
         trials = Testbed(PROFILE, seed=3).run_series(3)
+        save_series(trials, tmp_path)
         sink = trace.ListSink()
         trace.enable(sink)
-        rep = compare_series_parallel(trials, environment=PROFILE.name, jobs=2)
+        rep = analyze_directory(tmp_path, environment=PROFILE.name, jobs=2)
         names_by_pid: dict[int, set[str]] = {}
         for s in sink.spans:
             names_by_pid.setdefault(s.pid, set()).add(s.name)
@@ -352,14 +380,12 @@ class TestWorkerTelemetryRoundTrip:
 
 
 class TestTrackerQuiet:
-    """Worker shm attachments must not disturb the parent's resource tracker.
+    """A pooled run, sweep units and whole capture pairs, keeps stderr clean.
 
-    Under ``fork`` *and* ``forkserver`` the workers share the parent's
-    tracker daemon, so the attach-side registration (bpo-39959, < 3.13)
-    belongs to the parent and must be left alone; a worker unregistering
-    it makes the parent's own ``unlink`` a double-unregister, which the
-    tracker reports as a KeyError traceback on stderr — once per segment.
-    A pooled run's stderr is the regression detector.
+    Workers forked from the forkserver share the parent's resource
+    tracker; any warning or traceback a worker or the tracker prints at
+    shutdown lands on the parent's stderr, so a clean stderr from a
+    pooled run is the regression detector.
     """
 
     def test_forkserver_run_leaves_stderr_clean(self, tmp_path):
@@ -368,18 +394,21 @@ class TestTrackerQuiet:
 
         script = tmp_path / "pooled_run.py"
         script.write_text(
-            "from repro.parallel import compare_series_parallel, shutdown_pool\n"
+            "import sys\n"
+            "from repro.analysis import analyze_directory, save_series\n"
+            "from repro.parallel import shutdown_pool\n"
             "from repro.sweep import plan_unit, run_sweep\n"
             "from repro.testbeds import local_single_replayer\n"
             "if __name__ == '__main__':\n"
             "    profile = local_single_replayer().at_duration(3e6)\n"
             "    plan = [plan_unit('p', profile, s, 3) for s in (11, 12)]\n"
-            "    trials = list(run_sweep(plan, None, jobs=2).trials[0])\n"
-            "    compare_series_parallel(trials, environment=profile.name, jobs=2)\n"
+            "    trials = run_sweep(plan, None, jobs=2).trials[0]\n"
+            "    save_series(trials, sys.argv[1])\n"
+            "    analyze_directory(sys.argv[1], environment=profile.name, jobs=2)\n"
             "    shutdown_pool()\n"
         )
         proc = subprocess.run(
-            [sys.executable, str(script)],
+            [sys.executable, str(script), str(tmp_path / "caps")],
             capture_output=True,
             text=True,
             timeout=180,

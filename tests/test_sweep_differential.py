@@ -1,4 +1,4 @@
-"""Differential suite: a swept run must equal ``analyze_trials`` *exactly*.
+"""Differential suite: a swept run must equal ``compare_series`` *exactly*.
 
 The sweep orchestrator's contract (:mod:`repro.sweep.coordinator`) is the
 same bit-identity guarantee the simulation and analysis fan-outs already
@@ -77,8 +77,8 @@ def _plan():
     ]
 
 
-#: Serial reference reports per scenario: the exact bits the paper
-#: drivers get from ``analyze_trials`` (== compare_series at jobs=1).
+#: Serial reference reports per scenario: the simulated series and its
+#: in-memory ``compare_series`` report.
 _reference_cache: dict = {}
 
 
@@ -105,7 +105,7 @@ def _sweep_bytes(result, outdir) -> bytes:
 
 class TestSweepDifferential:
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
-    def test_cold_sweep_matches_analyze_trials(self, jobs, tmp_path):
+    def test_cold_sweep_matches_compare_series(self, jobs, tmp_path):
         """Every swept unit equals the serial reference, bit-for-bit."""
         plan = _plan()
         store = ArtifactStore(tmp_path / "store")

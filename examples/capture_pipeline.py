@@ -5,8 +5,10 @@ The paper's artifact saves per-run packet captures and analyzes them in a
 separate pass, producing figures plus "the metrics ... in a text file".
 This example does the same with the simulator's capture format:
 
-1. run a trial series and save each run as a ``.cho`` capture file;
-2. reload the directory cold (as a separate analysis session would);
+1. run a trial series and save each run as a checksummed ``.cho``
+   capture file (``run-000.cho``, ... in run order);
+2. reload the directory cold (as a separate analysis session would),
+   verifying every capture;
 3. run the Section-3 analysis and write the text report.
 
 Run:  python examples/capture_pipeline.py  [output_dir]

@@ -5,7 +5,7 @@ run captures, reload them, run the Section-3 analysis, and render the
 tables, figures, and text reports.
 """
 
-from .capture import CaptureFormatError, capture_info, read_capture, write_capture
+from .capture import CaptureFormatError, read_capture, write_capture
 from .changepoints import LatencyStep, detect_latency_steps, detect_series_steps
 from .owd import OwdSeries, owd_series
 from .compare import analyze_directory, load_series, render_report, save_series
@@ -38,7 +38,6 @@ from .textplot import format_si, render_histogram, render_metric_rows, render_se
 __all__ = [
     "write_capture",
     "read_capture",
-    "capture_info",
     "CaptureFormatError",
     "save_series",
     "load_series",

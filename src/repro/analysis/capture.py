@@ -1,114 +1,52 @@
-"""Binary capture files: the simulator's pcap-equivalent trace format.
+"""Capture files: one simulated run on disk, as the paper's artifact keeps.
 
-The paper's artifact saves packet captures per run and analyzes them
-offline.  The simulator's captures only need (tag, timestamp) pairs, so
-the format is a deliberately simple, self-describing binary layout that
-memory-maps cleanly:
-
-* 32-byte header: magic ``b"CHO1"``, version u32, packet count u64, label
-  (12 bytes, NUL-padded ASCII), 4 reserved bytes;
-* payload: ``count`` int64 tags, then ``count`` float64 timestamps (two
-  contiguous arrays — column layout, so each loads with one
-  ``np.frombuffer`` and no per-record parsing).
-
-Writer and reader round-trip :class:`~repro.core.trial.Trial` objects
-exactly; an optional JSON sidecar carries free-form metadata.
+A capture is a one-trial file of :mod:`repro.core.trialfile`, the
+checksummed container the artifact store writes too; its header's
+``kind`` is ``"capture"`` and it holds the run's whole label and
+``meta``.  Writer and reader round-trip :class:`~repro.core.trial.Trial`
+objects exactly.  The reader verifies every byte before it decodes any,
+so a damaged capture, a store entry or a capture of the old ``CHO1``
+layout raises :class:`CaptureFormatError`, never loads as another trial.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from pathlib import Path
 
-import numpy as np
-
 from ..core.trial import Trial
+from ..core.trialfile import TrialFileError, read_trials, write_trials
 
-__all__ = ["write_capture", "read_capture", "capture_info", "CaptureFormatError"]
+__all__ = ["write_capture", "read_capture", "CaptureFormatError"]
 
-MAGIC = b"CHO1"
-VERSION = 1
-_HEADER = struct.Struct("<4sIQ12s4s")
-assert _HEADER.size == 32
-
-
-class CaptureFormatError(ValueError):
-    """Raised when a capture file is malformed or unsupported."""
+#: The header's file kind, so a store entry is never read as a capture.
+_KIND = "capture"
 
 
-def write_capture(trial: Trial, path: str | Path, *, sidecar: bool = True) -> Path:
-    """Write a trial to ``path``; returns the path written.
+class CaptureFormatError(TrialFileError):
+    """Raised when a capture file (or a pcap/pcapng) is malformed."""
 
-    With ``sidecar=True`` a ``<path>.json`` carrying ``trial.meta`` and the
-    label is written alongside (the capture itself stays fixed-layout).
-    """
+
+def write_capture(trial: Trial, path: str | Path) -> Path:
+    """Write a trial to ``path``; returns the path written."""
     path = Path(path)
-    label = trial.label.encode("ascii", "replace")[:12]
-    header = _HEADER.pack(MAGIC, VERSION, len(trial), label.ljust(12, b"\0"), b"\0" * 4)
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(trial.tags).tobytes())
-        f.write(np.ascontiguousarray(trial.times_ns).tobytes())
-    if sidecar:
-        meta = {"label": trial.label, "meta": trial.meta}
-        Path(f"{path}.json").write_text(json.dumps(meta, default=str, indent=1))
+        write_trials(f, {"kind": _KIND}, [trial])
     return path
 
 
-def capture_info(path: str | Path) -> dict:
-    """Header fields of a capture without loading the payload."""
-    path = Path(path)
-    with open(path, "rb") as f:
-        raw = f.read(_HEADER.size)
-    if len(raw) < _HEADER.size:
-        raise CaptureFormatError(f"{path}: truncated header")
-    magic, version, count, label, _ = _HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise CaptureFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise CaptureFormatError(f"{path}: unsupported version {version}")
-    return {
-        "version": version,
-        "count": count,
-        "label": label.rstrip(b"\0").decode("ascii"),
-    }
-
-
-def read_capture(path: str | Path, *, mmap: bool = True) -> Trial:
-    """Load a capture back into a :class:`Trial`.
-
-    ``mmap=True`` maps the arrays read-only instead of copying — captures
-    at paper scale are ~17 MB each, and analysis only streams over them.
-    Metadata is restored from the JSON sidecar when present.
-    """
-    path = Path(path)
-    info = capture_info(path)
-    n = info["count"]
-    offset_tags = _HEADER.size
-    offset_times = offset_tags + 8 * n
-    if mmap:
-        tags = np.memmap(path, dtype=np.int64, mode="r", offset=offset_tags, shape=(n,))
-        times = np.memmap(
-            path, dtype=np.float64, mode="r", offset=offset_times, shape=(n,)
-        )
-        # Trial normalizes to ascontiguousarray, which copies from the map
-        # only if needed; both views are already contiguous.
-        tags = np.asarray(tags)
-        times = np.asarray(times)
-    else:
-        with open(path, "rb") as f:
-            f.seek(offset_tags)
-            tags = np.frombuffer(f.read(8 * n), dtype=np.int64)
-            times = np.frombuffer(f.read(8 * n), dtype=np.float64)
-    expected = offset_times + 8 * n
-    actual = path.stat().st_size
-    if actual < expected:
+def read_capture(path: str | Path) -> Trial:
+    """Load and verify a capture written by :func:`write_capture`."""
+    data = Path(path).read_bytes()
+    if data[:4] == b"CHO1":
         raise CaptureFormatError(
-            f"{path}: payload truncated ({actual} bytes, need {expected})"
+            f"{path}: a CHO1 capture, a layout no longer read; "
+            "re-create it with `repro simulate -o`",
+            "cho1",
         )
-    meta: dict = {}
-    sidecar = Path(f"{path}.json")
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text()).get("meta", {})
-    return Trial(tags, times, label=info["label"], meta=meta)
+    try:
+        _, trials, _ = read_trials(data, expect={"kind": (_KIND, "not-a-capture")})
+    except TrialFileError as exc:
+        raise CaptureFormatError(f"{path}: {exc}", exc.reason) from None
+    if len(trials) != 1:
+        raise CaptureFormatError(f"{path}: {len(trials)} runs", "payload-decode")
+    return trials[0]

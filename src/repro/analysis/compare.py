@@ -36,30 +36,25 @@ __all__ = ["save_series", "load_series", "analyze_directory", "render_report"]
 def save_series(trials: list[Trial], directory: str | Path) -> list[Path]:
     """Write one capture file per run into ``directory`` (created if needed).
 
-    Files are named ``run-<label>.cho``; ordering metadata is preserved by
-    an ``index.txt`` manifest listing labels in run order.
+    Files are named by zero-padded run index (``run-000.cho``, ...), so
+    name order is run order; each capture's header keeps its whole label.
+    Captures of an earlier series in ``directory`` are replaced.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    labels = []
-    for t in trials:
-        label = t.label or f"run{len(labels)}"
-        paths.append(write_capture(t, directory / f"run-{label}.cho"))
-        labels.append(label)
-    (directory / "index.txt").write_text("\n".join(labels) + "\n")
-    return paths
+    for stale in directory.glob("run-*.cho"):
+        stale.unlink()
+    width = max(3, len(str(len(trials) - 1)))
+    return [
+        write_capture(t, directory / f"run-{i:0{width}d}.cho")
+        for i, t in enumerate(trials)
+    ]
 
 
 def _series_paths(directory: str | Path) -> list[Path]:
     """The capture files of a saved series, in run order."""
     directory = Path(directory)
-    index = directory / "index.txt"
-    if index.exists():
-        labels = [line for line in index.read_text().splitlines() if line]
-        paths = [directory / f"run-{label}.cho" for label in labels]
-    else:
-        paths = sorted(directory.glob("run-*.cho"))
+    paths = sorted(directory.glob("run-*.cho"))
     if not paths:
         raise FileNotFoundError(f"no captures found under {directory}")
     return paths

@@ -13,7 +13,10 @@ link-type Ethernet):
   the frames pass standard-tool validation;
 * **import** — frames are parsed back by trailer; packets whose trailer
   fails validation are *excluded and counted* — exactly how a corrupted
-  packet becomes "missing" for the U metric (Section 3).
+  packet becomes "missing" for the U metric (Section 3).  The trailer
+  guards only the tag: a damaged timestamp reads back as another time.
+  A file that is not a well-formed pcap raises
+  :class:`~repro.analysis.capture.CaptureFormatError`.
 
 The writer is vectorized over fixed-size frames (the evaluation's
 workloads are fixed-size); the reader has a vectorized fast path for
@@ -29,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.trial import Trial
+from .capture import CaptureFormatError
 from .tagging import TrailerError, tag_to_trailer, trailer_to_tag
 
 __all__ = ["write_pcap", "read_pcap", "PcapReadResult", "MIN_FRAME_BYTES"]
@@ -159,27 +163,29 @@ def read_pcap(path: str | Path, *, label: str = "") -> PcapReadResult:
     """
     raw = Path(path).read_bytes()
     if len(raw) < _GLOBAL.size:
-        raise ValueError(f"{path}: not a pcap (too short)")
+        raise CaptureFormatError(f"{path}: not a pcap (too short)", "too-short")
     magic, _, _, _, _, _, linktype = _GLOBAL.unpack_from(raw, 0)
     if magic == _MAGIC_NS:
         ts_scale = 1.0
     elif magic == _MAGIC_US:
         ts_scale = 1e3
     else:
-        raise ValueError(f"{path}: unknown pcap magic {magic:#x}")
+        raise CaptureFormatError(f"{path}: unknown pcap magic {magic:#x}", "bad-magic")
     if linktype != _LINKTYPE_ETHERNET:
-        raise ValueError(f"{path}: unsupported linktype {linktype}")
+        raise CaptureFormatError(f"{path}: unsupported linktype {linktype}", "linktype")
 
     tags: list[int] = []
     times: list[float] = []
     n_frames = n_corrupted = n_foreign = 0
     off = _GLOBAL.size
     total = len(raw)
-    while off + 16 <= total:
+    while off < total:
+        if off + 16 > total:
+            raise CaptureFormatError(f"{path}: truncated record at {off}", "truncated")
         ts_sec, ts_sub, incl, _orig = struct.unpack_from("<IIII", raw, off)
         off += 16
         if off + incl > total:
-            raise ValueError(f"{path}: truncated record at byte {off}")
+            raise CaptureFormatError(f"{path}: truncated record at {off}", "truncated")
         frame = raw[off : off + incl]
         off += incl
         n_frames += 1

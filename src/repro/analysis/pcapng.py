@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.trial import Trial
+from .capture import CaptureFormatError
 from .pcap import _frame_template
 from .tagging import TrailerError, tag_to_trailer, trailer_to_tag
 
@@ -125,10 +126,12 @@ def read_pcapng(path: str | Path, *, label: str = "") -> PcapngReadResult:
     """Parse a pcapng file back into a trial via the Choir trailers."""
     raw = Path(path).read_bytes()
     if len(raw) < 28 or struct.unpack_from("<I", raw, 0)[0] != _SHB_TYPE:
-        raise ValueError(f"{path}: not a pcapng file")
+        raise CaptureFormatError(f"{path}: not a pcapng file", "bad-magic")
     magic = struct.unpack_from("<I", raw, 8)[0]
     if magic != _BYTE_ORDER_MAGIC:
-        raise ValueError(f"{path}: unsupported byte order {magic:#x}")
+        raise CaptureFormatError(
+            f"{path}: unsupported byte order {magic:#x}", "byte-order"
+        )
 
     iface_scale: list[float] = []
     tags: list[int] = []
@@ -137,10 +140,13 @@ def read_pcapng(path: str | Path, *, label: str = "") -> PcapngReadResult:
 
     off = 0
     total = len(raw)
-    while off + 12 <= total:
-        btype, blen = struct.unpack_from("<II", raw, off)
+    while off < total:
+        # A block header cut short reads as length 0 and fails the check.
+        btype, blen = struct.unpack_from("<II", raw, off) if off + 12 <= total else (0, 0)
         if blen < 12 or blen % 4 or off + blen > total:
-            raise ValueError(f"{path}: malformed block at byte {off}")
+            raise CaptureFormatError(
+                f"{path}: truncated or malformed block at byte {off}", "malformed-block"
+            )
         body = raw[off + 8 : off + blen - 4]
         off += blen
 
@@ -164,9 +170,14 @@ def read_pcapng(path: str | Path, *, label: str = "") -> PcapngReadResult:
             n_skipped += 1
             continue
 
+        if len(body) < 20:
+            raise CaptureFormatError(f"{path}: short packet block", "malformed-block")
         iface, ts_hi, ts_lo, captured, _orig = struct.unpack_from("<IIIII", body, 0)
         if iface >= len(iface_scale):
-            raise ValueError(f"{path}: EPB references undefined interface {iface}")
+            raise CaptureFormatError(
+                f"{path}: EPB references undefined interface {iface}",
+                "undefined-interface",
+            )
         frame = body[20 : 20 + captured]
         n_frames += 1
         if captured < _TRAILER:

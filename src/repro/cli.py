@@ -727,14 +727,16 @@ def main(argv: list[str] | None = None) -> int:
             args.jobs = default_jobs()
         except ValueError as exc:
             parser.error(str(exc))
+    runner = None
     if getattr(args, "store", None) and args.command not in ("sweep", "stability"):
         # The other commands that simulate (simulate, tables, figures,
-        # validate, report) read and feed the persistent series store;
-        # the sweep and stability commands manage their own store
-        # instances.
-        from .experiments.runner import configure_store
+        # validate, report) read and feed the persistent series store
+        # for this command only; the sweep and stability commands manage
+        # their own store instances.
+        from .experiments import runner
 
-        configure_store(args.store)
+        previous_store = runner._store
+        runner.configure_store(args.store)
     trace_path = args.trace or os.environ.get("REPRO_TRACE")
     serve_port = _flag_or_env(
         parser, args.serve_metrics, "REPRO_METRICS_PORT", _port
@@ -773,6 +775,8 @@ def main(argv: list[str] | None = None) -> int:
             pass
         return 0
     finally:
+        if runner is not None:
+            runner._store = previous_store
         shutdown_pool()
         if tracing:
             trace.disable()

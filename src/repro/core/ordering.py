@@ -464,29 +464,28 @@ def _short_stretch(values: np.ndarray, piles: PileState) -> None:
     piles.n = first + k
 
 
-#: Below this LIS length the scalar predecessor walk beats the pointer-
-#: doubling setup (one ndarray copy of the links plus log2(L) gathers).
-_DOUBLING_MIN_LENGTH = 4096
+def lis_indices_from_state(piles: PileState) -> np.ndarray:
+    """Walk predecessor links back from the tail of the longest pile.
 
-
-def _lis_indices_doubling(tail: int, prev: np.ndarray, length: int) -> np.ndarray:
-    """The predecessor walk as pointer doubling (binary lifting).
-
-    ``chain[j]`` is the j-step predecessor of the LIS tail.  Each round
-    extends the known chain with one gather through the current m-step
-    link table (``up``), then squares ``up`` to 2m steps; ``-1`` sentinels
-    map to an absorbing slot past the end so squaring never reads out of
-    range.  Every link followed is exactly the link the scalar walk
-    follows, so the indices are identical — only the traversal order of
-    the *reads* changes, never a value.
+    The walk runs as pointer doubling (binary lifting): ``chain[j]`` is
+    the j-step predecessor of the LIS tail.  Each round extends the known
+    chain with one gather through the current m-step link table (``up``),
+    then squares ``up`` to 2m steps; ``-1`` sentinels map to an absorbing
+    slot past the end so squaring never reads out of range.  Every link
+    followed is a predecessor link, so the indices are exactly those of
+    the one-step walk in O(log L) vectorized gathers.
     """
+    length = len(piles)
+    if length == 0:
+        return np.empty(0, dtype=np.intp)
+    prev = piles.prev
     n = prev.shape[0]
     up = np.empty(n + 1, dtype=np.int64)
     up[:n] = prev
     up[n] = n
     up[up < 0] = n
     chain = np.empty(length, dtype=np.int64)
-    chain[0] = tail
+    chain[0] = piles.tails_idx[-1]
     done = 1
     while done < length:
         take = min(done, length - done)
@@ -496,29 +495,6 @@ def _lis_indices_doubling(tail: int, prev: np.ndarray, length: int) -> np.ndarra
             up = up[up]
     out = np.empty(length, dtype=np.intp)
     out[:] = chain[::-1]
-    return out
-
-
-def lis_indices_from_state(piles: PileState) -> np.ndarray:
-    """Walk predecessor links back from the tail of the longest pile.
-
-    Long walks (the paper-scale regime: LIS length close to the row
-    count) run as pointer doubling — O(log L) vectorized gathers instead
-    of an O(L) Python loop — following the identical predecessor links;
-    short walks keep the scalar loop, which wins below the setup cost.
-    """
-    length = len(piles)
-    out = np.empty(length, dtype=np.intp)
-    if length == 0:
-        return out
-    tail = int(piles.tails_idx[-1])
-    if length >= _DOUBLING_MIN_LENGTH:
-        return _lis_indices_doubling(tail, piles.prev, length)
-    prev_list = piles.prev.tolist()
-    k = tail
-    for j in range(length - 1, -1, -1):
-        out[j] = k
-        k = prev_list[k]
     return out
 
 

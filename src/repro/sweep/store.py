@@ -30,38 +30,23 @@ invariant under all of them, so a series simulated at ``jobs=4`` under
 ``forkserver`` (the same rule the in-process ``run_series`` cache
 follows; pinned by ``tests/test_sweep_differential.py``).
 
-Store layout (under ``<root>/v<schema>/``)::
+Store layout: ``<root>/v<schema>/<digest[:2]>/<digest>/entry.bin``, one
+trial file (:mod:`repro.core.trialfile`, the container captures use too)
+whose header leads with the schema, digest and key doc and whose tail is
+the codec-encoded report JSON.
 
-    <digest[:2]>/<digest>/
-        entry.bin       # the whole entry, one file
-
-``entry.bin`` has three parts:
-
-1. a line holding the sha256 hex digest of every byte after it;
-2. a JSON header line (space-padded so the arrays below are 8-byte
-   aligned): schema, digest, key doc, per run its label, ``meta`` and
-   packet count, and the report's byte length;
-3. per run its int64 tags then its float64 times (little-endian), then
-   the codec-encoded report JSON.
-
-Write discipline: ``put`` encodes the report, hashes the entry's pieces
-from memory (no joined buffer, no read-back), writes them into one file
-under ``<root>/tmp/``, fsyncs that one file and publishes it with
-``os.link``, which fails if the entry already exists.  Readers can never
-observe a half-written entry.  Losing a publish race to a concurrent
-writer is harmless (both writers derived identical content from the
-same digest) and is counted, not raised.
-
-Read discipline: ``get`` reads the file once and checks the checksum
-before it parses anything — header included, so a flipped label or key
-byte is caught too.  Every failure — truncation, bit flips, stale
-schema, a short payload, a report that does not decode (such as the
-empty one of an entry written trials-only by older code) — degrades to
-a counted cache miss (``sweep.store.corrupt``): the damaged entry is
-quarantined (removed) so the caller recomputes and rewrites it whole.
-Corruption is **never** an exception and can never yield a silently
-wrong κ; the fault-injection suite (``tests/test_sweep_store_faults.py``)
-drives every one of these paths.
+``put`` has the container hash the entry from memory and write it into
+one file under ``<root>/tmp/``, fsyncs it and publishes it with
+``os.link``, which fails if the entry already exists: readers never see
+a half-written entry, and a lost publish race (identical content by
+construction) is counted, not raised.  ``get`` reads the file once and
+the container verifies the checksum before it parses anything, header
+included.  Every failure — truncation, bit flips, stale schema, a short
+payload, a report that does not decode — degrades to a counted cache
+miss (``sweep.store.corrupt``, plus a per-reason sub-counter) and
+quarantines (removes) the entry so the caller rewrites it whole.
+Corruption is **never** an exception and never a silently wrong κ;
+``tests/test_sweep_store_faults.py`` drives every one of these paths.
 """
 
 from __future__ import annotations
@@ -73,10 +58,12 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ..core.report import RunSeriesReport
 from ..core.trial import Trial
+from ..core.trialfile import TrialFileError, read_trials, write_trials
+# Re-exported: the container hashes through this one function, and
+# perfbench times every store checksum (``sweep.digest_ms``) by this name.
+from ..core.trialfile import _sha256  # noqa: F401
 from ..obs import metrics
 from ..obs.trace import span
 from ..testbeds.profiles import EnvironmentProfile
@@ -166,18 +153,8 @@ class StoreStats:
         }
 
 
-def _sha256(*parts) -> str:
-    """sha256 hex digest of the concatenated buffers, without joining them."""
-    hasher = hashlib.sha256()
-    for part in parts:
-        hasher.update(part)
-    return hasher.hexdigest()
-
-
 #: The one file an entry is, inside its ``entry_dir``.
 ENTRY_FILE = "entry.bin"
-#: Length of the leading checksum line: 64 hex digits and a newline.
-_SUM_LEN = 65
 
 
 class ArtifactStore:
@@ -216,31 +193,18 @@ class ArtifactStore:
             return None
         except OSError:
             return self._quarantine(digest, "entry-unreadable")
-        if data[_SUM_LEN - 1:_SUM_LEN] != b"\n":
-            return self._quarantine(digest, "entry-unreadable")
-        # Verify every byte after the checksum line before parsing any.
-        if data[:_SUM_LEN - 1] != _sha256(memoryview(data)[_SUM_LEN:]).encode():
-            return self._quarantine(digest, "payload-checksum")
-        end = data.find(b"\n", _SUM_LEN)
         try:
-            header = json.loads(data[_SUM_LEN:end])
-            if header["schema"] != STORE_SCHEMA_VERSION:
-                return self._quarantine(digest, "stale-schema")
-            if header["digest"] != digest:
-                return self._quarantine(digest, "digest-mismatch")
-            runs, report_len = header["runs"], header["report_len"]
-            off = end + 1
-            if off + 16 * sum(r["n"] for r in runs) + report_len != len(data):
-                return self._quarantine(digest, "payload-missing")
-            trials = []
-            for r in runs:
-                n = r["n"]
-                tags = np.frombuffer(data, "<i8", n, off)
-                times = np.frombuffer(data, "<f8", n, off + 8 * n)
-                trials.append(Trial(tags, times, label=r["label"], meta=r["meta"]))
-                off += 16 * n
-            report = series_report_from_dict(json.loads(data[off:]))
+            header, trials, tail = read_trials(
+                data,
+                expect={
+                    "schema": (STORE_SCHEMA_VERSION, "stale-schema"),
+                    "digest": (digest, "digest-mismatch"),
+                },
+            )
+            report = series_report_from_dict(json.loads(tail))
             return StoredEntry(digest, tuple(trials), report, header["key"])
+        except TrialFileError as exc:
+            return self._quarantine(digest, exc.reason)
         except Exception:
             return self._quarantine(digest, "payload-decode")
 
@@ -263,11 +227,11 @@ class ArtifactStore:
         """Atomically publish an entry; ``True`` if this call wrote it.
 
         ``report`` is encoded with :func:`repro.sweep.codec.series_report_to_dict`.
-        The entry's pieces are hashed from memory, written into one file
-        under ``<root>/tmp``, fsynced and published in one step.  Losing
-        the publish race to a concurrent writer of the same digest
-        returns ``False`` (their content is identical by construction)
-        and is counted in ``sweep.store.races``.
+        The container hashes the entry's pieces from memory and writes
+        them into one file under ``<root>/tmp``, which is fsynced and
+        published in one step.  Losing the publish race to a concurrent
+        writer of the same digest returns ``False`` (their content is
+        identical by construction) and is counted in ``sweep.store.races``.
         """
         if not trials:
             raise ValueError("an entry needs at least one trial")
@@ -277,34 +241,17 @@ class ArtifactStore:
             encoded = json.dumps(
                 series_report_to_dict(report), separators=(",", ":")
             ).encode()
-            header = json.dumps(
-                {
-                    "schema": STORE_SCHEMA_VERSION,
-                    "digest": digest,
-                    "key": dict(key or {}),
-                    "runs": [
-                        {"label": t.label, "meta": t.meta, "n": len(t)}
-                        for t in trials
-                    ],
-                    "report_len": len(encoded),
-                },
-                separators=(",", ":"),
-                default=str,
-            ).encode()
-            # Pad the header line so every array starts 8-byte aligned.
-            pad = -(_SUM_LEN + len(header) + 1) % 8
-            parts = [header + b" " * pad + b"\n"]
-            for t in trials:
-                parts += (np.asarray(t.tags, "<i8"), np.asarray(t.times_ns, "<f8"))
-            parts.append(encoded)
-
+            fields = {
+                "schema": STORE_SCHEMA_VERSION,
+                "digest": digest,
+                "key": dict(key or {}),
+            }
             tmp_root = self.root / "tmp"
             tmp_root.mkdir(parents=True, exist_ok=True)
             tmp = tmp_root / f"{digest}.{os.getpid()}-{os.urandom(4).hex()}"
             try:
                 with open(tmp, "xb") as f:
-                    f.write(_sha256(*parts).encode() + b"\n")
-                    f.writelines(parts)
+                    write_trials(f, fields, trials, encoded)
                     f.flush()
                     os.fsync(f.fileno())
                 return self._publish(digest, tmp)

@@ -1,5 +1,7 @@
 """Unit tests for the offline analysis pipeline."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from repro.analysis import (
     CaptureFormatError,
     TrailerError,
     analyze_directory,
-    capture_info,
     format_si,
     join_tags,
     load_series,
@@ -38,43 +39,69 @@ class TestCaptureFormat:
         np.testing.assert_allclose(t2.times_ns, t.times_ns)
 
     def test_roundtrip_no_mmap(self, tmp_path):
+        """The read copies the file whole: rewriting it cannot reach the trial."""
         t = comb_trial(50, label="A")
-        t2 = read_capture(write_capture(t, tmp_path / "x.cho"), mmap=False)
-        np.testing.assert_allclose(t2.times_ns, t.times_ns)
+        p = write_capture(t, tmp_path / "x.cho")
+        t2 = read_capture(p)
+        write_capture(comb_trial(50, gap_ns=3.0, label="A"), p)
+        assert t2 == t
 
     def test_sidecar_meta(self, tmp_path):
+        """meta travels in the capture's header; no sidecar file is written."""
         t = make_trial([0.0], label="A")
-        t = t.relabel("A")
         t.meta["environment"] = "env-7"
+        t.meta["nested"] = {"k": [1, 2]}
         t2 = read_capture(write_capture(t, tmp_path / "x.cho"))
-        assert t2.meta["environment"] == "env-7"
+        assert t2.meta == {"environment": "env-7", "nested": {"k": [1, 2]}}
+        assert [p.name for p in tmp_path.iterdir()] == ["x.cho"]
 
-    def test_info_without_payload(self, tmp_path):
-        t = comb_trial(10, label="run-Q")
+    def test_header_holds_whole_label_and_count(self, tmp_path):
+        t = comb_trial(10, label="fabric-shared-run-B-é")
         p = write_capture(t, tmp_path / "x.cho")
-        info = capture_info(p)
-        assert info["count"] == 10
-        assert info["label"] == "run-Q"
+        header = json.loads(p.read_bytes().split(b"\n")[1])
+        assert header["kind"] == "capture"
+        assert header["runs"] == [
+            {"label": "fabric-shared-run-B-é", "meta": {}, "n": 10}
+        ]
+        assert read_capture(p).label == "fabric-shared-run-B-é"
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.cho"
-        p.write_bytes(b"NOPE" + b"\0" * 28)
-        with pytest.raises(CaptureFormatError, match="magic"):
-            capture_info(p)
+        p.write_bytes(b"NOPE" + b"\0" * 100)
+        with pytest.raises(CaptureFormatError, match="not a trial file"):
+            read_capture(p)
+
+    def test_cho1_capture_names_the_way_to_recreate_it(self, tmp_path):
+        p = tmp_path / "old.cho"
+        p.write_bytes(b"CHO1" + b"\0" * 28 + b"\0" * 16)
+        with pytest.raises(CaptureFormatError, match="repro simulate -o") as ei:
+            read_capture(p)
+        assert ei.value.reason == "cho1"
+
+    def test_store_entry_is_not_a_capture(self, tmp_path):
+        from repro.core.trialfile import write_trials
+
+        p = tmp_path / "entry.bin"
+        with open(p, "wb") as f:
+            write_trials(f, {"schema": 2, "digest": "0" * 64}, [comb_trial(4)])
+        with pytest.raises(CaptureFormatError, match="kind") as ei:
+            read_capture(p)
+        assert ei.value.reason == "not-a-capture"
 
     def test_truncated_header(self, tmp_path):
-        p = tmp_path / "bad.cho"
-        p.write_bytes(b"CHO1")
+        p = write_capture(comb_trial(10), tmp_path / "x.cho")
+        p.write_bytes(p.read_bytes()[:40])
         with pytest.raises(CaptureFormatError, match="truncated"):
-            capture_info(p)
+            read_capture(p)
 
     def test_truncated_payload(self, tmp_path):
         t = comb_trial(100)
         p = write_capture(t, tmp_path / "x.cho")
         raw = p.read_bytes()
         p.write_bytes(raw[: len(raw) - 64])
-        with pytest.raises(CaptureFormatError, match="payload"):
-            read_capture(p, mmap=False)
+        with pytest.raises(CaptureFormatError, match="payload") as ei:
+            read_capture(p)
+        assert ei.value.reason == "payload-checksum"
 
     def test_empty_trial(self, tmp_path):
         t = make_trial([])
@@ -88,6 +115,9 @@ class TestSeriesIO:
         save_series(trials, tmp_path / "series")
         back = load_series(tmp_path / "series")
         assert [t.label for t in back] == ["A", "B", "C"]
+        # A shorter series saved over it replaces it whole.
+        save_series(trials[:2], tmp_path / "series")
+        assert [t.label for t in load_series(tmp_path / "series")] == ["A", "B"]
 
     def test_load_missing_dir(self, tmp_path):
         with pytest.raises(FileNotFoundError):

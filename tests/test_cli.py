@@ -239,11 +239,8 @@ class TestCommands:
         ana_out = capsys.readouterr().out
         assert "kappa" in ana_out
 
-    def test_simulate_reads_and_feeds_the_store(self, capsys, tmp_path, monkeypatch):
+    def test_simulate_reads_and_feeds_the_store(self, capsys, tmp_path):
         """simulate is one sweep unit: stored once, then a hit, same bytes."""
-        from repro.experiments import runner
-
-        monkeypatch.setattr(runner, "_store", runner._store)  # --store is global
         store = tmp_path / "store"
         argv = [
             "simulate", "local-single", "--runs", "2", "--scale", "0.01",
@@ -258,6 +255,18 @@ class TestCommands:
         assert outputs[0] == outputs[1]
         for path in sorted((tmp_path / "caps0").iterdir()):
             assert path.read_bytes() == (tmp_path / "caps1" / path.name).read_bytes()
+
+    def test_store_flag_does_not_outlive_the_command(self, capsys, tmp_path):
+        from repro.experiments.runner import persistent_store
+
+        before = persistent_store()
+        argv = [
+            "simulate", "local-single", "--runs", "2", "--scale", "0.01",
+            "--store", str(tmp_path / "store"),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert persistent_store() is before
 
     def test_analyze_bad_directory_is_a_usage_error(self, capsys, tmp_path):
         assert main(["analyze", str(tmp_path / "missing")]) == 2

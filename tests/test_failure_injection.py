@@ -146,7 +146,7 @@ class TestEndToEndFaults:
 
         p = write_capture(comb_trial(100, label="A"), tmp_path / "x.cho")
         raw = bytearray(p.read_bytes())
-        raw[4] = 99  # version byte
+        raw[-1] ^= 0x01  # the last timestamp's lowest mantissa bit
         p.write_bytes(bytes(raw))
-        with pytest.raises(CaptureFormatError, match="version"):
+        with pytest.raises(CaptureFormatError, match="checksum"):
             read_capture(p)

@@ -259,6 +259,30 @@ class TestLIS:
             assert lis_len == naive_lcs_length(np.arange(60), perm)
 
 
+    @pytest.mark.parametrize("length", [0, 1, 2, 63, 64, 4095, 4096, 5000])
+    def test_walk_equals_the_one_step_walk(self, length):
+        """The pointer-doubling walk against the predecessor walk, exactly.
+
+        A ramp ``0..length-1`` with repeats of its values scattered in has
+        an LIS of exactly ``length``: strict increase allows each value once.
+        """
+        rng = np.random.default_rng(length)
+        ramp = np.arange(length, dtype=np.int64)
+        repeats = rng.choice(ramp, length // 8)
+        seq = np.insert(ramp, rng.integers(0, length + 1, repeats.size), repeats)
+        piles = PileState(np.int64)
+        patience_fill(seq, piles)
+        assert len(piles) == length
+        want = []
+        k = int(piles.tails_idx[-1]) if length else -1
+        while k >= 0:
+            want.append(k)
+            k = int(piles.prev[k])
+        got = ordering.lis_indices_from_state(piles)
+        assert got.dtype == np.intp
+        assert got.tolist() == want[::-1]
+
+
 class TestPatienceDifferential:
     """patience_fill against the element-at-a-time oracle, with exact ==."""
 

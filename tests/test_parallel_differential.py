@@ -22,7 +22,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.analysis import analyze_directory, save_series, write_capture
+from repro.analysis import analyze_directory, load_series, save_series
 from repro.core import SymlogBins, compare_series
 from repro.parallel import default_jobs, pool_stats
 
@@ -78,15 +78,9 @@ def assert_series_equal(got, want):
 
 
 def saved(trials, directory):
-    """Save ``trials`` as captures labelled t0, t1, ...; return them.
-
-    ``save_series`` names each file after its trial's label, so the
-    positional labels give every trial, repeated ones included, a file
-    of its own.  The returned trials are the series the directory holds.
-    """
-    trials = [t.relabel(f"t{i}") for i, t in enumerate(trials)]
+    """Save ``trials`` as captures under ``directory``; return them."""
     save_series(trials, directory)
-    return trials
+    return list(trials)
 
 
 # -- randomized trial-pair generator ---------------------------------------
@@ -220,19 +214,35 @@ class TestSerialFastPath:
     def test_series_labeling_matches_serial(self, tmp_path):
         """Labelled and unlabelled captures mix exactly as in serial.
 
-        Captures written without a label (no ``index.txt``; run order is
-        file-name order) get the paper's default labels from their
-        position, in the workers as in the serial path.
+        Captures written without a label (run order is file-name order)
+        get the paper's default labels from their position, in the
+        workers as in the serial path.
         """
         rng = np.random.default_rng(13)
         trials = [random_pair(rng, 80)[0] for _ in range(4)]
         trials[2] = trials[2].relabel("custom")
-        for i, t in enumerate(trials):
-            write_capture(t, tmp_path / f"run-{i}.cho")
+        save_series(trials, tmp_path)
         got = analyze_directory(tmp_path, environment="lbl", jobs=2)
         want = compare_series(trials, environment="lbl")
         assert [p.run_label for p in got.pairs] == ["B", "custom", "D"]
         assert_series_equal(got, want)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_any_label_round_trips_whole(self, jobs, tmp_path):
+        """Repeated, slashed, long and non-ASCII labels come back as saved."""
+        rng = np.random.default_rng(29)
+        labels = ["A", "rep", "rep", "fabric/shared", "x" * 30, "läuft-é-B"]
+        trials = [
+            random_pair(rng, 60)[0].relabel(label) for label in labels
+        ]
+        save_series(trials, tmp_path)
+        back = load_series(tmp_path)
+        assert [t.label for t in back] == labels
+        for got, want in zip(back, trials):
+            assert got == want
+        got = analyze_directory(tmp_path, environment="lbl", jobs=jobs)
+        assert [p.run_label for p in got.pairs] == labels[1:]
+        assert_series_equal(got, compare_series(trials, environment="lbl"))
 
     def test_series_requires_two_trials(self, tmp_path):
         save_series([comb_trial(4, label="only")], tmp_path)

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.analysis import MIN_FRAME_BYTES, read_pcap, write_pcap
+from repro.analysis import MIN_FRAME_BYTES, CaptureFormatError, read_pcap, write_pcap
 from repro.analysis.pcap import _frame_template, _ipv4_checksum
 from repro.core import uniqueness_variation
 
@@ -93,6 +93,20 @@ class TestCorruption:
         p.write_bytes(raw[:-10])
         with pytest.raises(ValueError, match="truncated"):
             read_pcap(p)
+
+    def test_every_truncation_is_a_prefix_or_a_format_error(self, tmp_path):
+        """A cut inside a record is a CaptureFormatError; at a boundary, a prefix."""
+        t = comb_trial(4)
+        p = write_pcap(t, tmp_path / "x.pcap", frame_bytes=64)
+        raw = p.read_bytes()
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            if cut >= 24 and (cut - 24) % (16 + 64) == 0:
+                n = (cut - 24) // (16 + 64)
+                assert np.array_equal(read_pcap(p).trial.tags, t.tags[:n])
+                continue
+            with pytest.raises(CaptureFormatError):
+                read_pcap(p)
 
     def test_foreign_short_frames_counted(self, tmp_path):
         p = tmp_path / "mixed.pcap"

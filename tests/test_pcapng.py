@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.analysis import CaptureFormatError
 from repro.analysis.pcapng import (
     _BYTE_ORDER_MAGIC,
     _EPB_TYPE,
@@ -85,6 +86,24 @@ class TestRobustness:
         p.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="malformed"):
             read_pcapng(p)
+
+    def test_every_truncation_is_a_prefix_or_a_format_error(self, tmp_path):
+        """A cut inside a block is a CaptureFormatError; between blocks, a prefix."""
+        t = comb_trial(3)
+        p = write_pcapng(t, tmp_path / "x.pcapng", frame_bytes=64)
+        raw = p.read_bytes()
+        boundaries, off = set(), 0
+        while off < len(raw):
+            boundaries.add(off)
+            off += struct.unpack_from("<I", raw, off + 4)[0]
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            if cut in boundaries and cut >= 28:  # past the section header
+                got = read_pcapng(p).trial
+                assert np.array_equal(got.tags, t.tags[: len(got)])
+            else:
+                with pytest.raises(CaptureFormatError):
+                    read_pcapng(p)
 
     def test_undefined_interface_rejected(self, tmp_path):
         # Hand-build: SHB then an EPB referencing interface 0 with no IDB.

@@ -29,7 +29,12 @@ import time
 import pytest
 
 import repro.cli as cli
-from repro.analysis import analyze_directory, render_report, save_series
+from repro.analysis import (
+    CaptureFormatError,
+    analyze_directory,
+    render_report,
+    save_series,
+)
 from repro.core import Trial, compare_series
 from repro.obs import metrics, trace
 from repro.parallel import (
@@ -275,20 +280,21 @@ class TestFailureContainment:
         assert after == before + 1
 
     def test_truncated_capture_fails_its_pair_and_spares_the_pool(self, tmp_path):
-        """A capture cut after its header fails in the worker, not the parent.
+        """A cut capture fails in the worker, not the parent.
 
-        The error comes back as ``ValueError`` carrying the worker-side
-        traceback, and the next analysis on the same pool is the serial
-        report, byte for byte.
+        The error comes back as ``CaptureFormatError`` (a ``ValueError``)
+        with its reason and the worker-side traceback, and the next
+        analysis on the same pool is the serial report, byte for byte.
         """
         trials = Testbed(PROFILE, seed=3).run_series(3)
         save_series(trials, tmp_path / "good")
-        save_series(trials, tmp_path / "bad")
-        with open(tmp_path / "bad" / "run-C.cho", "r+b") as f:
-            f.truncate(32)  # the header alone: its count promises a payload
+        paths = save_series(trials, tmp_path / "bad")
+        with open(paths[2], "r+b") as f:
+            f.truncate(f.seek(0, 2) - 9)  # its last timestamp, cut short
         pool = get_pool(2)
-        with pytest.raises(ValueError) as ei:
+        with pytest.raises(CaptureFormatError) as ei:
             analyze_directory(tmp_path / "bad", jobs=2)
+        assert ei.value.reason == "payload-checksum"
         assert "read_capture" in ei.value.remote_traceback
         want = render_report(analyze_directory(tmp_path / "good", jobs=1))
         assert render_report(analyze_directory(tmp_path / "good", jobs=2)) == want

@@ -1,8 +1,9 @@
 """Property-based tests for the I/O formats and analysis decompositions.
 
 Complements test_properties_metrics: here hypothesis drives the capture
-formats (roundtrip exactness) and the windowed decomposition (exact
-partition of the metric numerators).
+formats (roundtrip exactness, and damage that ends in the same trial or
+a typed error) and the windowed decomposition (exact partition of the
+metric numerators).
 """
 
 import numpy as np
@@ -11,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.analysis import read_capture, read_pcap, read_pcapng, write_capture, write_pcap, write_pcapng
+from repro.analysis import (
+    CaptureFormatError,
+    read_capture,
+    read_pcap,
+    read_pcapng,
+    write_capture,
+    write_pcap,
+    write_pcapng,
+)
 from repro.core import (
     Trial,
     iat_deltas_ns,
@@ -54,6 +63,52 @@ def test_capture_roundtrip_exact(tmp_path_factory, trial):
     back = read_capture(write_capture(trial, path))
     np.testing.assert_array_equal(back.tags, trial.tags)
     np.testing.assert_array_equal(back.times_ns, trial.times_ns)
+
+
+def _capture_200() -> Trial:
+    rng = np.random.default_rng(200)
+    trial = Trial(
+        rng.permutation(200).astype(np.int64),
+        np.cumsum(rng.exponential(100.0, 200)),
+        label="fabric-shared-run-B",
+    )
+    trial.meta["environment"] = "fabric-shared-40g"
+    return trial
+
+
+#: A bit anywhere in the file, or one of the checksum line's 65 bytes.
+_BITS = st.one_of(st.integers(0, 65 * 8 - 1), st.integers(0, 2**40))
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just("cut"), st.integers(0, 2**40)),
+        st.tuples(st.just("flip"), st.lists(_BITS, min_size=1, max_size=3)),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_mutated_capture_is_the_trial_or_a_format_error(tmp_path_factory, mutation):
+    """Truncation or 1-3 bit flips: the original trial or CaptureFormatError.
+
+    Never another exception, never a different trial (two flips of one
+    bit restore the file, and with it the trial).
+    """
+    original = _capture_200()
+    path = write_capture(original, tmp_path_factory.mktemp("mut") / "t.cho")
+    raw = bytearray(path.read_bytes())
+    kind, arg = mutation
+    if kind == "cut":
+        del raw[arg % len(raw):]
+    else:
+        for bit in arg:
+            bit %= 8 * len(raw)
+            raw[bit // 8] ^= 1 << (bit % 8)
+    path.write_bytes(bytes(raw))
+    try:
+        back = read_capture(path)
+    except CaptureFormatError:
+        return
+    assert back == original and back.meta == original.meta
 
 
 @given(small_trials(max_n=25))

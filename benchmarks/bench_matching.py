@@ -4,16 +4,23 @@ the Section-3 oracle.
 Every comparison of a series is against its baseline A, so production
 matching (:func:`repro.core.matching.match_trials`) sorts A once into a
 :class:`~repro.core.matching.BaselineIndex` and matches each run with a
-``searchsorted`` and a scatter.  The matcher it replaced stable-argsorted
-both tag arrays for every pair, argsorted the matched A positions, and
-argsorted the matched B positions once more for the A-ranks in B order;
-it is kept as ``tests/oracle.py:match_tag_arrays``.
+scatter into an A-length map.  The index cuts A's distinct tags into runs
+of consecutive integers, so a run tag is found by a ``searchsorted`` over
+the run starts and its offset into its run, not by a binary search over
+every A tag.  The matcher it replaced stable-argsorted both tag arrays
+for every pair, argsorted the matched A positions, and argsorted the
+matched B positions once more for the A-ranks in B order; it is kept as
+``tests/oracle.py:match_tag_arrays``.
 
 Inputs are captured ``compare_series`` pairs of ``fabric-shared-40g-noisy``
-and ``local-dual``, and ``local-dual`` runs fed to ``StreamKappa`` in
-2048-packet chunks, as in the ``stream`` workload of the repository
-benchmark.  Per pair, the retired path (both argsorts, the ``ia`` sort and
-the B-order argsort) and the production path (``match_trials`` plus
+(one run of consecutive Choir tags) and ``local-dual`` (two), ``local-dual``
+runs fed to ``StreamKappa`` in 2048-packet chunks, as in the ``stream``
+workload of the repository benchmark, and the lookup's worst case, "no
+runs": random distinct int64 tags of a ``local-dual`` baseline's length,
+each run a permutation of them, so every run of consecutive tags has
+length 1 and the run-start search is a search over every A tag.  Per
+pair, the retired path (both argsorts, the ``ia`` sort and the B-order
+argsort) and the production path (``match_trials`` plus
 ``a_ranks_in_b_order()``, with the series' index built once per repeat on
 a fresh baseline trial) are timed alternately, ``REPEATS`` times, and
 ``idx_a``, ``idx_b`` and the A-ranks in B order are asserted identical to
@@ -25,7 +32,7 @@ stream row times the chunks' ``StreamKappa.update`` calls and asserts
 The table goes to ``benchmarks/out/matching.txt``, the structured twin
 to ``matching.json``.  ``REPRO_BENCH_SMOKE=1`` (CI) captures fewer series
 and gates production at >= 1.5x the retired path on the ``local-dual``
-pairs.
+pairs and at >= 1.2x on the no-runs pairs.
 """
 
 from __future__ import annotations
@@ -56,12 +63,27 @@ STREAM_ROW = f"local-dual, {STREAM_CHUNK} chunks"
 #: Alternating repeats per input; the speedup is the median of the
 #: per-repeat ratios, so CPU-speed drift between repeats cancels.
 REPEATS = 11
-MIN_SPEEDUP = {"local-dual": 1.5}
+NO_RUNS_ROW = "no runs (random int64)"
+MIN_SPEEDUP = {"local-dual": 1.5, NO_RUNS_ROW: 1.2}
 
 
 def _series(name: str) -> list[list[Trial]]:
     profile = scenario(name).profile(SCENARIOS[name])
     return [Testbed(profile, seed=seed).run_series(N_RUNS) for seed in SERIES_SEEDS]
+
+
+def _no_runs_series(n: int) -> list[list[Trial]]:
+    """Per series seed, ``n`` random distinct int64 tags and ``N_RUNS - 1``
+    permutations of them."""
+    i64 = np.iinfo(np.int64)
+    series = []
+    for seed in SERIES_SEEDS:
+        rng = np.random.default_rng(seed)
+        tags = rng.permutation(np.unique(rng.integers(i64.min, i64.max, n, endpoint=True)))
+        times = np.arange(tags.shape[0], dtype=np.float64)
+        runs = [Trial(rng.permutation(tags), times) for _ in range(N_RUNS - 1)]
+        series.append([Trial(tags, times), *runs])
+    return series
 
 
 def _retired(a: Trial, b: Trial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,6 +162,8 @@ def test_matching_speedup(once, emit, emit_json):
         captured = {name: _series(name) for name in SCENARIOS}
         rows = {name: _measure_pairs(series) for name, series in captured.items()}
         rows[STREAM_ROW] = _measure_stream(captured["local-dual"])
+        no_runs = _no_runs_series(len(captured["local-dual"][0][0]))
+        rows[NO_RUNS_ROW] = _measure_pairs(no_runs)
         return rows
 
     rows = once(workload)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.matching import BaselineIndex
 from ..core.trial import Trial
 from ..replay.recording import Recording
 
@@ -79,18 +80,17 @@ class OwdSeries:
 def owd_series(recording: Recording, capture: Trial) -> OwdSeries:
     """Join a recording's TX times with a capture's RX times per packet.
 
-    Packets missing from the capture (drops) are simply absent from the
-    series; order follows the recording (send order).
+    Packets are paired by ``(tag, occurrence)`` as in Section 3: the k-th
+    capture packet with a tag is the k-th recorded one.  Packets missing
+    from the capture (drops) are simply absent from the series; order
+    follows the recording (send order).
     """
     rec_tags = recording.packets.tags
-    _, rec_idx, cap_idx = np.intersect1d(
-        rec_tags, capture.tags, assume_unique=False, return_indices=True
-    )
-    order = np.argsort(rec_idx, kind="stable")
-    rec_idx = rec_idx[order]
-    cap_idx = cap_idx[order]
+    inv = np.full(rec_tags.shape[0], -1, dtype=np.intp)
+    BaselineIndex(rec_tags).claim(capture.tags, inv)
+    rec_idx = np.flatnonzero(inv >= 0)
     return OwdSeries(
         tags=rec_tags[rec_idx],
         tx_ns=recording.packets.times_ns[rec_idx].astype(np.float64),
-        rx_ns=capture.times_ns[cap_idx].astype(np.float64),
+        rx_ns=capture.times_ns[inv[rec_idx]].astype(np.float64),
     )

@@ -19,8 +19,9 @@ link-type Ethernet):
   :class:`~repro.analysis.capture.CaptureFormatError`.
 
 The writer is vectorized over fixed-size frames (the evaluation's
-workloads are fixed-size); the reader has a vectorized fast path for
-fixed-record captures and a sequential fallback for arbitrary ones.
+workloads are fixed-size); the reader walks the records one at a time in
+Python (one ``struct.unpack_from`` and one trailer check per frame), for
+records of any size.
 """
 
 from __future__ import annotations

@@ -9,9 +9,16 @@ trial a sequence of unique ``(tag, occurrence)`` keys, which is what lets
 the ordering metric treat trials as permutations.
 
 Every comparison is against one fixed baseline A, so A is the only side
-ever sorted: a :class:`BaselineIndex`, memoized on the baseline trial.  A
-run B is matched with one :func:`numpy.searchsorted` into it and a scatter
-of the hits into an A-length inverse map; the common rows in A order are
+ever sorted: a :class:`BaselineIndex`, memoized on the baseline trial.
+Choir tags are ``(replayer id << 48) | sequence``, so A's sorted distinct
+tags fall into a few runs of consecutive integers (two in ``local-dual``),
+and the index records where each run starts.  A run tag is found by one
+:func:`numpy.searchsorted` into the run-start tags and its offset into its
+run, in wrapping int64 (exact for every present tag; any other candidate
+is clipped into range and fails the equality check).  With no runs —
+random distinct tags — the run starts are every tag and the lookup is a
+binary search over A plus a few elementwise passes.  The hits are
+scattered into an A-length inverse map; the common rows in A order are
 the map's set entries, and the A-ranks in B order one ``cumsum`` of the
 hit mask.  Repeated tags — in A, or two B packets hitting one A slot — take
 an occurrence step (counted by ``match.occurrence_path``).
@@ -129,15 +136,40 @@ class BaselineIndex:
     """Baseline A's tags sorted once, to match any number of runs against.
 
     ``order`` is the stable argsort of A's tags, so each tag's occurrences
-    form one contiguous group of ``sorted_tags`` in A order.
+    form one contiguous group of ``sorted_tags`` in A order.  A's distinct
+    tags are also cut into runs of consecutive integers: a tag's index
+    among the distinct tags is its offset into its run plus the run's
+    first index, so a lookup searches the run starts, not every tag.
     """
 
-    __slots__ = ("order", "sorted_tags", "has_duplicates")
+    __slots__ = ("order", "sorted_tags", "has_duplicates", "_distinct",
+                 "_bounds", "_run_tags", "_run_shift")
 
     def __init__(self, tags: np.ndarray) -> None:
         self.order = np.argsort(tags, kind="stable")
         self.sorted_tags = sorted_tags = tags[self.order]
-        self.has_duplicates = bool(np.any(sorted_tags[1:] == sorted_tags[:-1]))
+        n = sorted_tags.shape[0]
+        new_group = np.ones(n, dtype=bool)
+        np.not_equal(sorted_tags[1:], sorted_tags[:-1], out=new_group[1:])
+        self.has_duplicates = not bool(new_group.all())
+        if self.has_duplicates:
+            starts = np.flatnonzero(new_group)
+            self._distinct = sorted_tags[starts]
+            #: Group k of ``sorted_tags`` is ``_bounds[k]:_bounds[k + 1]``.
+            self._bounds = np.append(starts, n)
+        else:
+            self._distinct = sorted_tags
+            self._bounds = None
+        # Distinct tags differ by exactly 1 only inside a run; the int64
+        # difference wraps, but never to 1 between sorted distinct values.
+        run_start = np.ones(self._distinct.shape[0], dtype=bool)
+        np.not_equal(np.diff(self._distinct), 1, out=run_start[1:])
+        first = np.flatnonzero(run_start)
+        self._run_tags = self._distinct[first]
+        # Index of tag t in run r is t + (first[r] - run_tags[r]) in
+        # wrapping int64.  Slot 0 serves tags below the first run: they
+        # are absent, so any shift will do.
+        self._run_shift = np.concatenate(([0], first - self._run_tags))
 
     @classmethod
     def of(cls, trial: Trial) -> "BaselineIndex":
@@ -147,6 +179,28 @@ class BaselineIndex:
             index = cls(trial.tags)
             object.__setattr__(trial, "_match_index", index)
         return index
+
+    def _find(self, tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets into ``tags`` of the tags present in A, and each one's
+        index among A's distinct tags."""
+        k = self._run_shift[np.searchsorted(self._run_tags, tags, side="right")]
+        # A present tag's offset lies in [0, run length), so its index is
+        # exact; any other candidate only needs to land in range and miss.
+        k += tags
+        np.clip(k, 0, self._distinct.shape[0] - 1, out=k)
+        jb = np.flatnonzero(self._distinct[k] == tags)
+        return jb, k[jb]
+
+    def groups(self, tags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Offsets into ``tags`` of the tags present in A, and the start and
+        end of each one's group in ``sorted_tags``."""
+        if self._distinct.shape[0] == 0 or tags.shape[0] == 0:
+            empty = np.empty(0, dtype=np.intp)
+            return empty, empty, empty
+        jb, k = self._find(tags)
+        if self._bounds is None:
+            return jb, k, k + 1
+        return jb, self._bounds[k], self._bounds[k + 1]
 
     def claim(self, tags: np.ndarray, inv: np.ndarray, base: int = 0,
               seen: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -158,26 +212,23 @@ class BaselineIndex:
         far, at the tag's group start.  Returns the newly matched A
         positions and their offsets into ``tags``, in arrival order.
         """
-        n_a = self.order.shape[0]
-        if n_a == 0 or tags.shape[0] == 0:
+        if self.order.shape[0] == 0 or tags.shape[0] == 0:
             empty = np.empty(0, dtype=np.intp)
             return empty, empty
-        pos = np.searchsorted(self.sorted_tags, tags)
-        np.minimum(pos, n_a - 1, out=pos)
-        jb = np.flatnonzero(self.sorted_tags[pos] == tags)
-        pos = pos[jb]
         if self.has_duplicates:
             # The k-th occurrence of a tag claims slot k of its group.
             metrics.counter("match.occurrence_path").add()
+            jb, pos, end = self.groups(tags)
             occ = occurrence_ranks(pos)
             if seen is not None:
                 occ += seen[pos]
                 groups, counts = np.unique(pos, return_counts=True)
                 seen[groups] += counts
-            keep = occ < np.searchsorted(self.sorted_tags, tags[jb], side="right") - pos
+            keep = occ < end - pos
             slots, jb = self.order[pos[keep] + occ[keep]], jb[keep]
             inv[slots] = jb + base
             return slots, jb
+        jb, pos = self._find(tags)
         slots = self.order[pos]
         if base:
             # A slot claimed by an earlier chunk is a repeat in the run.

@@ -10,7 +10,11 @@ Three paths must produce the oracle's ``(tag, occurrence)`` matching:
 
 Tag strategies force the shapes that take the occurrence step: repeats in
 A only, in B only and in both, repeats split across chunks, disjoint and
-empty or one-sided trials, negative tags and the int64 extremes.
+empty or one-sided trials, negative tags and the int64 extremes.  The
+``run_pairs`` strategy builds the shape of Choir tags, which the index
+resolves by offset into a run of consecutive tags: runs with gaps,
+repeats inside runs, two chains interleaved, runs touching the int64
+extremes, and run tags below the first run and above the last.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.streamkappa import StreamKappa
 from repro.core import Trial, compare_trials, edit_script, match_trials
+from repro.core.matching import BaselineIndex
 
 from . import oracle
 
@@ -94,6 +99,49 @@ any_pair = st.one_of(*(st.tuples(sa, sb) for sa, sb in pairs.values()))
 chunk_sizes = st.lists(st.integers(0, 6), max_size=12)
 
 
+@st.composite
+def consecutive_runs(draw) -> list[int]:
+    """Tags of 1-4 runs of consecutive integers, each starting anywhere,
+    at an int64 extreme or just past a gap after the previous run."""
+    tags: list[int] = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 8))
+        top = int(I64.max) - n + 1
+        starts = [st.sampled_from([int(I64.min), top, -(n // 2)]), st.integers(int(I64.min), top)]
+        if tags and tags[-1] < top:
+            starts.append(st.integers(tags[-1] + 1, min(tags[-1] + 3, top)))
+        start = draw(st.one_of(*starts))
+        tags.extend(range(start, start + n))
+    return tags
+
+
+def interleave(draw, x: list[int], y: list[int]) -> list[int]:
+    """``x`` and ``y`` merged in a drawn order, each keeping its own order."""
+    picks = draw(st.lists(st.booleans(), min_size=len(x) + len(y), max_size=len(x) + len(y)))
+    x, y, out = list(x), list(y), []
+    for pick in picks:
+        out.append((x if (pick and x) or not y else y).pop(0))
+    return out
+
+
+@st.composite
+def run_pairs(draw) -> tuple[list[int], list[int]]:
+    """A as two interleaved chains of runs with repeats; B drops, repeats
+    and shuffles A's tags and adds tags outside A's runs."""
+    chains = [draw(consecutive_runs()), draw(consecutive_runs())]
+    for chain in chains:
+        for _ in range(draw(st.integers(0, 3))):
+            chain.insert(draw(st.integers(0, len(chain))), draw(st.sampled_from(chain)))
+    tags_a = interleave(draw, *chains)
+    kept = [t for t in tags_a if draw(st.booleans())]
+    lo, hi = min(tags_a), max(tags_a)
+    outside = [t for t in (lo - 1, lo - 7, hi + 1, hi + 7) if I64.min <= t <= I64.max]
+    extra = draw(st.lists(st.sampled_from(tags_a + outside), max_size=6))
+    if draw(st.booleans()):
+        return tags_a, list(draw(st.permutations(kept + extra)))
+    return tags_a, interleave(draw, kept, extra)
+
+
 @given(any_pair)
 @settings(max_examples=400, deadline=None)
 def test_batch_matches_oracle(pair):
@@ -117,6 +165,27 @@ def test_reused_baseline_index_matches_oracle(tags_a, runs):
     for tags_b in runs:
         m = match_trials(a, trial(tags_b))
         assert (m.idx_a.tolist(), m.idx_b.tolist()) == oracle.match(tags_a, tags_b)
+
+
+@given(run_pairs(), chunk_sizes)
+@settings(max_examples=300, deadline=None)
+def test_runs_of_consecutive_tags_match_oracle(pair, sizes):
+    check_batch(*pair)
+    check_stream(*pair, sizes)
+
+
+@given(run_pairs())
+@settings(max_examples=300, deadline=None)
+def test_group_bounds_are_the_binary_search_bounds(pair):
+    """The run table gives every present tag the group a binary search
+    over ``sorted_tags`` finds, and finds no absent tag."""
+    tags_a, tags_b = (np.array(t, dtype=np.int64) for t in pair)
+    index = BaselineIndex(tags_a)
+    jb, start, end = index.groups(tags_b)
+    assert jb.tolist() == np.flatnonzero(np.isin(tags_b, tags_a)).tolist()
+    found = tags_b[jb]
+    assert start.tolist() == np.searchsorted(index.sorted_tags, found, "left").tolist()
+    assert end.tolist() == np.searchsorted(index.sorted_tags, found, "right").tolist()
 
 
 def test_repeat_split_across_chunks():

@@ -95,3 +95,24 @@ class TestOwd:
         s = owd_series(rec, other)
         assert s.n_packets == 0
         assert s.summary() == {"n": 0}
+
+    def test_repeated_tags_pair_by_occurrence(self):
+        """The k-th captured copy of a tag pairs with its k-th recorded copy."""
+        from repro.replay import Recording, burstify_fixed
+        from repro.timing import TSC
+
+        from . import oracle
+
+        rec_tags, cap_tags = [5, 7, 5, 9], [5, 5, 9]
+        tx = np.arange(4) * 100.0
+        rec = Recording.capture(
+            PacketArray(np.array(rec_tags), np.full(4, 1400), tx),
+            burstify_fixed(4, 2), tx, TSC(),
+        )
+        rx = np.array([1_000.0, 1_050.0, 1_200.0])
+        s = owd_series(rec, Trial(np.array(cap_tags), rx))
+        ia, ib = oracle.match(rec_tags, cap_tags)
+        assert ia == [0, 2, 3]
+        assert s.tags.tolist() == [rec_tags[i] for i in ia]
+        assert s.tx_ns.tolist() == rec.packets.times_ns[ia].tolist()
+        assert s.rx_ns.tolist() == rx[ib].tolist()

@@ -6,8 +6,7 @@ tables, figures, and text reports.
 """
 
 from .capture import CaptureFormatError, read_capture, write_capture
-from .changepoints import LatencyStep, detect_latency_steps, detect_series_steps
-from .owd import OwdSeries, owd_series
+from .changepoints import LatencyStep, detect_series_steps
 from .compare import analyze_directory, load_series, render_report, save_series
 from .pcap import MIN_FRAME_BYTES, PcapReadResult, read_pcap, write_pcap
 from .pcapng import PcapngReadResult, read_pcapng, write_pcapng
@@ -85,7 +84,4 @@ __all__ = [
     "trace_stats",
     "detect_bursts",
     "LatencyStep",
-    "detect_latency_steps",
-    "OwdSeries",
-    "owd_series",
 ]

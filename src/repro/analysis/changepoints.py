@@ -11,7 +11,7 @@ events an operator can correlate with sync logs.
 Method: recursive binary segmentation on the mean.  For a segment, the
 best split maximizes the standardized mean difference between the two
 halves (a CUSUM-style statistic); splits are accepted while the implied
-step size clears ``min_step_ns`` and the statistic clears a noise-scaled
+step size clears ``min_step`` and the statistic clears a noise-scaled
 threshold.  Binary segmentation is O(n log n), robust for the few-steps
 regime that clock faults produce, and has no tuning beyond the two
 physical thresholds.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LatencyStep", "detect_latency_steps", "detect_series_steps"]
+__all__ = ["LatencyStep", "detect_series_steps"]
 
 
 @dataclass(frozen=True)
@@ -64,22 +64,29 @@ def _best_split(x: np.ndarray) -> tuple[int, float]:
     return best + 1, float(z[best])
 
 
-def detect_latency_steps(
-    latency_deltas_ns: np.ndarray,
+def detect_series_steps(
+    series: np.ndarray,
     *,
-    min_step_ns: float = 1_000.0,
+    min_step: float,
     z_threshold: float = 8.0,
     max_steps: int = 16,
 ) -> list[LatencyStep]:
-    """Detect mean shifts in a latency-delta series.
+    """Detect mean shifts in a series, in the series' own units.
+
+    The segmentation is unit-agnostic.  On a per-packet Δl series (e.g.
+    from :func:`repro.core.latency_deltas_ns`) it finds clock steps in
+    nanoseconds; the live monitor
+    (:class:`repro.analysis.streamkappa.KappaMonitor`) runs it over each
+    session's windowed κ history to flag degradations.  A returned step
+    with negative ``step_ns`` (read: "step size", in the series' units)
+    is a downward shift of the series mean at ``index``.
 
     Parameters
     ----------
-    latency_deltas_ns:
-        Per-packet signed Δl (e.g. from
-        :func:`repro.core.latency_deltas_ns`), in packet order.
-    min_step_ns:
-        Smallest physically interesting step; shifts below it are noise.
+    series:
+        The values, in order (packet order for Δl, window order for κ).
+    min_step:
+        Smallest interesting step; shifts below it are noise.
     z_threshold:
         Required standardized score for a split (8 is conservative at
         capture-scale n).
@@ -87,10 +94,10 @@ def detect_latency_steps(
         Recursion budget (clock faults produce few steps; a series asking
         for more is not step-shaped).
     """
-    x = np.asarray(latency_deltas_ns, dtype=np.float64)
+    x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
-        raise ValueError("latency_deltas_ns must be one-dimensional")
-    if min_step_ns <= 0 or z_threshold <= 0 or max_steps < 1:
+        raise ValueError("series must be one-dimensional")
+    if min_step <= 0 or z_threshold <= 0 or max_steps < 1:
         raise ValueError("thresholds must be positive")
 
     boundaries: list[int] = []
@@ -102,7 +109,7 @@ def detect_latency_steps(
             continue
         g = lo + split
         step = float(x[g:hi].mean() - x[lo:g].mean())
-        if abs(step) < min_step_ns:
+        if abs(step) < min_step:
             continue
         boundaries.append(g)
         segments.append((lo, g))
@@ -115,7 +122,7 @@ def detect_latency_steps(
     steps = []
     for k, g in enumerate(sorted(boundaries)):
         before, after = seg_means[k], seg_means[k + 1]
-        if abs(after - before) < min_step_ns:
+        if abs(after - before) < min_step:
             continue  # a boundary that dissolved once its neighbours split
         steps.append(
             LatencyStep(
@@ -126,28 +133,3 @@ def detect_latency_steps(
             )
         )
     return steps
-
-
-def detect_series_steps(
-    series: np.ndarray,
-    *,
-    min_step: float,
-    z_threshold: float = 8.0,
-    max_steps: int = 16,
-) -> list[LatencyStep]:
-    """Step detection on a series in arbitrary units (e.g. windowed κ).
-
-    The segmentation math is unit-agnostic — only the parameter names of
-    :func:`detect_latency_steps` are latency-flavored — so this wrapper
-    reuses it verbatim for non-latency series.  The live monitor
-    (:class:`repro.analysis.streamkappa.KappaMonitor`) runs it over each
-    session's windowed κ history to flag degradations: a returned step
-    with negative ``step_ns`` (read: "step size", in the series' own
-    units) is a downward shift of the series mean at ``index``.
-    """
-    return detect_latency_steps(
-        series,
-        min_step_ns=min_step,
-        z_threshold=z_threshold,
-        max_steps=max_steps,
-    )

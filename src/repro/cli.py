@@ -78,6 +78,19 @@ def _int_at_least(low: int):
 _run_count = _int_at_least(2)
 
 
+def _positive(text: str) -> float:
+    """argparse type: a finite number > 0 (``--scale``, ``--window-ms``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}"
+        )
+    return value
+
+
 def _port(text: str) -> int:
     """argparse type: a TCP port, 0 (pick a free one) through 65535."""
     try:
@@ -174,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=_run_count, default=5,
                    help="number of runs, at least 2 (default 5)")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p.add_argument("--scale", type=float, default=None, help="duration scale (default REPRO_SCALE)")
+    p.add_argument("--scale", type=_positive, default=None, help="duration scale (default REPRO_SCALE)")
     p.add_argument("-o", "--output", default=None, help="directory to save captures into")
     p.add_argument("--histograms", action="store_true", help="include figure histograms")
     add_store(p)
@@ -189,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         "monitor", help="stream saved captures through the online kappa monitor"
     )
     p.add_argument("directory")
-    p.add_argument("--window-ms", type=float, default=10.0, metavar="MS",
+    p.add_argument("--window-ms", type=_positive, default=10.0, metavar="MS",
                    help="monitoring window length (default 10 ms)")
-    p.add_argument("--chunk", type=int, default=4096,
+    p.add_argument("--chunk", type=_int_at_least(1), default=4096,
                    help="packets per streamed chunk (default 4096; results "
                    "are identical at any chunking)")
     p.add_argument("--kappa-step", type=float, default=0.02, metavar="STEP",
@@ -201,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs(p)
 
     p = sub.add_parser("table1", help="regenerate Table 1 (edit-script distances)")
-    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--scale", type=_positive, default=None)
     add_store(p)
 
     def add_ci(p: argparse.ArgumentParser) -> None:
@@ -211,19 +224,19 @@ def build_parser() -> argparse.ArgumentParser:
             "multi-seed stability screen instead of one point estimate",
         )
         p.add_argument(
-            "--ci-seeds", type=int, default=4, metavar="N",
+            "--ci-seeds", type=_int_at_least(1), default=4, metavar="N",
             help="seeded sessions per environment for --ci (default 4)",
         )
 
     p = sub.add_parser("table2", help="regenerate Table 2 (all environments)")
-    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--scale", type=_positive, default=None)
     p.add_argument("--no-paper", action="store_true", help="omit the paper's columns")
     add_ci(p)
     add_jobs(p)
     add_store(p)
 
     p = sub.add_parser("validate", help="grade the reproduction against the paper's Table 2")
-    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--scale", type=_positive, default=None)
     p.add_argument("--kappa-tol", type=float, default=0.08)
     add_ci(p)
     add_jobs(p)
@@ -231,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="regenerate the full evaluation into a directory")
     p.add_argument("-o", "--output", default="report", help="output directory")
-    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--scale", type=_positive, default=None)
     p.add_argument("--no-svg", action="store_true", help="skip SVG figure rendering")
     add_jobs(p)
     add_store(p)
@@ -251,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--runs", type=_run_count, default=5,
                    help="runs per unit, at least 2 (default 5)")
-    p.add_argument("--scale", type=float, default=None,
+    p.add_argument("--scale", type=_positive, default=None,
                    help="duration scale (default REPRO_SCALE)")
     p.add_argument(
         "--resume", action=argparse.BooleanOptionalAction, default=True,
@@ -293,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--runs", type=_run_count, default=3,
                    help="replay runs per session, at least 2 (default 3)")
-    p.add_argument("--scale", type=float, default=None,
+    p.add_argument("--scale", type=_positive, default=None,
                    help="duration scale (default REPRO_SCALE)")
     p.add_argument(
         "-o", "--output", default=None, metavar="DIR",
@@ -304,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="regenerate one figure's series")
     p.add_argument("figure_id", help="4a, 4b, 5, 6a..10b")
-    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--scale", type=_positive, default=None)
     p.add_argument("--svg", default=None, metavar="PATH",
                    help="additionally write the figure as an SVG file")
     add_store(p)
@@ -342,17 +355,24 @@ def _cmd_simulate(args) -> int:
     if (args.scenario is None) == (args.profile is None):
         print("simulate: give exactly one of <scenario> or --profile", file=sys.stderr)
         return 2
-    if args.profile:
-        from .testbeds import load_profile
+    try:
+        if args.profile:
+            from .testbeds import load_profile
 
-        profile = load_profile(args.profile)
-        if args.scale is not None:
-            profile = profile.at_duration(profile.duration_ns * args.scale)
-        seed = 0 if args.seed is None else args.seed
-    else:
-        sc = scenario(args.scenario)
-        profile = sc.profile(args.scale)
-        seed = sc.seed if args.seed is None else args.seed
+            profile = load_profile(args.profile)
+            if args.scale is not None:
+                profile = profile.at_duration(profile.duration_ns * args.scale)
+            seed = 0 if args.seed is None else args.seed
+        else:
+            sc = scenario(args.scenario)
+            profile = sc.profile(args.scale)
+            seed = sc.seed if args.seed is None else args.seed
+    except KeyError as exc:
+        print(f"simulate: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as exc:
+        print(f"simulate: {exc}", file=sys.stderr)
+        return 2
     from .obs import trace
 
     trace.set_meta("seed", int(seed))
@@ -390,12 +410,16 @@ def _cmd_analyze(args) -> int:
 def _cmd_monitor(args) -> int:
     from .analysis import KappaMonitor, StreamKappa, load_series, render_metric_rows
 
-    trials = load_series(args.directory)
+    try:
+        trials = load_series(args.directory)
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"monitor: {exc}", file=sys.stderr)
+        return 2
     if len(trials) < 2:
         print("monitor: need a baseline plus at least one run", file=sys.stderr)
         return 2
     baseline = trials[0]
-    chunk = max(1, args.chunk)
+    chunk = args.chunk
     mon = KappaMonitor(args.window_ms * 1e6, min_kappa_step=args.kappa_step)
     rows = []
     for run in trials[1:]:
@@ -641,10 +665,14 @@ def _cmd_figure(args) -> int:
 def _cmd_validate(args) -> int:
     from .experiments import validate_against_paper
 
-    result = validate_against_paper(
-        kappa_abs_tol=args.kappa_tol, ci=args.ci, ci_seeds=args.ci_seeds,
-        **_run_kwargs(args),
-    )
+    try:
+        result = validate_against_paper(
+            kappa_abs_tol=args.kappa_tol, ci=args.ci, ci_seeds=args.ci_seeds,
+            **_run_kwargs(args),
+        )
+    except ValueError as exc:
+        print(f"validate: {exc}", file=sys.stderr)
+        return 2
     print(result.render())
     return 0 if result.passed else 1
 

@@ -21,7 +21,6 @@ from .iat import (
     max_iat_construction,
 )
 from .kappa import KappaScaling, MetricVector, kappa_from_components, kappa_from_vector
-from .kendall import count_inversions, kendall_tau_distance
 from .latency import (
     latency_deltas_ns,
     latency_from_deltas,
@@ -74,8 +73,6 @@ __all__ = [
     "KappaScaling",
     "kappa_from_vector",
     "kappa_from_components",
-    "count_inversions",
-    "kendall_tau_distance",
     "SymlogBins",
     "DeltaHistogram",
     "pct_within",

@@ -156,7 +156,7 @@ def deviation_from_deltas(
 def windowed_deviation(
     baseline: Trial, run: Trial, window_ns: float
 ) -> WindowedDeviation:
-    """Slice the pair into baseline-timeline windows and aggregate deviations.
+    """Cut the pair into baseline-timeline windows and aggregate deviations.
 
     Missing packets (in the baseline, absent from the run) are attributed
     to the window of their *baseline* arrival — where the operator would

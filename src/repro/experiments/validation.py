@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .runner import run_scenarios, screen_scenarios
-from .scenarios import SCENARIOS, Scenario
+from .scenarios import SCENARIOS, Scenario, default_duration_scale
 
 __all__ = ["ScenarioVerdict", "ValidationResult", "validate_against_paper"]
 
@@ -184,10 +184,11 @@ def validate_against_paper(
 ) -> ValidationResult:
     """Rerun all nine environments and grade them against Table 2.
 
-    Requires ``duration_scale >= 0.05``: the dual-replayer environment's
-    inter-replayer start offsets are duration-*independent* (milliseconds
-    of scheduling latency), so below ~15 ms captures they dominate the
-    window and O/L leave the paper's regime.  Shorter scales are fine for
+    Requires ``duration_scale >= 0.05`` (given, or else from
+    ``REPRO_SCALE``): the dual-replayer environment's inter-replayer start
+    offsets are duration-*independent* (milliseconds of scheduling
+    latency), so below ~15 ms captures they dominate the window and O/L
+    leave the paper's regime.  Shorter scales are fine for
     structural tests, not for grading magnitudes.
 
     ``ci=True`` grades each environment against a ``ci_seeds``-session
@@ -199,7 +200,9 @@ def validate_against_paper(
     environment is not failed for one unlucky realization).
     """
     scale = run_kwargs.get("duration_scale")
-    if scale is not None and scale < 0.05:
+    if scale is None:
+        scale = default_duration_scale()
+    if scale < 0.05:
         raise ValueError(
             f"validation needs duration_scale >= 0.05 (got {scale}); "
             "the dual-replayer offsets do not shrink with the window"

@@ -18,16 +18,6 @@ from .burst import (
     burstify_poll_loop,
 )
 from .choir import ChoirNode
-from .debug import (
-    Backtrace,
-    NodeTrace,
-    backtrace,
-    find_matches,
-    first_match,
-    match_size_at_least,
-    match_tags,
-    match_time_window,
-)
 from .middlebox import ForwardResult, TransparentMiddlebox
 from .recording import MBUF_BYTES, MIN_BUFFER_BYTES, Recording
 from .replayer import Replayer, ReplayOutcome, ReplayTimingModel
@@ -47,12 +37,4 @@ __all__ = [
     "ReplayOutcome",
     "ReplayTimingModel",
     "ChoirNode",
-    "backtrace",
-    "Backtrace",
-    "NodeTrace",
-    "find_matches",
-    "first_match",
-    "match_tags",
-    "match_time_window",
-    "match_size_at_least",
 ]

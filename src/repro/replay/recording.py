@@ -13,7 +13,7 @@ is truncated — not spilled to disk — when the buffer fills.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,49 +124,6 @@ class Recording:
             self.tsc.cycles_to_ns(self.burst_tsc - self.burst_tsc[0]),
             dtype=np.float64,
         )
-
-    @classmethod
-    def capture_rolling(
-        cls,
-        packets: PacketArray,
-        burst_ids: np.ndarray,
-        tx_times_ns: np.ndarray,
-        tsc: TSC,
-        buffer_bytes: int = MIN_BUFFER_BYTES,
-        meta: dict | None = None,
-    ) -> "Recording":
-        """Ring-buffer capture: keep the *most recent* bufferful.
-
-        Section 4 marks this as future work ("future work can add
-        recording in a rolling manner"); it is the mode a debugging
-        deployment wants — stand by indefinitely, and on an incident keep
-        the traffic leading up to it.  Semantics mirror :meth:`capture`
-        but the truncation discards the *head* (oldest bursts) instead of
-        the tail, again on a burst boundary.
-        """
-        if buffer_bytes < MIN_BUFFER_BYTES:
-            raise ValueError(
-                f"Choir requires at least {MIN_BUFFER_BYTES} bytes of buffer "
-                f"(got {buffer_bytes})"
-            )
-        capacity = buffer_bytes // MBUF_BYTES
-        n = len(packets)
-        truncated = n > capacity
-        if truncated:
-            bids = np.asarray(burst_ids)
-            cut = n - int(capacity)  # first index kept
-            while cut < n and bids[cut - 1] == bids[cut]:
-                cut += 1  # advance to the next burst boundary
-            packets = packets.select(slice(cut, None))
-            burst_ids = bids[cut:] - bids[cut]  # renumber from 0
-            tx_times_ns = np.asarray(tx_times_ns)[cut:]
-        rec = cls.capture(
-            packets, burst_ids, tx_times_ns, tsc,
-            buffer_bytes=buffer_bytes, meta=meta,
-        )
-        if truncated:
-            rec = replace(rec, truncated=True)
-        return rec
 
     @classmethod
     def capture(

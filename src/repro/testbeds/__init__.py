@@ -25,17 +25,6 @@ from .serialization import (
     profile_to_dict,
     save_profile,
 )
-from .slices import (
-    NICComponent,
-    NICKind,
-    NetworkService,
-    NetworkServiceKind,
-    Site,
-    Slice,
-    SliceError,
-    SliceNode,
-    default_site,
-)
 
 __all__ = [
     "ExpectedMetrics",
@@ -56,15 +45,6 @@ __all__ = [
     "fabric_shared_80g",
     "fabric_dedicated_80g_noisy",
     "fabric_shared_40g_noisy",
-    "Slice",
-    "SliceNode",
-    "SliceError",
-    "Site",
-    "NICKind",
-    "NICComponent",
-    "NetworkService",
-    "NetworkServiceKind",
-    "default_site",
     "profile_to_dict",
     "profile_from_dict",
     "save_profile",

@@ -82,6 +82,42 @@ class TestParser:
         assert defaults.eps == 0.005 and defaults.max_runs == 12
 
 
+class TestBadInput:
+    """Bad input is a usage error: exit 2 with ``<command>:`` on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                [command, "local-single", "--scale", scale]
+                if command == "simulate" else [command, "--scale", scale]
+                for command in ("simulate", "table1")
+                for scale in ("-1", "0", "nan")
+            ),
+            ["simulate", "nosuch"],
+            ["simulate", "--profile", "{tmp}/missing.json"],
+            ["validate", "--scale", "0.02"],
+            ["table2", "--ci", "--ci-seeds", "0"],
+            ["monitor", "{tmp}", "--window-ms", "0"],
+            ["monitor", "{tmp}", "--chunk", "0"],
+            ["monitor", "{tmp}/missing"],
+            ["monitor", "{tmp}/garbage"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exits_2_with_command_prefix(self, argv, capsys, tmp_path):
+        (tmp_path / "garbage").mkdir()
+        for name in ("run-000.cho", "run-001.cho"):
+            (tmp_path / "garbage" / name).write_bytes(b"not a trial file")
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert f"{argv[0]}: " in capsys.readouterr().err
+
+
 class TestJobsValidation:
     """A bad worker count is a usage error (exit 2), never a traceback
     and never a silent fall-back to serial."""
@@ -309,9 +345,10 @@ class TestCommands:
         assert main(["monitor", str(tmp_path / "one")]) == 2
         assert "at least one run" in capsys.readouterr().err
 
-    def test_simulate_unknown_scenario(self):
-        with pytest.raises(KeyError, match="valid keys"):
-            main(["simulate", "bogus", "--scale", "0.01"])
+    def test_simulate_unknown_scenario(self, capsys):
+        assert main(["simulate", "bogus", "--scale", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simulate: ") and "valid keys" in err
 
     def test_table1(self, capsys):
         assert main(["table1", "--scale", "0.01"]) == 0

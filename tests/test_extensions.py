@@ -1,5 +1,6 @@
-"""Unit tests for the extension modules: rolling capture, B&S reorder
-metric, the Eq. 3/4 normalizers over raw deviation sums, statistics, and metric balancing."""
+"""Unit tests for the extension modules: the B&S reorder metric, the
+Eq. 3/4 normalizers over raw deviation sums, statistics, and metric
+balancing."""
 
 import numpy as np
 import pytest
@@ -20,51 +21,10 @@ from repro.core import (
     match_trials,
     reorder_probability_by_spacing,
 )
-from repro.net import PacketArray, make_tags
-from repro.replay import MBUF_BYTES, MIN_BUFFER_BYTES, Recording, burstify_fixed
+from repro.net import make_tags
 from repro.testbeds import local_single_replayer
-from repro.timing import TSC
 
 from .conftest import comb_trial, make_trial
-
-
-class TestRollingCapture:
-    def _offer(self, n):
-        batch = PacketArray.uniform(n, 1400, np.arange(n) * 112.0)
-        return batch, burstify_fixed(n, 64)
-
-    def test_keeps_tail(self):
-        cap = MIN_BUFFER_BYTES // MBUF_BYTES
-        batch, bids = self._offer(cap + 5000)
-        rec = Recording.capture_rolling(batch, bids, batch.times_ns, TSC())
-        assert rec.truncated
-        assert rec.packets.tags[-1] == batch.tags[-1]  # newest kept
-        assert rec.packets.tags[0] != batch.tags[0]  # oldest discarded
-        assert rec.memory_bytes <= MIN_BUFFER_BYTES
-
-    def test_no_truncation_when_fits(self):
-        batch, bids = self._offer(1000)
-        rec = Recording.capture_rolling(batch, bids, batch.times_ns, TSC())
-        assert not rec.truncated
-        assert len(rec) == 1000
-
-    def test_cut_on_burst_boundary(self):
-        cap = MIN_BUFFER_BYTES // MBUF_BYTES
-        batch, bids = self._offer(cap + 100)
-        rec = Recording.capture_rolling(batch, bids, batch.times_ns, TSC())
-        assert rec.burst_ids[0] == 0
-        # First burst kept whole: 64 packets of burst 0.
-        assert int((rec.burst_ids == 0).sum()) == 64
-
-    def test_replayable(self, rng):
-        from repro.net import TxNicModel
-        from repro.replay import Replayer
-
-        cap = MIN_BUFFER_BYTES // MBUF_BYTES
-        batch, bids = self._offer(cap + 2000)
-        rec = Recording.capture_rolling(batch, bids, batch.times_ns, TSC())
-        out = Replayer(tx_nic=TxNicModel(rate_bps=100e9)).replay(rec, 1e9, rng)
-        assert len(out) == len(rec)
 
 
 class TestReorderBySpacing:
